@@ -15,15 +15,7 @@ BENCH_PARALLEL ?= 0
 STM_OPS ?= 60000
 STM_REPS ?= 9
 
-# Network benchmark grid parameters (make stmnetbench): the wire modes are
-# ~100x slower per op than in-process handles, so the per-cell op count is
-# smaller and the worker sweep narrower.
-STMNET_OPS ?= 20000
-STMNET_REPS ?= 5
-STMNET_WORKERS ?= 1,2,4
-STMNET_SHARDS ?= 4
-
-.PHONY: verify lint race bench breakdown explore microbench benchgate profile stmbench stmnetbench clean-cache
+.PHONY: verify lint race bench breakdown explore microbench benchgate profile stmbench clean-cache
 
 verify:
 	$(GO) build ./...
@@ -102,30 +94,23 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
 
-# Host STM benchmark grid: every kvstore backend x mix x worker count on
-# real goroutines, via the stm/loadgen zipfian driver. BENCH_stm.json holds
-# the grid (schema tokentm-stm/v1); BENCH_stm.txt is benchstat-comparable.
-# Reps interleave backends round-robin and keep each cell's best rep, so
-# shared noise epochs cancel out of cross-backend ratios (see
-# cmd/tokentm-store). `-check` validates schema, grid coverage and the
-# workers=1 determinism contract of a recorded report.
+# Host STM benchmark grid: mixes x worker counts x five targets (the stm,
+# rwmutex and tl2-occ backends unsharded, kvstore.Sharded, and a live
+# stm/server over a loopback socket) on real goroutines, all replaying the
+# one seeded blind-write stream of stm/loadgen. BENCH_stm.json holds the
+# grid (schema tokentm-stm/v2); BENCH_stm.txt is benchstat-comparable. Reps
+# interleave targets round-robin and keep each cell's best rep, so shared
+# noise epochs cancel out of cross-target ratios (see cmd/tokentm-store). At
+# workers=1 every target must agree on (checksum, read_fold) — one stream,
+# five executions, one final state and one set of values read — checked at
+# bench time and by `-check`, along with schema and grid coverage. Loopback
+# numbers measure protocol overhead, not networks; read the cross-target
+# ratios, not the absolute ops/s. Never performance-gated: the gated
+# numbers are cmd/tokentm-bench's (BENCHMARK.json).
 stmbench:
 	$(GO) run ./cmd/tokentm-store -bench -ops $(STM_OPS) -reps $(STM_REPS) \
 		-json BENCH_stm.json -text BENCH_stm.txt
 	$(GO) run ./cmd/tokentm-store -check BENCH_stm.json
-
-# Network benchmark grid: the same blind-write zipfian mixes through three
-# access modes — unsharded in-process, sharded in-process, and a live
-# stm/server over a loopback socket (schema tokentm-stmnet/v1). At
-# workers=1 all three modes must reach the same final-state checksum: one
-# seeded op stream, three executions, one state — checked at bench time and
-# by `-check`. Loopback numbers measure protocol overhead, not networks;
-# read the cross-mode ratios, not the absolute ops/s.
-stmnetbench:
-	$(GO) run ./cmd/tokentm-store -netbench -ops $(STMNET_OPS) -reps $(STMNET_REPS) \
-		-workers $(STMNET_WORKERS) -shards $(STMNET_SHARDS) \
-		-json BENCH_stmnet.json -text BENCH_stmnet.txt
-	$(GO) run ./cmd/tokentm-store -check BENCH_stmnet.json
 
 clean-cache:
 	rm -rf .expcache

@@ -1,25 +1,28 @@
-// Command tokentm-store benchmarks the transactional KV store across its
-// three backends (stm, rwmutex, tl2-occ) under the loadgen mixes, checks a
-// previously recorded report, runs the network benchmark (in-process vs
-// sharded vs over-the-wire, see netbench.go), and serves the store over
-// TCP (see serve.go).
+// Command tokentm-store benchmarks the transactional KV store over every
+// way this repo can reach it — the three unsharded backends (stm, rwmutex,
+// tl2-occ), the sharded stm store in process, and a live stm/server on a
+// loopback socket — under the loadgen mixes, checks a previously recorded
+// report, and serves the store over TCP (see serve.go).
 //
 //	tokentm-store -bench -reps 5 -json BENCH_stm.json -text BENCH_stm.txt
-//	tokentm-store -netbench -reps 5 -json BENCH_stmnet.json
-//	tokentm-store -check BENCH_stm.json        # schema-dispatched
+//	tokentm-store -bench -targets stm,sharded,net -workers 1,2
+//	tokentm-store -check BENCH_stm.json
 //	tokentm-store -serve -addr :6380 -shards 4
 //
-// -reps measures each cell several times with the backends interleaved
-// round-robin and keeps the best rep: on a shared host, load bursts hit all
-// backends of a cell alike and the best rep approximates the uncontended
-// cost, so cross-backend ratios stay meaningful in noise the individual
-// numbers would not survive.
+// All targets replay one seeded blind-write operation stream, so their
+// numbers are comparable cell by cell. -reps measures each cell several
+// times with the targets interleaved round-robin and keeps the best rep:
+// on a shared host, load bursts hit all targets of a cell alike and the
+// best rep approximates the uncontended cost, so cross-target ratios stay
+// meaningful in noise the individual numbers would not survive.
 //
 // The JSON report separates deterministic identity fields (config, per-cell
-// ops/commits/checksums) from wall-clock measurements (throughput,
-// latency). -check validates only the deterministic half — schema, full
-// grid coverage, field sanity, and single-worker checksum agreement across
-// backends — so CI can gate on it without timing flake.
+// ops/commits/checksums/read folds) from wall-clock measurements
+// (throughput, latency). -check validates only the deterministic half —
+// schema, full grid coverage, field sanity, and single-worker agreement of
+// every target on (checksum, read_fold) — so CI can gate on it without
+// timing flake. This grid is never performance-gated: gated numbers come
+// from cmd/tokentm-bench (BENCHMARK.json).
 package main
 
 import (
@@ -28,16 +31,19 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
-	"tokentm/stm/kvstore"
 	"tokentm/stm/loadgen"
 )
 
-// schemaID versions the report format for the checker.
-const schemaID = "tokentm-stm/v1"
+// schemaID versions the report format for the checker. v2 is the unified
+// five-target grid; supersededSchemas are the two report formats it
+// replaced, which -check refuses by name.
+const schemaID = "tokentm-stm/v2"
+
+var supersededSchemas = []string{"tokentm-stm/v1", "tokentm-stmnet/v1"}
 
 // reportConfig is the deterministic part of the sweep parameters.
 type reportConfig struct {
@@ -47,16 +53,18 @@ type reportConfig struct {
 	Capacity int      `json:"capacity"`
 	Seed     uint64   `json:"seed"`
 	ZipfS    float64  `json:"zipf_s"`
+	Shards   int      `json:"shards"` // of the sharded and net targets
 	Workers  []int    `json:"workers"`
-	Backends []string `json:"backends"`
+	Targets  []string `json:"targets"`
 	Mixes    []string `json:"mixes"`
 }
 
 type reportHost struct {
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	GoVersion string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
 }
 
 type report struct {
@@ -69,23 +77,21 @@ type report struct {
 func main() {
 	var (
 		bench    = flag.Bool("bench", false, "run the benchmark grid")
-		netbench = flag.Bool("netbench", false, "run the network benchmark grid (inproc/sharded/net)")
 		serve    = flag.Bool("serve", false, "serve the sharded store over TCP until SIGTERM")
 		addr     = flag.String("addr", "127.0.0.1:6380", "listen address for -serve")
-		shards   = flag.Int("shards", 4, "shard count for -serve and -netbench (power of two)")
+		shards   = flag.Int("shards", 4, "shard count for -serve and the sharded/net targets (power of two)")
 		maxConns = flag.Int("max-conns", 64, "connection limit for -serve")
-		modes    = flag.String("modes", strings.Join(netModes, ","), "comma-separated modes for -netbench")
 		check    = flag.String("check", "", "validate a recorded report file and exit")
 		jsonPath = flag.String("json", "", "write the JSON report to this file")
 		textPath = flag.String("text", "", "write benchstat-comparable lines to this file")
 		ops      = flag.Int("ops", 60000, "transactions per cell")
 		reps     = flag.Int("reps", 1, "measurement repetitions per cell (best kept)")
 		workers  = flag.String("workers", "1,4,8,16", "comma-separated worker counts")
-		backends = flag.String("backends", strings.Join(kvstore.Backends, ","), "comma-separated backends")
+		targets  = flag.String("targets", strings.Join(loadgen.Targets, ","), "comma-separated targets")
 		mixes    = flag.String("mixes", mixNames(), "comma-separated mixes")
 		seed     = flag.Uint64("seed", 1, "workload seed")
 		keyspace = flag.Uint64("keyspace", 32768, "live key count")
-		// 4x keyspace: every backend gets the same provisioning, and the
+		// 4x keyspace: every target gets the same provisioning, and the
 		// open-addressed stores (stm, tl2-occ) keep linear probes short at
 		// a 25% load factor.
 		capacity = flag.Int("capacity", 131072, "store slot capacity")
@@ -93,23 +99,21 @@ func main() {
 	)
 	flag.Parse()
 
-	if *check != "" {
-		if err := checkFile(*check); err != nil {
-			fmt.Fprintf(os.Stderr, "tokentm-store: check failed: %v\n", err)
-			os.Exit(1)
+	var err error
+	switch {
+	case *check != "":
+		if err = checkFile(*check); err == nil {
+			fmt.Printf("OK: %s passes the deterministic report checks\n", *check)
 		}
-		fmt.Printf("OK: %s passes the deterministic report checks\n", *check)
-		return
-	}
-	if *serve {
-		if err := runServe(*addr, *shards, *capacity, *maxConns); err != nil {
-			fmt.Fprintf(os.Stderr, "tokentm-store: serve: %v\n", err)
-			os.Exit(1)
+	case *serve:
+		err = runServe(*addr, *shards, *capacity, *maxConns)
+	case *bench:
+		var ws []int
+		if ws, err = parseInts(*workers); err != nil {
+			break
 		}
-		return
-	}
-	if *netbench {
-		cfg := netReportConfig{
+		var rep *report
+		if rep, err = runGrid(reportConfig{
 			Ops:      *ops,
 			Reps:     *reps,
 			Keyspace: *keyspace,
@@ -117,81 +121,21 @@ func main() {
 			Seed:     *seed,
 			ZipfS:    *zipfS,
 			Shards:   *shards,
-			Workers:  parseInts(*workers),
-			Modes:    splitList(*modes),
+			Workers:  ws,
+			Targets:  splitList(*targets),
 			Mixes:    splitList(*mixes),
+		}); err != nil {
+			break
 		}
-		rep, err := runNetGrid(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tokentm-store: %v\n", err)
-			os.Exit(1)
-		}
-		printNetSummary(rep)
-		writeOutputs(*jsonPath, *textPath, rep, netBenchstatText(rep))
-		return
-	}
-	if !*bench {
+		printSummary(rep)
+		err = rep.write(*jsonPath, *textPath)
+	default:
 		flag.Usage()
 		os.Exit(2)
 	}
-
-	cfg := reportConfig{
-		Ops:      *ops,
-		Reps:     *reps,
-		Keyspace: *keyspace,
-		Capacity: *capacity,
-		Seed:     *seed,
-		ZipfS:    *zipfS,
-		Workers:  parseInts(*workers),
-		Backends: splitList(*backends),
-		Mixes:    splitList(*mixes),
-	}
-	rep, err := runGrid(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tokentm-store: %v\n", err)
 		os.Exit(1)
-	}
-	printSummary(rep)
-	writeOutputs(*jsonPath, *textPath, rep, benchstatText(rep))
-}
-
-// writeOutputs writes the JSON report and/or benchstat text if paths were
-// given, exiting on failure.
-func writeOutputs(jsonPath, textPath string, rep any, text string) {
-	if jsonPath != "" {
-		if err := writeJSON(jsonPath, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "tokentm-store: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if textPath != "" {
-		if err := os.WriteFile(textPath, []byte(text), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "tokentm-store: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// checkFile sniffs the report's schema tag and dispatches to the matching
-// checker, so one -check flag covers both report formats.
-func checkFile(path string) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var sniff struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(buf, &sniff); err != nil {
-		return err
-	}
-	switch sniff.Schema {
-	case schemaID:
-		return checkReport(buf)
-	case netSchemaID:
-		return checkNetReport(buf)
-	default:
-		return fmt.Errorf("unknown schema %q (know %q, %q)", sniff.Schema, schemaID, netSchemaID)
 	}
 }
 
@@ -213,41 +157,51 @@ func splitList(s string) []string {
 	return out
 }
 
-func parseInts(s string) []int {
+func parseInts(s string) ([]int, error) {
 	var out []int
 	for _, f := range splitList(s) {
 		n, err := strconv.Atoi(f)
 		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "tokentm-store: bad worker count %q\n", f)
-			os.Exit(2)
+			return nil, fmt.Errorf("bad worker count %q", f)
 		}
 		out = append(out, n)
 	}
-	return out
+	return out, nil
 }
 
-// runGrid sweeps mixes x backends x worker counts, one fresh store per run.
-// With -reps > 1 each cell is measured reps times and the best rep kept; the
-// rep loop cycles through the backends round-robin, so competing backends
-// share whatever load bursts the host throws at the sweep — on a shared
-// machine the best-of-interleaved-reps estimator is what makes cross-backend
-// ratios reproducible. The deterministic fields (commits, aborts at
-// workers=1, checksum) must agree across reps of a cell, which the sweep
-// verifies as a free determinism check.
+// agree is the workers=1 determinism gate, shared by the sweep and the
+// checker: the cells of one mix at one worker run one seeded op stream, so
+// every target must leave the same final state (checksum) and must have
+// returned the same values to every read (read_fold).
+func agree(mix string, cells []loadgen.Result) error {
+	for _, r := range cells[1:] {
+		if f := cells[0]; r.Checksum != f.Checksum || r.ReadFold != f.ReadFold {
+			return fmt.Errorf("mix %s: single-worker results disagree across targets: %s has checksum %x read_fold %x, %s has checksum %x read_fold %x",
+				mix, f.Target, f.Checksum, f.ReadFold, r.Target, r.Checksum, r.ReadFold)
+		}
+	}
+	return nil
+}
+
+// runGrid sweeps mixes x worker counts x targets, one fresh store (and for
+// net, one fresh loopback server) per run. With -reps > 1 each cell is
+// measured reps times and the best rep kept; the rep loop cycles through
+// the targets round-robin, so competing targets share whatever load bursts
+// the host throws at the sweep — on a shared machine the
+// best-of-interleaved-reps estimator is what makes cross-target ratios
+// reproducible. At workers=1 the deterministic fields must agree across
+// reps of a cell and across targets, which the sweep verifies as it goes.
 func runGrid(cfg reportConfig) (*report, error) {
 	rep := &report{
 		Schema: schemaID,
 		Config: cfg,
 		Host: reportHost{
-			GOOS:      runtime.GOOS,
-			GOARCH:    runtime.GOARCH,
-			NumCPU:    runtime.NumCPU(),
-			GoVersion: runtime.Version(),
+			GOOS:       runtime.GOOS,
+			GOARCH:     runtime.GOARCH,
+			NumCPU:     runtime.NumCPU(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			GoVersion:  runtime.Version(),
 		},
-	}
-	reps := cfg.Reps
-	if reps < 1 {
-		reps = 1
 	}
 	for _, mixName := range cfg.Mixes {
 		mix, err := loadgen.MixByName(mixName)
@@ -255,60 +209,94 @@ func runGrid(cfg reportConfig) (*report, error) {
 			return nil, err
 		}
 		for _, w := range cfg.Workers {
-			best := make(map[string]loadgen.Result, len(cfg.Backends))
-			for r := 0; r < reps; r++ {
-				for _, backend := range cfg.Backends {
-					res, err := loadgen.Run(loadgen.Config{
-						Backend:  backend,
+			best := make([]loadgen.Result, len(cfg.Targets))
+			for r := 0; r < max(cfg.Reps, 1); r++ {
+				for i, target := range cfg.Targets {
+					setup, err := loadgen.NewTarget(target, cfg.Shards, cfg.Capacity, w)
+					if err != nil {
+						return nil, err
+					}
+					res, err := loadgen.Run(setup, loadgen.Config{
 						Mix:      mix,
 						Workers:  w,
 						Ops:      cfg.Ops,
 						Keyspace: cfg.Keyspace,
-						Capacity: cfg.Capacity,
 						Seed:     cfg.Seed,
 						ZipfS:    cfg.ZipfS,
 					})
 					if err != nil {
-						return nil, fmt.Errorf("%s/%s/w=%d: %w", mixName, backend, w, err)
+						return nil, fmt.Errorf("%s/%s/w=%d: %w", mixName, target, w, err)
 					}
-					if prev, ok := best[backend]; ok {
-						if w == 1 && prev.Checksum != res.Checksum {
-							return nil, fmt.Errorf("%s/%s/w=1: checksum varies across reps (%x vs %x)",
-								mixName, backend, prev.Checksum, res.Checksum)
-						}
-						if res.Throughput <= prev.Throughput {
-							continue
+					if w == 1 && r > 0 {
+						if err := agree(mixName, []loadgen.Result{best[i], res}); err != nil {
+							return nil, fmt.Errorf("across reps: %w", err)
 						}
 					}
-					best[backend] = res
+					if res.Throughput > best[i].Throughput {
+						best[i] = res
+					}
 				}
 			}
-			for _, backend := range cfg.Backends {
-				res := best[backend]
-				rep.Results = append(rep.Results, res)
-				fmt.Fprintf(os.Stderr, "  %-11s %-8s workers=%-2d  %9.0f ops/s  abort %.3f\n",
-					mixName, backend, w, res.Throughput, res.AbortRate)
+			if w == 1 {
+				if err := agree(mixName, best); err != nil {
+					return nil, err
+				}
 			}
+			for _, res := range best {
+				fmt.Fprintf(os.Stderr, "  %-11s %-8s workers=%-2d  %9.0f ops/s  abort %.3f  retries %d\n",
+					mixName, res.Target, w, res.Throughput, res.AbortRate, res.WireRetries)
+			}
+			rep.Results = append(rep.Results, best...)
 		}
 	}
 	return rep, nil
 }
 
 func printSummary(rep *report) {
-	fmt.Printf("%-11s %-8s %8s %12s %10s %9s %9s\n",
-		"mix", "backend", "workers", "ops/s", "abort", "p50us", "p99us")
+	fmt.Printf("%-11s %-8s %8s %12s %10s %9s %9s %9s\n",
+		"mix", "target", "workers", "ops/s", "abort", "p50us", "p99us", "retries")
+	var sharded, unsharded loadgen.Result // write-heavy at the widest worker count
 	for _, r := range rep.Results {
-		fmt.Printf("%-11s %-8s %8d %12.0f %10.3f %9.1f %9.1f\n",
-			r.Mix, r.Backend, r.Workers, r.Throughput, r.AbortRate, r.P50Micros, r.P99Micros)
+		fmt.Printf("%-11s %-8s %8d %12.0f %10.3f %9.1f %9.1f %9d\n",
+			r.Mix, r.Target, r.Workers, r.Throughput, r.AbortRate, r.P50Micros, r.P99Micros, r.WireRetries)
+		if r.Mix == "write-heavy" && r.Target == "sharded" && r.Workers >= sharded.Workers {
+			sharded = r
+		}
+		if r.Mix == "write-heavy" && r.Target == "stm" && r.Workers >= unsharded.Workers {
+			unsharded = r
+		}
+	}
+	// The honest sharded-vs-unsharded story, stated rather than implied:
+	// report the write-heavy ratio at the widest worker count, whichever way
+	// it goes. On few cores (or one), the sharded store's extra cross-shard
+	// commit work can outweigh the contention it removes.
+	if sharded.Workers > 0 && sharded.Workers == unsharded.Workers {
+		ratio := sharded.Throughput / unsharded.Throughput
+		verdict := "sharding wins"
+		if ratio < 1 {
+			verdict = "sharding loses (cross-shard group-commit overhead exceeds the contention it removes at this core count)"
+		}
+		fmt.Printf("\nwrite-heavy @ workers=%d: sharded/unsharded throughput ratio %.2f — %s\n",
+			sharded.Workers, ratio, verdict)
 	}
 }
 
-func writeJSON(path string, rep any) error {
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
+// write saves the JSON report and the benchstat text to whichever of the
+// two paths is set.
+func (rep *report) write(jsonPath, textPath string) error {
+	if jsonPath != "" {
+		buf, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
+			return err
+		}
 	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
+	if textPath != "" {
+		return os.WriteFile(textPath, []byte(benchstatText(rep)), 0o644)
+	}
+	return nil
 }
 
 // benchstatText renders each cell as one benchstat-parseable line: save the
@@ -318,40 +306,58 @@ func benchstatText(rep *report) string {
 	fmt.Fprintf(&b, "goos: %s\ngoarch: %s\npkg: tokentm/stm/loadgen\n", rep.Host.GOOS, rep.Host.GOARCH)
 	for _, r := range rep.Results {
 		nsPerOp := float64(r.ElapsedNS) / float64(r.Ops)
-		fmt.Fprintf(&b, "BenchmarkKV/mix=%s/backend=%s/workers=%d \t %d \t %.1f ns/op \t %.0f ops/s \t %.1f p50-us \t %.1f p99-us \t %.4f abort-rate\n",
-			r.Mix, r.Backend, r.Workers, r.Ops, nsPerOp, r.Throughput, r.P50Micros, r.P99Micros, r.AbortRate)
+		fmt.Fprintf(&b, "BenchmarkKV/mix=%s/target=%s/workers=%d \t %d \t %.1f ns/op \t %.0f ops/s \t %.1f p50-us \t %.1f p99-us \t %.4f abort-rate\n",
+			r.Mix, r.Target, r.Workers, r.Ops, nsPerOp, r.Throughput, r.P50Micros, r.P99Micros, r.AbortRate)
 	}
 	return b.String()
 }
 
-// checkReport validates the deterministic half of a recorded report: schema
-// tag, full grid coverage, per-cell sanity, and checksum agreement across
-// backends on the single-worker cells (where the op stream is one seeded
-// sequence, so all backends must produce identical final state).
-func checkReport(buf []byte) error {
+// checkFile validates the deterministic half of a recorded report: schema
+// tag, full grid coverage, per-cell sanity, and the workers=1 agreement of
+// every target of a mix on (checksum, read_fold).
+func checkFile(path string) error {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
 	var rep report
 	if err := json.Unmarshal(buf, &rep); err != nil {
 		return err
+	}
+	return checkReport(&rep)
+}
+
+func checkReport(rep *report) error {
+	if slices.Contains(supersededSchemas, rep.Schema) {
+		return fmt.Errorf("schema %q is superseded by %q (one grid over all five targets); regenerate with `make stmbench`", rep.Schema, schemaID)
 	}
 	if rep.Schema != schemaID {
 		return fmt.Errorf("schema %q, want %q", rep.Schema, schemaID)
 	}
 	cfg := rep.Config
-	if len(cfg.Backends) == 0 || len(cfg.Mixes) == 0 || len(cfg.Workers) == 0 {
+	if len(cfg.Targets) == 0 || len(cfg.Mixes) == 0 || len(cfg.Workers) == 0 {
 		return fmt.Errorf("empty config grid %+v", cfg)
 	}
-	want := len(cfg.Backends) * len(cfg.Mixes) * len(cfg.Workers)
-	if len(rep.Results) != want {
+	if cfg.Shards <= 0 || cfg.Shards&(cfg.Shards-1) != 0 {
+		return fmt.Errorf("shard count %d is not a power of two", cfg.Shards)
+	}
+	for _, target := range cfg.Targets {
+		if !slices.Contains(loadgen.Targets, target) {
+			return fmt.Errorf("unknown target %q (have %v)", target, loadgen.Targets)
+		}
+	}
+	if want := len(cfg.Targets) * len(cfg.Mixes) * len(cfg.Workers); len(rep.Results) != want {
 		return fmt.Errorf("%d results, grid needs %d", len(rep.Results), want)
 	}
 	seen := make(map[string]bool)
+	single := make(map[string][]loadgen.Result) // mix -> its workers=1 cells
 	for i, r := range rep.Results {
-		cell := fmt.Sprintf("%s/%s/%d", r.Mix, r.Backend, r.Workers)
+		cell := fmt.Sprintf("%s/%s/%d", r.Mix, r.Target, r.Workers)
 		if seen[cell] {
 			return fmt.Errorf("result %d: duplicate cell %s", i, cell)
 		}
 		seen[cell] = true
-		if !inStrings(cfg.Mixes, r.Mix) || !inStrings(cfg.Backends, r.Backend) || !inInts(cfg.Workers, r.Workers) {
+		if !slices.Contains(cfg.Mixes, r.Mix) || !slices.Contains(cfg.Targets, r.Target) || !slices.Contains(cfg.Workers, r.Workers) {
 			return fmt.Errorf("result %d: cell %s outside config grid", i, cell)
 		}
 		if r.Ops != cfg.Ops {
@@ -369,41 +375,19 @@ func checkReport(buf []byte) error {
 		if r.Checksum == 0 {
 			return fmt.Errorf("cell %s: zero checksum", cell)
 		}
+		if r.Target != "net" && r.WireRetries != 0 {
+			return fmt.Errorf("cell %s: in-process target reports wire retries", cell)
+		}
+		if r.Workers == 1 {
+			single[r.Mix] = append(single[r.Mix], r)
+		}
 	}
 	for _, mix := range cfg.Mixes {
-		sums := make(map[uint64][]string)
-		for _, r := range rep.Results {
-			if r.Mix == mix && r.Workers == 1 {
-				sums[r.Checksum] = append(sums[r.Checksum], r.Backend)
+		if cells := single[mix]; len(cells) > 0 {
+			if err := agree(mix, cells); err != nil {
+				return err
 			}
-		}
-		if len(sums) > 1 {
-			var parts []string
-			for sum, who := range sums {
-				parts = append(parts, fmt.Sprintf("%x=%v", sum, who))
-			}
-			sort.Strings(parts)
-			return fmt.Errorf("mix %s: single-worker checksums disagree across backends: %s",
-				mix, strings.Join(parts, " "))
 		}
 	}
 	return nil
-}
-
-func inStrings(list []string, s string) bool {
-	for _, x := range list {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
-func inInts(list []int, n int) bool {
-	for _, x := range list {
-		if x == n {
-			return true
-		}
-	}
-	return false
 }

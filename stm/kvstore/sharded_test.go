@@ -56,7 +56,7 @@ func TestShardedPartitionCoversKeyspace(t *testing.T) {
 // TestShardedMatchesUnsharded drives the identical seeded single-threaded
 // stream into the unsharded stm backend and sharded stores of several widths
 // and demands identical final state (and therefore Checksum) — the in-process
-// half of the netbench checksum-equality gate.
+// half of the stmbench cross-target determinism gate.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	const (
 		keyspace = 512

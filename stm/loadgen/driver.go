@@ -2,28 +2,27 @@ package loadgen
 
 import (
 	"fmt"
-	"math/rand"
-	"time"
+	"net"
+	"slices"
 
+	"tokentm/stm"
 	"tokentm/stm/kvstore"
+	"tokentm/stm/server"
 )
 
-// Driver abstracts one worker's access to a store for the mode-comparable
-// network benchmark: an in-process handle, a sharded handle, or a RESP
-// client over TCP. Unlike the classic Run engine (whose transfer/batch
-// transactions compute written values from their reads), the driver engine
-// issues *blind* generator-supplied writes: a wire protocol has no
-// server-side compute, so blind writes are what keep the same seeded op
-// stream producing identical final state in every mode — the workers=1
-// checksum-equality gate then spans the process boundary.
+// Driver is one worker's access to a store: an in-process kvstore.Handle
+// (NewHandleDriver) or a RESP client over TCP (NetDriver). Reads return
+// what they saw (0 for an absent key) so the engine can fold it into
+// Result.ReadFold. A Driver that also implements io.Closer is closed by
+// Run.
 type Driver interface {
 	// Get is a single-key point read.
-	Get(key uint64) error
+	Get(key uint64) (uint64, error)
 	// Put is a single-key blind write.
 	Put(key, val uint64) error
-	// Atomic reads every getKeys[i] and blind-writes putVals[i] to
-	// putKeys[i], all as one atomic transaction.
-	Atomic(getKeys, putKeys, putVals []uint64) error
+	// Atomic reads every getKeys[i] into got[i] and blind-writes putVals[i]
+	// to putKeys[i], all as one atomic transaction; len(got) == len(getKeys).
+	Atomic(getKeys, putKeys, putVals, got []uint64) error
 }
 
 // WireRetrier is implemented by drivers whose transport can surface -RETRY
@@ -33,33 +32,96 @@ type WireRetrier interface {
 	Retries() uint64
 }
 
-// DriverSetup binds one benchmark mode: a per-worker driver factory plus
-// the store-level checksum and stats the Result records. Close (optional)
-// releases a worker's driver.
+// DriverSetup binds one target for one cell: a per-worker driver factory
+// plus the store-level checksum and stats the Result records. Close
+// (optional) releases the target itself once the cell is over.
 type DriverSetup struct {
-	Mode     string // result label: "inproc", "sharded", "net"
-	Shards   int    // 0 when the mode has no shard structure
+	Target   string // result label, one of Targets
+	Shards   int    // 0 when the target has no shard structure
 	New      func(worker int) (Driver, error)
-	Close    func(worker int, d Driver) error
 	Checksum func() (uint64, error)
 	Stats    func() kvstore.Stats
+	Close    func() error
+}
+
+// Targets lists every target NewTarget can build, in presentation order:
+// the three unsharded kvstore backends, kvstore.Sharded in process, and a
+// live stm/server on a loopback socket with one RESP connection per worker.
+// The last two exist for the stm backend only, which is why "backend" and
+// "access mode" are one axis and not a cross product.
+var Targets = append(append([]string(nil), kvstore.Backends...), "sharded", "net")
+
+// NewTarget builds a fresh store for one cell (for net, a fresh server
+// too) and returns its setup. shards applies to sharded and net only.
+func NewTarget(name string, shards, capacity, workers int) (DriverSetup, error) {
+	inproc := func(store kvstore.Store, shards int) DriverSetup {
+		return DriverSetup{
+			Target:   name,
+			Shards:   shards,
+			New:      func(w int) (Driver, error) { return NewHandleDriver(store.Handle(w)), nil },
+			Checksum: func() (uint64, error) { return kvstore.Checksum(store), nil },
+			Stats:    store.Stats,
+		}
+	}
+	if !slices.Contains(Targets, name) {
+		return DriverSetup{}, fmt.Errorf("loadgen: unknown target %q (have %v)", name, Targets)
+	}
+	if (name == "sharded" || name == "net") && (shards <= 0 || shards&(shards-1) != 0) {
+		return DriverSetup{}, fmt.Errorf("loadgen: shard count %d is not a power of two", shards)
+	}
+	switch name {
+	case "sharded":
+		return inproc(kvstore.NewSharded(shards, capacity, workers, stm.Options{}), shards), nil
+	case "net":
+		srv, err := server.New(server.Config{
+			Shards:   shards,
+			Capacity: capacity,
+			MaxConns: workers + 1, // +1 slot for the post-run CHECKSUM connection
+		})
+		if err != nil {
+			return DriverSetup{}, err
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return DriverSetup{}, err
+		}
+		served := make(chan error, 1)
+		go func() { served <- srv.Serve(ln) }()
+		addr := ln.Addr().String()
+		return DriverSetup{
+			Target:   name,
+			Shards:   shards,
+			New:      func(int) (Driver, error) { return DialNet(addr) },
+			Checksum: func() (uint64, error) { return NetChecksum(addr) },
+			Stats:    srv.Store().Stats,
+			// Shutdown drains and closes the listener; Serve then returns
+			// (nil unless the accept loop failed before the drain).
+			Close: func() error { srv.Shutdown(); return <-served },
+		}, nil
+	default:
+		store, err := kvstore.New(name, capacity, workers)
+		if err != nil {
+			return DriverSetup{}, err
+		}
+		return inproc(store, 0), nil
+	}
 }
 
 // handleDriver adapts a kvstore.Handle. The transaction closure is bound
 // once; parameters travel through fields so the steady state does not
 // allocate.
 type handleDriver struct {
-	h                         kvstore.Handle
-	getKeys, putKeys, putVals []uint64
-	fn                        func(kvstore.Tx) error
+	h                              kvstore.Handle
+	getKeys, putKeys, putVals, got []uint64
+	fn                             func(kvstore.Tx) error
 }
 
 // NewHandleDriver wraps an in-process store handle as a Driver.
 func NewHandleDriver(h kvstore.Handle) Driver {
 	d := &handleDriver{h: h}
 	d.fn = func(tx kvstore.Tx) error {
-		for _, k := range d.getKeys {
-			tx.Get(k)
+		for i, k := range d.getKeys {
+			d.got[i], _ = tx.Get(k)
 		}
 		for i, k := range d.putKeys {
 			tx.Put(k, d.putVals[i])
@@ -69,9 +131,9 @@ func NewHandleDriver(h kvstore.Handle) Driver {
 	return d
 }
 
-func (d *handleDriver) Get(key uint64) error {
-	d.h.Get(key)
-	return nil
+func (d *handleDriver) Get(key uint64) (uint64, error) {
+	v, _, _ := d.h.Get(key)
+	return v, nil
 }
 
 func (d *handleDriver) Put(key, val uint64) error {
@@ -79,220 +141,8 @@ func (d *handleDriver) Put(key, val uint64) error {
 	return nil
 }
 
-func (d *handleDriver) Atomic(getKeys, putKeys, putVals []uint64) error {
-	d.getKeys, d.putKeys, d.putVals = getKeys, putKeys, putVals
+func (d *handleDriver) Atomic(getKeys, putKeys, putVals, got []uint64) error {
+	d.getKeys, d.putKeys, d.putVals, d.got = getKeys, putKeys, putVals, got
 	_, err := d.h.Txn(false, d.fn)
 	return err
-}
-
-// driverWorker drives one goroutine's share of a cell through a Driver,
-// mirroring the classic worker's zipfian mix and latency sampling.
-type driverWorker struct {
-	d        Driver
-	mix      Mix
-	keyspace uint64
-	ops      int
-
-	rng  *rand.Rand
-	zipf *rand.Zipf
-	val  uint64
-
-	getKeys, putKeys, putVals []uint64
-
-	lat []int64
-}
-
-func newDriverWorker(d Driver, cfg Config, id, ops int) *driverWorker {
-	r := rand.New(rand.NewSource(int64(cfg.Seed) + int64(id)*1337))
-	return &driverWorker{
-		d:        d,
-		mix:      cfg.Mix,
-		keyspace: cfg.Keyspace,
-		ops:      ops,
-		rng:      r,
-		zipf:     rand.NewZipf(r, cfg.ZipfS, 1, cfg.Keyspace-1),
-		val:      cfg.Seed*0x9e3779b97f4a7c15 + uint64(id) + 1,
-		lat:      make([]int64, 0, ops/latencyEvery+1),
-	}
-}
-
-func (w *driverWorker) key() uint64 {
-	rank := w.zipf.Uint64()
-	return rank*0x9E3779B1%w.keyspace + 1
-}
-
-func (w *driverWorker) nextVal() uint64 {
-	w.val++
-	return splitmix(w.val)
-}
-
-func (w *driverWorker) run() error {
-	for i := 0; i < w.ops; i++ {
-		sample := i%latencyEvery == 0
-		var t0 time.Time
-		if sample {
-			t0 = time.Now()
-		}
-		var err error
-		op := w.rng.Intn(100)
-		switch m := &w.mix; {
-		case op < m.GetPct:
-			err = w.d.Get(w.key())
-		case op < m.GetPct+m.PutPct:
-			err = w.d.Put(w.key(), w.nextVal())
-		case op < m.GetPct+m.PutPct+m.TransferPct:
-			k1, k2 := w.key(), w.key()
-			if k1 == k2 {
-				k2 = k2%w.keyspace + 1
-			}
-			w.getKeys = append(w.getKeys[:0], k1, k2)
-			w.putKeys = append(w.putKeys[:0], k1, k2)
-			w.putVals = append(w.putVals[:0], w.nextVal(), w.nextVal())
-			err = w.d.Atomic(w.getKeys, w.putKeys, w.putVals)
-		default:
-			k1, k2 := w.key(), w.key()
-			w.getKeys = w.getKeys[:0]
-			w.putKeys = w.putKeys[:0]
-			w.putVals = w.putVals[:0]
-			for j := 0; j < w.mix.BatchGets; j++ {
-				w.getKeys = append(w.getKeys, 1+(k1+uint64(j)-1)%w.keyspace)
-			}
-			for j := 0; j < w.mix.BatchPuts; j++ {
-				w.putKeys = append(w.putKeys, 1+(k2+uint64(j)-1)%w.keyspace)
-				w.putVals = append(w.putVals, w.nextVal())
-			}
-			err = w.d.Atomic(w.getKeys, w.putKeys, w.putVals)
-		}
-		if err != nil {
-			return err
-		}
-		if sample {
-			w.lat = append(w.lat, time.Since(t0).Nanoseconds())
-		}
-	}
-	return nil
-}
-
-// PrepopulateDriver inserts every key in 1..keyspace with the same values
-// the classic prepopulate uses, in Atomic batches sized for the wire
-// protocol's argument bound.
-func PrepopulateDriver(d Driver, keyspace, seed uint64) error {
-	const batch = 128
-	keys := make([]uint64, 0, batch)
-	vals := make([]uint64, 0, batch)
-	for lo := uint64(1); lo <= keyspace; lo += batch {
-		hi := lo + batch
-		if hi > keyspace+1 {
-			hi = keyspace + 1
-		}
-		keys, vals = keys[:0], vals[:0]
-		for k := lo; k < hi; k++ {
-			keys = append(keys, k)
-			vals = append(vals, splitmix(k+seed))
-		}
-		if err := d.Atomic(nil, keys, vals); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunDrivers executes one benchmark cell through a DriverSetup: build one
-// driver per worker, prepopulate through worker 0, drive the mix, then
-// collect timing plus the setup's checksum and stats. Config.Backend is
-// ignored (the setup IS the backend); everything else means what it means
-// in Run.
-func RunDrivers(setup DriverSetup, cfg Config) (Result, error) {
-	if cfg.Workers <= 0 || cfg.Ops <= 0 || cfg.Keyspace == 0 {
-		return Result{}, fmt.Errorf("loadgen: bad config %+v", cfg)
-	}
-	drivers := make([]Driver, cfg.Workers)
-	for i := range drivers {
-		d, err := setup.New(i)
-		if err != nil {
-			return Result{}, fmt.Errorf("loadgen: driver %d: %w", i, err)
-		}
-		drivers[i] = d
-	}
-	closeAll := func() {
-		if setup.Close == nil {
-			return
-		}
-		for i, d := range drivers {
-			if d != nil {
-				setup.Close(i, d)
-			}
-		}
-	}
-	defer closeAll()
-
-	if err := PrepopulateDriver(drivers[0], cfg.Keyspace, cfg.Seed); err != nil {
-		return Result{}, err
-	}
-
-	workers := make([]*driverWorker, cfg.Workers)
-	per := cfg.Ops / cfg.Workers
-	for i := range workers {
-		ops := per
-		if i == 0 {
-			ops += cfg.Ops % cfg.Workers
-		}
-		workers[i] = newDriverWorker(drivers[i], cfg, i, ops)
-	}
-
-	start := time.Now()
-	done := make(chan error, len(workers))
-	for _, w := range workers {
-		w := w
-		go func() { done <- w.run() }()
-	}
-	var err error
-	for range workers {
-		if werr := <-done; werr != nil && err == nil {
-			err = werr
-		}
-	}
-	elapsed := time.Since(start)
-	if err != nil {
-		return Result{}, err
-	}
-
-	var retries uint64
-	for _, d := range drivers {
-		if r, ok := d.(WireRetrier); ok {
-			retries += r.Retries()
-		}
-	}
-	sum, err := setup.Checksum()
-	if err != nil {
-		return Result{}, err
-	}
-	st := setup.Stats()
-	res := Result{
-		Mix:         cfg.Mix.Name,
-		Backend:     setup.Mode,
-		Mode:        setup.Mode,
-		Shards:      setup.Shards,
-		Workers:     cfg.Workers,
-		Ops:         cfg.Ops,
-		Commits:     st.Commits,
-		Aborts:      st.Aborts,
-		AbortRate:   st.AbortRate(),
-		Checksum:    sum,
-		WireRetries: retries,
-		ElapsedNS:   elapsed.Nanoseconds(),
-	}
-	if elapsed > 0 {
-		res.Throughput = float64(cfg.Ops) / elapsed.Seconds()
-	}
-	res.P50Micros, res.P99Micros = driverPercentiles(workers)
-	return res, nil
-}
-
-func driverPercentiles(workers []*driverWorker) (p50, p99 float64) {
-	shim := make([]*worker, len(workers))
-	for i, w := range workers {
-		shim[i] = &worker{lat: w.lat}
-	}
-	return percentiles(shim)
 }

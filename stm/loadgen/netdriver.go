@@ -11,10 +11,11 @@ import (
 
 // NetDriver drives one server connection with the RESP-lite dialect of
 // stm/server: Get/Put map to GET/SET, Atomic maps to a MULTI…EXEC block
-// (MGET for the reads, MSET for the blind writes). A -RETRY reply — the
-// server's bounded-contention rollback — is retried transparently and
-// counted; per-op latency therefore includes wire round trips and any
-// retries, which is the whole point of the network benchmark.
+// (MGET for the reads, MSET for the blind writes); values read are parsed
+// out of the GET/EXEC reply. A -RETRY reply — the server's
+// bounded-contention rollback — is retried transparently and counted;
+// per-op latency therefore includes wire round trips and any retries, which
+// is the whole point of the net target.
 type NetDriver struct {
 	nc      net.Conn
 	r       *resp.Reader
@@ -52,16 +53,32 @@ func replyErr(op string, rep resp.Reply) error {
 	return fmt.Errorf("loadgen: %s answered %c %s", op, rep.Type, rep.Str)
 }
 
-func (d *NetDriver) Get(key uint64) error {
+// bulkUint decodes a bulk reply carrying a decimal uint64; the null bulk
+// (absent key) reads as 0.
+func bulkUint(op string, rep resp.Reply) (uint64, error) {
+	if rep.Type != '$' {
+		return 0, replyErr(op, rep)
+	}
+	if rep.Null {
+		return 0, nil
+	}
+	v, err := strconv.ParseUint(rep.Str, 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("loadgen: %s reply %q: %w", op, rep.Str, err)
+	}
+	return v, nil
+}
+
+func (d *NetDriver) Get(key uint64) (uint64, error) {
 	d.args = append(d.args[:0], "GET", strconv.FormatUint(key, 10))
 	rep, err := d.roundTrip()
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if rep.Type != '*' {
-		return replyErr("GET", rep)
+	if rep.Type != '*' || len(rep.Elems) != 3 {
+		return 0, replyErr("GET", rep)
 	}
-	return nil
+	return bulkUint("GET", rep.Elems[0])
 }
 
 func (d *NetDriver) Put(key, val uint64) error {
@@ -78,8 +95,10 @@ func (d *NetDriver) Put(key, val uint64) error {
 
 // Atomic issues MULTI / MGET / MSET / EXEC as one pipelined block and
 // retries the whole block on -RETRY (the transaction rolled back wholly, so
-// resending is safe). Empty get or put sets skip their queued command.
-func (d *NetDriver) Atomic(getKeys, putKeys, putVals []uint64) error {
+// resending is safe). Empty get or put sets skip their queued command. The
+// EXEC reply is [results, serials]; with reads queued, results[0] is the
+// MGET's value array.
+func (d *NetDriver) Atomic(getKeys, putKeys, putVals, got []uint64) error {
 	for {
 		queued := 0
 		if err := d.w.WriteCommand("MULTI"); err != nil {
@@ -120,6 +139,17 @@ func (d *NetDriver) Atomic(getKeys, putKeys, putVals []uint64) error {
 		}
 		switch {
 		case rep.Type == '*':
+			if len(got) == 0 {
+				return nil
+			}
+			if len(rep.Elems) != 2 || len(rep.Elems[0].Elems) != queued || len(rep.Elems[0].Elems[0].Elems) != len(got) {
+				return replyErr("EXEC", rep)
+			}
+			for i, e := range rep.Elems[0].Elems[0].Elems {
+				if got[i], err = bulkUint("EXEC", e); err != nil {
+					return err
+				}
+			}
 			return nil
 		case rep.Type == '-' && strings.HasPrefix(rep.Str, "RETRY"):
 			d.retries++
@@ -143,12 +173,5 @@ func NetChecksum(addr string) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if rep.Type != '$' || rep.Null {
-		return 0, replyErr("CHECKSUM", rep)
-	}
-	sum, err := strconv.ParseUint(rep.Str, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("loadgen: CHECKSUM reply %q: %w", rep.Str, err)
-	}
-	return sum, nil
+	return bulkUint("CHECKSUM", rep)
 }

@@ -474,34 +474,12 @@ func (c *conn) buildInfo() []byte {
 	line("aborts", st.Aborts)
 	var sum stm.Stats
 	for i := 0; i < c.srv.store.NumShards(); i++ {
-		s := c.srv.store.ShardSTMStats(i)
-		sum.Commits += s.Commits
-		sum.Aborts += s.Aborts
-		sum.Upgrades += s.Upgrades
-		sum.FastReleases += s.FastReleases
-		sum.SlowReleases += s.SlowReleases
-		sum.ConflictWriter += s.ConflictWriter
-		sum.ConflictReader += s.ConflictReader
-		sum.ConflictAnon += s.ConflictAnon
-		sum.ConflictAborts += s.ConflictAborts
-		sum.DoomedAborts += s.DoomedAborts
-		sum.Dooms += s.Dooms
-		sum.SnapshotCommits += s.SnapshotCommits
-		sum.SnapshotRetries += s.SnapshotRetries
+		sum.Add(c.srv.store.ShardSTMStats(i))
 	}
-	line("stm_commits", sum.Commits)
-	line("stm_aborts", sum.Aborts)
-	line("stm_upgrades", sum.Upgrades)
-	line("stm_fast_releases", sum.FastReleases)
-	line("stm_slow_releases", sum.SlowReleases)
-	line("stm_conflict_writer", sum.ConflictWriter)
-	line("stm_conflict_reader", sum.ConflictReader)
-	line("stm_conflict_anon", sum.ConflictAnon)
-	line("stm_conflict_aborts", sum.ConflictAborts)
-	line("stm_doomed_aborts", sum.DoomedAborts)
-	line("stm_dooms", sum.Dooms)
-	line("stm_snapshot_commits", sum.SnapshotCommits)
-	line("stm_snapshot_retries", sum.SnapshotRetries)
+	sum.Each(func(name string, v uint64) {
+		b = append(b, "stm_"...)
+		line(name, v)
+	})
 	for i := 0; i < c.srv.store.NumShards(); i++ {
 		b = append(b, "shard"...)
 		b = strconv.AppendUint(b, uint64(i), 10)

@@ -171,7 +171,14 @@ func (s *Server) Serve(ln net.Listener) error {
 		return errors.New("server: Serve called twice")
 	}
 	s.ln = ln
+	// A Shutdown that ran before ln was registered found nothing to close;
+	// one that runs after this critical section closes ln itself.
+	draining := s.draining.Load()
 	s.mu.Unlock()
+	if draining {
+		ln.Close()
+		return nil
+	}
 	for {
 		nc, err := ln.Accept()
 		if err != nil {

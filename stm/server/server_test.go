@@ -452,6 +452,35 @@ func TestMaxConnsRefusal(t *testing.T) {
 	}
 }
 
+// TestShutdownBeforeServe: a Shutdown that wins the race against the Serve
+// goroutine finds no listener to close, so Serve itself must notice the
+// drain and return instead of blocking in Accept on a server nobody will
+// stop again.
+func TestShutdownBeforeServe(t *testing.T) {
+	s, err := New(Config{Shards: 2, MaxConns: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Shutdown()
+	done := make(chan error, 1)
+	go func() { done <- s.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Shutdown: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve blocked in Accept after Shutdown")
+	}
+	if _, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		t.Fatal("listener still open after Serve returned")
+	}
+}
+
 // TestGracefulDrain races Shutdown against a pipelined cross-shard
 // MULTI…EXEC, over many rounds with varied timing: whatever the
 // interleaving, the transaction must be all-or-nothing — both keys updated

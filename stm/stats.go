@@ -57,23 +57,54 @@ type counters struct {
 //tokentm:allocfree
 func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
+// statFields is the one table of statistics fields, in Stats declaration
+// order: the wire name (the server's INFO prints "stm_"+name) and the
+// field's address in the live counters and in a Stats snapshot. addTo,
+// Stats.Add and Stats.Each walk it, so a new counter is one struct field in
+// each of Stats and counters plus one row here (TestStatFieldsCoverage
+// pins the table to both structs by reflection).
+var statFields = [...]struct {
+	name    string
+	counter func(*counters) *atomic.Uint64
+	stat    func(*Stats) *uint64
+}{
+	{"commits", func(c *counters) *atomic.Uint64 { return &c.Commits }, func(s *Stats) *uint64 { return &s.Commits }},
+	{"aborts", func(c *counters) *atomic.Uint64 { return &c.Aborts }, func(s *Stats) *uint64 { return &s.Aborts }},
+	{"upgrades", func(c *counters) *atomic.Uint64 { return &c.Upgrades }, func(s *Stats) *uint64 { return &s.Upgrades }},
+	{"fast_releases", func(c *counters) *atomic.Uint64 { return &c.FastReleases }, func(s *Stats) *uint64 { return &s.FastReleases }},
+	{"slow_releases", func(c *counters) *atomic.Uint64 { return &c.SlowReleases }, func(s *Stats) *uint64 { return &s.SlowReleases }},
+	{"conflict_writer", func(c *counters) *atomic.Uint64 { return &c.ConflictWriter }, func(s *Stats) *uint64 { return &s.ConflictWriter }},
+	{"conflict_reader", func(c *counters) *atomic.Uint64 { return &c.ConflictReader }, func(s *Stats) *uint64 { return &s.ConflictReader }},
+	{"conflict_anon", func(c *counters) *atomic.Uint64 { return &c.ConflictAnon }, func(s *Stats) *uint64 { return &s.ConflictAnon }},
+	{"conflict_aborts", func(c *counters) *atomic.Uint64 { return &c.ConflictAborts }, func(s *Stats) *uint64 { return &s.ConflictAborts }},
+	{"doomed_aborts", func(c *counters) *atomic.Uint64 { return &c.DoomedAborts }, func(s *Stats) *uint64 { return &s.DoomedAborts }},
+	{"dooms", func(c *counters) *atomic.Uint64 { return &c.Dooms }, func(s *Stats) *uint64 { return &s.Dooms }},
+	{"snapshot_commits", func(c *counters) *atomic.Uint64 { return &c.SnapshotCommits }, func(s *Stats) *uint64 { return &s.SnapshotCommits }},
+	{"snapshot_retries", func(c *counters) *atomic.Uint64 { return &c.SnapshotRetries }, func(s *Stats) *uint64 { return &s.SnapshotRetries }},
+}
+
 // addTo accumulates an atomic snapshot of c into s. Counters are read
 // individually; a snapshot taken while transactions run is per-field exact
 // but not cross-field consistent (quiesce for exact books).
 func (c *counters) addTo(s *Stats) {
-	s.Commits += c.Commits.Load()
-	s.Aborts += c.Aborts.Load()
-	s.Upgrades += c.Upgrades.Load()
-	s.FastReleases += c.FastReleases.Load()
-	s.SlowReleases += c.SlowReleases.Load()
-	s.ConflictWriter += c.ConflictWriter.Load()
-	s.ConflictReader += c.ConflictReader.Load()
-	s.ConflictAnon += c.ConflictAnon.Load()
-	s.ConflictAborts += c.ConflictAborts.Load()
-	s.DoomedAborts += c.DoomedAborts.Load()
-	s.Dooms += c.Dooms.Load()
-	s.SnapshotCommits += c.SnapshotCommits.Load()
-	s.SnapshotRetries += c.SnapshotRetries.Load()
+	for _, f := range statFields {
+		*f.stat(s) += f.counter(c).Load()
+	}
+}
+
+// Add accumulates o into s field by field (summing per-shard snapshots).
+func (s *Stats) Add(o Stats) {
+	for _, f := range statFields {
+		*f.stat(s) += *f.stat(&o)
+	}
+}
+
+// Each calls fn with every field's wire name and value, in declaration
+// order.
+func (s Stats) Each(fn func(name string, v uint64)) {
+	for _, f := range statFields {
+		fn(f.name, *f.stat(&s))
+	}
 }
 
 // AbortRate returns aborted attempts per executed attempt.
