@@ -1,11 +1,10 @@
-# Developer entry points. `make verify` is the tier-1 gate; `make bench`
-# records the harness sweep trajectory as BENCH_experiments.json.
+# Developer entry points. `make verify` is the tier-1 gate; the perf gate
+# is `go run ./cmd/tokentm-bench` (BENCHMARK.json).
 
 GO ?= go
 
-# Small-scale sweep parameters for make bench: the full grid (8 workloads x
-# 5 variants) over 3 perturbation seeds. Simulated metrics are
-# deterministic; wall-clock fields record this host.
+# Small-scale sweep parameters for make breakdown: the full grid (8
+# workloads x 5 variants) over 3 perturbation seeds.
 BENCH_SCALE ?= 0.02
 BENCH_SEEDS ?= 3
 BENCH_PARALLEL ?= 0
@@ -15,7 +14,7 @@ BENCH_PARALLEL ?= 0
 STM_OPS ?= 60000
 STM_REPS ?= 9
 
-.PHONY: verify lint race bench breakdown explore microbench benchgate profile stmbench clean-cache
+.PHONY: verify lint race breakdown explore profile stmbench clean-cache
 
 verify:
 	$(GO) build ./...
@@ -40,14 +39,8 @@ lint:
 race:
 	$(GO) test -race ./internal/harness ./internal/sim ./stm/...
 
-bench:
-	$(GO) run ./cmd/experiments -run verify,fig1,fig5 \
-		-scale $(BENCH_SCALE) -seeds $(BENCH_SEEDS) -parallel $(BENCH_PARALLEL) \
-		-json BENCH_experiments.json -json-timing
-
-# Cycle-attribution breakdown sweep (Figures 7-9). Unlike bench, this omits
-# -json-timing, so BENCH_breakdown.json is fully deterministic and CI can
-# `git diff --exit-code` it after regeneration.
+# Cycle-attribution breakdown sweep (Figures 7-9). BENCH_breakdown.json is
+# fully deterministic and CI `git diff --exit-code`s it after regeneration.
 breakdown:
 	$(GO) run ./cmd/experiments -run breakdown \
 		-scale $(BENCH_SCALE) -seeds $(BENCH_SEEDS) -parallel $(BENCH_PARALLEL) \
@@ -60,32 +53,6 @@ breakdown:
 # regeneration. Exit 1 on any violation/incomplete cell/missed mutation.
 explore:
 	$(GO) run ./cmd/tokentm-explore -sweep -json BENCH_explore.json
-
-# Protocol-path microbenchmarks (probe, commit, abort) plus the end-to-end
-# small sweep, with allocation counts. Output is benchstat-comparable: save
-# BENCH_micro.txt before a change and feed both files to benchstat.
-microbench:
-	{ $(GO) test -run '^$$' -bench 'Probe|Commit|AbortUnroll' -benchmem -count 3 ./internal/core ; \
-	  $(GO) test -run '^$$' -bench 'SmallSweep' -benchmem -count 3 . ; } | tee BENCH_micro.txt
-
-# Units whose regressions fail the benchgate; override for cross-host runs
-# (CI gates only the host-independent allocation metrics, at a strict
-# tolerance — they are exact counts):
-#   make benchgate BENCHGATE_UNITS=B/op,allocs/op BENCHGATE_TOL=0.20
-# The local default gates wall clock too, so the tolerance must absorb
-# shared-VM noise: nanosecond-scale benchmarks here swing ±40% between
-# quiet and noisy windows with no code change.
-BENCHGATE_UNITS ?= ns/op,B/op,allocs/op
-BENCHGATE_TOL ?= 0.50
-
-# Re-run the microbenchmarks and fail if any metric regressed beyond
-# BENCHGATE_TOL against the committed BENCH_micro.txt baseline
-# (cmd/benchgate, a dependency-free benchstat).
-benchgate:
-	{ $(GO) test -run '^$$' -bench 'Probe|Commit|AbortUnroll' -benchmem -count 3 ./internal/core ; \
-	  $(GO) test -run '^$$' -bench 'SmallSweep' -benchmem -count 3 . ; } > /tmp/benchgate-new.txt
-	$(GO) run ./cmd/benchgate -old BENCH_micro.txt -new /tmp/benchgate-new.txt \
-		-tolerance $(BENCHGATE_TOL) -gate '$(BENCHGATE_UNITS)'
 
 # CPU + heap profiles of the hottest protocol path (software-release
 # commits). Inspect with `go tool pprof cpu.pprof` / `go tool pprof mem.pprof`.

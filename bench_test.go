@@ -210,24 +210,41 @@ func BenchmarkAblationSignatureKind(b *testing.B) {
 	}
 }
 
-// BenchmarkSmallSweep runs a small experiment grid (2 workloads × 2
-// variants) end to end through the harness, serially. It is the macro
-// companion to internal/core's protocol-path microbenchmarks: total
-// allocations and wall time per sweep bound how far publication-scale
-// sweeps can push before the allocator throttles them.
-func BenchmarkSmallSweep(b *testing.B) {
+// smallSweep runs a small experiment grid (2 workloads × 2 variants) end to
+// end through the harness, serially: the grid BenchmarkSmallSweep times and
+// TestSmallSweepAllocBudget counts.
+func smallSweep(tb testing.TB) {
 	jobs := harness.Grid(
 		[]string{"Cholesky", "Vacation-High"},
 		[]string{string(VariantTokenTM), string(VariantLogTMSE4xH3)},
 		0.005, []int64{1})
+	r := NewRunner(SweepOptions{Parallel: 1})
+	for _, res := range r.Sweep(jobs) {
+		if !res.OK() {
+			tb.Fatalf("job %s failed: %s", res.Job, res.Err)
+		}
+	}
+}
+
+// BenchmarkSmallSweep is the macro companion to internal/core's
+// protocol-path microbenchmarks: total allocations and wall time per sweep
+// bound how far publication-scale sweeps can push before the allocator
+// throttles them.
+func BenchmarkSmallSweep(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := NewRunner(SweepOptions{Parallel: 1})
-		for _, res := range r.Sweep(jobs) {
-			if !res.OK() {
-				b.Fatalf("job %s failed: %s", res.Job, res.Err)
-			}
-		}
+		smallSweep(b)
+	}
+}
+
+// TestSmallSweepAllocBudget is the one guard on the sweep's allocation
+// count (~13 500 per pass; the protocol paths inside it are pinned at 0 by
+// internal/core's TestAllocFreeAnnotations). The budget is 20 % over the
+// 13 477 recorded when the sweep was first tuned.
+func TestSmallSweepAllocBudget(t *testing.T) {
+	const budget = 16200
+	if got := testing.AllocsPerRun(3, func() { smallSweep(t) }); got > budget {
+		t.Errorf("small sweep: %.0f allocs per pass, budget %d", got, budget)
 	}
 }
 

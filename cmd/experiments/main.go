@@ -16,8 +16,8 @@
 // the worker-pool size (default GOMAXPROCS), -cache-dir enables the on-disk
 // result cache (interrupted sweeps resume, re-runs are instant), -json
 // writes the per-job results as a tokentm-harness/v1 document, and progress
-// is reported per job on stderr (disable with -progress=false). Without
-// -json-timing the JSON is deterministic: byte-identical at any -parallel.
+// is reported per job on stderr (disable with -progress=false). The JSON
+// is deterministic: byte-identical at any -parallel.
 package main
 
 import (
@@ -41,7 +41,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "harness worker-pool size (0 = GOMAXPROCS)")
 	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory (empty = no cache)")
 	jsonOut := flag.String("json", "", "write per-job sweep results as JSON to this path (\"-\" = stdout)")
-	jsonTiming := flag.Bool("json-timing", false, "include host wall-clock and worker count in -json output (non-deterministic)")
 	progress := flag.Bool("progress", true, "report per-job sweep progress on stderr")
 	flag.Parse()
 
@@ -77,8 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-
-	sweepStart := time.Now()
 
 	if want["verify"] {
 		done := section(fmt.Sprintf("Verify: cross-run identity + seed-invariance gate (scale=%.3g, seeds %d/%d)", *scale, *seed, *seed+1))
@@ -191,15 +188,7 @@ func main() {
 			defer f.Close()
 			w = f
 		}
-		opts := harness.JSONOptions{}
-		if *jsonTiming {
-			opts = harness.JSONOptions{
-				Timing:   true,
-				Parallel: runner.Workers(),
-				WallNS:   time.Since(sweepStart).Nanoseconds(),
-			}
-		}
-		if err := harness.WriteJSON(w, harness.CodeVersion(), runner.History(), opts); err != nil {
+		if err := harness.WriteJSON(w, harness.CodeVersion(), runner.History()); err != nil {
 			fail(err)
 		}
 	}

@@ -4,8 +4,9 @@ package core
 // (hit = foreign reader tokens present, miss = untouched block), fast vs
 // software commit, and abort unroll. They drive the TokenTM system directly,
 // without the scheduler, so the numbers isolate the protocol engine.
-// `make microbench` records them (with -benchmem) as a benchstat-comparable
-// artifact; `make profile` attaches pprof to the software-commit path.
+// Run with -benchmem the output is benchstat-comparable (EXPERIMENTS.md has
+// the recipe); `make profile` attaches pprof to the software-commit path.
+// Their allocation counts are gated by TestAllocFreeAnnotations, not here.
 
 import (
 	"testing"

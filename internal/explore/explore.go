@@ -173,7 +173,7 @@ func exploreDFS(prog *Program, opts Options, res *Result) {
 				if branchLeft <= 0 {
 					// Past the branching prefix: extend with the
 					// default schedule, introducing no new frames.
-					return Decision{Kind: DecRun, Core: (sim.MinTimePicker{}).Pick(choices)}, true
+					return Decision{Kind: DecRun, Core: sim.MinTimeCore(choices)}, true
 				}
 			}
 			key := stateKey{fp: m.Fingerprint(), preempts: st.PreemptsLeft, bounces: st.BouncesLeft, branch: branchLeft}
@@ -277,7 +277,7 @@ func accumulate(res *Result, rr *runResult) {
 // schedule first: the min-time core's run, the other runnable cores in core
 // order, then adversary preemptions and the page bounce under budget.
 func enumerate(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, st *runState) []Decision {
-	def := (sim.MinTimePicker{}).Pick(choices)
+	def := sim.MinTimeCore(choices)
 	alts := make([]Decision, 0, 2*len(choices)+1)
 	alts = append(alts, Decision{Kind: DecRun, Core: def})
 	for _, c := range choices {

@@ -49,7 +49,7 @@ func Replay(prog *Program, variant string, mut core.Mutation, schedule string, s
 			i++
 			return d, true
 		}
-		return Decision{Kind: DecRun, Core: (sim.MinTimePicker{}).Pick(choices)}, true
+		return Decision{Kind: DecRun, Core: sim.MinTimeCore(choices)}, true
 	})
 	return &ReplayResult{
 		Schedule:    FormatSchedule(rr.schedule),

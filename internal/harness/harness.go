@@ -74,9 +74,8 @@ type Result struct {
 	Job     Job     `json:"job"`
 	Outcome Outcome `json:"outcome"`
 	// WallNS is host wall-clock time for the run in nanoseconds. It is 0
-	// for cache hits and excluded from deterministic output (see
-	// WriteJSON): only simulated metrics are byte-stable across hosts and
-	// parallelism levels.
+	// for cache hits and cleared by WriteJSON: only simulated metrics are
+	// byte-stable across hosts and parallelism levels.
 	WallNS int64 `json:"wall_ns,omitempty"`
 	// Cached reports that the result was served from the on-disk cache.
 	Cached bool `json:"cached,omitempty"`

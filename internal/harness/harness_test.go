@@ -143,13 +143,13 @@ func TestCacheDoesNotServeFailures(t *testing.T) {
 }
 
 // TestJSONByteStableAcrossParallelism is the determinism contract: the
-// deterministic JSON document is byte-identical whether the sweep ran on
-// one worker or many, with or without cache hits.
+// JSON document is byte-identical whether the sweep ran on one worker or
+// many, with or without cache hits.
 func TestJSONByteStableAcrossParallelism(t *testing.T) {
 	jobs := grid(24)
 	emit := func(r *harness.Runner) []byte {
 		var buf bytes.Buffer
-		if err := harness.WriteJSON(&buf, "v-test", r.Sweep(jobs), harness.JSONOptions{}); err != nil {
+		if err := harness.WriteJSON(&buf, "v-test", r.Sweep(jobs)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -8,45 +8,27 @@ import (
 // SweepSchema versions the JSON document WriteJSON emits.
 const SweepSchema = "tokentm-harness/v1"
 
-// SweepDoc is the machine-readable record of a sweep, written as
-// BENCH_experiments.json by `make bench` and by cmd/experiments -json.
+// SweepDoc is the machine-readable record of a sweep, written by
+// cmd/experiments -json (BENCH_breakdown.json is one).
 type SweepDoc struct {
 	Schema string `json:"schema"`
 	// CodeVersion is the CodeVersion() of the producing binary.
 	CodeVersion string `json:"code_version"`
-	// Parallel and WallNS describe the producing run (worker count, total
-	// host wall-clock). Both are omitted in deterministic mode.
-	Parallel int   `json:"parallel,omitempty"`
-	WallNS   int64 `json:"wall_ns,omitempty"`
 	// Jobs holds per-job results in job (submission) order.
 	Jobs []Result `json:"jobs"`
 }
 
-// JSONOptions controls WriteJSON.
-type JSONOptions struct {
-	// Timing includes host wall-clock and worker-count fields. Leave it
-	// false for deterministic output: without timing, the emitted bytes
-	// depend only on job parameters and code, not on the host, the
-	// parallelism level, or cache hits — sweeps at -parallel=1 and
-	// -parallel=N emit identical documents.
-	Timing bool
-	// Parallel and WallNS annotate the document when Timing is set.
-	Parallel int
-	WallNS   int64
-}
-
-// WriteJSON emits results as an indented SweepDoc.
-func WriteJSON(w io.Writer, version string, results []Result, opts JSONOptions) error {
+// WriteJSON emits results as an indented SweepDoc. The host-dependent
+// Result fields (WallNS, Cached) are cleared, so the emitted bytes depend
+// only on job parameters and code, not on the host, the parallelism level,
+// or cache hits — sweeps at -parallel=1 and -parallel=N emit identical
+// documents.
+func WriteJSON(w io.Writer, version string, results []Result) error {
 	doc := SweepDoc{Schema: SweepSchema, CodeVersion: version, Jobs: make([]Result, len(results))}
 	copy(doc.Jobs, results)
-	if opts.Timing {
-		doc.Parallel = opts.Parallel
-		doc.WallNS = opts.WallNS
-	} else {
-		for i := range doc.Jobs {
-			doc.Jobs[i].WallNS = 0
-			doc.Jobs[i].Cached = false
-		}
+	for i := range doc.Jobs {
+		doc.Jobs[i].WallNS = 0
+		doc.Jobs[i].Cached = false
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

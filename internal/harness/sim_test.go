@@ -78,7 +78,7 @@ func TestSweepJSONByteIdenticalAcrossParallelism(t *testing.T) {
 	emit := func(par int) []byte {
 		r := tokentm.NewRunner(tokentm.SweepOptions{Parallel: par})
 		var buf bytes.Buffer
-		if err := harness.WriteJSON(&buf, "v-test", r.Sweep(jobs), harness.JSONOptions{}); err != nil {
+		if err := harness.WriteJSON(&buf, "v-test", r.Sweep(jobs)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -73,11 +73,6 @@ func (p *Pass) Inspect(fn func(ast.Node) bool) {
 // one explicit structure because the whole module loads in one process.
 // Positions are only meaningful against the driver's shared FileSet.
 type Facts struct {
-	// AtomicFields maps a struct-field key — "pkgpath.Type.Field" — to the
-	// positions where the field is passed to a function-style sync/atomic
-	// operation (atomic.AddUint64(&x.f, ...)). Any other access to such a
-	// field is a mixed-access bug (the known `go vet` gap).
-	AtomicFields map[string][]token.Pos
 	// Funcs maps a function's fully qualified name (types.Func.FullName,
 	// e.g. "(*tokentm/stm.Tx).Store") to its collected facts.
 	Funcs map[string]*FuncFact

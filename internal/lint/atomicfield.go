@@ -2,7 +2,6 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -12,15 +11,12 @@ import (
 // AtomicField enforces two atomics-hygiene contracts on the host-concurrent
 // code (and anything else in the module):
 //
-//  1. Mixed access: a struct field that is passed to a function-style
-//     sync/atomic operation anywhere in the module (atomic.AddUint64(&x.f,
-//     ...)) must never be read or written plainly. This is the known `go
-//     vet` gap: vet checks misuse of the atomic result, not plain aliases
-//     of the same word. The module-wide fact index makes the check
-//     cross-package. Accesses to a value still under construction — the
-//     selector roots in a local freshly created by new(T), &T{...} or
-//     T{...} in the same function — are exempt: the object is not yet
-//     published, so plain initialization is the idiom.
+//  1. No function-style sync/atomic: atomic.AddUint64(&x.f, ...) leaves x.f
+//     a plain uint64 that any other line can read or write without the
+//     atomic API — the known `go vet` gap. Module code uses the typed
+//     atomics (atomic.Uint64, atomic.Pointer[T], ...), whose fields the
+//     compiler refuses to access plainly, so every package-level
+//     sync/atomic call is reported.
 //
 //  2. CAS retry-loop hygiene, the static form of the PR-6 upgrade-herd
 //     lesson: a loop that retries a CompareAndSwap must (a) re-load the
@@ -32,149 +28,38 @@ import (
 //     invariant. Bounded spins (for i := 0; i < lim; i++) are exempt from
 //     (b); constant expected values (state-machine flips like CAS(0, 1))
 //     are exempt from (a).
-//
-// Both typed atomics (atomic.Uint64 methods) and function-style sync/atomic
-// calls count as CAS for rule 2; rule 1 only concerns function-style
-// atomics, because a typed atomic.Uint64 field cannot be accessed plainly.
 var AtomicField = &analysis.Analyzer{
 	Name: "atomicfield",
-	Doc:  "mixed atomic/plain field access and CompareAndSwap retry-loop hygiene",
+	Doc:  "no function-style sync/atomic calls, and CompareAndSwap retry-loop hygiene",
 	Run:  runAtomicField,
 }
 
 func runAtomicField(pass *analysis.Pass) error {
-	checkMixedAccess(pass)
+	pass.Inspect(func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isAtomicFuncCall(pass.TypesInfo, call) {
+			pass.Reportf(call.Pos(), "function-style sync/atomic call %s; use a typed atomic (atomic.Uint64, atomic.Pointer[T], ...) so plain access to the word is a compile error", types.ExprString(call.Fun))
+		}
+		return true
+	})
 	for _, fd := range enclosingFuncs(pass.Files) {
 		checkCASLoops(pass, fd)
 	}
 	return nil
 }
 
-// --- rule 1: mixed atomic/plain access -------------------------------------
-
-func checkMixedAccess(pass *analysis.Pass) {
-	if pass.Facts == nil || len(pass.Facts.AtomicFields) == 0 {
-		return
-	}
-	// Selector positions that ARE the operand of an atomic call in this
-	// package; those are the legitimate accesses.
-	atomicOperands := make(map[token.Pos]bool)
-	pass.Inspect(func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok || !isAtomicFuncCall(pass.TypesInfo, call) {
-			return true
-		}
-		for _, arg := range call.Args {
-			if u, ok := arg.(*ast.UnaryExpr); ok && u.Op == token.AND {
-				if sel, ok := u.X.(*ast.SelectorExpr); ok {
-					atomicOperands[sel.Pos()] = true
-				}
-			}
-		}
-		return true
-	})
-
-	for _, fd := range enclosingFuncs(pass.Files) {
-		fresh := freshLocals(pass.TypesInfo, fd)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			key := atomicFieldKey(pass.TypesInfo, sel)
-			if key == "" || atomicOperands[sel.Pos()] {
-				return true
-			}
-			if _, isAtomic := pass.Facts.AtomicFields[key]; !isAtomic {
-				return true
-			}
-			if rootIsFresh(pass.TypesInfo, sel.X, fresh, 8) {
-				return true
-			}
-			pass.Reportf(sel.Pos(), "plain access to %s, which is accessed with sync/atomic elsewhere in the module; use the atomic API for every access", key)
-			return true
-		})
-	}
-}
-
-// freshLocals returns the local variables of fd initialized from a freshly
-// constructed value — new(T), &T{...}, or a T{...} composite literal —
-// whose pointee is therefore unpublished until it escapes.
-func freshLocals(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
-	fresh := make(map[types.Object]bool)
-	record := func(id *ast.Ident, rhs ast.Expr) {
-		obj := info.Defs[id]
-		if obj == nil {
-			return
-		}
-		switch e := ast.Unparen(rhs).(type) {
-		case *ast.CompositeLit:
-			fresh[obj] = true
-		case *ast.UnaryExpr:
-			if e.Op == token.AND {
-				if _, ok := e.X.(*ast.CompositeLit); ok {
-					fresh[obj] = true
-				}
-			}
-		case *ast.CallExpr:
-			if fn, ok := e.Fun.(*ast.Ident); ok && fn.Name == "new" {
-				if _, isBuiltin := info.Uses[fn].(*types.Builtin); isBuiltin {
-					fresh[obj] = true
-				}
-			}
-		}
-	}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if s.Tok != token.DEFINE || len(s.Lhs) != len(s.Rhs) {
-				return true
-			}
-			for i, lhs := range s.Lhs {
-				if id, ok := lhs.(*ast.Ident); ok {
-					record(id, s.Rhs[i])
-				}
-			}
-		case *ast.ValueSpec:
-			if len(s.Names) != len(s.Values) {
-				return true
-			}
-			for i, id := range s.Names {
-				record(id, s.Values[i])
-			}
-		}
-		return true
-	})
-	return fresh
-}
-
-// rootIsFresh traces expr through selectors/indexes/parens to its root
-// identifier and reports whether that root is a fresh local.
-func rootIsFresh(info *types.Info, expr ast.Expr, fresh map[types.Object]bool, depth int) bool {
-	if depth == 0 {
+// isAtomicFuncCall reports whether call invokes a function (not a method) of
+// package sync/atomic, e.g. atomic.AddUint64.
+func isAtomicFuncCall(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
 		return false
 	}
-	switch e := expr.(type) {
-	case *ast.Ident:
-		obj := info.Uses[e]
-		if obj == nil {
-			obj = info.Defs[e]
-		}
-		return obj != nil && fresh[obj]
-	case *ast.SelectorExpr:
-		return rootIsFresh(info, e.X, fresh, depth-1)
-	case *ast.IndexExpr:
-		return rootIsFresh(info, e.X, fresh, depth-1)
-	case *ast.ParenExpr:
-		return rootIsFresh(info, e.X, fresh, depth-1)
-	case *ast.StarExpr:
-		return rootIsFresh(info, e.X, fresh, depth-1)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			return rootIsFresh(info, e.X, fresh, depth-1)
-		}
+	pkgID, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return false
 	}
-	return false
+	pkgName, ok := info.Uses[pkgID].(*types.PkgName)
+	return ok && pkgName.Imported().Path() == "sync/atomic"
 }
 
 // --- rule 2: CAS retry-loop hygiene ----------------------------------------

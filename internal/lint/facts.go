@@ -15,10 +15,9 @@ import (
 // the analyzers package by package with the shared analysis.Facts on each
 // pass. Three analyzers consume the index:
 //
-//   - atomicfield: AtomicFields records every struct field that is passed to
-//     a function-style sync/atomic operation anywhere in the module, so a
-//     plain access in one package is caught even when all atomic accesses
-//     live in another.
+//   - atomicfield: the //tokentm:backoff annotation resolves through
+//     Facts.Funcs, so a CAS retry loop may back off through a helper defined
+//     in another package.
 //   - allocfree (interprocedural): FuncFact.AllocSites and FuncFact.Callees
 //     form a call graph over function bodies, so a //tokentm:allocfree root
 //     is checked against the closure of its same-module callees instead of
@@ -61,12 +60,8 @@ const (
 // packages must come from one Loader (shared FileSet), which is what both
 // the driver and linttest guarantee.
 func CollectFacts(pkgs []*Package) *analysis.Facts {
-	facts := &analysis.Facts{
-		AtomicFields: make(map[string][]token.Pos),
-		Funcs:        make(map[string]*analysis.FuncFact),
-	}
+	facts := &analysis.Facts{Funcs: make(map[string]*analysis.FuncFact)}
 	for _, pkg := range pkgs {
-		collectAtomicFields(pkg, facts)
 		collectFuncFacts(pkg, facts)
 	}
 	return facts
@@ -94,76 +89,6 @@ func hasDirective(fd *ast.FuncDecl, directive string) bool {
 
 // funcKey returns the Facts.Funcs key for a function object.
 func funcKey(fn *types.Func) string { return fn.FullName() }
-
-// collectAtomicFields records every struct field passed by address to a
-// function-style sync/atomic call in pkg.
-func collectAtomicFields(pkg *Package, facts *analysis.Facts) {
-	for _, f := range pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicFuncCall(pkg.Info, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				u, ok := arg.(*ast.UnaryExpr)
-				if !ok || u.Op != token.AND {
-					continue
-				}
-				sel, ok := u.X.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if key := atomicFieldKey(pkg.Info, sel); key != "" {
-					facts.AtomicFields[key] = append(facts.AtomicFields[key], sel.Pos())
-				}
-			}
-			return true
-		})
-	}
-}
-
-// isAtomicFuncCall reports whether call invokes a function (not a method) of
-// package sync/atomic, e.g. atomic.AddUint64. Typed atomics
-// (atomic.Uint64's methods) are excluded: their fields cannot be accessed
-// plainly in the first place.
-func isAtomicFuncCall(info *types.Info, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	pkgID, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pkgName, ok := info.Uses[pkgID].(*types.PkgName)
-	return ok && pkgName.Imported().Path() == "sync/atomic"
-}
-
-// atomicFieldKey returns the stable cross-package key for a field selector —
-// "pkgpath.Type.Field" — or "" when sel is not a named struct's field.
-// String keys (rather than types.Object identity) survive the fact that the
-// importer and the source type-checker materialize distinct object graphs
-// for the same package.
-func atomicFieldKey(info *types.Info, sel *ast.SelectorExpr) string {
-	s := info.Selections[sel]
-	if s == nil || s.Kind() != types.FieldVal {
-		return ""
-	}
-	field := s.Obj()
-	t := s.Recv()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	pkgPath := ""
-	if field.Pkg() != nil {
-		pkgPath = field.Pkg().Path()
-	}
-	return pkgPath + "." + named.Obj().Name() + "." + field.Name()
-}
 
 // collectFuncFacts records, for every function declaration in pkg, its
 // annotations, its allocating constructs (judged by the allocfree rules in

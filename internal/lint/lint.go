@@ -15,18 +15,16 @@
 //   - exhaustive: switches over the protocol enums (MESI states, packed
 //     metastate states, access outcomes, ...) cover every constant or carry
 //     a default that panics or returns.
-//   - atomicfield: a struct field touched via function-style sync/atomic
-//     anywhere in the module is never read or written plainly, and
-//     CompareAndSwap retry loops re-load their expected value and back off
-//     (atomicfield.go).
+//   - atomicfield: no function-style sync/atomic calls (typed atomics make
+//     mixed atomic/plain access a compile error), and CompareAndSwap retry
+//     loops re-load their expected value and back off (atomicfield.go).
 //   - logorder: on //tokentm:writepath functions, every store to a tracked
 //     data word is dominated by the token claim and the matching undo-log
 //     append (logorder.go).
 //
 // The driver runs in two phases: CollectFacts indexes every loaded package
-// (atomic-field usage, per-function alloc sites, call edges, annotations),
-// then each analyzer runs per package with the shared module-wide
-// analysis.Facts.
+// (per-function alloc sites, call edges, annotations), then each analyzer
+// runs per package with the shared module-wide analysis.Facts.
 //
 // A finding is suppressed by a //lint:ignore directive:
 //

@@ -27,9 +27,9 @@ func TestExhaustive(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/internal/sim/exhaustive", lint.Exhaustive)
 }
 
-// TestAtomicField covers mixed atomic/plain field access (with the
-// fresh-constructor exemption) and CAS retry-loop hygiene, including the
-// seeded stale-expected-value livelock.
+// TestAtomicField covers the ban on function-style sync/atomic calls and
+// CAS retry-loop hygiene, including the seeded stale-expected-value
+// livelock.
 func TestAtomicField(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/stm/atomicfield", lint.AtomicField)
 }

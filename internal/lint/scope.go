@@ -58,15 +58,13 @@ var hostSidePackages = []string{
 }
 
 // exemptPackages are bound by no contract: the module root (public facade),
-// the examples, the transaction library layered on stm, host-side analysis
-// helpers, and the lint tooling itself. Every module package must appear in
+// the examples, host-side analysis helpers, and the lint tooling itself. Every module package must appear in
 // exactly one scope — this list exists so "unclassified" is always a
 // mistake, never a default. TestScopeCoversModule pins the invariant
 // against `go list ./...`. Paths are module-relative; "." is the root.
 var exemptPackages = []string{
 	".",
 	"examples",
-	"txlib",
 	"internal/harness",
 	"internal/lint",
 	"internal/randstream",
@@ -146,7 +144,7 @@ func isSimPackage(path string) bool { return inList(path, simPackages) }
 func isOrderedOutputPackage(path string) bool { return inList(path, orderedOutputPackages) }
 
 // relKey reduces an import path to its module-relative form for the exempt
-// list: "tokentm" -> ".", "tokentm/txlib" -> "txlib". Paths outside the
+// list: "tokentm" -> ".", "tokentm/examples/bank" -> "examples/bank". Paths outside the
 // module map to "".
 func relKey(path string) string {
 	if path == modulePath {

@@ -1,6 +1,7 @@
-// Package atomicfield exercises the atomicfield analyzer: field-level
-// mixed atomic/plain access detection (the go vet gap) and CompareAndSwap
-// retry-loop hygiene (the static form of the PR-6 upgrade-herd lesson).
+// Package atomicfield exercises the atomicfield analyzer: the ban on
+// function-style sync/atomic calls (typed atomics make the mixed-access bug
+// a compile error) and CompareAndSwap retry-loop hygiene (the static form
+// of the PR-6 upgrade-herd lesson).
 package atomicfield
 
 import (
@@ -8,68 +9,38 @@ import (
 	"sync/atomic"
 )
 
-// Counter's hits field is maintained with function-style sync/atomic; every
-// other access must go through the atomic API too.
+// Counter's hits field is a plain word maintained with function-style
+// sync/atomic, so nothing stops another line from reading it plainly; the
+// ban fires at the atomic call. typed is the accepted form.
 type Counter struct {
 	hits  uint64
-	plain uint64
+	typed atomic.Uint64
 }
 
 func (c *Counter) Hit() {
-	atomic.AddUint64(&c.hits, 1)
+	atomic.AddUint64(&c.hits, 1) // want `function-style sync/atomic call atomic\.AddUint64; use a typed atomic`
+	c.typed.Add(1)
 }
 
-func (c *Counter) ReadRacy() uint64 {
-	return c.hits // want `plain access to tokentm/stm/atomicfield\.Counter\.hits`
-}
-
-func (c *Counter) WriteRacy() {
-	c.hits = 0 // want `plain access to tokentm/stm/atomicfield\.Counter\.hits`
-}
-
-// Fields never touched atomically stay free.
-func (c *Counter) PlainFieldIsFine() uint64 {
-	return c.plain
-}
-
-// NewCounter writes the field plainly on a freshly constructed, unpublished
-// value: the constructor exemption.
-func NewCounter() *Counter {
-	c := &Counter{}
-	c.hits = 1
-	return c
-}
-
-// SnapshotApprox documents an accepted torn read via the ignore directive.
-func (c *Counter) SnapshotApprox() uint64 {
-	//lint:ignore atomicfield approximate stats read; tearing is acceptable here
-	return c.hits
+func (c *Counter) Read() uint64 {
+	return atomic.LoadUint64(&c.hits) + c.typed.Load() // want `function-style sync/atomic call atomic\.LoadUint64`
 }
 
 // Gate covers the function-style CAS (expected value is the second
-// argument, after the address).
+// argument, after the address): the calls are banned, and the loop hygiene
+// rules still read them correctly — old is re-loaded, the loop yields.
 type Gate struct {
 	word uint64
 }
 
 func openGate(g *Gate) {
 	for {
-		old := atomic.LoadUint64(&g.word)
-		if atomic.CompareAndSwapUint64(&g.word, old, old|1) {
+		old := atomic.LoadUint64(&g.word)                     // want `function-style sync/atomic call atomic\.LoadUint64`
+		if atomic.CompareAndSwapUint64(&g.word, old, old|1) { // want `function-style sync/atomic call atomic\.CompareAndSwapUint64`
 			return
 		}
 		runtime.Gosched()
 	}
-}
-
-func peekGate(g *Gate) uint64 {
-	return g.word // want `plain access to tokentm/stm/atomicfield\.Gate\.word`
-}
-
-func newGate() *Gate {
-	g := new(Gate)
-	g.word = 1
-	return g
 }
 
 // casStale is the seeded livelock: the expected value is loaded once before

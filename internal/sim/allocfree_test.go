@@ -40,9 +40,9 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			tc.charge(attr.Commit, 1) // not in-attempt: direct even with a frame
 			tc.pend = nil
 		}},
-		{"MinTimePicker.Pick", func() {
-			if got := (MinTimePicker{}).Pick(pickChoices); got != 1 {
-				panic("MinTimePicker picked the wrong core")
+		{"MinTimeCore", func() {
+			if got := MinTimeCore(pickChoices); got != 1 {
+				panic("MinTimeCore picked the wrong core")
 			}
 		}},
 		{"Machine.refreshReady", func() {

@@ -92,9 +92,9 @@ func (tc *Ctx) abortAttempt(prev *attr.Breakdown) mem.Cycle {
 // workFlushThreshold bounds how much local work the event engine defers
 // before forcing a scheduling point. Deferral is invisible to thread bodies
 // that communicate only through simulated memory, but a body spinning on
-// plain Go state written by another simulated thread (the txlib tests do
-// this while waiting for a setup thread) needs Work to eventually yield the
-// machine, as it always did under the legacy engine. The threshold is far
+// plain Go state written by another simulated thread (say, waiting for a
+// setup thread) needs Work to eventually yield the machine, as it always
+// did under the legacy engine. The threshold is far
 // above any Work run the workloads perform between shared operations, so
 // the forced flush never fires on the benchmark grid.
 const workFlushThreshold mem.Cycle = 1 << 16

@@ -30,12 +30,13 @@ import (
 //     operation still waits until its (now later) ready time is the global
 //     minimum, which is exactly where the legacy schedule would have run it.
 //
-// Equivalence with the legacy engine is enforced by TestSchedulerEquivalence
-// (every variant x every workload x multiple seeds => deep-equal metrics,
-// commit/abort journals, attribution breakdowns and core clocks) and by the
-// harness byte-identity gates. Machines that need preemptive time slicing
-// (Quantum > 0) or a non-default Picker fall back to the legacy engine;
-// the schedule explorer keeps driving StepOn directly.
+// Equivalence with the legacy engine is enforced by the root package's
+// TestPerTurnLoopMatchesEventEngine (a sampled workload x variant grid =>
+// deep-equal metrics, commit/abort journals, attribution breakdowns and core
+// clocks), by TestSchedulerGoldens over the full grid, and by the harness
+// byte-identity gates. Machines that need preemptive time slicing
+// (Quantum > 0) fall back to the legacy engine; the schedule explorer keeps
+// driving StepOn directly.
 
 // flushWork advances the core clock over work deferred by Ctx.Work and lets
 // every earlier-scheduled core run before the caller's next shared operation.
@@ -130,8 +131,8 @@ func (m *Machine) refreshReady(c *coreState) {
 }
 
 // pickReadyCore returns the core with the smallest cached ready time, ties
-// broken by the lower core id (the packed keys order exactly as the legacy
-// MinTimePicker's (ready, id) scan), or nil when no core can run.
+// broken by the lower core id (the packed keys order exactly as
+// MinTimeCore's (ready, id) scan), or nil when no core can run.
 //
 //tokentm:allocfree
 func (m *Machine) pickReadyCore() *coreState {

@@ -10,27 +10,16 @@ type CoreChoice struct {
 	ReadyAt mem.Cycle
 }
 
-// Picker chooses which runnable core the scheduler steps next. Run calls
-// Pick once per thread turn with the non-empty RunnableCores slice (ascending
-// core id) and steps the returned core, which must be one of the choices.
-//
-// The default MinTimePicker reproduces the simulator's historical min-time
-// schedule; the schedule explorer (internal/explore) substitutes pickers that
-// enumerate or randomize the choice to search the interleaving space.
-type Picker interface {
-	Pick(choices []CoreChoice) int
-}
-
-// MinTimePicker is the default policy: the core with the smallest ready time,
-// ties broken by the lower core id. This yields the deterministic, causally
-// consistent interleaving documented in the package comment.
-type MinTimePicker struct{}
-
-// Pick returns the earliest-ready core. Choices arrive in ascending core-id
-// order, so strict less-than comparison implements the lower-id tie-break.
+// MinTimeCore is the scheduling policy: of the non-empty RunnableCores slice
+// (ascending core id) it returns the core with the smallest ready time, ties
+// broken by the lower core id — strict less-than over ascending ids. This
+// yields the deterministic, causally consistent interleaving documented in
+// the package comment. Run's per-turn loop steps it every turn; the schedule
+// explorer (internal/explore) drives StepOn itself and calls it for the
+// default choice at each decision point.
 //
 //tokentm:allocfree
-func (MinTimePicker) Pick(choices []CoreChoice) int {
+func MinTimeCore(choices []CoreChoice) int {
 	best := choices[0]
 	for _, c := range choices[1:] {
 		if c.ReadyAt < best.ReadyAt {
@@ -38,13 +27,4 @@ func (MinTimePicker) Pick(choices []CoreChoice) int {
 		}
 	}
 	return best.Core
-}
-
-// SetPicker replaces the scheduling policy. Call before Run; passing nil
-// restores the default min-time policy.
-func (m *Machine) SetPicker(p Picker) {
-	if p == nil {
-		p = MinTimePicker{}
-	}
-	m.picker = p
 }

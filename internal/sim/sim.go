@@ -171,9 +171,6 @@ type Machine struct {
 	// rngDraws counts backoff-jitter draws; part of the state fingerprint so
 	// two schedules that consumed the rng differently never merge.
 	rngDraws uint64
-	// picker chooses which runnable core steps next (see picker.go); the
-	// default min-time picker reproduces the historical schedule exactly.
-	picker Picker
 	// choiceScratch backs RunnableCores so the scheduler loop stays
 	// allocation-free after the first iteration.
 	choiceScratch []CoreChoice
@@ -197,12 +194,11 @@ func New(cfg Config) *Machine {
 		cfg.RetryLimit = 64
 	}
 	m := &Machine{
-		cfg:    cfg,
-		Mem:    coherence.NewMemSys(cfg.Cores),
-		Store:  mem.NewStore(),
-		locks:  make(map[int]*lockState),
-		rng:    randstream.New(cfg.Seed),
-		picker: MinTimePicker{},
+		cfg:   cfg,
+		Mem:   coherence.NewMemSys(cfg.Cores),
+		Store: mem.NewStore(),
+		locks: make(map[int]*lockState),
+		rng:   randstream.New(cfg.Seed),
 	}
 	m.choiceScratch = make([]CoreChoice, 0, cfg.Cores)
 	m.readyShift = uint(bits.Len(uint(cfg.Cores - 1)))
@@ -355,16 +351,15 @@ func (th *Thread) yield(r opResult) {
 }
 
 // Run executes until every thread finishes, returning the makespan: the
-// largest core clock (total parallel execution time). Machines on the default
-// min-time schedule run on the event engine (events.go); preemptive machines
-// (Quantum > 0) and custom pickers use the per-turn loop below, which the
-// schedule explorer also drives directly through StepOn.
+// largest core clock (total parallel execution time). Non-preemptive machines
+// run on the event engine (events.go); preemptive machines (Quantum > 0) use
+// the per-turn loop below, whose steps (RunnableCores, MinTimeCore, StepOn)
+// the schedule explorer and the engine-equivalence test also drive directly.
 func (m *Machine) Run() mem.Cycle {
 	if m.HTM == nil {
 		panic("sim: SetHTM before Run")
 	}
-	_, defaultPicker := m.picker.(MinTimePicker)
-	if m.cfg.Quantum == 0 && defaultPicker {
+	if m.cfg.Quantum == 0 {
 		return m.runEvent()
 	}
 	for m.live > 0 {
@@ -372,7 +367,7 @@ func (m *Machine) Run() mem.Cycle {
 		if len(choices) == 0 {
 			m.deadlock()
 		}
-		m.StepOn(m.picker.Pick(choices))
+		m.StepOn(MinTimeCore(choices))
 	}
 	var makespan mem.Cycle
 	for _, c := range m.cores {

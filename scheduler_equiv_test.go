@@ -11,16 +11,17 @@ package tokentm
 //     abort stream, cycle attribution, per-core clocks), collapsed to one
 //     FNV-1a line per run. Regenerate with TOKENTM_UPDATE_GOLDEN=1 after a
 //     deliberate schedule change and review the diff.
-//  2. A per-turn spot check: the surviving per-turn loop (still used by
-//     preemptive machines, custom pickers and the schedule explorer) must
-//     produce identical observables on a sampled grid, driven through a
-//     wrapper picker that defeats the MinTimePicker fast-path dispatch.
+//  2. A per-turn spot check: the surviving per-turn steps (still used by
+//     preemptive machines and the schedule explorer) must produce identical
+//     observables on a sampled grid, driven turn by turn through
+//     RunnableCores / MinTimeCore / StepOn.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -127,21 +128,23 @@ func TestSchedulerGoldens(t *testing.T) {
 	}
 }
 
-// perTurnMinTime wraps MinTimePicker in a distinct type so Run's
-// MinTimePicker type assertion fails and the machine takes the per-turn
-// loop with the same min-(ready,id) policy.
-type perTurnMinTime struct{ sim.MinTimePicker }
-
-// runPerTurn is runWorkload forced onto the per-turn scheduler loop.
-func runPerTurn(spec workload.Spec, v Variant, seed int64) (RunDetail, *System) {
+// runPerTurn is runWorkload on the per-turn reference: the loop Run uses for
+// preemptive machines, driven here from outside because a Quantum == 0
+// machine's Run takes the event engine.
+func runPerTurn(t *testing.T, spec workload.Spec, v Variant, seed int64) (RunDetail, *System) {
 	sys := New(Config{Variant: v, Cores: evalCores, Seed: seed})
 	spec.Build(sys.M, evalCores, equivScale, seed)
-	sys.M.SetPicker(perTurnMinTime{})
-	cycles := sys.Run()
+	for sys.M.Live() > 0 {
+		choices := sys.M.RunnableCores()
+		if len(choices) == 0 {
+			t.Fatal("per-turn reference deadlocked")
+		}
+		sys.M.StepOn(sim.MinTimeCore(choices))
+	}
 	d := RunDetail{
 		Workload:  spec.Name,
 		Variant:   v,
-		Cycles:    cycles,
+		Cycles:    slices.Max(sys.M.CoreTimes()),
 		Commits:   sys.M.Commits,
 		Metrics:   *sys.HTM.Stats(),
 		Breakdown: sys.M.BreakdownTotal(),
@@ -157,8 +160,7 @@ func runPerTurn(spec workload.Spec, v Variant, seed int64) (RunDetail, *System) 
 
 // TestPerTurnLoopMatchesEventEngine keeps the surviving per-turn loop
 // honest against the event engine on a sampled grid: identical observables,
-// record for record. This is the direct descendant of the deleted
-// LegacyStepper A/B test, driven through the picker instead of a flag.
+// record for record.
 func TestPerTurnLoopMatchesEventEngine(t *testing.T) {
 	specs := workload.Specs()
 	if len(specs) > 2 && !testing.Short() {
@@ -171,7 +173,7 @@ func TestPerTurnLoopMatchesEventEngine(t *testing.T) {
 			spec, v := spec, v
 			t.Run(spec.Name+"/"+string(v), func(t *testing.T) {
 				event, sysE := runWorkload(spec, v, equivScale, 1)
-				turn, sysT := runPerTurn(spec, v, 1)
+				turn, sysT := runPerTurn(t, spec, v, 1)
 				if !reflect.DeepEqual(event, turn) {
 					t.Errorf("per-turn loop diverges from event engine:\n event:    fingerprint %016x\n per-turn: fingerprint %016x",
 						fingerprintDetail(event), fingerprintDetail(turn))

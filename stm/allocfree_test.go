@@ -95,7 +95,7 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		}},
 		{"spinWait", func() {
 			rng := th.rng
-			spinWait(1, 5, &rng)
+			spinWait(1, &rng)
 		}},
 	}
 

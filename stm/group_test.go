@@ -84,7 +84,7 @@ func TestGroupErrorRollsBackAllShards(t *testing.T) {
 // ErrAborted with the shard-A write rolled back — a torn cross-shard commit
 // is exactly what Group exists to prevent.
 func TestGroupConflictRollsBackOtherShard(t *testing.T) {
-	tmA, tmB, g := twoShardGroup(t, Options{SpinLimit: 2, MaxAttempts: 3})
+	tmA, tmB, g := twoShardGroup(t, Options{MaxAttempts: 3})
 	release := parkWriter(tmB.Thread(1), 0)
 
 	if _, err := g.Atomically(func(gt *GroupTx) error {

@@ -3,7 +3,7 @@ package kvstore
 import "testing"
 
 // Single-worker per-operation microbenchmarks over every backend, one
-// sub-benchmark per backend so `make microbench` output is directly
+// sub-benchmark per backend so `go test -bench` output is directly
 // benchstat-comparable across runs (see EXPERIMENTS.md). The loadgen
 // package measures the contended mixes; these isolate the per-op floor.
 

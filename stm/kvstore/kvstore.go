@@ -10,10 +10,9 @@
 //     design "On the Cost of Concurrency in Transactional Memory" pits
 //     against pessimistic schemes.
 //
-// Keys are non-zero uint64s (zero marks an empty slot, mirroring txlib.Map);
-// values are uint64. The array-backed backends use fixed-capacity linear
-// probing, so a store must be created with capacity comfortably above the
-// live key count.
+// Keys are non-zero uint64s (zero marks an empty slot); values are uint64.
+// The array-backed backends use fixed-capacity linear probing, so a store
+// must be created with capacity comfortably above the live key count.
 //
 // Every committed transaction returns a serial number: a total order over
 // that store's commits consistent with transactional conflicts (each backend
@@ -123,8 +122,7 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// hashKey mixes a key for slot placement (splitmix64 finalizer, the same
-// mix txlib uses for simulated-memory maps).
+// hashKey mixes a key for slot placement (splitmix64 finalizer).
 func hashKey(k uint64) uint64 {
 	k ^= k >> 33
 	k *= 0xff51afd7ed558ccd

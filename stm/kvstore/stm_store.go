@@ -27,15 +27,14 @@ type stmStore struct {
 }
 
 // NewSTM builds the TokenTM-backend store with the given slot capacity
-// (rounded up to a power of two) for up to workers concurrent handles, under
-// the default contention policy.
+// (rounded up to a power of two) for up to workers concurrent handles,
+// retrying conflicted transactions forever.
 func NewSTM(capacity, workers int) Store {
 	return NewSTMWithOptions(capacity, workers, stm.Options{})
 }
 
-// NewSTMWithOptions is NewSTM with an explicit contention policy (zero
-// fields resolve to defaults; see stm.Options). The server builds its shards
-// through this so MaxAttempts bounds every transaction's retries.
+// NewSTMWithOptions is NewSTM with explicit stm.Options. The server builds
+// its shards through this so MaxAttempts bounds every transaction's retries.
 func NewSTMWithOptions(capacity, workers int, opt stm.Options) Store {
 	n := ceilPow2(capacity)
 	return &stmStore{

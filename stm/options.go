@@ -2,80 +2,42 @@ package stm
 
 import "errors"
 
-// Options tunes the contention policy: how long an acquisition spins before
-// the attempt gives up, how the losing side backs off, and how many times a
-// transaction is retried before the caller is told to deal with it. The
-// zero value of every field means "use the default", so Options{} reproduces
-// the package's historical constants exactly — a server can tune the policy
-// that has only ever seen this container's schedules without recompiling,
-// and embedders that never look at Options get yesterday's behavior.
-type Options struct {
-	// SpinLimit bounds how many CAS/conflict rounds one token acquisition
+// The contention policy: how long an acquisition spins before the attempt
+// gives up, and how the losing side backs off. Constants rather than
+// Options fields: exactly one value of each is in use.
+const (
+	// spinLimit bounds how many CAS/conflict rounds one token acquisition
 	// (or one Stable/snapshot wait) tries before the attempt aborts and
 	// retries from scratch — requester-side conflict resolution.
-	// Default 48.
-	SpinLimit int
+	spinLimit = 48
 
-	// UpgradeSpinLimit is the much tighter bound for a read-to-write
+	// upgradeSpinLimit is the much tighter bound for a read-to-write
 	// upgrade blocked by other readers: the upgrader holds a fused read
 	// token the very readers it waits on may themselves be waiting for, so
 	// it must stop blocking the herd almost immediately (the PR-6
-	// upgrade-herd livelock guard). Default 2.
-	UpgradeSpinLimit int
+	// upgrade-herd livelock guard).
+	upgradeSpinLimit = 2
 
-	// BackoffShiftCap caps the exponent of the attempt-level exponential
+	// backoffShiftCap caps the exponent of the attempt-level exponential
 	// backoff: a conflicted transaction yields up to 2^min(retries, cap)
-	// (plus jitter) scheduler quanta before its next attempt. Default 6.
-	BackoffShiftCap int
+	// (plus jitter) scheduler quanta before its next attempt.
+	backoffShiftCap = 6
 
-	// SpinShiftCap caps the exponent of the per-round acquisition backoff
+	// spinShiftCap caps the exponent of the per-round acquisition backoff
 	// (spinWait): one losing round yields up to 2^min(round, cap) times
-	// before re-examining the token word. Default 5.
-	SpinShiftCap int
+	// before re-examining the token word.
+	spinShiftCap = 5
+)
 
+// Options is what an embedder chooses about a TM's contention handling.
+type Options struct {
 	// MaxAttempts bounds how many attempts one transaction makes before
 	// Atomically / ReadOnly / Group.Atomically stops retrying and returns
 	// ErrAborted with every effect rolled back. Zero (the default) retries
-	// forever, the historical behavior; a network front end sets a bound
-	// so a pathological conflict surfaces to the client as a retryable
-	// error instead of a stuck connection.
+	// forever; a network front end sets a bound so a pathological conflict
+	// surfaces to the client as a retryable error instead of a stuck
+	// connection.
 	MaxAttempts int
-}
-
-// DefaultOptions returns the resolved default policy — the exact constants
-// the package shipped with before the policy became tunable.
-func DefaultOptions() Options {
-	return Options{
-		SpinLimit:        48,
-		UpgradeSpinLimit: 2,
-		BackoffShiftCap:  6,
-		SpinShiftCap:     5,
-		MaxAttempts:      0,
-	}
-}
-
-// withDefaults resolves zero fields to their defaults. Negative values are
-// rejected loudly — a negative spin bound would turn every acquisition into
-// an instant abort storm, which is never what a tuner meant.
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	resolve := func(v, def int, name string) int {
-		if v < 0 {
-			panic("stm: negative Options." + name)
-		}
-		if v == 0 {
-			return def
-		}
-		return v
-	}
-	o.SpinLimit = resolve(o.SpinLimit, d.SpinLimit, "SpinLimit")
-	o.UpgradeSpinLimit = resolve(o.UpgradeSpinLimit, d.UpgradeSpinLimit, "UpgradeSpinLimit")
-	o.BackoffShiftCap = resolve(o.BackoffShiftCap, d.BackoffShiftCap, "BackoffShiftCap")
-	o.SpinShiftCap = resolve(o.SpinShiftCap, d.SpinShiftCap, "SpinShiftCap")
-	if o.MaxAttempts < 0 {
-		panic("stm: negative Options.MaxAttempts")
-	}
-	return o
 }
 
 // ErrAborted reports that a transaction exhausted Options.MaxAttempts

@@ -1,9 +1,8 @@
 package stm
 
-// Satellite contract for the Options lift: the zero Options value must
-// reproduce the package's historical constants exactly, and MaxAttempts must
-// turn an unwinnable conflict into ErrAborted with the thread reusable
-// afterwards. The conflict scenarios are white-box: one thread parks holding
+// Contract for Options: MaxAttempts must turn an unwinnable conflict into
+// ErrAborted with the thread reusable afterwards, and New must be
+// NewWithOptions at the zero Options. The conflict scenarios are white-box: one thread parks holding
 // a write token mid-attempt (the way runAttempt would between fn statements),
 // the other runs a bounded transaction against it.
 
@@ -12,38 +11,9 @@ import (
 	"testing"
 )
 
-// TestDefaultOptionsMatchHistoricalConstants pins the default policy to the
-// constants the package shipped with before the policy became tunable. If a
-// default changes, this test is the reviewable record of it.
-func TestDefaultOptionsMatchHistoricalConstants(t *testing.T) {
-	want := Options{
-		SpinLimit:        48,
-		UpgradeSpinLimit: 2,
-		BackoffShiftCap:  6,
-		SpinShiftCap:     5,
-		MaxAttempts:      0,
-	}
-	if got := DefaultOptions(); got != want {
-		t.Errorf("DefaultOptions() = %+v, want %+v", got, want)
-	}
-	if got := (Options{}).withDefaults(); got != want {
-		t.Errorf("Options{}.withDefaults() = %+v, want %+v", got, want)
-	}
-	if got := New(16, 2, 1).Options(); got != want {
-		t.Errorf("New(...).Options() = %+v, want %+v", got, want)
-	}
-	// Partial overrides keep the untouched fields at their defaults.
-	got := NewWithOptions(16, 2, 1, Options{SpinLimit: 7}).Options()
-	want.SpinLimit = 7
-	if got != want {
-		t.Errorf("partial override = %+v, want %+v", got, want)
-	}
-}
-
 // TestDefaultsReproduceTodaysBehavior runs the same deterministic workload on
-// a TM built with New and one built with explicit DefaultOptions and demands
-// identical serials, final words, and statistics — the "defaults are not a
-// silent behavior change" check.
+// a TM built with New and one built with NewWithOptions at the zero Options
+// and demands identical serials, final words, and statistics.
 func TestDefaultsReproduceTodaysBehavior(t *testing.T) {
 	run := func(tm *TM) ([]uint64, Stats) {
 		th := tm.Thread(0)
@@ -70,7 +40,7 @@ func TestDefaultsReproduceTodaysBehavior(t *testing.T) {
 		return serials, tm.Stats()
 	}
 	s1, st1 := run(New(16, 2, 2))
-	s2, st2 := run(NewWithOptions(16, 2, 2, DefaultOptions()))
+	s2, st2 := run(NewWithOptions(16, 2, 2, Options{}))
 	if len(s1) != len(s2) {
 		t.Fatalf("trace lengths differ: %d vs %d", len(s1), len(s2))
 	}
@@ -80,25 +50,17 @@ func TestDefaultsReproduceTodaysBehavior(t *testing.T) {
 		}
 	}
 	if st1 != st2 {
-		t.Errorf("stats diverge:\n New:            %+v\n DefaultOptions: %+v", st1, st2)
+		t.Errorf("stats diverge:\n New:            %+v\n NewWithOptions: %+v", st1, st2)
 	}
 }
 
 func TestNegativeOptionsPanic(t *testing.T) {
-	for _, opt := range []Options{
-		{SpinLimit: -1}, {UpgradeSpinLimit: -1}, {BackoffShiftCap: -1},
-		{SpinShiftCap: -1}, {MaxAttempts: -1},
-	} {
-		opt := opt
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewWithOptions(%+v) did not panic", opt)
-				}
-			}()
-			NewWithOptions(16, 2, 1, opt)
-		}()
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewWithOptions(MaxAttempts: -1) did not panic")
+		}
+	}()
+	NewWithOptions(16, 2, 1, Options{MaxAttempts: -1})
 }
 
 // parkWriter opens an attempt on th and leaves it holding block b's write
@@ -119,7 +81,7 @@ func parkWriter(th *Thread, b uint32) (release func()) {
 // returns ErrAborted after exactly MaxAttempts attempts, every effect rolled
 // back, and the thread immediately usable for the next transaction.
 func TestMaxAttemptsSurfacesErrAborted(t *testing.T) {
-	tm := NewWithOptions(16, 2, 2, Options{SpinLimit: 2, MaxAttempts: 3})
+	tm := NewWithOptions(16, 2, 2, Options{MaxAttempts: 3})
 	release := parkWriter(tm.Thread(0), 0)
 
 	th := tm.Thread(1)
@@ -155,7 +117,7 @@ func TestMaxAttemptsSurfacesErrAborted(t *testing.T) {
 // transaction stuck behind a parked writer gives up with ErrAborted instead
 // of retrying forever.
 func TestMaxAttemptsBoundsReadOnly(t *testing.T) {
-	tm := NewWithOptions(16, 2, 2, Options{SpinLimit: 2, MaxAttempts: 2})
+	tm := NewWithOptions(16, 2, 2, Options{MaxAttempts: 2})
 	release := parkWriter(tm.Thread(0), 0)
 
 	th := tm.Thread(1)

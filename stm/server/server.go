@@ -70,7 +70,6 @@ type Config struct {
 	// Default 5s.
 	DrainTimeout time.Duration
 
-	// Options tunes the store's contention protocol (stm.Options).
 	// Options.MaxAttempts is the server-side retry bound: EXEC retries
 	// conflicted transactions internally up to that bound, then rolls back
 	// and surfaces -RETRY to the client. Zero keeps stm's default

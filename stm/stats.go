@@ -17,7 +17,7 @@ type Stats struct {
 	ConflictReader uint64 // write acquisitions lost to outstanding readers
 	ConflictAnon   uint64 // conflicts with anonymous (unidentifiable) holders
 
-	ConflictAborts uint64 // attempts abandoned after SpinLimit rounds
+	ConflictAborts uint64 // attempts abandoned after spinLimit rounds
 	DoomedAborts   uint64 // attempts abandoned because an elder doomed us
 	Dooms          uint64 // younger enemies we doomed (eldest tiebreak)
 

@@ -115,10 +115,10 @@ func (tx *Tx) loadRO2(a1, a2 Addr) (uint64, uint64) {
 		w1 := metastate.PackedWord(w.Load())
 		if w1.Packed().State() == metastate.StateWriteT {
 			bump(&th.stats.ConflictWriter)
-			if spin >= th.tm.opt.SpinLimit {
+			if spin >= spinLimit {
 				panic(retrySignal{})
 			}
-			spinWait(spin, th.tm.opt.SpinShiftCap, &th.rng)
+			spinWait(spin, &th.rng)
 			continue
 		}
 		if w1.Stamp() > tx.rv {
@@ -213,7 +213,7 @@ func (tx *Tx) Stable(a Addr) uint64 {
 		w1 := metastate.PackedWord(w.Load())
 		if w1.Packed().State() == metastate.StateWriteT {
 			bump(&th.stats.ConflictWriter)
-			if spin >= th.tm.opt.SpinLimit {
+			if spin >= spinLimit {
 				// Requester-side resolution, as in acquireRead: give up so
 				// any token we hold cannot deadlock against the writer.
 				if tx.ro {
@@ -221,7 +221,7 @@ func (tx *Tx) Stable(a Addr) uint64 {
 				}
 				tx.retry(&th.stats.ConflictAborts)
 			}
-			spinWait(spin, th.tm.opt.SpinShiftCap, &th.rng)
+			spinWait(spin, &th.rng)
 			continue
 		}
 		v := th.tm.dataw(a).Load()
@@ -274,7 +274,7 @@ func (th *Thread) snapshot2Slow(a1, a2 Addr) (v1, v2, serial uint64) {
 				panic(fmt.Sprintf("stm: Snapshot2 of block %d inside thread %d's own write transaction", b, th.tid))
 			}
 			bump(&th.stats.ConflictWriter)
-			spinWait(spin, th.tm.opt.SpinShiftCap, &th.rng)
+			spinWait(spin, &th.rng)
 			continue
 		}
 		v1 = tm.dataw(a1).Load()
@@ -333,7 +333,7 @@ func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint
 		case metastate.StateAnon:
 			if uint32(p.Attr()) != 0 {
 				bump(&th.stats.ConflictReader)
-				spinWait(spin, th.tm.opt.SpinShiftCap, &th.rng)
+				spinWait(spin, &th.rng)
 				continue
 			}
 		case metastate.StateRead1, metastate.StateWriteT:
@@ -345,11 +345,11 @@ func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint
 			} else {
 				bump(&th.stats.ConflictReader)
 			}
-			spinWait(spin, th.tm.opt.SpinShiftCap, &th.rng)
+			spinWait(spin, &th.rng)
 			continue
 		case metastate.StateOverflow:
 			bump(&th.stats.ConflictAnon)
-			spinWait(spin, th.tm.opt.SpinShiftCap, &th.rng)
+			spinWait(spin, &th.rng)
 			continue
 		}
 		np, _ := metastate.Pack(metastate.WriteT(th.tid))
@@ -378,8 +378,8 @@ func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint
 
 // The spin bounds (how many CAS/conflict rounds one acquisition tries before
 // the attempt gives up; the much tighter bound for a blocked read-to-write
-// upgrade) live in the TM's Options — see Options.SpinLimit and
-// Options.UpgradeSpinLimit for the policy rationale.
+// upgrade) are spinLimit and upgradeSpinLimit — see options.go for the
+// policy rationale.
 
 // acquireRead takes one token on block b: (0,-) -> (1,self); a second reader
 // fuses the identified reader into the anonymous count (1,X) -> (2,-);
@@ -458,7 +458,7 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
 				// token held starves everyone, so give up almost at once —
 				// the abort returns our token and the attempt-level backoff
 				// serializes the herd.
-				if haveRead && spin >= th.tm.opt.UpgradeSpinLimit {
+				if haveRead && spin >= upgradeSpinLimit {
 					tx.retry(&th.stats.ConflictAborts)
 				}
 				tx.conflict(mem.NoTID, &th.stats.ConflictReader, spin)
@@ -498,14 +498,14 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
 func (tx *Tx) conflict(enemy mem.TID, counter *atomic.Uint64, spin int) {
 	th := tx.th
 	bump(counter)
-	if spin >= th.tm.opt.SpinLimit {
+	if spin >= spinLimit {
 		tx.retry(&th.stats.ConflictAborts)
 	}
 	th.ensureBirth()
 	if enemy != mem.NoTID {
 		th.maybeDoom(enemy)
 	}
-	spinWait(spin, th.tm.opt.SpinShiftCap, &th.rng)
+	spinWait(spin, &th.rng)
 }
 
 // retry aborts the attempt (undo + release) and unwinds to Atomically.
@@ -641,14 +641,14 @@ func (th *Thread) releaseRead(b uint32) {
 }
 
 // spinWait delays one acquisition round: exponential in the round number,
-// capped at shiftCap (Options.SpinShiftCap), with jitter, implemented as
-// scheduler yields so the holder runs even at GOMAXPROCS=1.
+// capped at spinShiftCap, with jitter, implemented as scheduler yields so
+// the holder runs even at GOMAXPROCS=1.
 //
 //tokentm:backoff
 //tokentm:allocfree
-func spinWait(spin, shiftCap int, rng *uint64) {
-	if spin > shiftCap {
-		spin = shiftCap
+func spinWait(spin int, rng *uint64) {
+	if spin > spinShiftCap {
+		spin = spinShiftCap
 	}
 	n := uint64(1)<<spin + nextRand(rng)&3
 	for i := uint64(0); i < n; i++ {
