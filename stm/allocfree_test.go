@@ -6,11 +6,13 @@ package stm
 // measure zero allocations per run on its steady-state path. The drivers
 // are white-box — beginAttempt/commitAttempt bracket the protocol calls the
 // way runAttempt does, minus the deferred recover that testing.AllocsPerRun
-// cannot see through.
+// cannot see through. A function with a second steady-state path gets a
+// second row named "Func/path"; the unsuffixed rows read visibly.
 
 import (
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"tokentm/internal/lint"
@@ -37,44 +39,66 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		}
 	}
 
-	entries := []struct {
-		name string
-		fn   func()
-	}{
-		{"Tx.Load", func() {
-			th.beginAttempt(tx)
+	load := func(visible bool) func() {
+		return func() {
+			th.beginAttempt(tx, visible)
 			if tx.Load(a) == 0 {
 				t.Fatal("warm-up should have left block 3 nonzero")
 			}
 			tx.commitAttempt()
-		}},
-		{"Tx.Load2", func() {
-			th.beginAttempt(tx)
+		}
+	}
+	load2 := func(visible bool) func() {
+		return func() {
+			th.beginAttempt(tx, visible)
 			tx.Load2(a, a+1)
 			tx.commitAttempt()
-		}},
+		}
+	}
+
+	entries := []struct {
+		name string
+		fn   func()
+	}{
+		{"Tx.Load", load(true)},
+		{"Tx.Load/invisible", load(false)},
+		{"Tx.Load2", load2(true)},
+		{"Tx.Load2/invisible", load2(false)},
 		{"Tx.LoadW", func() {
-			th.beginAttempt(tx)
+			th.beginAttempt(tx, true)
 			tx.Store(a, tx.LoadW(a)+1)
 			tx.commitAttempt()
 		}},
 		{"Tx.Store", func() {
-			th.beginAttempt(tx)
+			th.beginAttempt(tx, true)
 			tx.Store(a, 7)
 			tx.commitAttempt()
 		}},
 		{"Tx.Stable", func() {
-			th.beginAttempt(tx)
+			th.beginAttempt(tx, true)
 			tx.Stable(a)
 			tx.commitAttempt()
 		}},
 		{"Tx.commitAttempt", func() {
-			th.beginAttempt(tx)
+			th.beginAttempt(tx, true)
 			tx.Store(a, tx.Load(a)+1)
 			tx.commitAttempt()
 		}},
+		{"Tx.commitAttempt/spilled-read-log", func() {
+			// 32 invisible reads and one upgrade: the commit validates a
+			// read log that has spilled past the inline array.
+			th.beginAttempt(tx, false)
+			for b := Addr(16); b < 48; b++ {
+				tx.Load(b * words)
+			}
+			tx.Store(16*words, 1)
+			if tx.logs.nRead != 32 || tx.logs.inline() {
+				t.Fatalf("read log holds %d entries inline=%v, want 32 spilled", tx.logs.nRead, tx.logs.inline())
+			}
+			tx.commitAttempt()
+		}},
 		{"Tx.abortAttempt", func() {
-			th.beginAttempt(tx)
+			th.beginAttempt(tx, true)
 			tx.Store(a, 99)
 			tx.abortAttempt()
 		}},
@@ -101,9 +125,11 @@ func TestAllocFreeAnnotations(t *testing.T) {
 
 	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		names = append(names, e.name)
+		fn, _, _ := strings.Cut(e.name, "/")
+		names = append(names, fn)
 	}
 	sort.Strings(names)
+	names = slices.Compact(names)
 	want, err := lint.AllocFreeFuncs(".")
 	if err != nil {
 		t.Fatalf("scanning annotations: %v", err)

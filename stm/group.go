@@ -10,6 +10,10 @@ package stm
 // drawn from every touched shard — strict two-phase locking across the
 // group, which makes the per-shard serial orders mutually consistent (each
 // shard's commit-journal replay sees the group's effects at a single point).
+// Members read by token on every attempt, never invisibly as a lone
+// Thread.Atomically first does: each shard has its own clock, and stamps
+// checked against unrelated read serials would not show fn one state across
+// shards mid-flight.
 //
 // Conflict handling is entirely the members' own machinery: an acquisition
 // that loses on any shard aborts that member (releasing its tokens) and
@@ -76,7 +80,7 @@ func (g *Group) Atomically(fn func(gt *GroupTx) error) (serials []uint64, err er
 	serials = make([]uint64, len(g.members))
 	for retries := 0; ; retries++ {
 		for _, th := range g.members {
-			th.beginAttempt(&th.tx)
+			th.beginAttempt(&th.tx, true)
 		}
 		err, again := g.runAttempt(gt, fn, serials)
 		if !again {

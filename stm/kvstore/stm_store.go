@@ -19,8 +19,10 @@ import (
 // empty slot that ends the chain — goes through the token (or snapshot)
 // protocol, and the decision is re-made from that protected read. A
 // read-modify-write of a key the transaction already read takes the
-// read-to-write upgrade path, so the load generator's transfer mix
-// exercises the token fold-in continuously.
+// read-to-write upgrade path: the token fold-in wherever the read took a
+// token (retries, and every kvstore.Sharded transaction), a stamp-checked
+// fresh claim on a first attempt. The load generator's transfer mix
+// exercises both continuously.
 type stmStore struct {
 	tm   *stm.TM
 	mask uint64

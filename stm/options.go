@@ -20,8 +20,14 @@ const (
 
 	// backoffShiftCap caps the exponent of the attempt-level exponential
 	// backoff: a conflicted transaction yields up to 2^min(retries, cap)
-	// (plus jitter) scheduler quanta before its next attempt.
-	backoffShiftCap = 6
+	// (plus jitter) scheduler quanta before its next attempt. The cap is
+	// all the patience a blocked upgrader has — it gives up ~13 us into
+	// each attempt (upgradeSpinLimit) — so under a MaxAttempts bound it
+	// must outlast the reader being off the CPU for an OS timeslice or a
+	// GC mark slice: 2^10 yields make 256 attempts last ~50 ms, about what
+	// spinLimit gives every other conflict (2^6 made them 3.4 ms, and a
+	// bounded Group transaction then hit ErrAborted against a live peer).
+	backoffShiftCap = 10
 
 	// spinShiftCap caps the exponent of the per-round acquisition backoff
 	// (spinWait): one losing round yields up to 2^min(round, cap) times

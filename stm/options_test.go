@@ -68,12 +68,24 @@ func TestNegativeOptionsPanic(t *testing.T) {
 // The returned release func aborts that attempt and re-idles the thread.
 func parkWriter(th *Thread, b uint32) (release func()) {
 	tx := &th.tx
-	th.beginAttempt(tx)
+	th.beginAttempt(tx, true)
 	tx.writeAcquire(b)
 	return func() {
 		tx.abortAttempt()
 		th.status.Store(th.attempt<<statusShift | stateIdle)
 	}
+}
+
+// parkReader is parkWriter's visible-reader twin: th is left holding one read
+// token on block b, as a retry parked mid-fn would — birth ticket drawn, so
+// the writers it blocks find it their elder and cannot doom it. The returned
+// release func commits that attempt.
+func parkReader(th *Thread, b uint32) (release func()) {
+	tx := &th.tx
+	th.beginAttempt(tx, true)
+	th.ensureBirth()
+	tx.Load(Addr(b) << th.tm.shift)
+	return func() { tx.commitAttempt() }
 }
 
 // TestMaxAttemptsSurfacesErrAborted pins the bounded-retry surface the

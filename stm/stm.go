@@ -37,6 +37,18 @@
 // cache hierarchy, but on a host every acquire/release pair is two
 // contended CAS — snapshot readers pay plain loads instead, and writers
 // keep the full token protocol unchanged.
+//
+// The first attempt of every Thread.Atomically reads the same way: each
+// load is stamp-validated against rv and logged, no read token is taken,
+// and the read log is re-validated at commit, after the serial is drawn and
+// before the write tokens go back. For m reads that is m stamp checks and no
+// RMW where token reads pay 2m RMWs. The price is that a first-attempt
+// reader no longer holds writers off, so one can invalidate it — once:
+// every retry reads by token, as does every Group member on every attempt
+// (per-shard clocks give an invisible read no cross-shard consistency), so
+// under contention the protocol is the paper's and the progress argument
+// above applies unchanged. Either way every attempt, including one that
+// later aborts, reads one committed state (opacity; DESIGN.md §8).
 package stm
 
 import (
@@ -66,15 +78,16 @@ type TM struct {
 	numBlocks uint32 // len(meta)
 
 	// words holds the data. Mutation is guarded by write-token ownership;
-	// the atomic type is for snapshot-mode readers, which load data words
-	// without holding a token and discard unstable reads seqlock-style —
-	// logically sound, but a plain-typed word would still be a detector-level
-	// race. On amd64 the atomic load is an ordinary MOV, so the token paths
-	// pay nothing for it. The metadata lives in its own dense array (8
-	// blocks' token words per cache line) rather than interleaved with the
-	// data: the hot fraction of it stays cache-resident the way TokenTM's
-	// L1 metabit arrays do, which measures faster than paying the full data
-	// footprint on every token check.
+	// the atomic type is for tokenless readers (snapshot mode, the point
+	// reads, first attempts), which load data words without holding a token
+	// and discard unstable reads seqlock-style — logically sound, but a
+	// plain-typed word would still be a detector-level race. On amd64 the
+	// atomic load is an ordinary MOV, so the token paths pay nothing for
+	// it. The metadata lives in its own dense array (8 blocks' token words
+	// per cache line) rather than interleaved with the data: the hot
+	// fraction of it stays cache-resident the way TokenTM's L1 metabit
+	// arrays do, which measures faster than paying the full data footprint
+	// on every token check.
 	words []atomic.Uint64
 	meta  []atomic.Uint64 // one metastate.PackedWord per block
 
@@ -238,6 +251,12 @@ type Thread struct {
 	rng   uint64 // splitmix64 state for backoff jitter
 	tx    Tx
 	stats counters
+
+	// Threads sit side by side in TM.threads. The pad rounds the struct up to
+	// a whole number of cache lines, so one slot's last counters — stored on
+	// every commit and every point Get — stay off the line holding the next
+	// slot's tm/tid/status, which that slot's owner reads on every access.
+	_ [24]byte
 }
 
 // mark-table encoding: mark[b] = attempt<<markShift | bits.
@@ -260,10 +279,10 @@ type retrySignal struct{}
 // A non-nil error from fn aborts the transaction (all writes undone) and is
 // returned. On commit, Atomically returns a serial number: a total order of
 // commits consistent with transactional conflicts (the ticket is drawn while
-// every read and write token is still held, so it is a true serialization
-// point). With Options.MaxAttempts set, a transaction that conflicts away
-// that many attempts stops retrying and returns ErrAborted, fully rolled
-// back.
+// every token is still held and, on a first attempt, before the tokenless
+// reads are re-validated, so it is a true serialization point). With
+// Options.MaxAttempts set, a transaction that conflicts away that many
+// attempts stops retrying and returns ErrAborted, fully rolled back.
 func (th *Thread) Atomically(fn func(tx *Tx) error) (serial uint64, err error) {
 	if th.mark == nil {
 		panic("stm: Thread not obtained via TM.Thread")
@@ -274,7 +293,7 @@ func (th *Thread) Atomically(fn func(tx *Tx) error) (serial uint64, err error) {
 	th.birth.Store(0) // ticket drawn lazily at first conflict
 	tx := &th.tx
 	for retries := 0; ; retries++ {
-		th.beginAttempt(tx)
+		th.beginAttempt(tx, retries > 0)
 		serial, err, again := th.runAttempt(tx, fn)
 		if !again {
 			return serial, err
@@ -349,10 +368,18 @@ func (th *Thread) runROAttempt(tx *Tx, fn func(tx *Tx) error) (serial uint64, er
 
 // beginAttempt publishes a fresh attempt: bumping the attempt id invalidates
 // every mark-table entry and every doom CAS aimed at the previous attempt.
-func (th *Thread) beginAttempt(tx *Tx) {
+// visible chooses the read protocol — tokens, or stamp validation against a
+// read serial sampled here. The caller's structure decides it, not a knob:
+// Thread.Atomically reads invisibly on a transaction's first attempt and
+// visibly on every retry; Group members always read visibly.
+func (th *Thread) beginAttempt(tx *Tx, visible bool) {
 	th.attempt++
 	th.status.Store(th.attempt<<statusShift | stateActive)
 	tx.finished = false
+	tx.visible = visible
+	if !visible {
+		tx.rv = th.tm.serial.Load()
+	}
 	tx.logs.reset()
 }
 

@@ -12,12 +12,21 @@ import (
 // This file is the host port of the token protocol proper: every transition
 // is a CAS on the block's 64-bit metastate.PackedWord, computing the
 // successor state with the same Table 3a/3b fission/fusion rules the
-// simulator uses. Reads acquire one token (fissioning into the anonymous
-// reader count when a second reader arrives); writes acquire all T tokens;
-// a read-to-write upgrade folds the upgrader's own read token into the
-// all-token claim — the bug class the PR 5 model checker caught in the
+// simulator uses. Visible reads acquire one token (fissioning into the
+// anonymous reader count when a second reader arrives); writes acquire all T
+// tokens; a read-to-write upgrade folds the upgrader's own read token into
+// the all-token claim — the bug class the PR 5 model checker caught in the
 // simulator (double-counting the upgrader's token) is pinned here by
 // TestUpgradeFoldsReadToken and the race stress suite.
+//
+// The first attempt of a Thread.Atomically reads invisibly instead: no
+// token, a stamp check against the attempt's read serial rv (readValidated),
+// the block logged, and the whole read log re-validated at commit. A token
+// read is two contended RMWs on a shared word; an invisible one is plain
+// loads. What that sells is that a first-attempt reader no longer holds
+// writers off and can be invalidated by one — once: every retry, and every
+// stm.Group member, reads visibly, so contention degrades to the paper's
+// protocol and its eldest-never-doomed progress argument.
 
 // Tx is one transaction attempt's view of a TM. Obtain it inside
 // Thread.Atomically or Thread.ReadOnly; it is invalid outside fn.
@@ -28,14 +37,19 @@ type Tx struct {
 	// or aborted); Group recovery consults it so a member whose own retry()
 	// already rolled back is not double-aborted.
 	finished bool
-	rv       uint64 // snapshot read serial (ro mode only)
-	logs     txLogs
+	// visible says this attempt's reads take tokens. Clear only on the first
+	// attempt of a Thread.Atomically, whose reads are stamp-validated against
+	// rv and logged without a token; writes claim tokens in both modes.
+	visible bool
+	rv      uint64 // read serial: snapshot mode and invisible attempts
+	logs    txLogs
 }
 
 // Load returns the word at a. In token mode it acquires a read token for
-// the block on first touch; conflicts with a writer unwind the attempt via
-// retrySignal. In snapshot mode it performs a stamp-validated tokenless
-// read instead.
+// the block on first touch — or, on a first attempt, validates the block's
+// stamp against the attempt's read serial and logs it; conflicts with a
+// writer unwind the attempt via retrySignal. In snapshot mode it performs a
+// stamp-validated tokenless read instead.
 //
 //tokentm:allocfree
 func (tx *Tx) Load(a Addr) uint64 {
@@ -45,18 +59,10 @@ func (tx *Tx) Load(a Addr) uint64 {
 	return tx.loadToken(a)
 }
 
-// loadToken is the token-mode Load body, outlined so the Load dispatcher
-// inlines into callers.
+// loadToken is the single-word token-mode read; see load2Token.
 func (tx *Tx) loadToken(a Addr) uint64 {
-	th := tx.th
-	b := uint32(a) >> th.tm.shift
-	if m := th.mark[b]; m>>markShift == th.attempt && m&markMask != 0 {
-		return th.tm.dataw(a).Load() // token already held (read or write)
-	}
-	tx.acquireRead(b)
-	th.mark[b] = th.attempt<<markShift | markRead
-	tx.logs.appendRead(b)
-	return th.tm.dataw(a).Load()
+	v, _ := tx.load2Token(a, a)
+	return v
 }
 
 // Load2 returns the words at a1 and a2, which must lie in the same block —
@@ -74,18 +80,106 @@ func (tx *Tx) Load2(a1, a2 Addr) (uint64, uint64) {
 	return tx.load2Token(a1, a2)
 }
 
-// load2Token is the token-mode Load2 body, outlined so the dispatcher
-// inlines into callers.
+// load2Token is the token-mode Load/Load2 body. A write-held block is ours
+// to read in either mode. A visible attempt takes one read token on first
+// touch and reads freely after; an invisible one holds nothing, so every
+// read of the block is validated.
 func (tx *Tx) load2Token(a1, a2 Addr) (uint64, uint64) {
 	th := tx.th
 	b := uint32(a1) >> th.tm.shift
-	if m := th.mark[b]; m>>markShift == th.attempt && m&markMask != 0 {
-		return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
+	m := th.mark[b]
+	if m>>markShift != th.attempt {
+		m = 0
 	}
-	tx.acquireRead(b)
-	th.mark[b] = th.attempt<<markShift | markRead
-	tx.logs.appendRead(b)
+	if m&markWrite == 0 {
+		if !tx.visible {
+			return tx.readValidated(b, a1, a2)
+		}
+		if m&markRead == 0 {
+			tx.acquireRead(b)
+			th.mark[b] = th.attempt<<markShift | markRead
+			tx.logs.appendRead(b)
+		}
+	}
 	return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
+}
+
+// readValidated is the invisible read of block b (not write-held by this
+// attempt): loadRO2's protocol under the token-mode conflict policy. The
+// block must show no writer and a stamp at most rv, and still carry that
+// stamp writer-free after the data loads. A foreign writer is a conflict
+// like any other (spin, doom the younger, give up after spinLimit); a stamp
+// past rv asks extend to move rv forward, which aborts the attempt if any
+// logged read has been overwritten. The block is logged once, for
+// commitAttempt to re-validate, and takes no token.
+func (tx *Tx) readValidated(b uint32, a1, a2 Addr) (uint64, uint64) {
+	th := tx.th
+	w := th.tm.metaw(b)
+	for spin := 0; ; spin++ {
+		if th.doomed() {
+			tx.retry(&th.stats.DoomedAborts)
+		}
+		w1 := metastate.PackedWord(w.Load())
+		if p := w1.Packed(); p.State() == metastate.StateWriteT {
+			tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
+			continue
+		}
+		if w1.Stamp() > tx.rv {
+			tx.extend() // on return rv covers w1: its stamp was drawn before we loaded it
+		}
+		v1 := th.tm.dataw(a1).Load()
+		v2 := th.tm.dataw(a2).Load()
+		if !unwritten(w1, metastate.PackedWord(w.Load())) {
+			continue
+		}
+		if m := th.mark[b]; m>>markShift != th.attempt || m&markRead == 0 {
+			th.mark[b] = th.attempt<<markShift | markRead
+			tx.logs.appendRead(b)
+		}
+		return v1, v2
+	}
+}
+
+// unwritten reports whether block data read between two loads of its token
+// word, the first of which (w1) showed no writer, is stable: the word is
+// unchanged, or it still carries w1's stamp and no writer. Reader tokens of
+// visible transactions come and go under a tokenless read; they preserve
+// the stamp and never guard a data change, whereas every release that
+// follows a data store installs a fresh serial.
+func unwritten(w1, w2 metastate.PackedWord) bool {
+	return w2 == w1 || w2.Stamp() == w1.Stamp() && w2.Packed().State() != metastate.StateWriteT
+}
+
+// extend moves an invisible attempt's read serial forward to the current
+// clock, provided every logged read still stands at the old one; otherwise
+// the attempt aborts. The clock is sampled before the walk, so a writer that
+// claims a validated block afterwards draws a serial past the new rv.
+func (tx *Tx) extend() {
+	nrv := tx.th.tm.serial.Load()
+	if !tx.readsValid() {
+		tx.retry(&tx.th.stats.ConflictAborts)
+	}
+	tx.rv = nrv
+}
+
+// readsValid reports whether every block in the read log is unwritten since
+// this invisible attempt read it: no foreign writer, and a stamp at most rv.
+// The stamp test is exact — a writer that acquired the block after our read
+// drew its serial (commit, abort stamp, or Upsert2) under the claim, hence
+// after rv was sampled. Blocks this attempt went on to write pass the same
+// test: the claim keeps the stamp it found, which acquireWrite checked.
+func (tx *Tx) readsValid() bool {
+	th := tx.th
+	for i := 0; i < tx.logs.nRead; i++ {
+		w := metastate.PackedWord(th.tm.metaw(tx.logs.readAt(i)).Load())
+		if w.Stamp() > tx.rv {
+			return false
+		}
+		if p := w.Packed(); p.State() == metastate.StateWriteT && mem.TID(p.Attr()) != th.tid {
+			return false
+		}
+	}
+	return true
 }
 
 // spanPanic is outlined so Load2's inlining budget is not spent on the
@@ -104,10 +198,10 @@ func (tx *Tx) loadRO(a Addr) uint64 {
 // shows no writer and its writer-release stamp is at most rv, re-reading
 // the token word after the data loads for stability. Data words change only
 // between a write acquire (state WriteT) and the matching release (which
-// installs a fresh stamp), so a stable writer-free word brackets stable
-// data words. A writer mid-flight is waited out — its stamp may still land
-// at or under rv; a block stamped past rv means the snapshot is stale and
-// the attempt retries with a fresh rv.
+// installs a fresh stamp), so a writer-free word that keeps its stamp
+// (unwritten) brackets stable data words. A writer mid-flight is waited out
+// — its stamp may still land at or under rv; a block stamped past rv means
+// the snapshot is stale and the attempt retries with a fresh rv.
 func (tx *Tx) loadRO2(a1, a2 Addr) (uint64, uint64) {
 	th := tx.th
 	w := th.tm.metaw(uint32(a1) >> th.tm.shift)
@@ -126,7 +220,7 @@ func (tx *Tx) loadRO2(a1, a2 Addr) (uint64, uint64) {
 		}
 		v1 := th.tm.dataw(a1).Load()
 		v2 := th.tm.dataw(a2).Load()
-		if metastate.PackedWord(w.Load()) == w1 {
+		if unwritten(w1, metastate.PackedWord(w.Load())) {
 			return v1, v2
 		}
 	}
@@ -165,7 +259,9 @@ func (tx *Tx) LoadW(a Addr) uint64 {
 }
 
 // writeAcquire ensures this transaction holds block b's write tokens,
-// upgrading a held read token (fold-in) or acquiring fresh.
+// upgrading a held read token (fold-in) or acquiring fresh. An invisible
+// read left no token to fold in, so its upgrade is a fresh claim — still
+// counted in Upgrades, which is about the access pattern.
 //
 //tokentm:tokenclaim
 func (tx *Tx) writeAcquire(b uint32) {
@@ -178,7 +274,7 @@ func (tx *Tx) writeAcquire(b uint32) {
 	case m&markWrite != 0:
 		// Already the writer.
 	case m&markRead != 0:
-		tx.acquireWrite(b, true)
+		tx.acquireWrite(b, tx.visible)
 		th.mark[b] = th.attempt<<markShift | markRead | markWrite
 		tx.logs.appendWrite(b)
 		bump(&th.stats.Upgrades)
@@ -204,7 +300,8 @@ func (tx *Tx) Stable(a Addr) uint64 {
 	th := tx.th
 	b := uint32(a) >> th.tm.shift
 	if !tx.ro {
-		if m := th.mark[b]; m>>markShift == th.attempt && m&markMask != 0 {
+		// A read mark is a held token only if the attempt reads visibly.
+		if m := th.mark[b]; m>>markShift == th.attempt && (m&markWrite != 0 || tx.visible && m&markRead != 0) {
 			return th.tm.dataw(a).Load() // our own token (possibly mid-write)
 		}
 	}
@@ -434,7 +531,11 @@ func (tx *Tx) acquireRead(b uint32) {
 // already holds one read token on b; the claim then folds that token in
 // ((1,self) -> (T,self), or (1,-) -> (T,self) when the lone anonymous token
 // is provably ours) rather than double-counting it. Any other outstanding
-// reader or writer is a conflict.
+// reader or writer is a conflict. An invisible attempt also needs the block
+// no newer than its read serial — it may go on to read the data under the
+// claim (LoadW), or have read it already — so a stamp past rv goes through
+// extend first. The claim keeps the stamp it found, which is what lets
+// readsValid treat write-held blocks like any other.
 func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
 	th := tx.th
 	w := th.tm.metaw(b)
@@ -482,6 +583,9 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
 			tx.conflict(mem.NoTID, &th.stats.ConflictAnon, spin)
 			continue
 		}
+		if !tx.visible && old.Stamp() > tx.rv {
+			tx.extend() // on return rv covers old, as in readValidated
+		}
 		np, _ := metastate.Pack(metastate.WriteT(th.tid))
 		if w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
 			return
@@ -523,7 +627,11 @@ func (tx *Tx) retry(counter *atomic.Uint64) {
 // status word (failing if an elder doomed us at the last moment), draw the
 // commit serial while every token is still held — the serialization point —
 // then release all tokens, stamping the serial into every written block so
-// snapshot readers can place the writes relative to their read serial.
+// snapshot readers can place the writes relative to their read serial. An
+// invisible attempt holds no read tokens, so it re-validates its read log in
+// between. The serial is drawn first, as in TL2: a writer that claims a
+// validated block afterwards then necessarily draws a larger one, which is
+// the order kvstore.ReplayJournals replays by.
 //
 //tokentm:allocfree
 func (tx *Tx) commitAttempt() uint64 {
@@ -534,6 +642,9 @@ func (tx *Tx) commitAttempt() uint64 {
 		tx.retry(&th.stats.DoomedAborts)
 	}
 	serial := th.tm.nextSerial()
+	if !tx.visible && !tx.readsValid() {
+		tx.retry(&th.stats.ConflictAborts)
+	}
 	tx.releaseAll(serial)
 	tx.finished = true
 	bump(&th.stats.Commits)
@@ -564,10 +675,12 @@ func (tx *Tx) abortAttempt() {
 
 // releaseAll returns every token this attempt holds. Write blocks release
 // all T tokens in one transition ((T,self) -> (0,-)); read blocks decrement
-// the anonymous count or clear the identified-reader state. A read-log block
-// that was upgraded releases through its write entry only — the read token
-// was folded into the write claim, so decrementing it again would be the
-// double-entry violation the model checker hunts. Transactions whose whole
+// the anonymous count or clear the identified-reader state — visible
+// attempts only, an invisible attempt's read log holds no tokens. A
+// read-log block that was upgraded releases through its write entry only —
+// the read token was folded into the write claim, so decrementing it again
+// would be the double-entry violation the model checker hunts. Transactions
+// whose whole
 // footprint stayed within the inline log arrays take the fast path (no heap
 // log to walk), the host analog of the paper's small-transaction
 // flash-clear release.
@@ -576,12 +689,14 @@ func (tx *Tx) releaseAll(stamp uint64) {
 	for i := 0; i < tx.logs.nWrite; i++ {
 		th.releaseWrite(tx.logs.writeAt(i), stamp)
 	}
-	for i := 0; i < tx.logs.nRead; i++ {
-		b := tx.logs.readAt(i)
-		if th.mark[b]>>markShift == th.attempt && th.mark[b]&markWrite != 0 {
-			continue // upgraded: released with the write set
+	if tx.visible {
+		for i := 0; i < tx.logs.nRead; i++ {
+			b := tx.logs.readAt(i)
+			if th.mark[b]>>markShift == th.attempt && th.mark[b]&markWrite != 0 {
+				continue // upgraded: released with the write set
+			}
+			th.releaseRead(b)
 		}
-		th.releaseRead(b)
 	}
 	if tx.logs.inline() {
 		bump(&th.stats.FastReleases)
