@@ -14,7 +14,7 @@ BENCH_PARALLEL ?= 0
 STM_OPS ?= 60000
 STM_REPS ?= 9
 
-.PHONY: verify lint race breakdown explore profile stmbench clean-cache
+.PHONY: verify lint race breakdown explore profile stmbench
 
 verify:
 	$(GO) build ./...
@@ -78,6 +78,3 @@ stmbench:
 	$(GO) run ./cmd/tokentm-store -bench -ops $(STM_OPS) -reps $(STM_REPS) \
 		-json BENCH_stm.json -text BENCH_stm.txt
 	$(GO) run ./cmd/tokentm-store -check BENCH_stm.json
-
-clean-cache:
-	rm -rf .expcache

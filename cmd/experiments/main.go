@@ -6,18 +6,17 @@
 //	experiments -run all            # everything (slow at full scale)
 //	experiments -run fig5 -scale 0.05 -seeds 3
 //	experiments -run table1,table6
-//	experiments -run fig5 -parallel 8 -cache-dir .expcache -json sweep.json
+//	experiments -run fig5 -parallel 8 -json sweep.json
 //	experiments -run verify         # seed-invariance correctness gate
 //
 // Scale shrinks the Table 5 transaction counts proportionally; the paper's
 // full counts correspond to -scale 1.
 //
 // The figure sweeps run on the internal/harness job system: -parallel sets
-// the worker-pool size (default GOMAXPROCS), -cache-dir enables the on-disk
-// result cache (interrupted sweeps resume, re-runs are instant), -json
-// writes the per-job results as a tokentm-harness/v1 document, and progress
-// is reported per job on stderr (disable with -progress=false). The JSON
-// is deterministic: byte-identical at any -parallel.
+// the worker-pool size (default GOMAXPROCS), -json writes the per-job
+// results as a tokentm-harness/v1 document, and progress is reported per job
+// on stderr (disable with -progress=false). The JSON is deterministic:
+// byte-identical at any -parallel.
 package main
 
 import (
@@ -39,7 +38,6 @@ func main() {
 	chart := flag.Bool("chart", false, "render fig1/fig5 as ASCII bar charts in addition to tables")
 	seed := flag.Int64("seed", 1, "base seed")
 	parallel := flag.Int("parallel", 0, "harness worker-pool size (0 = GOMAXPROCS)")
-	cacheDir := flag.String("cache-dir", "", "on-disk result cache directory (empty = no cache)")
 	jsonOut := flag.String("json", "", "write per-job sweep results as JSON to this path (\"-\" = stdout)")
 	progress := flag.Bool("progress", true, "report per-job sweep progress on stderr")
 	flag.Parse()
@@ -57,7 +55,6 @@ func main() {
 	}
 	runner := tokentm.NewRunner(tokentm.SweepOptions{
 		Parallel:    *parallel,
-		CacheDir:    *cacheDir,
 		Progress:    progw,
 		KeepHistory: *jsonOut != "",
 	})

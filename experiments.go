@@ -125,8 +125,6 @@ func ExperimentRun(j harness.Job) (harness.Outcome, error) {
 type SweepOptions struct {
 	// Parallel is the worker count (0 = GOMAXPROCS).
 	Parallel int
-	// CacheDir enables the on-disk result cache when non-empty.
-	CacheDir string
 	// Progress receives per-job progress lines when non-nil.
 	Progress io.Writer
 	// KeepHistory retains every result for a combined JSON report.
@@ -135,16 +133,12 @@ type SweepOptions struct {
 
 // NewRunner builds a harness runner executing ExperimentRun.
 func NewRunner(o SweepOptions) *harness.Runner {
-	r := &harness.Runner{
+	return &harness.Runner{
 		Run:         ExperimentRun,
 		Parallel:    o.Parallel,
 		Progress:    o.Progress,
 		KeepHistory: o.KeepHistory,
 	}
-	if o.CacheDir != "" {
-		r.Cache = &harness.Cache{Dir: o.CacheDir, Version: harness.CodeVersion()}
-	}
-	return r
 }
 
 // SpeedupRow is one workload's bars in Figure 1 or Figure 5: speedup of

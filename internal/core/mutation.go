@@ -38,9 +38,6 @@ func (m Mutation) String() string {
 	}
 }
 
-// Mutations lists the seeded protocol bugs, for sweeps over all of them.
-func Mutations() []Mutation { return []Mutation{MutNoFissionWriter, MutSkipLogCredit} }
-
 // MutationByName resolves a CLI name to a mutation (false for unknown).
 func MutationByName(name string) (Mutation, bool) {
 	for _, m := range []Mutation{MutNone, MutNoFissionWriter, MutSkipLogCredit} {

@@ -5,10 +5,9 @@
 // the grid is embarrassingly parallel across real cores. The harness runs
 // every Job on its own machine in its own goroutine (a worker pool sized to
 // GOMAXPROCS by default), isolates panics (a crashing simulation marks its
-// job failed with the stack attached instead of killing the sweep), caches
-// results on disk keyed by job parameters and code version (so interrupted
-// sweeps resume without redoing finished work), and aggregates results in
-// job order — output is byte-stable regardless of goroutine scheduling.
+// job failed with the stack attached instead of killing the sweep), and
+// aggregates results in job order — output is byte-stable regardless of
+// goroutine scheduling.
 //
 // The package is deliberately independent of the root tokentm package: the
 // simulation to run arrives as a RunFunc, so harness has no import cycle
@@ -26,8 +25,8 @@ import (
 )
 
 // Job identifies one cell of the experiment grid. The zero scale means 1
-// (full Table 5 transaction counts). Jobs are cache keys: two jobs with
-// equal fields and equal code versions are the same experiment.
+// (full Table 5 transaction counts). Two jobs with equal fields are the same
+// experiment.
 type Job struct {
 	// Workload names a workload.Spec (e.g. "Delaunay").
 	Workload string `json:"workload"`
@@ -73,12 +72,10 @@ type Outcome struct {
 type Result struct {
 	Job     Job     `json:"job"`
 	Outcome Outcome `json:"outcome"`
-	// WallNS is host wall-clock time for the run in nanoseconds. It is 0
-	// for cache hits and cleared by WriteJSON: only simulated metrics are
-	// byte-stable across hosts and parallelism levels.
+	// WallNS is host wall-clock time for the run in nanoseconds. It is
+	// cleared by WriteJSON: only simulated metrics are byte-stable across
+	// hosts and parallelism levels.
 	WallNS int64 `json:"wall_ns,omitempty"`
-	// Cached reports that the result was served from the on-disk cache.
-	Cached bool `json:"cached,omitempty"`
 	// Err is non-empty if the job failed (an error or a panic).
 	Err string `json:"err,omitempty"`
 	// Stack is the goroutine stack for a panicking job.
@@ -103,9 +100,6 @@ type Runner struct {
 	Run RunFunc
 	// Parallel is the worker-pool size; 0 means runtime.GOMAXPROCS(0).
 	Parallel int
-	// Cache, when non-nil, serves previously computed results and stores
-	// new ones, making interrupted sweeps resumable.
-	Cache *Cache
 	// Progress, when non-nil, receives one line per finished job
 	// (conventionally os.Stderr).
 	Progress io.Writer
@@ -114,13 +108,9 @@ type Runner struct {
 	// order) for a combined report; see History.
 	KeepHistory bool
 
-	executed atomic.Int64
-	progMu   sync.Mutex
-	history  []Result
+	progMu  sync.Mutex
+	history []Result
 }
-
-// Executed returns the number of jobs actually run (cache misses) so far.
-func (r *Runner) Executed() int64 { return r.executed.Load() }
 
 // History returns all results from all sweeps so far, in submission order.
 // Only populated when KeepHistory is set.
@@ -167,24 +157,12 @@ func (r *Runner) Sweep(jobs []Job) []Result {
 	return results
 }
 
-// runJob serves one job from the cache or executes it with panic isolation.
+// runJob executes one job with panic isolation.
 func (r *Runner) runJob(j Job) Result {
-	if r.Cache != nil {
-		if res, ok := r.Cache.Get(j); ok {
-			res.Cached = true
-			return res
-		}
-	}
-	r.executed.Add(1)
 	start := time.Now()
 	res := Result{Job: j}
 	res.Outcome, res.Err, res.Stack = safeRun(r.Run, j)
 	res.WallNS = time.Since(start).Nanoseconds()
-	if r.Cache != nil && res.OK() {
-		// Cache writes are best-effort: a full disk degrades to re-running
-		// jobs, not to failing the sweep.
-		_ = r.Cache.Put(res)
-	}
 	return res
 }
 
@@ -211,13 +189,10 @@ func (r *Runner) report(res Result, done, total int) {
 		return
 	}
 	status := fmt.Sprintf("cycles=%d commits=%d", res.Outcome.Cycles, res.Outcome.Commits)
-	switch {
-	case !res.OK():
-		status = "FAILED: " + res.Err
-	case res.Cached:
-		status += " (cached)"
-	default:
+	if res.OK() {
 		status += fmt.Sprintf(" (%.2fs)", float64(res.WallNS)/1e9)
+	} else {
+		status = "FAILED: " + res.Err
 	}
 	r.progMu.Lock()
 	fmt.Fprintf(r.Progress, "harness: [%d/%d] %s %s\n", done, total, res.Job, status)
@@ -239,9 +214,9 @@ func Grid(workloads, variants []string, scale float64, seeds []int64) []Job {
 	return jobs
 }
 
-// CodeVersion identifies the code that produced a result, for cache keying:
-// the module's VCS revision when built with version control stamping, else
-// "dev". Results cached under one version are invisible to another.
+// CodeVersion identifies the code that produced a result, for WriteJSON to
+// stamp: the module's VCS revision when built with version control stamping,
+// else "dev".
 func CodeVersion() string {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		var rev, dirty string

@@ -45,9 +45,6 @@ func TestSweepReturnsResultsInJobOrder(t *testing.T) {
 			t.Fatalf("result %d not ok: %+v", i, res)
 		}
 	}
-	if r.Executed() != int64(len(jobs)) {
-		t.Fatalf("executed %d, want %d", r.Executed(), len(jobs))
-	}
 }
 
 func TestSweepIsolatesPanics(t *testing.T) {
@@ -83,68 +80,9 @@ func TestSweepIsolatesPanics(t *testing.T) {
 	}
 }
 
-// TestCacheMakesSweepsResumable pre-populates the cache with part of the
-// grid and counts executed jobs on the re-run: only the missing jobs
-// execute, and served results are marked cached.
-func TestCacheMakesSweepsResumable(t *testing.T) {
-	jobs := grid(10)
-	cache := &harness.Cache{Dir: t.TempDir(), Version: "v-test"}
-
-	// First, an "interrupted" sweep that completed only the first 6 jobs.
-	first := &harness.Runner{Run: fakeRun, Parallel: 2, Cache: cache}
-	first.Sweep(jobs[:6])
-	if first.Executed() != 6 {
-		t.Fatalf("first sweep executed %d", first.Executed())
-	}
-
-	// The re-run of the full grid executes only the 4 missing jobs.
-	second := &harness.Runner{Run: fakeRun, Parallel: 2, Cache: cache}
-	results := second.Sweep(jobs)
-	if second.Executed() != 4 {
-		t.Fatalf("resumed sweep executed %d jobs, want 4", second.Executed())
-	}
-	for i, res := range results {
-		if want, _ := fakeRun(jobs[i]); !reflect.DeepEqual(res.Outcome, want) {
-			t.Fatalf("result %d corrupted by cache: %+v", i, res)
-		}
-		if cached := i < 6; res.Cached != cached {
-			t.Fatalf("result %d cached=%v, want %v", i, res.Cached, cached)
-		}
-	}
-
-	// A third run executes nothing at all.
-	third := &harness.Runner{Run: fakeRun, Parallel: 2, Cache: cache}
-	third.Sweep(jobs)
-	if third.Executed() != 0 {
-		t.Fatalf("fully cached sweep executed %d jobs", third.Executed())
-	}
-}
-
-func TestCacheKeyedByCodeVersion(t *testing.T) {
-	dir := t.TempDir()
-	jobs := grid(3)
-	r1 := &harness.Runner{Run: fakeRun, Parallel: 1, Cache: &harness.Cache{Dir: dir, Version: "rev-a"}}
-	r1.Sweep(jobs)
-	r2 := &harness.Runner{Run: fakeRun, Parallel: 1, Cache: &harness.Cache{Dir: dir, Version: "rev-b"}}
-	r2.Sweep(jobs)
-	if r2.Executed() != int64(len(jobs)) {
-		t.Fatalf("version change did not invalidate cache: executed %d", r2.Executed())
-	}
-}
-
-func TestCacheDoesNotServeFailures(t *testing.T) {
-	cache := &harness.Cache{Dir: t.TempDir(), Version: "v"}
-	boom := func(harness.Job) (harness.Outcome, error) { return harness.Outcome{}, fmt.Errorf("boom") }
-	r := &harness.Runner{Run: boom, Parallel: 1, Cache: cache}
-	r.Sweep(grid(1))
-	if _, ok := cache.Get(grid(1)[0]); ok {
-		t.Fatal("failed result landed in the cache")
-	}
-}
-
 // TestJSONByteStableAcrossParallelism is the determinism contract: the
 // JSON document is byte-identical whether the sweep ran on one worker or
-// many, with or without cache hits.
+// many.
 func TestJSONByteStableAcrossParallelism(t *testing.T) {
 	jobs := grid(24)
 	emit := func(r *harness.Runner) []byte {
@@ -156,12 +94,8 @@ func TestJSONByteStableAcrossParallelism(t *testing.T) {
 	}
 	serial := emit(&harness.Runner{Run: fakeRun, Parallel: 1})
 	parallel := emit(&harness.Runner{Run: fakeRun, Parallel: 8})
-	cached := emit(&harness.Runner{Run: fakeRun, Parallel: 8, Cache: &harness.Cache{Dir: t.TempDir(), Version: "v"}})
 	if !bytes.Equal(serial, parallel) {
 		t.Fatal("JSON differs between parallel=1 and parallel=8")
-	}
-	if !bytes.Equal(serial, cached) {
-		t.Fatal("JSON differs when served from cache")
 	}
 	if !bytes.Contains(serial, []byte(harness.SweepSchema)) {
 		t.Fatalf("missing schema marker in %s", serial)

@@ -19,16 +19,14 @@ type SweepDoc struct {
 }
 
 // WriteJSON emits results as an indented SweepDoc. The host-dependent
-// Result fields (WallNS, Cached) are cleared, so the emitted bytes depend
-// only on job parameters and code, not on the host, the parallelism level,
-// or cache hits — sweeps at -parallel=1 and -parallel=N emit identical
-// documents.
+// Result field (WallNS) is cleared, so the emitted bytes depend only on job
+// parameters and code, not on the host or the parallelism level — sweeps at
+// -parallel=1 and -parallel=N emit identical documents.
 func WriteJSON(w io.Writer, version string, results []Result) error {
 	doc := SweepDoc{Schema: SweepSchema, CodeVersion: version, Jobs: make([]Result, len(results))}
 	copy(doc.Jobs, results)
 	for i := range doc.Jobs {
 		doc.Jobs[i].WallNS = 0
-		doc.Jobs[i].Cached = false
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -57,12 +57,6 @@ func (a Addr) Block() BlockAddr { return BlockAddr(a >> BlockShift) }
 // Page returns the page containing a.
 func (a Addr) Page() PageAddr { return PageAddr(a >> PageShift) }
 
-// WordIndex returns the index of a's word within its block.
-func (a Addr) WordIndex() int { return int(a>>3) & (WordsPerBlock - 1) }
-
-// AlignWord rounds a down to its word boundary.
-func (a Addr) AlignWord() Addr { return a &^ (WordBytes - 1) }
-
 // Addr returns the first byte address of block b.
 func (b BlockAddr) Addr() Addr { return Addr(b) << BlockShift }
 

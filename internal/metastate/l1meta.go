@@ -35,10 +35,6 @@ var L1Zero = L1Meta{}
 // IsZero reports whether no metabits are set.
 func (l L1Meta) IsZero() bool { return l == L1Zero }
 
-// HasOwn reports whether the current thread's R or W bit is set, i.e. the
-// line carries tokens that a fast release would flash-clear.
-func (l L1Meta) HasOwn() bool { return l.R || l.W }
-
 // Logical reconstructs the (Sum, TID) summary this representation encodes.
 func (l L1Meta) Logical() Meta {
 	switch {

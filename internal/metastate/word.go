@@ -15,8 +15,8 @@ import "fmt"
 //	             block (monotone per block; 0 = never written)
 //	bits 15..0   Packed — the Table-4a metabits, unchanged
 //
-// The stamp is what enables the host STM's snapshot mode for read-only
-// transactions: a reader that drew read-serial rv accepts a block iff its
+// The stamp is what enables the host STM's tokenless (invisible) reads: a
+// reader that sampled read-serial rv accepts a block iff its
 // metabits show no writer and its stamp is at most rv, re-reading the word
 // after the data load for seqlock-style stability. Token transitions that
 // do not publish data — read acquires, fusion, read releases — preserve the
@@ -80,7 +80,7 @@ func (w PackedWord) Stamp() uint64 { return uint64(w) >> packedWordShift }
 // CAS in for transitions that do not publish data (read acquires, fusion,
 // read releases). Keeping the stamp is load-bearing: if read traffic bumped
 // it, hot read-shared blocks would run ahead of the serial clock and starve
-// snapshot readers.
+// tokenless readers.
 func (w PackedWord) With(p Packed) PackedWord {
 	return MakeWord(p, w.Stamp())
 }

@@ -38,7 +38,7 @@ func TestPackedWordRoundTrip(t *testing.T) {
 
 // TestPackedWordWith checks the read-transition helper: metabits replaced,
 // stamp preserved (read traffic must never advance a block's stamp — see
-// the snapshot-mode contract in the type comment), old word untouched.
+// the tokenless-read contract in the type comment), old word untouched.
 func TestPackedWordWith(t *testing.T) {
 	p1, _ := Pack(Read1(9))
 	p2, _ := Pack(WriteT(9))

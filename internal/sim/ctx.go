@@ -47,9 +47,6 @@ type abortSignal struct{}
 // backwards across a Work call).
 func (tc *Ctx) Now() mem.Cycle { return tc.th.core.time + tc.th.deferred }
 
-// ThreadID returns the thread's global id.
-func (tc *Ctx) ThreadID() int { return tc.th.H.ID }
-
 // Core returns the core the thread runs on.
 func (tc *Ctx) Core() int { return tc.th.core.id }
 
@@ -356,10 +353,4 @@ func (tc *Ctx) Unlock(id int) {
 func (tc *Ctx) Syscall(duration mem.Cycle) {
 	tc.charge(attr.Barrier, SyscallEntryCycles)
 	tc.th.yield(opResult{lat: SyscallEntryCycles, sleep: duration})
-}
-
-// Yield voluntarily ends the thread's time slice.
-func (tc *Ctx) Yield() {
-	tc.charge(attr.Barrier, 1)
-	tc.th.yield(opResult{lat: 1, sleep: 1})
 }

@@ -49,11 +49,6 @@ type Config struct {
 	RetryLimit int
 }
 
-// DefaultConfig is the paper's machine: 32 cores.
-func DefaultConfig() Config {
-	return Config{Cores: 32, RetryLimit: 64}
-}
-
 // ThreadFunc is the body of a simulated thread.
 type ThreadFunc func(tc *Ctx)
 

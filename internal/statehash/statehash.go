@@ -50,9 +50,6 @@ func (h *Hash) U16(v uint16) { h.U64(uint64(v)) }
 // and ^uint64(0) collide only with each other).
 func (h *Hash) Int(v int) { h.U64(uint64(int64(v))) }
 
-// I64 mixes a signed 64-bit value.
-func (h *Hash) I64(v int64) { h.U64(uint64(v)) }
-
 // Bool mixes a boolean as one byte.
 func (h *Hash) Bool(v bool) {
 	if v {

@@ -56,6 +56,18 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		}
 	}
 
+	// read32 reads 32 blocks, enough to spill the read log past its inline
+	// array. It has fn's signature so the ReadOnly row can pass it as is.
+	read32 := func(tx *Tx) error {
+		for b := Addr(16); b < 48; b++ {
+			tx.Load(b * words)
+		}
+		if tx.logs.nRead != 32 || tx.logs.inline() {
+			t.Fatalf("read log holds %d entries inline=%v, want 32 spilled", tx.logs.nRead, tx.logs.inline())
+		}
+		return nil
+	}
+
 	entries := []struct {
 		name string
 		fn   func()
@@ -88,14 +100,18 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			// 32 invisible reads and one upgrade: the commit validates a
 			// read log that has spilled past the inline array.
 			th.beginAttempt(tx, false)
-			for b := Addr(16); b < 48; b++ {
-				tx.Load(b * words)
-			}
+			read32(tx)
 			tx.Store(16*words, 1)
-			if tx.logs.nRead != 32 || tx.logs.inline() {
-				t.Fatalf("read log holds %d entries inline=%v, want 32 spilled", tx.logs.nRead, tx.logs.inline())
-			}
 			tx.commitAttempt()
+		}},
+		{"Tx.commitAttempt/read-only", func() {
+			// The same 32 reads through the ReadOnly driver: the log spills,
+			// the commit returns rv. The rows around this one open attempts
+			// by hand, and only a driver sets Tx.ro.
+			if _, err := th.ReadOnly(read32); err != nil {
+				t.Fatal(err)
+			}
+			tx.ro = false
 		}},
 		{"Tx.abortAttempt", func() {
 			th.beginAttempt(tx, true)

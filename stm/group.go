@@ -68,12 +68,13 @@ func (gt *GroupTx) Tx(i int) *Tx { return &gt.g.members[i].tx }
 // serialization point within its own shard's commit order.
 func (g *Group) Atomically(fn func(gt *GroupTx) error) (serials []uint64, err error) {
 	for _, th := range g.members {
-		if th.tx.ro || th.status.Load()&stateMask != stateIdle {
+		if th.status.Load()&stateMask != stateIdle {
 			panic("stm: Group.Atomically over a busy member Thread")
 		}
 	}
 	for _, th := range g.members {
 		th.birth.Store(0)
+		th.tx.ro = false // a member may have last run Thread.ReadOnly
 	}
 	lead := g.members[0]
 	gt := &GroupTx{g: g}

@@ -1,12 +1,13 @@
 package stm
 
-// Contract for the two read protocols of token mode. The first attempt of a
-// Thread.Atomically reads invisibly — stamp-validated against a read serial,
-// logged, re-validated at commit, no token; every retry and every Group
-// member reads visibly, by token. The scenario tests are white-box and
-// single-goroutine: a second Thread commits from inside fn, at the exact
-// point of the first attempt the scenario needs. The opacity test is the
-// property both protocols owe every attempt, including the ones that abort.
+// Contract for the two read protocols. The first attempt of a
+// Thread.Atomically and every attempt of a Thread.ReadOnly read invisibly —
+// stamp-validated against a read serial, logged, re-validated at commit, no
+// token; every retry of an Atomically and every Group member reads visibly,
+// by token. The scenario tests are white-box and single-goroutine: a second
+// Thread commits from inside fn, at the exact point of the attempt the
+// scenario needs. The opacity test is the property both protocols owe every
+// attempt, including the ones that abort.
 
 import (
 	"errors"
@@ -192,6 +193,146 @@ func TestMixedModeReadersShareABlock(t *testing.T) {
 	commitFrom(t, wr, 0, 4)
 	if s := tm.Stats(); s.Commits != 3 {
 		t.Fatalf("commits = %d, want 3 (both readers and the writer)", s.Commits)
+	}
+	quiesced(t, tm)
+}
+
+// TestReadOnlyExtendsPastUnrelatedCommit: a read-only transaction is an
+// invisible attempt like any other, so a commit to a block it has not read
+// moves its read serial forward instead of restarting it. The serial it
+// returns is that extended read serial — at or after the writer's, whose
+// value it saw.
+func TestReadOnlyExtendsPastUnrelatedCommit(t *testing.T) {
+	tm := New(8, 2, 2)
+	th, other := tm.Thread(0), tm.Thread(1)
+	tm.StoreWord(0, 5)
+	attempts := 0
+	var got, wrote uint64
+	serial, err := th.ReadOnly(func(tx *Tx) error {
+		attempts++
+		got = tx.Load(0)
+		if attempts == 1 {
+			var claimed bool
+			if claimed, wrote = other.Upsert2(2, 3, 9, 7); !claimed { // block 1, never read
+				t.Fatal("Upsert2 lost a claim with no contenders")
+			}
+		}
+		_, v := tx.Load2(2, 3)
+		got += v
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 1 || got != 12 {
+		t.Fatalf("attempts = %d, sum = %d; want 1 attempt reading 5+7", attempts, got)
+	}
+	if s := tm.Stats(); s.SnapshotRetries != 0 || s.Aborts != 0 || s.SnapshotCommits != 1 {
+		t.Fatalf("stats = %+v, want one read-only commit, no retry and no abort", s)
+	}
+	if serial < wrote {
+		t.Fatalf("reader serial %d before the writer's %d whose value it read", serial, wrote)
+	}
+	if c := tm.SerialClock(); c != wrote {
+		t.Fatalf("serial clock = %d, want %d: a read-only commit draws no serial", c, wrote)
+	}
+	quiesced(t, tm)
+}
+
+// TestReadOnlyThenGroupStores: nothing clears Tx.ro when a ReadOnly returns,
+// so the next driver on the thread must set it. A Group member that last ran
+// a ReadOnly is neither busy nor barred from storing.
+func TestReadOnlyThenGroupStores(t *testing.T) {
+	tmA, tmB, g := twoShardGroup(t, Options{})
+	if _, err := tmA.Thread(0).ReadOnly(func(tx *Tx) error {
+		tx.Load(0)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Atomically(func(gt *GroupTx) error {
+		gt.Tx(0).Store(0, gt.Tx(0).LoadW(0)+11)
+		gt.Tx(1).Store(0, 22)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if a, b := tmA.LoadWord(0), tmB.LoadWord(0); a != 11 || b != 22 {
+		t.Fatalf("words = (%d,%d), want (11,22)", a, b)
+	}
+	quiesced(t, tmA)
+	quiesced(t, tmB)
+}
+
+// TestReadOnlyRetryStaysInvisible: a read-set block rewritten before a later
+// load meets a newer stamp fails the extension, which costs the transaction
+// one abort. Unlike an Atomically, the retry reads invisibly again: it takes
+// no token, so a writer claims a block it has read without waiting, and the
+// transaction still commits, serialized before that writer.
+func TestReadOnlyRetryStaysInvisible(t *testing.T) {
+	tm := New(8, 2, 3)
+	th, other, wr := tm.Thread(0), tm.Thread(1), tm.Thread(2)
+	attempts := 0
+	var got uint64
+	var release func()
+	if _, err := th.ReadOnly(func(tx *Tx) error {
+		attempts++
+		_, got = tx.Load2(0, 1)
+		if attempts == 1 {
+			for _, a := range []Addr{0, 2} { // the block just read, and the next one
+				if claimed, _ := other.Upsert2(a, a+1, 9, 41); !claimed {
+					t.Fatal("Upsert2 lost a claim against an invisible reader")
+				}
+			}
+		}
+		tx.Load(2) // attempt 1: stamp past rv, and block 0 no longer stands
+		if attempts == 2 {
+			if tx.visible {
+				t.Error("read-only retry reads visibly")
+			}
+			if p := metastate.PackedWord(tm.metaw(0).Load()).Packed(); p != metastate.PackedZero {
+				t.Fatalf("retry left metastate %#04x on block 0, want no token", uint16(p))
+			}
+			release = parkWriter(wr, 0)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if attempts != 2 || got != 41 {
+		t.Fatalf("attempts = %d, value = %d; want 2 attempts, the second reading 41", attempts, got)
+	}
+	release()
+	// Two aborts: the retry, and the parked writer's release.
+	if s := tm.Stats(); s.SnapshotRetries != 1 || s.ConflictAborts != 1 || s.SnapshotCommits != 1 || s.Aborts != 2 {
+		t.Fatalf("stats = %+v, want one read-only retry (a conflict abort), one read-only commit, two aborts", s)
+	}
+	quiesced(t, tm)
+}
+
+// TestReadOnlyNestingPanics: a read-only attempt publishes the thread status
+// word like any other, which is what the one nesting guard reads.
+func TestReadOnlyNestingPanics(t *testing.T) {
+	tm := New(4, 2, 1)
+	th := tm.Thread(0)
+	nop := func(tx *Tx) error { return nil }
+	for name, nest := range map[string]func(){
+		"ReadOnly in ReadOnly":   func() { th.ReadOnly(func(*Tx) error { th.ReadOnly(nop); return nil }) },
+		"Atomically in ReadOnly": func() { th.ReadOnly(func(*Tx) error { th.Atomically(nop); return nil }) },
+		"ReadOnly in Atomically": func() { th.Atomically(func(*Tx) error { th.ReadOnly(nop); return nil }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			nest()
+		}()
+	}
+	// Each panic unwound through runAttempt, which re-idled the thread.
+	if _, err := th.Atomically(func(tx *Tx) error { tx.Store(0, 1); return nil }); err != nil {
+		t.Fatal(err)
 	}
 	quiesced(t, tm)
 }

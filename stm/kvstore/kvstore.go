@@ -40,9 +40,11 @@ type Tx interface {
 type Handle interface {
 	// Txn runs fn atomically and returns the commit serial. readOnly is a
 	// hint that fn performs no Puts — backends may exploit it (the coarse
-	// backend takes its read lock); a Put inside a readOnly transaction
-	// panics. fn may be re-executed on conflict; a non-nil error aborts
-	// the transaction with all effects rolled back and is returned.
+	// backend takes its read lock; the stm backend reads invisibly on every
+	// attempt and commits at its read serial without drawing a new one); a
+	// Put inside a readOnly transaction panics. fn may be re-executed on
+	// conflict; a non-nil error aborts the transaction with all effects
+	// rolled back and is returned.
 	Txn(readOnly bool, fn func(tx Tx) error) (serial uint64, err error)
 
 	// Get is the point-read fast path: a single-key read-only transaction

@@ -194,8 +194,8 @@ func (h *ShardedHandle) PutSharded(key, val uint64) (shard int, serial uint64) {
 }
 
 // shardedTx routes transactional operations to the owning shard's stmTx. The
-// sub transactions always run in token mode — a group transaction holds
-// tokens even for its reads (snapshot mode has no cross-shard consistency
+// sub transactions always read visibly — a group transaction holds tokens
+// even for its reads (invisible reads have no cross-shard consistency
 // story) — so readOnly here only enforces the no-Put contract.
 type shardedTx struct {
 	h        *ShardedHandle

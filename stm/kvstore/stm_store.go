@@ -16,8 +16,9 @@ import (
 // PAST an occupied, non-matching slot is insensitive to serialization order
 // and uses tx.Stable (a validated committed read with no footprint). Only
 // the terminal slot — the match whose value we return or write, or the
-// empty slot that ends the chain — goes through the token (or snapshot)
-// protocol, and the decision is re-made from that protected read. A
+// empty slot that ends the chain — goes through the transactional read
+// (token, or stamp validation on an invisible attempt), and the decision is
+// re-made from that protected read. A
 // read-modify-write of a key the transaction already read takes the
 // read-to-write upgrade path: the token fold-in wherever the read took a
 // token (retries, and every kvstore.Sharded transaction), a stamp-checked
@@ -67,7 +68,7 @@ func (s *stmStore) ForEach(fn func(key, val uint64)) {
 
 func (s *stmStore) Stats() Stats {
 	st := s.tm.Stats()
-	return Stats{Commits: st.Commits, Aborts: st.Aborts + st.SnapshotRetries}
+	return Stats{Commits: st.Commits, Aborts: st.Aborts}
 }
 
 // STMStats exposes the underlying protocol counters (upgrades, conflict
@@ -88,8 +89,6 @@ func (h *stmHandle) Txn(readOnly bool, fn func(tx Tx) error) (uint64, error) {
 	h.fn = fn
 	h.tx.readOnly = readOnly
 	if readOnly {
-		// Snapshot mode: tokenless validated reads, serialized at the read
-		// serial the attempt drew — the workload's read-mostly fast path.
 		return h.th.ReadOnly(h.bound)
 	}
 	return h.th.Atomically(h.bound)
@@ -167,26 +166,9 @@ func (t *stmTx) Get(key uint64) (uint64, bool) {
 		panic("kvstore: zero key is reserved")
 	}
 	h := hashKey(key) & t.st.mask
-	if t.readOnly {
-		// Snapshot mode is already footprint-free: one stamp validation per
-		// slot covers both words (key and value share the block), so probing
-		// straight through Load2 beats a separate peek + protected read.
-		for i := uint64(0); ; i++ {
-			slot := (h + i) & t.st.mask
-			k, v := t.itx.Load2(stm.Addr(2*slot), stm.Addr(2*slot+1))
-			if k == 0 {
-				return 0, false
-			}
-			if k == key {
-				return v, true
-			}
-			if i == t.st.mask {
-				panic(fmt.Sprintf("kvstore: stm table full probing key %d", key))
-			}
-		}
-	}
-	// Token mode: probe with Stable so crossed slots leave no read tokens,
-	// then bind only the terminal slot.
+	// Probe with Stable so crossed slots leave no footprint (no read token,
+	// no logged stamp another key's update could invalidate, read-only
+	// transactions included), then bind only the terminal slot.
 	for i := uint64(0); ; i++ {
 		slot := (h + i) & t.st.mask
 		switch t.itx.Stable(stm.Addr(2 * slot)) {

@@ -7,7 +7,7 @@ import "errors"
 // Options fields: exactly one value of each is in use.
 const (
 	// spinLimit bounds how many CAS/conflict rounds one token acquisition
-	// (or one Stable/snapshot wait) tries before the attempt aborts and
+	// (or one Stable wait) tries before the attempt aborts and
 	// retries from scratch — requester-side conflict resolution.
 	spinLimit = 48
 

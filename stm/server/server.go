@@ -94,7 +94,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Server owns the sharded store and the listener. Create with New, start
-// with Serve (or ListenAndServe), stop with Shutdown.
+// with Serve, stop with Shutdown.
 type Server struct {
 	cfg     Config
 	store   *kvstore.Sharded
@@ -145,16 +145,6 @@ func (s *Server) Addr() net.Addr {
 		return nil
 	}
 	return s.ln.Addr()
-}
-
-// ListenAndServe listens on addr and serves until Shutdown (returning nil)
-// or a listener error.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // errRefused is the refusal line written to connections past MaxConns; raw

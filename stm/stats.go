@@ -21,8 +21,8 @@ type Stats struct {
 	DoomedAborts   uint64 // attempts abandoned because an elder doomed us
 	Dooms          uint64 // younger enemies we doomed (eldest tiebreak)
 
-	SnapshotCommits uint64 // read-only transactions committed in snapshot mode
-	SnapshotRetries uint64 // snapshot attempts retried on a stale read serial
+	SnapshotCommits uint64 // ReadOnly transactions and NoteCommit point reads committed
+	SnapshotRetries uint64 // ReadOnly attempts retried (each also counts in Aborts)
 }
 
 // counters is the live per-thread statistics block. Each field has exactly

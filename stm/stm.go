@@ -29,18 +29,14 @@
 // everything in its way, so it eventually runs alone and commits: no
 // deadlock and no starvation.
 //
-// Read-only transactions (Thread.ReadOnly) skip tokens entirely and run in
-// snapshot mode: they draw a read serial rv from the commit clock and
-// validate every load against the writer-release stamp each block's
-// PackedWord carries (see internal/metastate), seqlock-style. Visible-reader
-// token traffic is the right cost model for hardware metabits riding the
-// cache hierarchy, but on a host every acquire/release pair is two
-// contended CAS — snapshot readers pay plain loads instead, and writers
-// keep the full token protocol unchanged.
-//
-// The first attempt of every Thread.Atomically reads the same way: each
-// load is stamp-validated against rv and logged, no read token is taken,
-// and the read log is re-validated at commit, after the serial is drawn and
+// Visible-reader token traffic is the right cost model for hardware metabits
+// riding the cache hierarchy, but on a host every acquire/release pair is two
+// contended CAS. So the first attempt of every Thread.Atomically reads
+// invisibly: it samples a read serial rv from the commit clock, validates
+// each load against the writer-release stamp the block's PackedWord carries
+// (see internal/metastate), seqlock-style, and logs the block; no read token
+// is taken, a stamp past rv moves rv forward over the re-validated log, and
+// the log is re-validated once more at commit, after the serial is drawn and
 // before the write tokens go back. For m reads that is m stamp checks and no
 // RMW where token reads pay 2m RMWs. The price is that a first-attempt
 // reader no longer holds writers off, so one can invalidate it — once:
@@ -49,6 +45,9 @@
 // under contention the protocol is the paper's and the progress argument
 // above applies unchanged. Either way every attempt, including one that
 // later aborts, reads one committed state (opacity; DESIGN.md §8).
+//
+// Thread.ReadOnly is not a separate protocol: it is that invisible attempt
+// with an empty write set, on every attempt, committing at rv.
 package stm
 
 import (
@@ -78,8 +77,8 @@ type TM struct {
 	numBlocks uint32 // len(meta)
 
 	// words holds the data. Mutation is guarded by write-token ownership;
-	// the atomic type is for tokenless readers (snapshot mode, the point
-	// reads, first attempts), which load data words without holding a token
+	// the atomic type is for tokenless readers (the point reads, invisible
+	// attempts), which load data words without holding a token
 	// and discard unstable reads seqlock-style — logically sound, but a
 	// plain-typed word would still be a detector-level race. On amd64 the
 	// atomic load is an ordinary MOV, so the token paths pay nothing for
@@ -102,7 +101,7 @@ type TM struct {
 	// a line costs inproc-point a quarter of its throughput).
 	_      [64]byte
 	births atomic.Uint64 // birth-ticket source (eldest tiebreak)
-	serial atomic.Uint64 // commit serial clock; doubles as the snapshot read clock
+	serial atomic.Uint64 // commit serial clock; doubles as the invisible-read clock
 	_      [64]byte
 }
 
@@ -165,7 +164,7 @@ func (tm *TM) SerialClock() uint64 { return tm.serial.Load() }
 // nextSerial draws the next commit serial, failing loudly (typed
 // *metastate.StampOverflowError panic) as the 48-bit writer-release stamp
 // field approaches its wrap — a wrapped stamp would validate stale
-// snapshots silently, so no serial past the guard is ever stamped.
+// reads silently, so no serial past the guard is ever stamped.
 func (tm *TM) nextSerial() uint64 {
 	s := tm.serial.Add(1)
 	if err := metastate.CheckStamp(s); err != nil {
@@ -284,19 +283,42 @@ type retrySignal struct{}
 // Options.MaxAttempts set, a transaction that conflicts away that many
 // attempts stops retrying and returns ErrAborted, fully rolled back.
 func (th *Thread) Atomically(fn func(tx *Tx) error) (serial uint64, err error) {
+	return th.run(fn, false)
+}
+
+// ReadOnly runs fn as a transaction that may not write (Store and LoadW
+// panic). It is a first attempt of Atomically with two differences. Every
+// attempt reads invisibly, not just the first: it holds nothing a peer could
+// wait on, so it never needs the visible fallback. And its commit draws no
+// serial: every load was validated at rv, and rv only moved forward over a
+// re-validated read log, so fn saw exactly the committed state at rv, which
+// is the serial returned. Being an ordinary attempt it publishes the status
+// word, draws a birth ticket at its first conflict and dooms a younger
+// writer, and extends past unrelated commits: only a rewrite of a block it
+// has read aborts it.
+func (th *Thread) ReadOnly(fn func(tx *Tx) error) (serial uint64, err error) {
+	return th.run(fn, true)
+}
+
+// run is the one retry driver behind Atomically and ReadOnly.
+func (th *Thread) run(fn func(tx *Tx) error, ro bool) (serial uint64, err error) {
 	if th.mark == nil {
 		panic("stm: Thread not obtained via TM.Thread")
 	}
-	if th.tx.ro || th.status.Load()&stateMask != stateIdle {
-		panic("stm: nested Atomically on one Thread")
+	if th.status.Load()&stateMask != stateIdle {
+		panic("stm: nested transaction on one Thread")
 	}
 	th.birth.Store(0) // ticket drawn lazily at first conflict
 	tx := &th.tx
+	tx.ro = ro
 	for retries := 0; ; retries++ {
-		th.beginAttempt(tx, retries > 0)
+		th.beginAttempt(tx, retries > 0 && !ro)
 		serial, err, again := th.runAttempt(tx, fn)
 		if !again {
 			return serial, err
+		}
+		if ro {
+			bump(&th.stats.SnapshotRetries)
 		}
 		if ma := th.tm.opt.MaxAttempts; ma > 0 && retries+1 >= ma {
 			// The aborted attempt already rolled back and released; only
@@ -308,70 +330,12 @@ func (th *Thread) Atomically(fn func(tx *Tx) error) (serial uint64, err error) {
 	}
 }
 
-// ReadOnly runs fn as a snapshot transaction: no tokens are acquired and no
-// footprint is published. Every Load is validated against a read serial rv
-// drawn at attempt start — the block must carry no write token and a
-// writer-release stamp no newer than rv, re-checked after the data load —
-// so the attempt observes exactly the committed state at serial rv, which
-// is returned as the transaction's serial. A load that trips on a newer
-// writer unwinds the attempt and retries with a fresh rv. Store inside fn
-// panics; use Atomically for anything that writes.
-//
-// Snapshot transactions never publish the thread status word: they hold
-// nothing another transaction could wait on, so the doom protocol has no
-// business with them (nesting is guarded by the ro flag instead).
-func (th *Thread) ReadOnly(fn func(tx *Tx) error) (serial uint64, err error) {
-	if th.mark == nil {
-		panic("stm: Thread not obtained via TM.Thread")
-	}
-	if th.tx.ro || th.status.Load()&stateMask != stateIdle {
-		panic("stm: nested transaction on one Thread")
-	}
-	tx := &th.tx
-	for retries := 0; ; retries++ {
-		tx.ro = true
-		tx.rv = th.tm.serial.Load()
-		serial, err, again := th.runROAttempt(tx, fn)
-		if !again {
-			return serial, err
-		}
-		bump(&th.stats.SnapshotRetries)
-		if ma := th.tm.opt.MaxAttempts; ma > 0 && retries+1 >= ma {
-			return 0, ErrAborted
-		}
-		th.backoff(retries)
-	}
-}
-
-// runROAttempt executes fn once in snapshot mode. There is nothing to roll
-// back — snapshot attempts write nothing, shared or logged; the one defer
-// both catches the retry signal and clears the ro flag (ReadOnly re-arms it
-// per attempt), so the whole path costs a single deferred frame.
-func (th *Thread) runROAttempt(tx *Tx, fn func(tx *Tx) error) (serial uint64, err error, again bool) {
-	defer func() {
-		tx.ro = false
-		if r := recover(); r != nil {
-			if _, ok := r.(retrySignal); ok {
-				again = true
-				return
-			}
-			panic(r)
-		}
-	}()
-	if err = fn(tx); err != nil {
-		return 0, err, false
-	}
-	bump(&th.stats.Commits)
-	bump(&th.stats.SnapshotCommits)
-	return tx.rv, nil, false
-}
-
 // beginAttempt publishes a fresh attempt: bumping the attempt id invalidates
 // every mark-table entry and every doom CAS aimed at the previous attempt.
 // visible chooses the read protocol — tokens, or stamp validation against a
 // read serial sampled here. The caller's structure decides it, not a knob:
-// Thread.Atomically reads invisibly on a transaction's first attempt and
-// visibly on every retry; Group members always read visibly.
+// Atomically reads invisibly on a transaction's first attempt and visibly on
+// every retry, ReadOnly invisibly throughout, Group members always visibly.
 func (th *Thread) beginAttempt(tx *Tx, visible bool) {
 	th.attempt++
 	th.status.Store(th.attempt<<statusShift | stateActive)

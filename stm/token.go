@@ -19,68 +19,56 @@ import (
 // simulator (double-counting the upgrader's token) is pinned here by
 // TestUpgradeFoldsReadToken and the race stress suite.
 //
-// The first attempt of a Thread.Atomically reads invisibly instead: no
-// token, a stamp check against the attempt's read serial rv (readValidated),
-// the block logged, and the whole read log re-validated at commit. A token
-// read is two contended RMWs on a shared word; an invisible one is plain
-// loads. What that sells is that a first-attempt reader no longer holds
-// writers off and can be invalidated by one — once: every retry, and every
-// stm.Group member, reads visibly, so contention degrades to the paper's
-// protocol and its eldest-never-doomed progress argument.
+// The first attempt of a Thread.Atomically, and every attempt of a ReadOnly,
+// reads invisibly instead: no token, a stamp check against the attempt's
+// read serial rv (readValidated), the block logged, and the whole read log
+// re-validated at commit. A token read is two contended RMWs on a shared
+// word; an invisible one is plain loads. What that sells is that such a
+// reader no longer holds writers off and can be invalidated by one — once,
+// where it matters: every retry of an Atomically, and every stm.Group
+// member, reads visibly, so contention degrades to the paper's protocol and
+// its eldest-never-doomed progress argument.
 
 // Tx is one transaction attempt's view of a TM. Obtain it inside
 // Thread.Atomically or Thread.ReadOnly; it is invalid outside fn.
 type Tx struct {
 	th *Thread
-	ro bool // snapshot mode: no tokens, loads validated against rv
+	ro bool // Thread.ReadOnly: Store/LoadW panic, commit returns rv
 	// finished marks an attempt whose tokens are already returned (committed
 	// or aborted); Group recovery consults it so a member whose own retry()
 	// already rolled back is not double-aborted.
 	finished bool
-	// visible says this attempt's reads take tokens. Clear only on the first
-	// attempt of a Thread.Atomically, whose reads are stamp-validated against
-	// rv and logged without a token; writes claim tokens in both modes.
+	// visible says this attempt's reads take tokens. Clear on the first
+	// attempt of an Atomically and every attempt of a ReadOnly, whose reads are
+	// stamp-validated against rv and logged; writes claim tokens either way.
 	visible bool
-	rv      uint64 // read serial: snapshot mode and invisible attempts
+	rv      uint64 // read serial of an invisible attempt
 	logs    txLogs
 }
 
-// Load returns the word at a. In token mode it acquires a read token for
-// the block on first touch — or, on a first attempt, validates the block's
-// stamp against the attempt's read serial and logs it; conflicts with a
-// writer unwind the attempt via retrySignal. In snapshot mode it performs a
-// stamp-validated tokenless read instead.
+// Load returns the word at a. A visible attempt acquires a read token for
+// the block on first touch; an invisible one validates the block's stamp
+// against rv and logs it. A lost conflict unwinds the attempt (retrySignal).
 //
 //tokentm:allocfree
 func (tx *Tx) Load(a Addr) uint64 {
-	if tx.ro {
-		return tx.loadRO(a)
-	}
-	return tx.loadToken(a)
-}
-
-// loadToken is the single-word token-mode read; see load2Token.
-func (tx *Tx) loadToken(a Addr) uint64 {
 	v, _ := tx.load2Token(a, a)
 	return v
 }
 
 // Load2 returns the words at a1 and a2, which must lie in the same block —
 // the common "adjacent fields of one record" shape. It costs one token
-// acquisition (or one snapshot validation) instead of two Loads.
+// acquisition (or one stamp validation) instead of two Loads.
 //
 //tokentm:allocfree
 func (tx *Tx) Load2(a1, a2 Addr) (uint64, uint64) {
 	if uint32(a1)>>tx.th.tm.shift != uint32(a2)>>tx.th.tm.shift {
 		spanPanic(a1, a2)
 	}
-	if tx.ro {
-		return tx.loadRO2(a1, a2)
-	}
 	return tx.load2Token(a1, a2)
 }
 
-// load2Token is the token-mode Load/Load2 body. A write-held block is ours
+// load2Token is the Load/Load2 body. A write-held block is ours
 // to read in either mode. A visible attempt takes one read token on first
 // touch and reads freely after; an invisible one holds nothing, so every
 // read of the block is validated.
@@ -105,13 +93,13 @@ func (tx *Tx) load2Token(a1, a2 Addr) (uint64, uint64) {
 }
 
 // readValidated is the invisible read of block b (not write-held by this
-// attempt): loadRO2's protocol under the token-mode conflict policy. The
-// block must show no writer and a stamp at most rv, and still carry that
-// stamp writer-free after the data loads. A foreign writer is a conflict
-// like any other (spin, doom the younger, give up after spinLimit); a stamp
-// past rv asks extend to move rv forward, which aborts the attempt if any
-// logged read has been overwritten. The block is logged once, for
-// commitAttempt to re-validate, and takes no token.
+// attempt), the one tokenless transactional read. The block must show no
+// writer and a stamp at most rv, and still carry that stamp writer-free after
+// the data loads (unwritten). A foreign writer is a conflict like any other
+// (spin, doom the younger, give up after spinLimit); a stamp past rv asks
+// extend to move rv forward, which aborts the attempt if any logged read has
+// been overwritten. The block is logged once, for commitAttempt to
+// re-validate, and takes no token.
 func (tx *Tx) readValidated(b uint32, a1, a2 Addr) (uint64, uint64) {
 	th := tx.th
 	w := th.tm.metaw(b)
@@ -188,44 +176,6 @@ func spanPanic(a1, a2 Addr) {
 	panic(fmt.Sprintf("stm: Load2 addresses %d and %d span blocks", a1, a2))
 }
 
-// loadRO is the single-word snapshot read; see loadRO2 for the protocol.
-func (tx *Tx) loadRO(a Addr) uint64 {
-	v, _ := tx.loadRO2(a, a)
-	return v
-}
-
-// loadRO2 is the snapshot-mode read: accept the block iff its metastate
-// shows no writer and its writer-release stamp is at most rv, re-reading
-// the token word after the data loads for stability. Data words change only
-// between a write acquire (state WriteT) and the matching release (which
-// installs a fresh stamp), so a writer-free word that keeps its stamp
-// (unwritten) brackets stable data words. A writer mid-flight is waited out
-// — its stamp may still land at or under rv; a block stamped past rv means
-// the snapshot is stale and the attempt retries with a fresh rv.
-func (tx *Tx) loadRO2(a1, a2 Addr) (uint64, uint64) {
-	th := tx.th
-	w := th.tm.metaw(uint32(a1) >> th.tm.shift)
-	for spin := 0; ; spin++ {
-		w1 := metastate.PackedWord(w.Load())
-		if w1.Packed().State() == metastate.StateWriteT {
-			bump(&th.stats.ConflictWriter)
-			if spin >= spinLimit {
-				panic(retrySignal{})
-			}
-			spinWait(spin, &th.rng)
-			continue
-		}
-		if w1.Stamp() > tx.rv {
-			panic(retrySignal{}) // written after our snapshot
-		}
-		v1 := th.tm.dataw(a1).Load()
-		v2 := th.tm.dataw(a2).Load()
-		if unwritten(w1, metastate.PackedWord(w.Load())) {
-			return v1, v2
-		}
-	}
-}
-
 // Store writes v to a, acquiring all of the block's tokens on first write.
 // A block previously read by this transaction takes the upgrade path.
 //
@@ -299,11 +249,9 @@ func (tx *Tx) writeAcquire(b uint32) {
 func (tx *Tx) Stable(a Addr) uint64 {
 	th := tx.th
 	b := uint32(a) >> th.tm.shift
-	if !tx.ro {
-		// A read mark is a held token only if the attempt reads visibly.
-		if m := th.mark[b]; m>>markShift == th.attempt && (m&markWrite != 0 || tx.visible && m&markRead != 0) {
-			return th.tm.dataw(a).Load() // our own token (possibly mid-write)
-		}
+	// A read mark is a held token only if the attempt reads visibly.
+	if m := th.mark[b]; m>>markShift == th.attempt && (m&markWrite != 0 || tx.visible && m&markRead != 0) {
+		return th.tm.dataw(a).Load() // our own token (possibly mid-write)
 	}
 	w := th.tm.metaw(b)
 	for spin := 0; ; spin++ {
@@ -313,16 +261,13 @@ func (tx *Tx) Stable(a Addr) uint64 {
 			if spin >= spinLimit {
 				// Requester-side resolution, as in acquireRead: give up so
 				// any token we hold cannot deadlock against the writer.
-				if tx.ro {
-					panic(retrySignal{})
-				}
 				tx.retry(&th.stats.ConflictAborts)
 			}
 			spinWait(spin, &th.rng)
 			continue
 		}
 		v := th.tm.dataw(a).Load()
-		if metastate.PackedWord(w.Load()) == w1 {
+		if unwritten(w1, metastate.PackedWord(w.Load())) {
 			return v
 		}
 	}
@@ -338,9 +283,9 @@ func (tx *Tx) Stable(a Addr) uint64 {
 // yields, never parking). Must not be called from inside a transaction on
 // the same Thread that has written the block — the wait would spin on the
 // caller's own write token; the cold path panics on that misuse.
-// The body is split so the no-writer, no-retry common case stays within
-// the compiler's inlining budget: a kv store's probe loop then pays four
-// plain atomic loads per slot, not a function call.
+// The body is split so the common case is a loop-free first try (four plain
+// atomic loads), not so that it inlines: it does not (cost 251, budget 80).
+// One loop was measured and cost inproc-point's p50 3-8 % (EXPERIMENTS.md).
 //
 //tokentm:allocfree
 func (th *Thread) Snapshot2(a1, a2 Addr) (v1, v2, serial uint64) {
@@ -376,7 +321,7 @@ func (th *Thread) snapshot2Slow(a1, a2 Addr) (v1, v2, serial uint64) {
 		}
 		v1 = tm.dataw(a1).Load()
 		v2 = tm.dataw(a2).Load()
-		if metastate.PackedWord(w.Load()) == w1 {
+		if unwritten(w1, metastate.PackedWord(w.Load())) {
 			return v1, v2, w1.Stamp()
 		}
 	}
@@ -627,11 +572,14 @@ func (tx *Tx) retry(counter *atomic.Uint64) {
 // status word (failing if an elder doomed us at the last moment), draw the
 // commit serial while every token is still held — the serialization point —
 // then release all tokens, stamping the serial into every written block so
-// snapshot readers can place the writes relative to their read serial. An
+// tokenless readers can place the writes relative to their read serial. An
 // invisible attempt holds no read tokens, so it re-validates its read log in
 // between. The serial is drawn first, as in TL2: a writer that claims a
 // validated block afterwards then necessarily draws a larger one, which is
 // the order kvstore.ReplayJournals replays by.
+//
+// A read-only attempt draws and releases nothing: rv is its serialization
+// point (ReplayJournals sorts writers before readers at equal serial).
 //
 //tokentm:allocfree
 func (tx *Tx) commitAttempt() uint64 {
@@ -640,6 +588,12 @@ func (tx *Tx) commitAttempt() uint64 {
 		th.attempt<<statusShift|stateActive,
 		th.attempt<<statusShift|stateIdle) {
 		tx.retry(&th.stats.DoomedAborts)
+	}
+	if tx.ro {
+		tx.finished = true
+		bump(&th.stats.Commits)
+		bump(&th.stats.SnapshotCommits)
+		return tx.rv
 	}
 	serial := th.tm.nextSerial()
 	if !tx.visible && !tx.readsValid() {
@@ -654,7 +608,7 @@ func (tx *Tx) commitAttempt() uint64 {
 // abortAttempt rolls the attempt back: replay the undo log in reverse while
 // the write tokens are still held, then release every token. Written blocks
 // still get a fresh stamp — the restored bytes equal the pre-transaction
-// state, but a snapshot reader may have seen the block mid-write, and only
+// state, but a tokenless reader may have seen the block mid-write, and only
 // a stamp change tells it to re-read.
 //
 //tokentm:allocfree
@@ -706,7 +660,7 @@ func (tx *Tx) releaseAll(stamp uint64) {
 }
 
 // releaseWrite returns all T tokens of block b: (T,self) -> (0,-), stamping
-// the releasing transaction's serial into the word (the snapshot-mode
+// the releasing transaction's serial into the word (the tokenless readers'
 // visibility fence). No other thread can transition a writer-held word, so
 // the CAS succeeds first try; the loop guards the invariant.
 func (th *Thread) releaseWrite(b uint32, stamp uint64) {
