@@ -56,6 +56,40 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		}
 	}
 
+	// The guarded pair: n records from block 16 on, key b in word 0 of block
+	// b — a match binds the read, any other guard passes over the record.
+	// n = 32 spills the read log, and with it the write and undo logs.
+	for b := Addr(16); b < 48; b++ {
+		tm.StoreWord(b*words, uint64(b))
+	}
+	lookup2 := func(visible bool, n Addr) func() {
+		return func() {
+			th.beginAttempt(tx, visible)
+			for b := Addr(16); b < 16+n; b++ {
+				tx.Lookup2(b*words, b*words+1, uint64(b))
+				tx.Lookup2(b*words, b*words+1, 1)
+			}
+			if tx.logs.nRead != int(n) {
+				t.Fatalf("read log holds %d entries, want %d", tx.logs.nRead, n)
+			}
+			tx.commitAttempt()
+		}
+	}
+	upsert2 := func(visible bool, n Addr) func() {
+		return func() {
+			th.beginAttempt(tx, visible)
+			for b := Addr(16); b < 16+n; b++ {
+				if tx.Upsert2(b*words, b*words+1, 1, 7) || !tx.Upsert2(b*words, b*words+1, uint64(b), 7) {
+					t.Fatalf("Upsert2 on block %d claimed the wrong key", b)
+				}
+			}
+			if tx.logs.nWrite != int(n) {
+				t.Fatalf("write log holds %d entries, want %d", tx.logs.nWrite, n)
+			}
+			tx.commitAttempt()
+		}
+	}
+
 	// read32 reads 32 blocks, enough to spill the read log past its inline
 	// array. It has fn's signature so the ReadOnly row can pass it as is.
 	read32 := func(tx *Tx) error {
@@ -86,11 +120,12 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			tx.Store(a, 7)
 			tx.commitAttempt()
 		}},
-		{"Tx.Stable", func() {
-			th.beginAttempt(tx, true)
-			tx.Stable(a)
-			tx.commitAttempt()
-		}},
+		{"Tx.Lookup2", lookup2(true, 1)},
+		{"Tx.Lookup2/invisible", lookup2(false, 1)},
+		{"Tx.Lookup2/spilled-log", lookup2(false, 32)},
+		{"Tx.Upsert2", upsert2(true, 1)},
+		{"Tx.Upsert2/invisible", upsert2(false, 1)},
+		{"Tx.Upsert2/spilled-log", upsert2(false, 32)},
 		{"Tx.commitAttempt", func() {
 			th.beginAttempt(tx, true)
 			tx.Store(a, tx.Load(a)+1)

@@ -29,6 +29,9 @@ package stm
 // when the caller would rather surface ErrAborted than wait out a storm.
 type Group struct {
 	members []*Thread
+	// Reused by every Atomically, so a warm call allocates nothing.
+	gt      GroupTx
+	serials []uint64
 }
 
 // NewGroup builds a Group over the given member threads, one per TM. Every
@@ -49,7 +52,9 @@ func NewGroup(members ...*Thread) *Group {
 			}
 		}
 	}
-	return &Group{members: members}
+	g := &Group{members: members, serials: make([]uint64, len(members))}
+	g.gt.g = g
+	return g
 }
 
 // GroupTx is the per-attempt view handed to Group.Atomically's fn.
@@ -65,7 +70,9 @@ func (gt *GroupTx) Tx(i int) *Tx { return &gt.g.members[i].tx }
 // member: the commit serial drawn from that member's TM, or 0 for a member
 // whose shard the transaction never touched. All nonzero serials were drawn
 // while the group still held every token on every shard, so each is a true
-// serialization point within its own shard's commit order.
+// serialization point within its own shard's commit order. The slice is the
+// Group's own and valid until its next Atomically; a caller that keeps
+// serials longer copies them.
 func (g *Group) Atomically(fn func(gt *GroupTx) error) (serials []uint64, err error) {
 	for _, th := range g.members {
 		if th.status.Load()&stateMask != stateIdle {
@@ -77,18 +84,16 @@ func (g *Group) Atomically(fn func(gt *GroupTx) error) (serials []uint64, err er
 		th.tx.ro = false // a member may have last run Thread.ReadOnly
 	}
 	lead := g.members[0]
-	gt := &GroupTx{g: g}
-	serials = make([]uint64, len(g.members))
 	for retries := 0; ; retries++ {
 		for _, th := range g.members {
 			th.beginAttempt(&th.tx, true)
 		}
-		err, again := g.runAttempt(gt, fn, serials)
+		err, again := g.runAttempt(fn)
 		if !again {
 			if err != nil {
 				return nil, err
 			}
-			return serials, nil
+			return g.serials, nil
 		}
 		if ma := lead.tm.opt.MaxAttempts; ma > 0 && retries+1 >= ma {
 			return nil, ErrAborted
@@ -100,7 +105,7 @@ func (g *Group) Atomically(fn func(gt *GroupTx) error) (serials []uint64, err er
 // runAttempt executes fn once across the group, committing on success. The
 // recover mirrors Thread.runAttempt; the difference is that any unwind —
 // conflict, error, or caller panic — must roll back every member, not one.
-func (g *Group) runAttempt(gt *GroupTx, fn func(gt *GroupTx) error, serials []uint64) (err error, again bool) {
+func (g *Group) runAttempt(fn func(gt *GroupTx) error) (err error, again bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			g.abortAll()
@@ -111,11 +116,11 @@ func (g *Group) runAttempt(gt *GroupTx, fn func(gt *GroupTx) error, serials []ui
 			panic(r)
 		}
 	}()
-	if err = fn(gt); err != nil {
+	if err = fn(&g.gt); err != nil {
 		g.abortAll()
 		return err, false
 	}
-	return nil, !g.commitAll(serials)
+	return nil, !g.commitAll()
 }
 
 // commitAll is the cross-shard commit. Phase 1 closes the doom window on
@@ -125,7 +130,7 @@ func (g *Group) runAttempt(gt *GroupTx, fn func(gt *GroupTx) error, serials []ui
 // is the property that makes the per-shard serials jointly consistent.
 // Phase 3 releases everything, stamping each shard's written blocks with
 // that shard's serial.
-func (g *Group) commitAll(serials []uint64) bool {
+func (g *Group) commitAll() bool {
 	for _, th := range g.members {
 		if !th.status.CompareAndSwap(
 			th.attempt<<statusShift|stateActive,
@@ -137,13 +142,13 @@ func (g *Group) commitAll(serials []uint64) bool {
 	}
 	for i, th := range g.members {
 		if th.tx.logs.nRead > 0 || th.tx.logs.nWrite > 0 {
-			serials[i] = th.tm.nextSerial()
+			g.serials[i] = th.tm.nextSerial()
 		} else {
-			serials[i] = 0
+			g.serials[i] = 0
 		}
 	}
 	for i, th := range g.members {
-		th.tx.releaseAll(serials[i])
+		th.tx.releaseAll(g.serials[i])
 		th.tx.finished = true
 		bump(&th.stats.Commits)
 	}

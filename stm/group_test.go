@@ -188,3 +188,37 @@ func TestGroupTransferStress(t *testing.T) {
 		t.Error("no commits recorded on shard A")
 	}
 }
+
+// TestGroupAtomicallyAllocFree: the Group keeps its GroupTx and its serial
+// slice, so a warm transaction over four members — two of them touched —
+// allocates nothing. The slice handed back is that same storage each time.
+func TestGroupAtomicallyAllocFree(t *testing.T) {
+	members := make([]*Thread, 4)
+	for i := range members {
+		members[i] = New(8, 2, 1).Thread(0)
+	}
+	g := NewGroup(members...)
+	fn := func(gt *GroupTx) error {
+		a, b := gt.Tx(0), gt.Tx(2)
+		b.Store(0, a.Load(0)+b.LoadW(0)+1)
+		return nil
+	}
+	var first []uint64
+	run := func() {
+		serials, err := g.Atomically(fn)
+		if err != nil || serials[0] == 0 || serials[1] != 0 || serials[2] == 0 || serials[3] != 0 {
+			t.Fatalf("serials = %v, err = %v; want members 0 and 2 touched", serials, err)
+		}
+		if first == nil {
+			first = serials
+		} else if &first[0] != &serials[0] {
+			t.Fatal("Atomically returned fresh storage")
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	if n := testing.AllocsPerRun(100, run); n != 0 {
+		t.Errorf("Group.Atomically allocates %.0f times per call; want 0", n)
+	}
+}

@@ -72,3 +72,35 @@ func BenchmarkPointPut(b *testing.B) {
 		b.Run(n, func(b *testing.B) { benchOp(b, n, "point-put") })
 	}
 }
+
+// BenchmarkTxnLarge is the inproc-large transaction shape on one worker: 32
+// Gets, then a rewrite of 8 of the keys just read (an upgrade each on the
+// stm backend). It is cmd/tokentm-bench's kvstore.txn_large_ns, with uniform
+// keys where the benchmark draws zipf ones, and the rwmutex sub-benchmark is
+// the gap's denominator (kvstore.large_gap_ratio).
+func BenchmarkTxnLarge(b *testing.B) {
+	for _, n := range Backends {
+		b.Run(n, func(b *testing.B) {
+			h := benchStore(b, n)
+			var k uint64
+			fn := func(tx Tx) error {
+				var keys [32]uint64
+				var sum uint64
+				for j := range keys {
+					keys[j] = (k+uint64(j)*0x9E3779B1)%32768 + 1
+					v, _ := tx.Get(keys[j])
+					sum += v
+				}
+				for _, key := range keys[:8] {
+					tx.Put(key, sum)
+				}
+				return nil
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k += 0x85EBCA6B
+				h.Txn(false, fn)
+			}
+		})
+	}
+}

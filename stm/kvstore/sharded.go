@@ -139,7 +139,8 @@ type ShardedHandle struct {
 // TxnSerials runs fn as one atomic transaction across all shards and returns
 // one commit serial per shard: the serial drawn from that shard's clock, or
 // 0 for shards the transaction never touched. Same retry/error contract as
-// Handle.Txn (including ErrAborted under a MaxAttempts bound).
+// Handle.Txn (including ErrAborted under a MaxAttempts bound). The slice is
+// the handle's own, valid until its next transaction (stm.Group.Atomically).
 func (h *ShardedHandle) TxnSerials(readOnly bool, fn func(tx Tx) error) ([]uint64, error) {
 	h.fn = fn
 	h.tx.readOnly = readOnly

@@ -13,14 +13,15 @@ import (
 // protocol is for.
 //
 // The table is insert-only, so a committed key word is immutable: probing
-// PAST an occupied, non-matching slot is insensitive to serialization order
-// and uses tx.Stable (a validated committed read with no footprint). Only
-// the terminal slot — the match whose value we return or write, or the
-// empty slot that ends the chain — goes through the transactional read
-// (token, or stamp validation on an invisible attempt), and the decision is
-// re-made from that protected read. A
-// read-modify-write of a key the transaction already read takes the
-// read-to-write upgrade path: the token fold-in wherever the read took a
+// PAST an occupied, non-matching slot is insensitive to serialization order.
+// The key word is therefore the guard of stm.Tx.Lookup2 and stm.Tx.Upsert2,
+// which examine each probed slot once: a slot holding another key leaves no
+// footprint (no read token, no logged stamp another key's update could
+// invalidate), and the terminal slot — the match whose value is returned or
+// written, or the empty slot that ends the chain — is read or claimed under
+// the transaction's protocol (token, or stamp validation on an invisible
+// attempt). A read-modify-write of a key the transaction already read takes
+// the read-to-write upgrade path: the token fold-in wherever the read took a
 // token (retries, and every kvstore.Sharded transaction), a stamp-checked
 // fresh claim on a first attempt. The load generator's transfer mix
 // exercises both continuously.
@@ -166,29 +167,13 @@ func (t *stmTx) Get(key uint64) (uint64, bool) {
 		panic("kvstore: zero key is reserved")
 	}
 	h := hashKey(key) & t.st.mask
-	// Probe with Stable so crossed slots leave no footprint (no read token,
-	// no logged stamp another key's update could invalidate, read-only
-	// transactions included), then bind only the terminal slot.
 	for i := uint64(0); ; i++ {
 		slot := (h + i) & t.st.mask
-		switch t.itx.Stable(stm.Addr(2 * slot)) {
+		switch k, v := t.itx.Lookup2(stm.Addr(2*slot), stm.Addr(2*slot+1), key); k {
 		case key:
-			// Committed keys are immutable, so the match is final; the value
-			// mutates and needs the real read protocol. One token covers the
-			// slot's block.
-			return t.itx.Load(stm.Addr(2*slot + 1)), true
+			return v, true
 		case 0:
-			// Possible end of chain — an order-sensitive observation (an
-			// insert of this key here must conflict with us), so re-make it
-			// through the protected read.
-			switch k, v := t.itx.Load2(stm.Addr(2*slot), stm.Addr(2*slot+1)); k {
-			case 0:
-				return 0, false
-			case key:
-				return v, true
-			}
-			// A different key landed here between peek and protected read:
-			// the chain grew, keep probing.
+			return 0, false
 		}
 		if i == t.st.mask {
 			panic(fmt.Sprintf("kvstore: stm table full probing key %d", key))
@@ -206,23 +191,8 @@ func (t *stmTx) Put(key, val uint64) {
 	h := hashKey(key) & t.st.mask
 	for i := uint64(0); ; i++ {
 		slot := (h + i) & t.st.mask
-		if k := t.itx.Stable(stm.Addr(2 * slot)); k == key || k == 0 {
-			// Terminal candidate: claim the block's write tokens up front
-			// (one acquisition — or the upgrade fold-in when a Get in this
-			// transaction already read the slot) and re-make the decision
-			// from the protected read.
-			switch kk := t.itx.LoadW(stm.Addr(2 * slot)); kk {
-			case key:
-				t.itx.Store(stm.Addr(2*slot+1), val)
-				return
-			case 0:
-				t.itx.Store(stm.Addr(2*slot), key)
-				t.itx.Store(stm.Addr(2*slot+1), val)
-				return
-			}
-			// A different key claimed the slot between peek and write
-			// acquisition; the (rare) surplus write token is released with
-			// the transaction. Keep probing.
+		if t.itx.Upsert2(stm.Addr(2*slot), stm.Addr(2*slot+1), key, val) {
+			return
 		}
 		if i == t.st.mask {
 			panic(fmt.Sprintf("kvstore: stm table full inserting key %d", key))

@@ -7,8 +7,8 @@ import "errors"
 // Options fields: exactly one value of each is in use.
 const (
 	// spinLimit bounds how many CAS/conflict rounds one token acquisition
-	// (or one Stable wait) tries before the attempt aborts and
-	// retries from scratch — requester-side conflict resolution.
+	// (or one tokenless read's wait for a writer) tries before the attempt
+	// aborts and retries from scratch — requester-side conflict resolution.
 	spinLimit = 48
 
 	// upgradeSpinLimit is the much tighter bound for a read-to-write

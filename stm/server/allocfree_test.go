@@ -4,7 +4,7 @@ package server
 // warm-up. TestAllocFreeAnnotations pins the annotated helper set against
 // lint.AllocFreeFuncs (as in stm and stm/resp); TestServiceAllocFree drives
 // the real decode→dispatch→store→encode path end to end (minus the socket)
-// and measures zero allocations per served command.
+// and measures zero allocations per served command, MSET/MGET included.
 
 import (
 	"io"
@@ -101,12 +101,13 @@ func TestAllocFreeAnnotations(t *testing.T) {
 	}
 }
 
-// TestServiceAllocFree serves an endless pipelined GET/SET stream through
-// the full command loop body — frame decode, dispatch, store fast path,
-// reply encode — and demands zero allocations per served command once the
-// scratch buffers and store slots have warmed.
+// TestServiceAllocFree serves an endless pipelined stream of GET/SET and
+// MSET/MGET (a cross-shard stm.Group transaction each) through the full
+// command loop body — frame decode, dispatch, store, reply encode — and
+// demands zero allocations per served command once the scratch buffers and
+// store slots have warmed.
 func TestServiceAllocFree(t *testing.T) {
-	c := testConn(t, "SET 123 456\r\nGET 123\r\nSET 7001 1\r\nGET 99\r\n")
+	c := testConn(t, "SET 123 456\r\nGET 123\r\nSET 7001 1\r\nGET 99\r\nMSET 5 1 6 2 7 3\r\nMGET 5 6 7 8\r\n")
 	step := func() {
 		args, err := c.r.ReadCommand()
 		if err != nil {
@@ -120,6 +121,6 @@ func TestServiceAllocFree(t *testing.T) {
 		step()
 	}
 	if n := testing.AllocsPerRun(400, step); n != 0 {
-		t.Errorf("GET/SET service allocates %.2f times per command; want 0", n)
+		t.Errorf("service allocates %.2f times per command; want 0", n)
 	}
 }

@@ -289,14 +289,17 @@ func TestRetrySurfacedAndRolledBack(t *testing.T) {
 	// Park a writer holding b's tokens from a spare in-process worker slot
 	// (the two client slots are 0 and 1; the store was built with
 	// MaxConns=2 workers, so reuse slot 1 — this test only dials once).
+	// The EXEC's first conflict with it draws a birth ticket and dooms the
+	// ticketless holder, which finds out at its commit and runs fn again.
 	hold := make(chan struct{})
 	parked := make(chan struct{})
+	var parkOnce sync.Once
 	done := make(chan error, 1)
 	go func() {
 		h := srv.Store().Handle(1)
 		_, err := h.Txn(false, func(tx kvstore.Tx) error {
 			tx.Put(b, 99)
-			close(parked)
+			parkOnce.Do(func() { close(parked) })
 			<-hold
 			return nil
 		})

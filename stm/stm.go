@@ -48,6 +48,12 @@
 //
 // Thread.ReadOnly is not a separate protocol: it is that invisible attempt
 // with an empty write set, on every attempt, committing at rv.
+//
+// Tx.Lookup2 and Tx.Upsert2 are Load2 and Store for a record guarded by a
+// write-once key, the shape of a slot in an insert-only hash table. They
+// examine the record once: one holding another key is passed over with no
+// footprint — the one place a transaction reads outside the protocol, by the
+// caller's contract — and any other is read or claimed as above.
 package stm
 
 import (

@@ -21,7 +21,7 @@ import (
 //
 // The first attempt of a Thread.Atomically, and every attempt of a ReadOnly,
 // reads invisibly instead: no token, a stamp check against the attempt's
-// read serial rv (readValidated), the block logged, and the whole read log
+// read serial rv (read2), the block logged, and the whole read log
 // re-validated at commit. A token read is two contended RMWs on a shared
 // word; an invisible one is plain loads. What that sells is that such a
 // reader no longer holds writers off and can be invalidated by one — once,
@@ -52,7 +52,7 @@ type Tx struct {
 //
 //tokentm:allocfree
 func (tx *Tx) Load(a Addr) uint64 {
-	v, _ := tx.load2Token(a, a)
+	v, _ := tx.read2(a, a, 0, bindAlways)
 	return v
 }
 
@@ -65,43 +65,64 @@ func (tx *Tx) Load2(a1, a2 Addr) (uint64, uint64) {
 	if uint32(a1)>>tx.th.tm.shift != uint32(a2)>>tx.th.tm.shift {
 		spanPanic(a1, a2)
 	}
-	return tx.load2Token(a1, a2)
+	return tx.read2(a1, a2, 0, bindAlways)
 }
 
-// load2Token is the Load/Load2 body. A write-held block is ours
-// to read in either mode. A visible attempt takes one read token on first
-// touch and reads freely after; an invisible one holds nothing, so every
-// read of the block is validated.
-func (tx *Tx) load2Token(a1, a2 Addr) (uint64, uint64) {
+// Lookup2 is Load2 with a guard: it returns the words at a1 and a2 (one
+// block), and the read joins the footprint only if the guard word g at a1 is
+// guard or zero. Any other g comes back with no token, no log entry and no
+// stamp test, and v means nothing. The caller must guarantee that its
+// outcome is insensitive to concurrent commits to a block it passes over that
+// way — in practice that the guard word is write-once, like a hash-table key
+// in an insert-only table: once a committed probe sees it nonzero it is
+// immutable, so probing past it needs no conflict detection. A match and an
+// empty guard are order-sensitive observations and are bound like any Load2.
+// On a visible attempt the pair returned is the one re-read under the token,
+// so g can be a foreign key that won the slot in between: probe on.
+//
+//tokentm:allocfree
+func (tx *Tx) Lookup2(a1, a2 Addr, guard uint64) (g, v uint64) {
+	if uint32(a1)>>tx.th.tm.shift != uint32(a2)>>tx.th.tm.shift {
+		spanPanic(a1, a2)
+	}
+	return tx.read2(a1, a2, guard, bindMatch)
+}
+
+// What a read does with the pair it finds on a block the attempt holds no
+// token on.
+const (
+	bindAlways = iota // Load, Load2: the read joins the footprint
+	bindMatch         // Lookup2: unless the word at a1 is a key other than guard
+	bindNever         // Upsert2's peek: the claim that follows is the footprint
+)
+
+// read2 is the body of every transactional read. A block this attempt
+// holds a token on — a write mark, or a read mark on a visible attempt — is
+// its to read, and a visible attempt that is sure to bind takes its read
+// token at once (readByToken). Everything else is the one tokenless
+// transactional read, a seqlock pass over the block: it must show no writer,
+// and still carry the same stamp writer-free after the data loads
+// (unwritten). A foreign writer is a conflict like any other (spin, doom the
+// younger, give up after spinLimit). A pair that is not to be bound is
+// returned there: committed, with no footprint. Binding on a visible attempt
+// is readByToken. On an invisible one the stamp must be at most rv; a stamp
+// past rv asks extend to move rv forward, which aborts the attempt if any
+// logged read has been overwritten, and the pass goes round again so that its
+// second look at the token word follows the new rv. The block is logged once,
+// for commitAttempt to re-validate, and takes no token.
+func (tx *Tx) read2(a1, a2 Addr, guard uint64, bind int) (uint64, uint64) {
 	th := tx.th
 	b := uint32(a1) >> th.tm.shift
 	m := th.mark[b]
 	if m>>markShift != th.attempt {
 		m = 0
 	}
-	if m&markWrite == 0 {
-		if !tx.visible {
-			return tx.readValidated(b, a1, a2)
-		}
-		if m&markRead == 0 {
-			tx.acquireRead(b)
-			th.mark[b] = th.attempt<<markShift | markRead
-			tx.logs.appendRead(b)
-		}
+	switch {
+	case m&markWrite != 0 || tx.visible && m&markRead != 0:
+		return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
+	case tx.visible && bind == bindAlways:
+		return tx.readByToken(b, a1, a2)
 	}
-	return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
-}
-
-// readValidated is the invisible read of block b (not write-held by this
-// attempt), the one tokenless transactional read. The block must show no
-// writer and a stamp at most rv, and still carry that stamp writer-free after
-// the data loads (unwritten). A foreign writer is a conflict like any other
-// (spin, doom the younger, give up after spinLimit); a stamp past rv asks
-// extend to move rv forward, which aborts the attempt if any logged read has
-// been overwritten. The block is logged once, for commitAttempt to
-// re-validate, and takes no token.
-func (tx *Tx) readValidated(b uint32, a1, a2 Addr) (uint64, uint64) {
-	th := tx.th
 	w := th.tm.metaw(b)
 	for spin := 0; ; spin++ {
 		if th.doomed() {
@@ -112,20 +133,37 @@ func (tx *Tx) readValidated(b uint32, a1, a2 Addr) (uint64, uint64) {
 			tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
 			continue
 		}
-		if w1.Stamp() > tx.rv {
-			tx.extend() // on return rv covers w1: its stamp was drawn before we loaded it
-		}
 		v1 := th.tm.dataw(a1).Load()
 		v2 := th.tm.dataw(a2).Load()
 		if !unwritten(w1, metastate.PackedWord(w.Load())) {
 			continue
 		}
-		if m := th.mark[b]; m>>markShift != th.attempt || m&markRead == 0 {
+		if bind == bindNever || bind == bindMatch && v1 != guard && v1 != 0 {
+			return v1, v2
+		}
+		if tx.visible {
+			return tx.readByToken(b, a1, a2)
+		}
+		if w1.Stamp() > tx.rv {
+			tx.extend()
+			continue
+		}
+		if m&markRead == 0 {
 			th.mark[b] = th.attempt<<markShift | markRead
 			tx.logs.appendRead(b)
 		}
 		return v1, v2
 	}
+}
+
+// readByToken is the visible read of a block this attempt holds nothing on:
+// one read token, logged for releaseAll to return.
+func (tx *Tx) readByToken(b uint32, a1, a2 Addr) (uint64, uint64) {
+	th := tx.th
+	tx.acquireRead(b)
+	th.mark[b] = th.attempt<<markShift | markRead
+	tx.logs.appendRead(b)
+	return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
 }
 
 // unwritten reports whether block data read between two loads of its token
@@ -235,42 +273,42 @@ func (tx *Tx) writeAcquire(b uint32) {
 	}
 }
 
-// Stable returns the word at a WITHOUT recording it in the transaction's
-// footprint: a bounded-spin seqlock read that waits out any in-flight
-// writer and returns a committed value. The caller must guarantee that the
-// transaction's outcome is insensitive to concurrent commits changing the
-// word — in practice, that the word is write-once (like a hash-table key in
-// an insert-only table: once a committed probe sees it nonzero it is
-// immutable, so probing past it needs no conflict detection). Any decision
-// that IS order-sensitive — matching the key, observing an empty slot —
-// must be re-made through Load/LoadW/Load2 on the owning block.
+// Upsert2 is the claim-or-skip write of a guarded record — Thread.Upsert2
+// as one step of a transaction. If the guard word at a1 is k1 or zero it
+// installs k1 at a1 and v2 at a2 (one block) under the block's write tokens
+// and reports true. Any other guard value is a key some other transaction
+// committed there, under Lookup2's write-once contract: nothing is written
+// and the caller probes on. A committed foreign key is skipped on a peek,
+// with no token taken. Otherwise the decision is made again under the claim,
+// where the guard can turn out to hold a foreign key that won the slot in
+// between; the surplus claim is then released with the transaction.
 //
+//tokentm:writepath
 //tokentm:allocfree
-func (tx *Tx) Stable(a Addr) uint64 {
+func (tx *Tx) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool) {
 	th := tx.th
-	b := uint32(a) >> th.tm.shift
-	// A read mark is a held token only if the attempt reads visibly.
-	if m := th.mark[b]; m>>markShift == th.attempt && (m&markWrite != 0 || tx.visible && m&markRead != 0) {
-		return th.tm.dataw(a).Load() // our own token (possibly mid-write)
+	if tx.ro {
+		panic("stm: Upsert2 inside a read-only transaction")
 	}
-	w := th.tm.metaw(b)
-	for spin := 0; ; spin++ {
-		w1 := metastate.PackedWord(w.Load())
-		if w1.Packed().State() == metastate.StateWriteT {
-			bump(&th.stats.ConflictWriter)
-			if spin >= spinLimit {
-				// Requester-side resolution, as in acquireRead: give up so
-				// any token we hold cannot deadlock against the writer.
-				tx.retry(&th.stats.ConflictAborts)
-			}
-			spinWait(spin, &th.rng)
-			continue
-		}
-		v := th.tm.dataw(a).Load()
-		if unwritten(w1, metastate.PackedWord(w.Load())) {
-			return v
-		}
+	b := uint32(a1) >> th.tm.shift
+	if uint32(a2)>>th.tm.shift != b {
+		spanPanic(a1, a2)
 	}
+	if g, _ := tx.read2(a1, a2, 0, bindNever); g != k1 && g != 0 {
+		return false
+	}
+	tx.writeAcquire(b)
+	switch g := th.tm.dataw(a1).Load(); g {
+	case 0:
+		tx.logs.appendUndo(a1, 0)
+		th.tm.dataw(a1).Store(k1)
+	case k1:
+	default:
+		return false
+	}
+	tx.logs.appendUndo(a2, th.tm.dataw(a2).Load())
+	th.tm.dataw(a2).Store(v2)
+	return true
 }
 
 // Snapshot2 reads the words at a1 and a2 — which must lie in one block — at
@@ -529,7 +567,7 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
 			continue
 		}
 		if !tx.visible && old.Stamp() > tx.rv {
-			tx.extend() // on return rv covers old, as in readValidated
+			tx.extend() // on return rv covers old: its stamp was drawn before we loaded it
 		}
 		np, _ := metastate.Pack(metastate.WriteT(th.tid))
 		if w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
