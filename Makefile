@@ -35,9 +35,11 @@ lint:
 
 # Race-enabled proof that parallel sweeps share no mutable state between
 # simulated machines (harness worker pool + scheduler contract), plus the
-# host STM stress + serializability suite (stm/...).
+# host STM stress + serializability suite (stm/...). The explorer's chooser
+# runs on simulated-thread goroutines, so its short suite runs here too.
 race:
 	$(GO) test -race ./internal/harness ./internal/sim ./stm/...
+	$(GO) test -race -short ./internal/explore
 
 # Cycle-attribution breakdown sweep (Figures 7-9). BENCH_breakdown.json is
 # fully deterministic and CI `git diff --exit-code`s it after regeneration.

@@ -3,6 +3,7 @@ package tokentm
 import (
 	"fmt"
 	"io"
+	"slices"
 	"text/tabwriter"
 
 	"tokentm/internal/attr"
@@ -50,22 +51,27 @@ func RunWorkload(spec workload.Spec, v Variant, scale float64, seed int64) RunDe
 func runWorkload(spec workload.Spec, v Variant, scale float64, seed int64) (RunDetail, *System) {
 	sys := New(Config{Variant: v, Cores: evalCores, Seed: seed})
 	spec.Build(sys.M, evalCores, scale, seed)
-	cycles := sys.Run()
+	sys.Run()
+	return sys.detail(spec.Name, v), sys
+}
+
+// detail collects a finished run's observables.
+func (s *System) detail(workload string, v Variant) RunDetail {
 	d := RunDetail{
-		Workload:  spec.Name,
+		Workload:  workload,
 		Variant:   v,
-		Cycles:    cycles,
-		Commits:   sys.M.Commits,
-		Metrics:   *sys.HTM.Stats(),
-		Breakdown: sys.M.BreakdownTotal(),
-		CoreTimes: sys.M.CoreTimes(),
-		AbortRecs: sys.M.AbortRecs,
+		Cycles:    slices.Max(s.M.CoreTimes()),
+		Commits:   s.M.Commits,
+		Metrics:   *s.HTM.Stats(),
+		Breakdown: s.M.BreakdownTotal(),
+		CoreTimes: s.M.CoreTimes(),
+		AbortRecs: s.M.AbortRecs,
 	}
-	if tok := sys.TokenTM(); tok != nil {
+	if tok := s.TokenTM(); tok != nil {
 		d.FastCommits = tok.FastCommits
 		d.SlowCommits = tok.SlowCommits
 	}
-	return d, sys
+	return d
 }
 
 // ExperimentRun is the harness.RunFunc behind every sweep: it executes one

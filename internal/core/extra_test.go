@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"tokentm/internal/htm"
 	"tokentm/internal/mem"
 	"tokentm/internal/metastate"
 )
@@ -90,6 +91,42 @@ func TestReleasePostSwitchRPlusPool(t *testing.T) {
 	r.check()
 	if got := r.tok.probe(blkA.Block()); got.sum != 0 {
 		t.Fatalf("leaked tokens: %d", got.sum)
+	}
+}
+
+// TestReleaseRPrimeUnderRPlus: an R' bit under R+ is an anonymous token.
+// Two readers share a line as an anonymous pair; a context switch turns the
+// running reader's R into R'. Releasing the other reader first must leave
+// the R' token anonymous (R+ kept), so the owner's release finds it and the
+// line ends empty instead of as a token owned by TID 0.
+func TestReleaseRPrimeUnderRPlus(t *testing.T) {
+	r := newRig(t, 1)
+	a := r.thread(0)
+	b := r.thread(0) // same core
+
+	r.begin(a, 1)
+	if _, acc := r.load(a, blkA); acc.Outcome != htm.OK {
+		t.Fatalf("a read: %+v", acc)
+	}
+	r.tok.ContextSwitch(0, a, b)
+	r.begin(b, 2)
+	if _, acc := r.load(b, blkA); acc.Outcome != htm.OK { // rule (ii): {R R+ attr=1}
+		t.Fatalf("b read: %+v", acc)
+	}
+	r.tok.ContextSwitch(0, b, a) // b's R becomes R': {R' R+ attr=1}
+	line := r.ms.LineAt(0, blkA.Block())
+	if line == nil || !line.Meta.Rp || !line.Meta.RPlus || line.Meta.Attr != 1 {
+		t.Fatalf("post-switch state: %v", line)
+	}
+	r.check()
+
+	r.commit(a) // the other reader releases first
+	r.check()
+	r.tok.ContextSwitch(0, a, b)
+	r.commit(b) // then the owner of the R' token
+	r.check()
+	if line := r.ms.LineAt(0, blkA.Block()); line == nil || line.Meta != metastate.L1Zero {
+		t.Fatalf("line ends as %v, want %v", line, metastate.L1Zero)
 	}
 }
 

@@ -670,10 +670,16 @@ func (t *TokenTM) releaseBlock(th *htm.Thread, b mem.BlockAddr, total uint32) {
 				take = uint32(line.Meta.Attr)
 			}
 			line.Meta.Attr -= uint16(take)
-			if line.Meta.Attr == 0 {
+			remaining -= take
+			// An R' bit under R+ is one more anonymous token (Logical
+			// counts it); R+ may go only once no anonymous token is left.
+			if remaining > 0 && line.Meta.Rp {
+				line.Meta.Rp = false
+				remaining--
+			}
+			if line.Meta.Attr == 0 && !line.Meta.Rp {
 				line.Meta.RPlus = false
 			}
-			remaining -= take
 		}
 	}
 	if remaining > 0 {

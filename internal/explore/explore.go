@@ -158,7 +158,7 @@ func exploreDFS(prog *Program, opts Options, res *Result) {
 			preempts:  opts.Preempts,
 			bounces:   opts.Bounces,
 			checkStep: true,
-		}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, st *runState) (Decision, bool) {
+		}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) (Decision, bool) {
 			i := dec
 			dec++
 			if i < forced {
@@ -173,7 +173,7 @@ func exploreDFS(prog *Program, opts Options, res *Result) {
 				if branchLeft <= 0 {
 					// Past the branching prefix: extend with the
 					// default schedule, introducing no new frames.
-					return Decision{Kind: DecRun, Core: sim.MinTimeCore(choices)}, true
+					return Decision{Kind: DecRun, Core: def}, true
 				}
 			}
 			key := stateKey{fp: m.Fingerprint(), preempts: st.PreemptsLeft, bounces: st.BouncesLeft, branch: branchLeft}
@@ -182,7 +182,7 @@ func exploreDFS(prog *Program, opts Options, res *Result) {
 				return Decision{}, false
 			}
 			seen[key] = struct{}{}
-			alts := enumerate(m, tok, choices, st)
+			alts := enumerate(m, tok, choices, def, st)
 			stack = append(stack, node{alts: alts})
 			return alts[0], true
 		})
@@ -237,9 +237,9 @@ func exploreSwarm(prog *Program, opts Options, res *Result) {
 			preempts:  opts.Preempts,
 			bounces:   opts.Bounces,
 			checkStep: true,
-		}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, st *runState) (Decision, bool) {
+		}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) (Decision, bool) {
 			seen[stateKey{fp: m.Fingerprint(), preempts: st.PreemptsLeft, bounces: st.BouncesLeft}] = struct{}{}
-			alts := enumerate(m, tok, choices, st)
+			alts := enumerate(m, tok, choices, def, st)
 			return alts[rng.Intn(len(alts))], true
 		})
 		accumulate(res, &rr)
@@ -276,8 +276,7 @@ func accumulate(res *Result, rr *runResult) {
 // enumerate lists the decisions available at a decision point, default
 // schedule first: the min-time core's run, the other runnable cores in core
 // order, then adversary preemptions and the page bounce under budget.
-func enumerate(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, st *runState) []Decision {
-	def := sim.MinTimeCore(choices)
+func enumerate(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) []Decision {
 	alts := make([]Decision, 0, 2*len(choices)+1)
 	alts = append(alts, Decision{Kind: DecRun, Core: def})
 	for _, c := range choices {

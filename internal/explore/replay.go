@@ -1,6 +1,9 @@
 package explore
 
 import (
+	"fmt"
+	"slices"
+
 	"tokentm/internal/core"
 	"tokentm/internal/htm"
 	"tokentm/internal/mem"
@@ -24,7 +27,9 @@ type ReplayResult struct {
 // schedule past the end of the recorded prefix. Because execution is
 // deterministic given the decision sequence, replaying a counterexample
 // reproduces its violation exactly; a non-nil tracer captures the protocol
-// event stream for diagnosis.
+// event stream for diagnosis. A forced decision that its decision point does
+// not offer (a core that cannot run or be preempted, a bounce on a LogTM-SE
+// variant) is an error, not a violation.
 func Replay(prog *Program, variant string, mut core.Mutation, schedule string, seed int64, maxSteps int, tr *trace.Tracer) (*ReplayResult, error) {
 	ds, err := ParseSchedule(schedule)
 	if err != nil {
@@ -34,6 +39,7 @@ func Replay(prog *Program, variant string, mut core.Mutation, schedule string, s
 		maxSteps = DefaultOptions(variant).MaxSteps
 	}
 	i := 0
+	var bad error
 	rr := runSchedule(prog, variant, mut, runOpts{
 		seed:     seed,
 		maxSteps: maxSteps,
@@ -43,14 +49,21 @@ func Replay(prog *Program, variant string, mut core.Mutation, schedule string, s
 		bounces:   len(ds),
 		checkStep: true,
 		tracer:    tr,
-	}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, st *runState) (Decision, bool) {
-		if i < len(ds) {
-			d := ds[i]
-			i++
-			return d, true
+	}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) (Decision, bool) {
+		if i == len(ds) {
+			return Decision{Kind: DecRun, Core: def}, true
 		}
-		return Decision{Kind: DecRun, Core: sim.MinTimeCore(choices)}, true
+		d := ds[i]
+		if alts := enumerate(m, tok, choices, def, st); !slices.Contains(alts, d) {
+			bad = fmt.Errorf("explore: schedule decision %d (%v) is not offered; the alternatives are %v", i, d, alts)
+			return Decision{}, false
+		}
+		i++
+		return d, true
 	})
+	if bad != nil {
+		return nil, bad
+	}
 	return &ReplayResult{
 		Schedule:    FormatSchedule(rr.schedule),
 		Steps:       rr.steps,

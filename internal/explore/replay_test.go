@@ -2,6 +2,7 @@ package explore
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"tokentm/internal/core"
@@ -78,6 +79,30 @@ func TestReplayByteIdentical(t *testing.T) {
 		if len(a.Commits) != prog.Txns() {
 			t.Fatalf("%s: %d commit records for %d transactions", variant, len(a.Commits), prog.Txns())
 		}
+	}
+}
+
+// TestReplayRejectsUnofferedDecisions: a forced decision its decision point
+// does not offer is a malformed schedule, reported as an error — not run,
+// and not reported as a protocol violation.
+func TestReplayRejectsUnofferedDecisions(t *testing.T) {
+	for _, c := range []struct {
+		name, variant, schedule string
+	}{
+		{"no such core", "TokenTM", "R0.R7"},
+		{"no such preempt", "TokenTM", "R0.P9"},
+		{"core with nothing to run", "TokenTM", strings.Repeat("R1.", 12) + "R1"},
+		{"bounce without tokens", "LogTM-SE_Perf", "R0.B"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rr, err := Replay(ProgramByName("writer-reread"), c.variant, core.MutNone, c.schedule, 0, 0, nil)
+			if err == nil {
+				t.Fatalf("replay of %q accepted: %+v", c.schedule, rr.Violation)
+			}
+			if !strings.Contains(err.Error(), "not offered") {
+				t.Fatalf("error %q does not name the unoffered decision", err)
+			}
+		})
 	}
 }
 

@@ -34,18 +34,17 @@ type Violation struct {
 	Schedule string `json:"schedule"`
 }
 
-// runState is the mutable budget/progress view the chooser sees at each
-// decision point.
+// runState is the adversary budget the chooser sees at each decision point.
 type runState struct {
-	Steps        int
 	PreemptsLeft int
 	BouncesLeft  int
 }
 
-// chooser picks the decision at each decision point. Returning ok=false
-// abandons the run (the explorer uses this when fingerprint pruning proves
-// the continuation was already explored).
-type chooser func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, st *runState) (Decision, bool)
+// chooser picks the decision at each decision point; def is the core the
+// default min-time schedule would run. Returning ok=false abandons the run
+// (the explorer uses this when fingerprint pruning proves the continuation
+// was already explored).
+type chooser func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) (Decision, bool)
 
 // runOpts parameterizes one schedule execution.
 type runOpts struct {
@@ -79,7 +78,9 @@ type journalEntry struct {
 }
 
 // runSchedule executes prog on a fresh machine, consulting choose at every
-// decision point and checking invariants after every step and at the end.
+// decision point and checking invariants after every decision and at the
+// end. The machine's chooser is the loop over decision points: adversary
+// decisions are applied in place, and a run decision answers the machine.
 func runSchedule(prog *Program, variant string, mut core.Mutation, o runOpts, choose chooser) runResult {
 	// The quantum matters on multi-thread cores: without it a preempted
 	// transaction never reruns (min-time scheduling never rotates a busy
@@ -96,7 +97,7 @@ func runSchedule(prog *Program, variant string, mut core.Mutation, o runOpts, ch
 	}
 	journals := spawnProgram(m, prog)
 	// Unwind any threads still parked on their grant channels when the run
-	// is abandoned mid-schedule, so pruned executions leak no goroutines.
+	// stops mid-schedule, so pruned executions leak no goroutines.
 	defer m.Kill()
 
 	res := runResult{}
@@ -104,37 +105,58 @@ func runSchedule(prog *Program, variant string, mut core.Mutation, o runOpts, ch
 	vio := func(kind, msg string) *Violation {
 		return &Violation{Kind: kind, Message: msg, Step: len(res.schedule), Schedule: FormatSchedule(res.schedule)}
 	}
-	for m.Live() > 0 {
-		if res.steps >= o.maxSteps {
-			res.violation = vio("livelock", fmt.Sprintf(
-				"no termination within %d steps (retry limit %d)", o.maxSteps, retryLimit))
-			return res
-		}
-		choices := m.RunnableCores()
-		if len(choices) == 0 {
-			res.violation = vio("deadlock", m.DeadlockReport().Error())
-			return res
-		}
-		d, ok := choose(m, tok, choices, st)
-		if !ok {
-			res.abandoned = true
-			return res
-		}
-		res.schedule = append(res.schedule, d)
-		if err := applyDecision(m, tok, prog, d, st, &res); err != nil {
-			kind := "crash"
-			if _, isDeadlock := err.(*sim.DeadlockError); isDeadlock {
-				kind = "deadlock"
-			}
-			res.violation = vio(kind, err.Error())
-			return res
-		}
+	// balanced audits the books after a decision, recording a violation
+	// when they do not balance.
+	balanced := func() bool {
 		if o.checkStep && tok != nil {
 			if err := tok.CheckBookkeeping(); err != nil {
 				res.violation = vio("bookkeeping", err.Error())
-				return res
+				return false
 			}
 		}
+		return true
+	}
+	err := runGuarded(m, func(choices []sim.CoreChoice, def int) (int, bool) {
+		// Every decision before this point has been applied, the last one
+		// a run whose turn just ended.
+		if len(res.schedule) > 0 && !balanced() {
+			return 0, false
+		}
+		for {
+			if res.steps >= o.maxSteps {
+				res.violation = vio("livelock", fmt.Sprintf(
+					"no termination within %d steps (retry limit %d)", o.maxSteps, retryLimit))
+				return 0, false
+			}
+			d, ok := choose(m, tok, choices, def, st)
+			if !ok {
+				res.abandoned = true
+				return 0, false
+			}
+			res.schedule = append(res.schedule, d)
+			if d.Kind == DecRun {
+				res.steps++
+				return d.Core, true
+			}
+			if err := applyAdversary(m, tok, prog, d, st); err != nil {
+				res.violation = vio("crash", err.Error())
+				return 0, false
+			}
+			if !balanced() {
+				return 0, false
+			}
+		}
+	})
+	if err != nil {
+		kind := "crash"
+		if _, isDeadlock := err.(*sim.DeadlockError); isDeadlock {
+			kind = "deadlock"
+		}
+		res.violation = vio(kind, err.Error())
+		return res
+	}
+	if res.violation != nil || res.abandoned || !balanced() {
+		return res
 	}
 	res.fingerprint = m.Fingerprint()
 	res.commits = append([]htm.CommitRecord(nil), m.Commits...)
@@ -147,10 +169,10 @@ func runSchedule(prog *Program, variant string, mut core.Mutation, o runOpts, ch
 	return res
 }
 
-// applyDecision performs one decision, converting any panic out of the
-// machine (deadlock, protocol self-checks, mutation fallout) into an error
-// so the explorer records it as a counterexample instead of dying.
-func applyDecision(m *sim.Machine, tok *core.TokenTM, prog *Program, d Decision, st *runState, res *runResult) (err error) {
+// runGuarded runs the machine under choose, converting any panic out of it
+// (deadlock, protocol self-checks, mutation fallout) into an error so the
+// explorer records it as a counterexample instead of dying.
+func runGuarded(m *sim.Machine, choose func([]sim.CoreChoice, int) (int, bool)) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			switch e := r.(type) {
@@ -161,34 +183,23 @@ func applyDecision(m *sim.Machine, tok *core.TokenTM, prog *Program, d Decision,
 			}
 		}
 	}()
-	switch d.Kind {
-	case DecRun:
-		m.StepOn(d.Core)
-		res.steps++
-		st.Steps++
-	case DecPreempt:
-		if st.PreemptsLeft <= 0 {
-			return fmt.Errorf("explore: preemption budget exhausted")
-		}
-		if !m.Preempt(d.Core) {
-			return fmt.Errorf("explore: preempt on core %d is a no-op", d.Core)
-		}
+	m.RunChoosing(choose)
+	return nil
+}
+
+// applyAdversary applies a preempt or bounce decision in place, between
+// turns. d is one of enumerate's alternatives, so it is within budget and
+// changes the machine.
+func applyAdversary(m *sim.Machine, tok *core.TokenTM, prog *Program, d Decision, st *runState) error {
+	if d.Kind == DecPreempt {
+		m.Preempt(d.Core)
 		st.PreemptsLeft--
-	case DecBounce:
-		if st.BouncesLeft <= 0 {
-			return fmt.Errorf("explore: bounce budget exhausted")
-		}
-		if tok == nil {
-			return fmt.Errorf("explore: page bounce requires a TokenTM variant")
-		}
-		sp := tok.PageOut(prog.Page())
-		if e := tok.PageIn(sp); e != nil {
-			return fmt.Errorf("page-in after bounce: %w", e)
-		}
-		st.BouncesLeft--
-	default:
-		return fmt.Errorf("explore: unknown decision kind %d", d.Kind)
+		return nil
 	}
+	if err := tok.PageIn(tok.PageOut(prog.Page())); err != nil {
+		return fmt.Errorf("page-in after bounce: %w", err)
+	}
+	st.BouncesLeft--
 	return nil
 }
 

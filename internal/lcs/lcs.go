@@ -119,6 +119,13 @@ type Report struct {
 
 // Run executes the model under the probe layer and reports its Table 1 row.
 func Run(m Model, seed int64) Report {
+	rep, _ := Simulate(m, seed)
+	return rep
+}
+
+// Simulate is Run that also returns the finished machine, for audits of its
+// schedule and books.
+func Simulate(m Model, seed int64) (Report, *sim.Machine) {
 	mach := sim.New(sim.Config{Cores: m.Cores, Seed: seed, Quantum: 2 * CyclesPerMs, RetryLimit: 8})
 	mach.SetHTM(core.New(mach.Mem, mach.Store))
 
@@ -175,7 +182,7 @@ func Run(m Model, seed int64) Report {
 	if totalTime > 0 {
 		rep.PctTime = 100 * float64(sum) / totalTime
 	}
-	return rep
+	return rep, mach
 }
 
 // Table1 runs all four models and returns their rows in the paper's order.

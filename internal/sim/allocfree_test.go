@@ -21,7 +21,6 @@ func TestAllocFreeAnnotations(t *testing.T) {
 	m := New(Config{Cores: 2})
 	// A bare Ctx rig: charge only needs the thread's machine and core.
 	tc := &Ctx{th: &Thread{m: m, core: m.cores[0]}}
-	pickChoices := []CoreChoice{{Core: 0, ReadyAt: 9}, {Core: 1, ReadyAt: 3}}
 
 	entries := []struct {
 		name string
@@ -39,11 +38,6 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			tc.charge(attr.Useful, 3)
 			tc.charge(attr.Commit, 1) // not in-attempt: direct even with a frame
 			tc.pend = nil
-		}},
-		{"MinTimeCore", func() {
-			if got := MinTimeCore(pickChoices); got != 1 {
-				panic("MinTimeCore picked the wrong core")
-			}
 		}},
 		{"Machine.refreshReady", func() {
 			m.refreshReady(m.cores[0])

@@ -42,9 +42,9 @@ type Ctx struct {
 // abortSignal unwinds a transaction body back to Atomic on abort.
 type abortSignal struct{}
 
-// Now returns the thread's core-local clock, including local work the event
-// engine has deferred but not yet applied (so time never appears to run
-// backwards across a Work call).
+// Now returns the thread's core-local clock, including local work Work has
+// deferred but not yet applied (so time never appears to run backwards
+// across a Work call).
 func (tc *Ctx) Now() mem.Cycle { return tc.th.core.time + tc.th.deferred }
 
 // Core returns the core the thread runs on.
@@ -86,26 +86,26 @@ func (tc *Ctx) abortAttempt(prev *attr.Breakdown) mem.Cycle {
 	return wasted
 }
 
-// workFlushThreshold bounds how much local work the event engine defers
-// before forcing a scheduling point. Deferral is invisible to thread bodies
-// that communicate only through simulated memory, but a body spinning on
-// plain Go state written by another simulated thread (say, waiting for a
-// setup thread) needs Work to eventually yield the machine, as it always
-// did under the legacy engine. The threshold is far
+// workFlushThreshold bounds how much local work Ctx.Work defers before
+// forcing a scheduling point. Deferral is invisible to thread bodies that
+// communicate only through simulated memory, but a body spinning on plain Go
+// state written by another simulated thread (say, waiting for a setup
+// thread) needs Work to eventually yield the machine. The threshold is far
 // above any Work run the workloads perform between shared operations, so
 // the forced flush never fires on the benchmark grid.
 const workFlushThreshold mem.Cycle = 1 << 16
 
-// Work advances the thread's clock by n cycles of local computation. Under
-// the event engine the clock advance is deferred to the next shared operation
-// (it cannot affect any other thread until then), saving a scheduling turn;
-// the legacy engine yields immediately.
+// Work advances the thread's clock by n cycles of local computation. When
+// nothing observes turn boundaries — no quantum and no chooser — the clock
+// advance is deferred to the next shared operation (it cannot affect any
+// other thread until then), saving a scheduling turn; otherwise Work takes
+// its own turn (events.go).
 func (tc *Ctx) Work(n mem.Cycle) {
 	if n == 0 {
 		return
 	}
 	tc.charge(attr.Useful, n)
-	if tc.th.m.eventMode {
+	if m := tc.th.m; m.cfg.Quantum == 0 && m.choose == nil {
 		tc.th.deferred += n
 		if tc.th.deferred >= workFlushThreshold {
 			tc.th.flushWork()

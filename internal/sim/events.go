@@ -1,42 +1,98 @@
 package sim
 
 import (
+	"fmt"
+
 	"tokentm/internal/attr"
 	"tokentm/internal/mem"
 )
 
-// The event-driven scheduler: the default engine behind Machine.Run.
+// The scheduler. There is one engine; Run and RunChoosing both use it.
 //
-// The legacy engine (StepOn) advances the machine one thread turn at a time
-// from a central scheduler goroutine: every turn pays a full channel round
-// trip (scheduler -> thread -> scheduler) plus an O(cores) rescan of every
-// core's ready time. The event engine keeps the exact same schedule — the
-// min-(ready time, core id) order the package comment documents — but turns
-// the scheduler inside out:
+// Every core caches its next event time (readyKeys, maintained incrementally
+// by refreshReady at the few points it can change), so picking the next turn
+// — the min-(ready time, core id) order the package comment documents — is a
+// scan of one flat slice, not a rescan of every core's queues. The scheduler
+// runs *on the yielding thread's goroutine*: after a thread finishes a timed
+// operation it settles its own result, picks the next core, fast-forwards
+// and dispatches it, and hands the baton directly to that thread's goroutine
+// — one channel handoff per cross-core turn, and none when the next turn is
+// its own. A chooser (RunChoosing) is asked before every turn, with the
+// cached min-time pick as its default.
 //
-//   - Each core caches its next event time (coreState.ready, maintained
-//     incrementally at the few points it can change) instead of being
-//     rescanned from its queues every turn.
-//   - The scheduler runs *on the yielding thread's goroutine*: after a thread
-//     finishes a timed operation it settles its own result, picks the next
-//     core, fast-forwards/dispatches it, and hands the "baton" directly to
-//     that thread's goroutine — one channel handoff per cross-core turn
-//     instead of two, and zero handoffs when the next turn is its own.
-//   - Purely local computation (Ctx.Work) is deferred: it charges its attr
-//     bucket immediately but advances the core clock lazily at the next
-//     shared operation (Thread.flushWork), eliminating the scheduling turn
-//     the legacy engine spends on every Work call. This cannot reorder any
-//     shared-state access: Work touches no shared state, and the following
-//     operation still waits until its (now later) ready time is the global
-//     minimum, which is exactly where the legacy schedule would have run it.
+// Work deferral. Purely local computation (Ctx.Work) charges its attr
+// bucket immediately but, when nothing observes turn boundaries, advances
+// the core clock lazily at the next shared operation (Thread.flushWork),
+// saving the scheduling turn a Work call would otherwise take. This cannot
+// reorder any shared-state access: Work touches no shared state, and the
+// following operation still waits until its (now later) ready time is the
+// global minimum, which is exactly where the undeferred schedule runs it.
+// Two things do observe turn boundaries, so Work yields every time under
+// either: a quantum (Quantum > 0), whose expiry is checked at the start of a
+// turn, and a chooser, which is asked before every turn.
 //
-// Equivalence with the legacy engine is enforced by the root package's
-// TestPerTurnLoopMatchesEventEngine (a sampled workload x variant grid =>
-// deep-equal metrics, commit/abort journals, attribution breakdowns and core
-// clocks), by TestSchedulerGoldens over the full grid, and by the harness
-// byte-identity gates. Machines that need preemptive time slicing
-// (Quantum > 0) fall back to the legacy engine; the schedule explorer keeps
-// driving StepOn directly.
+// That Work deferral and the cached pick keep the schedule is checked by
+// the root package's TestPerTurnLoopMatchesEventEngine (Run against
+// RunChoosing returning def, deep-equal observables on a sampled grid), and
+// the schedule itself by TestSchedulerGoldens over the full grid,
+// preemptive machines included.
+
+// CoreChoice is one schedulable core: the core id and the cycle at which it
+// could next run a thread (its clock, or the earliest ready/wake time of a
+// queued thread if the core is currently idle).
+type CoreChoice struct {
+	Core    int
+	ReadyAt mem.Cycle
+}
+
+// stopSignal is RunChoosing's terminal signal when the chooser stops the run.
+type stopSignal struct{}
+
+// RunChoosing is Run with a chooser asked before every turn. choose gets the
+// runnable cores (RunnableCores) and def, the core the default min-(ready,
+// id) schedule would run, and returns the core to run next; it may change
+// the machine in place before answering (Preempt, say). Returning ok=false
+// stops the run, and after that the only thing a caller may do with the
+// machine is Kill. choose runs on whichever goroutine holds the turn — the
+// caller's for the first turn, a simulated thread's after that — never on
+// two at once. A nil choose runs the default schedule.
+func (m *Machine) RunChoosing(choose func(choices []CoreChoice, def int) (core int, ok bool)) mem.Cycle {
+	if m.HTM == nil {
+		panic("sim: SetHTM before Run")
+	}
+	m.choose = choose
+	m.done = make(chan any, 1)
+	for _, c := range m.cores {
+		m.refreshReady(c)
+	}
+	m.advance(nil, true)
+	if v := <-m.done; v != nil {
+		if _, stop := v.(stopSignal); !stop {
+			// A thread goroutine panicked (protocol invariant, user bug,
+			// deadlock mid-run): re-panic on the caller's goroutine.
+			panic(v)
+		}
+	}
+	var makespan mem.Cycle
+	for _, c := range m.cores {
+		if c.time > makespan {
+			makespan = c.time
+		}
+	}
+	return makespan
+}
+
+// yield ends the thread's turn: it settles the turn's result on the thread's
+// own goroutine, then advances the machine.
+func (th *Thread) yield(r opResult) {
+	th.flushWork()
+	m := th.m
+	c := th.core
+	c.time += r.lat
+	m.settle(c, th, r)
+	m.refreshReady(c)
+	m.advance(th, r.finished)
+}
 
 // flushWork advances the core clock over work deferred by Ctx.Work and lets
 // every earlier-scheduled core run before the caller's next shared operation.
@@ -52,41 +108,30 @@ func (th *Thread) flushWork() {
 	c.time += th.deferred
 	th.deferred = 0
 	m.refreshReady(c)
-	m.advanceEvent(th, false)
+	m.advance(th, false)
 }
 
-// yieldEvent is the event-engine counterpart of the legacy grant/res
-// handshake: settle the thread's own result, then advance the machine.
-func (m *Machine) yieldEvent(th *Thread, r opResult) {
-	th.flushWork()
-	c := th.core
-	c.time += r.lat
-	m.settle(c, th, r)
-	m.refreshReady(c)
-	m.advanceEvent(th, r.finished)
-}
-
-// advanceEvent picks the next core in min-(ready, id) order, dispatches it,
-// and passes the baton. When the next turn belongs to the calling thread it
-// simply returns — the caller keeps running with no goroutine switch. When
-// the caller has finished, the baton is passed and the caller's goroutine
-// unwinds without parking.
-func (m *Machine) advanceEvent(prev *Thread, finished bool) {
+// advance picks the next turn, dispatches its core, and passes the baton.
+// When the next turn belongs to prev it simply returns — the caller keeps
+// running with no goroutine switch. When prev has finished (or is nil, at
+// the start of a run) the baton is passed and the caller unwinds without
+// parking. When the chooser stops the run, prev parks until Kill.
+func (m *Machine) advance(prev *Thread, finished bool) {
 	if m.live == 0 {
 		m.done <- nil
 		return
 	}
-	c := m.pickReadyCore()
-	if c == nil {
-		m.deadlock()
+	if c := m.next(); c == nil {
+		m.done <- stopSignal{}
+	} else {
+		m.enterCore(c)
+		next := c.cur
+		next.state = tsRunning
+		if next == prev {
+			return
+		}
+		next.grant <- struct{}{}
 	}
-	m.enterCore(c)
-	next := c.cur
-	next.state = tsRunning
-	if next == prev {
-		return
-	}
-	next.grant <- struct{}{}
 	if finished {
 		return
 	}
@@ -96,13 +141,30 @@ func (m *Machine) advanceEvent(prev *Thread, finished bool) {
 	}
 }
 
+// next returns the core whose turn comes next: the min-(ready, id) core, or
+// the chooser's answer when there is a chooser. It returns nil when the
+// chooser stops the run.
+func (m *Machine) next() *coreState {
+	c := m.pickReadyCore()
+	if c == nil {
+		m.deadlock()
+	}
+	if m.choose == nil {
+		return c
+	}
+	core, ok := m.choose(m.RunnableCores(), c.id)
+	if !ok {
+		return nil
+	}
+	return m.cores[core]
+}
+
 // enterCore fast-forwards an idle core to its ready time (charged as
-// barrier/scheduler wait, exactly as the legacy StepOn does) and dispatches
-// a thread onto it.
+// barrier/scheduler wait) and dispatches a thread onto it.
 func (m *Machine) enterCore(c *coreState) {
 	t, ok := m.coreReadyTime(c)
 	if !ok {
-		panic("sim: advance: picked core has nothing to run")
+		panic(fmt.Sprintf("sim: core %d has nothing to run", c.id))
 	}
 	if c.time < t {
 		m.charge(c.id, attr.Barrier, t-c.time)
@@ -116,10 +178,11 @@ func (m *Machine) enterCore(c *coreState) {
 const notReady = ^uint64(0)
 
 // refreshReady recomputes core c's cached next-event time. It must be called
-// whenever c's schedulability changes: after a turn settles on c, and when a
-// lock handoff moves a thread onto c's run queue. The time is cached packed
-// as ready<<readyShift | id so the picker's min-scan walks one flat uint64
-// slice and the (ready, id) tie-break is a single integer compare.
+// whenever c's schedulability changes: after a turn settles on c, when a
+// lock handoff moves a thread onto c's run queue, and on Preempt. The time
+// is cached packed as ready<<readyShift | id so the picker's min-scan walks
+// one flat uint64 slice and the (ready, id) tie-break is a single integer
+// compare.
 //
 //tokentm:allocfree
 func (m *Machine) refreshReady(c *coreState) {
@@ -130,9 +193,8 @@ func (m *Machine) refreshReady(c *coreState) {
 	}
 }
 
-// pickReadyCore returns the core with the smallest cached ready time, ties
-// broken by the lower core id (the packed keys order exactly as
-// MinTimeCore's (ready, id) scan), or nil when no core can run.
+// pickReadyCore is the scheduling policy: the core with the smallest cached
+// ready time, ties broken by the lower core id, or nil when no core can run.
 //
 //tokentm:allocfree
 func (m *Machine) pickReadyCore() *coreState {
@@ -146,37 +208,4 @@ func (m *Machine) pickReadyCore() *coreState {
 		return nil
 	}
 	return m.cores[best&(1<<m.readyShift-1)]
-}
-
-// runEvent executes the machine to completion on the event engine.
-func (m *Machine) runEvent() mem.Cycle {
-	m.eventMode = true
-	defer func() { m.eventMode = false }()
-	if m.live > 0 {
-		m.done = make(chan any, 1)
-		for _, c := range m.cores {
-			m.refreshReady(c)
-		}
-		c := m.pickReadyCore()
-		if c == nil {
-			m.deadlock()
-		}
-		m.enterCore(c)
-		th := c.cur
-		th.state = tsRunning
-		th.grant <- struct{}{}
-		if v := <-m.done; v != nil {
-			// A thread goroutine panicked (protocol invariant, user bug,
-			// deadlock mid-run): re-panic on the Run caller's goroutine,
-			// exactly as the legacy scheduler loop would.
-			panic(v)
-		}
-	}
-	var makespan mem.Cycle
-	for _, c := range m.cores {
-		if c.time > makespan {
-			makespan = c.time
-		}
-	}
-	return makespan
 }

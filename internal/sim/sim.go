@@ -5,10 +5,11 @@
 // Scheduling uses min-time ordering: the scheduler always resumes the core
 // with the smallest local clock (ties broken by core id), which yields a
 // deterministic, causally consistent interleaving. Threads execute one timed
-// operation per turn via a channel handshake, so although each thread is a
-// goroutine, exactly one runs at a time and no model state needs locking.
-// The paper's error bars come from pseudo-randomly perturbed simulations;
-// the Seed configuration reproduces that by jittering conflict backoffs.
+// operation per turn and pass the turn on as a baton (events.go), so
+// although each thread is a goroutine, exactly one runs at a time and no
+// model state needs locking. The paper's error bars come from
+// pseudo-randomly perturbed simulations; the Seed configuration reproduces
+// that by jittering conflict backoffs.
 package sim
 
 import (
@@ -81,7 +82,7 @@ func (s threadState) String() string {
 	}
 }
 
-// opResult is what a thread reports back to the scheduler each turn.
+// opResult is what a thread's turn did, settled at the end of the turn.
 type opResult struct {
 	lat      mem.Cycle
 	sleep    mem.Cycle // additional blocked time after lat (syscall)
@@ -90,7 +91,6 @@ type opResult struct {
 	unlock   int
 	doUnlock bool
 	finished bool
-	crash    any // non-nil: the thread body panicked with this value
 }
 
 // Thread is one simulated software thread.
@@ -100,15 +100,15 @@ type Thread struct {
 	core *coreState
 	fn   ThreadFunc
 
+	// grant wakes the thread's goroutine for its next turn (or for Kill).
 	grant chan struct{}
-	res   chan opResult
 
 	state   threadState
 	wakeAt  mem.Cycle
 	readyAt mem.Cycle
 	// deferred accumulates Ctx.Work cycles not yet applied to the core
-	// clock (event engine only); flushed by flushWork before the thread's
-	// next shared operation.
+	// clock; flushed by flushWork before the thread's next shared
+	// operation.
 	deferred mem.Cycle
 	// xactScratch is the thread's reusable top-level transaction record;
 	// see Ctx.Atomic.
@@ -151,23 +151,22 @@ type Machine struct {
 	rng     *rand.Rand
 	live    int
 	killed  bool
-	// eventMode is true while runEvent owns the machine: yields are settled
-	// inline on the yielding thread's goroutine and the baton passes thread
-	// to thread (events.go) instead of through the grant/res handshake.
-	eventMode bool
-	// done carries the event engine's terminal signal back to Run: nil for
-	// normal completion, or the panic value a thread goroutine died with.
+	// choose is RunChoosing's chooser, nil for the default schedule.
+	choose func(choices []CoreChoice, def int) (int, bool)
+	// done carries the terminal signal back to RunChoosing: nil for normal
+	// completion, stopSignal when the chooser stopped the run, or the panic
+	// value a thread goroutine died with.
 	done chan any
-	// readyKeys caches each core's next event time for the event engine's
-	// picker, packed as time<<readyShift|id (notReady when the core has
-	// nothing to run); maintained by refreshReady.
+	// readyKeys caches each core's next event time for pickReadyCore,
+	// packed as time<<readyShift|id (notReady when the core has nothing to
+	// run); maintained by refreshReady.
 	readyKeys  []uint64
 	readyShift uint
 	// rngDraws counts backoff-jitter draws; part of the state fingerprint so
 	// two schedules that consumed the rng differently never merge.
 	rngDraws uint64
-	// choiceScratch backs RunnableCores so the scheduler loop stays
-	// allocation-free after the first iteration.
+	// choiceScratch backs RunnableCores so a chooser's turns stay
+	// allocation-free after the first.
 	choiceScratch []CoreChoice
 	// Commits aggregates all threads' commit records in commit order.
 	Commits []htm.CommitRecord
@@ -262,7 +261,6 @@ func (m *Machine) Spawn(fn ThreadFunc) *Thread {
 		core:  c,
 		fn:    fn,
 		grant: make(chan struct{}),
-		res:   make(chan opResult),
 		state: tsRunnable,
 	}
 	m.threads = append(m.threads, th)
@@ -300,23 +298,19 @@ func (th *Thread) run() {
 			return // Kill: exit without reporting a turn
 		}
 		// A panic escaped the thread body (protocol invariant failure,
-		// user-code bug). Forward it to whoever called Run — via the
-		// scheduler goroutine (legacy) or the done channel (event engine),
-		// after the same bookkeeping the legacy settle would perform.
-		if m := th.m; m.eventMode {
-			if th.state != tsFinished {
-				th.core.time += th.deferred
-				th.deferred = 0
-				th.state = tsFinished
-				if th.core.cur == th {
-					th.core.cur = nil
-				}
-				m.live--
+		// user-code bug) or the scheduler running on this goroutine (a
+		// deadlock). Retire the thread and forward the value to whoever
+		// called Run.
+		if th.state != tsFinished {
+			th.core.time += th.deferred
+			th.deferred = 0
+			th.state = tsFinished
+			if th.core.cur == th {
+				th.core.cur = nil
 			}
-			m.done <- r
-			return
+			th.m.live--
 		}
-		th.res <- opResult{finished: true, crash: r}
+		th.m.done <- r
 	}()
 	<-th.grant
 	if th.m.killed {
@@ -330,53 +324,14 @@ func (th *Thread) run() {
 	th.yield(opResult{finished: true})
 }
 
-// yield hands the turn back to the scheduler and waits for the next grant.
-func (th *Thread) yield(r opResult) {
-	if th.m.eventMode {
-		th.m.yieldEvent(th, r)
-		return
-	}
-	th.res <- r
-	if !r.finished {
-		<-th.grant
-		if th.m.killed {
-			panic(killSignal{})
-		}
-	}
-}
-
 // Run executes until every thread finishes, returning the makespan: the
-// largest core clock (total parallel execution time). Non-preemptive machines
-// run on the event engine (events.go); preemptive machines (Quantum > 0) use
-// the per-turn loop below, whose steps (RunnableCores, MinTimeCore, StepOn)
-// the schedule explorer and the engine-equivalence test also drive directly.
-func (m *Machine) Run() mem.Cycle {
-	if m.HTM == nil {
-		panic("sim: SetHTM before Run")
-	}
-	if m.cfg.Quantum == 0 {
-		return m.runEvent()
-	}
-	for m.live > 0 {
-		choices := m.RunnableCores()
-		if len(choices) == 0 {
-			m.deadlock()
-		}
-		m.StepOn(MinTimeCore(choices))
-	}
-	var makespan mem.Cycle
-	for _, c := range m.cores {
-		if c.time > makespan {
-			makespan = c.time
-		}
-	}
-	return makespan
-}
+// largest core clock (total parallel execution time).
+func (m *Machine) Run() mem.Cycle { return m.RunChoosing(nil) }
 
 // RunnableCores reports, in ascending core-id order, every core that can
-// step (has a current, queued, or timed-blocked thread) and the cycle at
-// which it could do so. The returned slice is scratch storage reused across
-// calls — copy it before the next scheduler action if it must persist.
+// run a turn (has a current, queued, or timed-blocked thread) and the cycle
+// at which it could do so. The returned slice is scratch storage reused
+// across calls — copy it before the next turn if it must persist.
 func (m *Machine) RunnableCores() []CoreChoice {
 	m.choiceScratch = m.choiceScratch[:0]
 	for _, c := range m.cores {
@@ -389,35 +344,6 @@ func (m *Machine) RunnableCores() []CoreChoice {
 	return m.choiceScratch
 }
 
-// StepOn advances the machine by one thread turn on the given core: the core
-// fast-forwards to its ready time (charged as barrier/scheduler wait),
-// dispatches a thread, and executes that thread's next timed operation. The
-// core must be runnable (present in RunnableCores); stepping an idle core
-// panics.
-func (m *Machine) StepOn(core int) {
-	c := m.cores[core]
-	t, ok := m.coreReadyTime(c)
-	if !ok {
-		panic(fmt.Sprintf("sim: StepOn(%d): core has nothing to run", core))
-	}
-	// Idle cores fast-forward to their next event; the gap is scheduler
-	// wait (no runnable thread), charged as barrier time.
-	if c.time < t {
-		m.charge(c.id, attr.Barrier, t-c.time)
-		c.time = t
-	}
-	m.dispatch(c)
-	th := c.cur
-	th.state = tsRunning
-	th.grant <- struct{}{}
-	r := <-th.res
-	c.time += r.lat
-	m.settle(c, th, r)
-}
-
-// Live returns how many spawned threads have not yet finished.
-func (m *Machine) Live() int { return m.live }
-
 // CanPreempt reports whether Preempt(core) would change the schedule: the
 // core is running a thread and another thread is queued to take its place.
 func (m *Machine) CanPreempt(core int) bool {
@@ -427,10 +353,10 @@ func (m *Machine) CanPreempt(core int) bool {
 
 // Preempt forces an involuntary context switch on core, exactly as a quantum
 // expiry would: the current thread moves to the back of the run queue and the
-// next StepOn on this core dispatches its successor (charging the HTM's
+// next turn on this core dispatches its successor (charging the HTM's
 // context-switch work — for TokenTM, the flash-OR of the metastate bits).
 // Returns false, changing nothing, when the core has no current thread or no
-// waiting successor.
+// waiting successor. A chooser calls it in place, before answering.
 func (m *Machine) Preempt(core int) bool {
 	if !m.CanPreempt(core) {
 		return false
@@ -441,13 +367,14 @@ func (m *Machine) Preempt(core int) bool {
 	out.readyAt = c.time
 	c.runq = append(c.runq, out)
 	c.cur = nil
+	m.refreshReady(c)
 	return true
 }
 
 // Kill terminates every unfinished thread goroutine so an abandoned machine
-// leaks nothing. It must only be called while the machine is quiescent — no
-// thread holds the turn, i.e. between StepOn calls or after Run panicked on
-// the scheduler goroutine. The machine cannot step again afterwards.
+// leaks nothing. It must only be called while no thread holds the turn:
+// after Run or RunChoosing returned or panicked. The machine cannot run
+// again afterwards.
 func (m *Machine) Kill() {
 	if m.killed {
 		return
@@ -581,15 +508,6 @@ func (m *Machine) dispatch(c *coreState) {
 
 // settle applies a thread's op result to scheduler state.
 func (m *Machine) settle(c *coreState, th *Thread, r opResult) {
-	if r.crash != nil {
-		// The thread body panicked; its goroutine has exited. Re-panic on
-		// the scheduler goroutine after bookkeeping, so callers of Run can
-		// recover and the machine can still be Kill()ed cleanly.
-		th.state = tsFinished
-		c.cur = nil
-		m.live--
-		panic(r.crash)
-	}
 	if r.finished {
 		th.state = tsFinished
 		c.cur = nil
@@ -653,11 +571,9 @@ func (m *Machine) doUnlock(c *coreState, th *Thread, id int) {
 		}
 	}
 	nc.runq = append(nc.runq, next)
-	if m.eventMode {
-		// The handoff made next's core schedulable (or sooner); the event
-		// engine's cached ready time must see it.
-		m.refreshReady(nc)
-	}
+	// The handoff made next's core schedulable (or sooner); its cached
+	// ready time must see it.
+	m.refreshReady(nc)
 }
 
 // ThreadReport is one live thread's symbolic scheduler state at deadlock.

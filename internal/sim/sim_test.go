@@ -285,6 +285,46 @@ func TestContextSwitchDuringTransaction(t *testing.T) {
 	}
 }
 
+// TestQuantumExpiresBetweenWorkCalls: a quantum observes turn boundaries, so
+// on a preemptive machine every Work call is its own turn (no deferral) and
+// the quantum can expire between two Work calls with no shared operation
+// between them.
+func TestQuantumExpiresBetweenWorkCalls(t *testing.T) {
+	m := New(Config{Cores: 1, Quantum: 100})
+	m.SetHTM(core.New(m.Mem, m.Store))
+	var started mem.Cycle
+	m.Spawn(func(tc *Ctx) {
+		for i := 0; i < 3; i++ {
+			tc.Work(80)
+		}
+	})
+	m.Spawn(func(tc *Ctx) { started = tc.Now() })
+	m.Run()
+	if started >= 240 {
+		t.Fatalf("second thread started at cycle %d, after all three Work calls; the quantum should expire at the turn ending at 160", started)
+	}
+}
+
+// TestChooserSeesEveryWorkTurn: a chooser observes turn boundaries, so under
+// RunChoosing every Work call is its own turn even without a quantum.
+func TestChooserSeesEveryWorkTurn(t *testing.T) {
+	m := New(Config{Cores: 1})
+	m.SetHTM(core.New(m.Mem, m.Store))
+	m.Spawn(func(tc *Ctx) {
+		for i := 0; i < 3; i++ {
+			tc.Work(80)
+		}
+	})
+	asked := 0
+	m.RunChoosing(func(_ []CoreChoice, def int) (int, bool) {
+		asked++
+		return def, true
+	})
+	if asked != 4 { // before each Work turn and before the thread's last turn
+		t.Fatalf("chooser asked %d times, want 4", asked)
+	}
+}
+
 // TestLocksAndSyscalls exercises the OS model: lock handoff order and
 // blocking syscalls that free the core.
 func TestLocksAndSyscalls(t *testing.T) {

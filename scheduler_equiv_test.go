@@ -1,30 +1,31 @@
 package tokentm
 
-// Scheduler goldens: the event engine (internal/sim/events.go) is the only
-// engine for the default min-time schedule since the legacy per-turn loop's
-// Config.LegacyStepper flag was removed (it had been kept for exactly one
-// release, PR 7). Equivalence is now pinned two ways:
+// Scheduler goldens: the simulator has one scheduler, the event engine
+// (internal/sim/events.go), behind both Machine.Run and Machine.RunChoosing.
+// Its schedule is pinned two ways:
 //
-//  1. Golden fingerprints: every workload × variant × seed run must hash to
-//     the checked-in value in testdata/scheduler_golden.txt — the same
-//     observables the old A/B test compared (makespan, commit journal,
-//     abort stream, cycle attribution, per-core clocks), collapsed to one
-//     FNV-1a line per run. Regenerate with TOKENTM_UPDATE_GOLDEN=1 after a
-//     deliberate schedule change and review the diff.
-//  2. A per-turn spot check: the surviving per-turn steps (still used by
-//     preemptive machines and the schedule explorer) must produce identical
-//     observables on a sampled grid, driven turn by turn through
-//     RunnableCores / MinTimeCore / StepOn.
+//  1. Golden fingerprints: every run of the grid — workload × variant × seed
+//     on the 32-core evaluation machine, the same at 16 threads on 8 cores
+//     for two preemption quanta, and the four lcs server models — must hash
+//     to the checked-in value in testdata/scheduler_golden.txt. The hash
+//     covers makespan, commit journal, abort stream, cycle attribution and
+//     per-core clocks, one FNV-1a line per run. Regenerate with
+//     TOKENTM_UPDATE_GOLDEN=1 after a deliberate schedule change and review
+//     the diff.
+//  2. A per-turn spot check: Run must equal RunChoosing with a chooser that
+//     returns the default pick, on a sampled grid. A chooser is asked before
+//     every turn and turns Work deferral off, so this checks that deferral
+//     and the cached min-time pick keep the schedule.
 
 import (
 	"fmt"
 	"hash/fnv"
 	"os"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
+	"tokentm/internal/lcs"
 	"tokentm/internal/sim"
 	"tokentm/internal/workload"
 )
@@ -34,6 +35,12 @@ import (
 const equivScale = 0.002
 
 const goldenPath = "testdata/scheduler_golden.txt"
+
+// The preemptive goldens run 2*preemptCores threads on preemptCores cores
+// at each of preemptQuanta.
+const preemptCores = 8
+
+var preemptQuanta = []Cycle{1000, 5000}
 
 // fingerprintDetail collapses every schedule-sensitive observable to one
 // hash. All fields are structs, arrays and slices (no maps), so the %+v
@@ -91,30 +98,63 @@ func TestSchedulerGoldens(t *testing.T) {
 	}
 
 	var lines []string
+	golden := func(key string, run func() (RunDetail, *System)) {
+		t.Run(key, func(t *testing.T) {
+			d, sys := run()
+			if err := sys.M.CheckConservation(); err != nil {
+				t.Errorf("conservation: %v", err)
+			}
+			if tok := sys.TokenTM(); tok != nil {
+				if err := tok.CheckBookkeeping(); err != nil {
+					t.Errorf("bookkeeping: %v", err)
+				}
+			}
+			fp := fingerprintDetail(d)
+			if update {
+				lines = append(lines, fmt.Sprintf("%s %016x", key, fp))
+				return
+			}
+			wantFP, ok := want[key]
+			if !ok {
+				t.Fatalf("no golden for %s; regenerate with TOKENTM_UPDATE_GOLDEN=1", key)
+			}
+			if fp != wantFP {
+				t.Errorf("schedule fingerprint %016x, golden %016x; if the schedule change is deliberate, regenerate with TOKENTM_UPDATE_GOLDEN=1 and review the diff", fp, wantFP)
+			}
+		})
+	}
 	for _, spec := range workload.Specs() {
 		for _, v := range Variants() {
 			for _, seed := range seeds {
-				spec, v, seed := spec, v, seed
-				t.Run(goldenKey(spec, v, seed), func(t *testing.T) {
-					d, sys := runWorkload(spec, v, equivScale, seed)
-					if err := sys.M.CheckConservation(); err != nil {
-						t.Errorf("conservation: %v", err)
-					}
-					fp := fingerprintDetail(d)
-					key := goldenKey(spec, v, seed)
-					if update {
-						lines = append(lines, fmt.Sprintf("%s %016x", key, fp))
-						return
-					}
-					wantFP, ok := want[key]
-					if !ok {
-						t.Fatalf("no golden for %s; regenerate with TOKENTM_UPDATE_GOLDEN=1", key)
-					}
-					if fp != wantFP {
-						t.Errorf("schedule fingerprint %016x, golden %016x; if the schedule change is deliberate, regenerate with TOKENTM_UPDATE_GOLDEN=1 and review the diff", fp, wantFP)
-					}
+				golden(goldenKey(spec, v, seed), func() (RunDetail, *System) {
+					return runWorkload(spec, v, equivScale, seed)
 				})
 			}
+		}
+	}
+	// Preemptive machines: two threads per core, so quantum expiries switch
+	// contexts inside transactions (TokenTM's §4.4 flash-OR path).
+	for _, spec := range workload.Specs() {
+		for _, v := range Variants() {
+			for _, q := range preemptQuanta {
+				for _, seed := range seeds {
+					golden(fmt.Sprintf("%s/%s/q%d/%d", spec.Name, v, q, seed), func() (RunDetail, *System) {
+						sys := New(Config{Variant: v, Cores: preemptCores, Quantum: q, Seed: seed})
+						spec.Build(sys.M, 2*preemptCores, equivScale, seed)
+						sys.Run()
+						return sys.detail(spec.Name, v), sys
+					})
+				}
+			}
+		}
+	}
+	for _, model := range lcs.Models() {
+		for _, seed := range seeds {
+			golden(fmt.Sprintf("lcs/%s/%d", model.Name, seed), func() (RunDetail, *System) {
+				_, m := lcs.Simulate(model, seed)
+				sys := &System{M: m, HTM: m.HTM}
+				return sys.detail(model.Name, VariantTokenTM), sys
+			})
 		}
 	}
 
@@ -128,39 +168,32 @@ func TestSchedulerGoldens(t *testing.T) {
 	}
 }
 
-// runPerTurn is runWorkload on the per-turn reference: the loop Run uses for
-// preemptive machines, driven here from outside because a Quantum == 0
-// machine's Run takes the event engine.
-func runPerTurn(t *testing.T, spec workload.Spec, v Variant, seed int64) (RunDetail, *System) {
+// runPerTurn is runWorkload with a chooser that takes the default pick
+// before every turn: the same schedule, one turn at a time and with no Work
+// deferred. It also counts the turns whose cached pick differs from a fresh
+// scan of the runnable cores (smallest ReadyAt, ties to the lower core id).
+func runPerTurn(spec workload.Spec, v Variant, seed int64) (RunDetail, *System, int) {
 	sys := New(Config{Variant: v, Cores: evalCores, Seed: seed})
 	spec.Build(sys.M, evalCores, equivScale, seed)
-	for sys.M.Live() > 0 {
-		choices := sys.M.RunnableCores()
-		if len(choices) == 0 {
-			t.Fatal("per-turn reference deadlocked")
+	stale := 0
+	sys.M.RunChoosing(func(choices []sim.CoreChoice, def int) (int, bool) {
+		best := choices[0]
+		for _, c := range choices[1:] {
+			if c.ReadyAt < best.ReadyAt {
+				best = c
+			}
 		}
-		sys.M.StepOn(sim.MinTimeCore(choices))
-	}
-	d := RunDetail{
-		Workload:  spec.Name,
-		Variant:   v,
-		Cycles:    slices.Max(sys.M.CoreTimes()),
-		Commits:   sys.M.Commits,
-		Metrics:   *sys.HTM.Stats(),
-		Breakdown: sys.M.BreakdownTotal(),
-		CoreTimes: sys.M.CoreTimes(),
-		AbortRecs: sys.M.AbortRecs,
-	}
-	if tok := sys.TokenTM(); tok != nil {
-		d.FastCommits = tok.FastCommits
-		d.SlowCommits = tok.SlowCommits
-	}
-	return d, sys
+		if best.Core != def {
+			stale++
+		}
+		return def, true
+	})
+	return sys.detail(spec.Name, v), sys, stale
 }
 
-// TestPerTurnLoopMatchesEventEngine keeps the surviving per-turn loop
-// honest against the event engine on a sampled grid: identical observables,
-// record for record.
+// TestPerTurnLoopMatchesEventEngine checks Run against the per-turn
+// schedule (runPerTurn) on a sampled grid: identical observables, record
+// for record.
 func TestPerTurnLoopMatchesEventEngine(t *testing.T) {
 	specs := workload.Specs()
 	if len(specs) > 2 && !testing.Short() {
@@ -170,19 +203,21 @@ func TestPerTurnLoopMatchesEventEngine(t *testing.T) {
 	}
 	for _, spec := range specs {
 		for _, v := range Variants() {
-			spec, v := spec, v
 			t.Run(spec.Name+"/"+string(v), func(t *testing.T) {
-				event, sysE := runWorkload(spec, v, equivScale, 1)
-				turn, sysT := runPerTurn(t, spec, v, 1)
-				if !reflect.DeepEqual(event, turn) {
-					t.Errorf("per-turn loop diverges from event engine:\n event:    fingerprint %016x\n per-turn: fingerprint %016x",
-						fingerprintDetail(event), fingerprintDetail(turn))
+				run, sysR := runWorkload(spec, v, equivScale, 1)
+				turn, sysT, stale := runPerTurn(spec, v, 1)
+				if stale != 0 {
+					t.Errorf("%d turns' cached pick differs from a scan of the runnable cores", stale)
 				}
-				if err := sysE.M.CheckConservation(); err != nil {
-					t.Errorf("event engine: %v", err)
+				if !reflect.DeepEqual(run, turn) {
+					t.Errorf("per-turn schedule diverges from Run:\n Run:      fingerprint %016x\n per-turn: fingerprint %016x",
+						fingerprintDetail(run), fingerprintDetail(turn))
+				}
+				if err := sysR.M.CheckConservation(); err != nil {
+					t.Errorf("Run: %v", err)
 				}
 				if err := sysT.M.CheckConservation(); err != nil {
-					t.Errorf("per-turn loop: %v", err)
+					t.Errorf("per-turn: %v", err)
 				}
 			})
 		}
