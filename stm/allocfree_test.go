@@ -22,14 +22,15 @@ func TestAllocFreeAnnotations(t *testing.T) {
 	tm := New(64, 4, 2)
 	th := tm.Thread(0)
 	tx := &th.tx
+	bigTM := New(512, 1, 1)
 
 	words := Addr(tm.WordsPerBlock())
 	a := 3 * words  // block 3
 	u := 11 * words // block 11, reserved for the Upsert2 entry
 
-	// One-time growth: the mark table is allocated by Thread(0) above, and
-	// the first transactions warm every stats field. Each entry also runs
-	// three warm-up rounds before measuring.
+	// One-time growth: the first transactions warm every stats field. Each
+	// entry also runs three warm-up rounds before measuring, which grow the
+	// read set and the spill logs to their steady size.
 	for i := 0; i < 3; i++ {
 		if _, err := th.Atomically(func(tx *Tx) error {
 			tx.Store(a, tx.Load(a)+1)
@@ -164,6 +165,17 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			if !claimed {
 				t.Fatal("Upsert2 lost a claim with no contenders")
 			}
+		}},
+		{"readSet.add", func() {
+			// A visible attempt reading 300 blocks: past readSetInit, so the
+			// warm-up rounds grew the set, and the steady state reuses it.
+			big := bigTM.Thread(0)
+			btx := &big.tx
+			big.beginAttempt(btx, true)
+			for b := Addr(0); b < 300; b++ {
+				btx.Load(b)
+			}
+			btx.commitAttempt()
 		}},
 		{"bump", func() {
 			bump(&th.stats.Commits)

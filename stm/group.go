@@ -43,7 +43,7 @@ func NewGroup(members ...*Thread) *Group {
 		panic("stm: NewGroup with no members")
 	}
 	for i, th := range members {
-		if th.mark == nil {
+		if th.tm == nil {
 			panic("stm: Group member not obtained via TM.Thread")
 		}
 		for _, prev := range members[:i] {

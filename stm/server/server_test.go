@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -452,6 +453,29 @@ func TestMaxConnsRefusal(t *testing.T) {
 			t.Fatal("slot never freed after disconnect")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestServerSlotCostIsConstant: New binds every connection slot's handle up
+// front, so a slot must cost O(1), not a table per block of every shard. Four
+// shards of 16k slots hold 1.5 MB of data and token words; New may grow the
+// heap by that plus 2 MB. A per-block table per slot and shard would be
+// 64 × 4 × 16k × 8 B = 32 MB.
+func TestServerSlotCostIsConstant(t *testing.T) {
+	const capacity = 1 << 16
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, err := New(Config{Shards: 4, Capacity: capacity, MaxConns: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	const data = capacity * (2 + 1) * 8 // two data words and one token word per slot
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= data+2<<20 {
+		t.Fatalf("New grew the heap by %.1f MB, want under %.1f MB (data arrays plus 2 MB)", float64(grew)/(1<<20), float64(data+2<<20)/(1<<20))
 	}
 }
 

@@ -9,7 +9,7 @@ type Stats struct {
 	Commits uint64 // committed transactions
 	Aborts  uint64 // aborted attempts (each retried attempt counts once)
 
-	Upgrades     uint64 // read-to-write upgrades (token fold-in path)
+	Upgrades     uint64 // read-to-write upgrades that folded a held read token into the claim (visible attempts only)
 	FastReleases uint64 // attempts whose footprint stayed in the inline logs
 	SlowReleases uint64 // attempts that spilled to heap logs
 

@@ -49,6 +49,14 @@
 // Thread.ReadOnly is not a separate protocol: it is that invisible attempt
 // with an empty write set, on every attempt, committing at rv.
 //
+// The paper keeps a transaction's R/W bits in the L1 and flash-clears them
+// at commit, so that bookkeeping scales with the footprint, not the memory.
+// Here too nothing is per block per thread. The W bit is the token word: a
+// block showing (T, self) is this attempt's own write. The R bit of a token
+// read is the thread's read set, an exact hash set that a new attempt
+// empties in O(1). An invisible read holds nothing, so it has no R bit: it
+// is an entry in the read log, re-validated at commit.
+//
 // Tx.Lookup2 and Tx.Upsert2 are Load2 and Store for a record guarded by a
 // write-once key, the shape of a slot in an insert-only hash table. They
 // examine the record once: one holding another key is passed over with no
@@ -146,6 +154,8 @@ func NewWithOptions(numBlocks, wordsPerBlock, maxThreads int, opt Options) *TM {
 		th.tm = tm
 		th.tid = mem.TID(i + 1)
 		th.rng = uint64(i)*0x9e3779b97f4a7c15 + 1
+		th.reads.gen = 1
+		th.tx.th = th
 	}
 	return tm
 }
@@ -187,24 +197,11 @@ func (tm *TM) nextSerial() uint64 {
 func (tm *TM) dataw(a Addr) *atomic.Uint64 { return &tm.words[a] }
 
 // Thread returns the transactional thread with the given id (0-based,
-// < maxThreads). Each Thread is single-goroutine: bind one per worker. The
-// per-block mark table is allocated on first use, so unused thread slots
-// cost nothing.
-func (tm *TM) Thread(id int) *Thread {
-	th := &tm.threads[id]
-	if th.mark == nil {
-		th.mark = make([]uint64, tm.numBlocks)
-		// Touch one word per page: a large make is lazily mapped, and
-		// faulting its pages in here keeps first-touch page faults out of
-		// the transaction hot path (they otherwise land mid-workload, on
-		// the first write to each cold region of the table).
-		for i := 0; i < len(th.mark); i += 512 {
-			th.mark[i] = 0
-		}
-		th.tx.th = th
-	}
-	return th
-}
+// < maxThreads). Each Thread is single-goroutine: bind one per worker. A
+// thread slot costs its descriptor and nothing per block: what an attempt
+// has written is in the token words, and what it has read is in its logs and
+// a read set sized by its own footprint.
+func (tm *TM) Thread(id int) *Thread { return &tm.threads[id] }
 
 // LoadWord reads a data word non-transactionally. Callers must guarantee
 // quiescence (setup before workers start, or inspection after they join).
@@ -247,11 +244,7 @@ type Thread struct {
 	birth   atomic.Uint64 // birth ticket; 0 = not drawn yet (youngest)
 	attempt uint64        // current attempt id (owner-written, status-published)
 
-	// mark is the per-block footprint table: mark[b] = attempt<<2 | bits.
-	// Stale attempts invalidate every entry at once, so resetting the
-	// footprint between attempts is O(1) — the host analog of the paper's
-	// L1 metadata flash-clear.
-	mark []uint64
+	reads readSet // blocks a visible attempt holds read tokens on
 
 	rng   uint64 // splitmix64 state for backoff jitter
 	tx    Tx
@@ -261,16 +254,8 @@ type Thread struct {
 	// a whole number of cache lines, so one slot's last counters — stored on
 	// every commit and every point Get — stay off the line holding the next
 	// slot's tm/tid/status, which that slot's owner reads on every access.
-	_ [24]byte
+	_ [16]byte
 }
-
-// mark-table encoding: mark[b] = attempt<<markShift | bits.
-const (
-	markRead  = 1
-	markWrite = 2
-	markShift = 2
-	markMask  = 1<<markShift - 1
-)
 
 // retrySignal unwinds the user function on conflict abort; Atomically
 // recovers it and retries the transaction.
@@ -308,7 +293,7 @@ func (th *Thread) ReadOnly(fn func(tx *Tx) error) (serial uint64, err error) {
 
 // run is the one retry driver behind Atomically and ReadOnly.
 func (th *Thread) run(fn func(tx *Tx) error, ro bool) (serial uint64, err error) {
-	if th.mark == nil {
+	if th.tm == nil {
 		panic("stm: Thread not obtained via TM.Thread")
 	}
 	if th.status.Load()&stateMask != stateIdle {
@@ -337,17 +322,20 @@ func (th *Thread) run(fn func(tx *Tx) error, ro bool) (serial uint64, err error)
 }
 
 // beginAttempt publishes a fresh attempt: bumping the attempt id invalidates
-// every mark-table entry and every doom CAS aimed at the previous attempt.
-// visible chooses the read protocol — tokens, or stamp validation against a
-// read serial sampled here. The caller's structure decides it, not a knob:
-// Atomically reads invisibly on a transaction's first attempt and visibly on
-// every retry, ReadOnly invisibly throughout, Group members always visibly.
+// every doom CAS aimed at the previous attempt. visible chooses the read
+// protocol — tokens, tracked in the read set emptied here, or stamp
+// validation against a read serial sampled here. The caller's structure
+// decides it, not a knob: Atomically reads invisibly on a transaction's first
+// attempt and visibly on every retry, ReadOnly invisibly throughout, Group
+// members always visibly.
 func (th *Thread) beginAttempt(tx *Tx, visible bool) {
 	th.attempt++
 	th.status.Store(th.attempt<<statusShift | stateActive)
 	tx.finished = false
 	tx.visible = visible
-	if !visible {
+	if visible {
+		th.reads.reset()
+	} else {
 		tx.rv = th.tm.serial.Load()
 	}
 	tx.logs.reset()

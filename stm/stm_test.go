@@ -80,38 +80,46 @@ func TestErrorRollsBack(t *testing.T) {
 // read-to-write upgrade must fold the upgrader's own read token into the
 // all-token claim. If it double-counted, the commit release would leave a
 // stranded token (or panic) — quiesced catches both, on commit and abort.
+// Only a visible attempt (readModes' "group") has a token to fold; the
+// invisible row is the same shape as a fresh claim, and no Upgrade.
 func TestUpgradeFoldsReadToken(t *testing.T) {
-	tm := New(8, 8, 1)
-	tm.StoreWord(0, 41)
-	th := tm.Thread(0)
-	if _, err := th.Atomically(func(tx *Tx) error {
-		v := tx.Load(0)  // read token
-		tx.Store(0, v+1) // upgrade: fold the read token into (T,self)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if tm.LoadWord(0) != 42 {
-		t.Fatalf("word 0 = %d, want 42", tm.LoadWord(0))
-	}
-	quiesced(t, tm)
-	if s := tm.Stats(); s.Upgrades != 1 {
-		t.Fatalf("upgrades = %d, want 1", s.Upgrades)
-	}
+	readModes(t, func(t *testing.T, tm *TM, th *Thread, atomically func(func(tx *Tx) error) error) {
+		tm.StoreWord(0, 41)
+		var visible bool
+		if err := atomically(func(tx *Tx) error {
+			visible = tx.visible
+			v := tx.Load(0)  // read token, if visible
+			tx.Store(0, v+1) // upgrade: fold the read token into (T,self)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if tm.LoadWord(0) != 42 {
+			t.Fatalf("word 0 = %d, want 42", tm.LoadWord(0))
+		}
+		quiesced(t, tm)
+		want := uint64(0)
+		if visible {
+			want = 1
+		}
+		if s := tm.Stats(); s.Upgrades != want {
+			t.Fatalf("upgrades = %d, want %d", s.Upgrades, want)
+		}
 
-	// Same shape, aborted: the undo must restore the value and the release
-	// must return all T tokens exactly once.
-	boom := errors.New("boom")
-	if _, err := th.Atomically(func(tx *Tx) error {
-		tx.Store(0, tx.Load(0)*10)
-		return boom
-	}); !errors.Is(err, boom) {
-		t.Fatal(err)
-	}
-	if tm.LoadWord(0) != 42 {
-		t.Fatalf("abort rollback: word 0 = %d, want 42", tm.LoadWord(0))
-	}
-	quiesced(t, tm)
+		// Same shape, aborted: the undo must restore the value and the release
+		// must return all T tokens exactly once.
+		boom := errors.New("boom")
+		if err := atomically(func(tx *Tx) error {
+			tx.Store(0, tx.Load(0)*10)
+			return boom
+		}); !errors.Is(err, boom) {
+			t.Fatal(err)
+		}
+		if tm.LoadWord(0) != 42 {
+			t.Fatalf("abort rollback: word 0 = %d, want 42", tm.LoadWord(0))
+		}
+		quiesced(t, tm)
+	})
 }
 
 func TestPanicReleasesTokens(t *testing.T) {

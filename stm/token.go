@@ -96,32 +96,32 @@ const (
 	bindNever         // Upsert2's peek: the claim that follows is the footprint
 )
 
-// read2 is the body of every transactional read. A block this attempt
-// holds a token on — a write mark, or a read mark on a visible attempt — is
-// its to read, and a visible attempt that is sure to bind takes its read
-// token at once (readByToken). Everything else is the one tokenless
-// transactional read, a seqlock pass over the block: it must show no writer,
-// and still carry the same stamp writer-free after the data loads
-// (unwritten). A foreign writer is a conflict like any other (spin, doom the
-// younger, give up after spinLimit). A pair that is not to be bound is
-// returned there: committed, with no footprint. Binding on a visible attempt
-// is readByToken. On an invisible one the stamp must be at most rv; a stamp
-// past rv asks extend to move rv forward, which aborts the attempt if any
-// logged read has been overwritten, and the pass goes round again so that its
-// second look at the token word follows the new rv. The block is logged once,
-// for commitAttempt to re-validate, and takes no token.
+// read2 is the body of every transactional read. A block a visible attempt
+// holds a read token on (its read set says so) is its to read, and a visible
+// attempt that is sure to bind takes its read token at once (readByToken).
+// Everything else is the one tokenless transactional read, a seqlock pass
+// over the block: it must show no writer, and still carry the same stamp
+// writer-free after the data loads (unwritten). A block whose token word
+// shows (T, self) is this attempt's own write and is read as it stands. A
+// foreign writer is a conflict like any other (spin, doom the younger, give
+// up after spinLimit). A pair that is not to be bound is returned there:
+// committed, with no footprint. Binding on a visible attempt is readByToken.
+// On an invisible one the stamp must be at most rv; a stamp past rv asks
+// extend to move rv forward, which aborts the attempt if any logged read has
+// been overwritten, and the pass goes round again so that its second look at
+// the token word follows the new rv. The block is logged, for commitAttempt
+// to re-validate, and takes no token; an invisible attempt keeps no set, so
+// a block it reads twice is logged twice.
 func (tx *Tx) read2(a1, a2 Addr, guard uint64, bind int) (uint64, uint64) {
 	th := tx.th
 	b := uint32(a1) >> th.tm.shift
-	m := th.mark[b]
-	if m>>markShift != th.attempt {
-		m = 0
-	}
-	switch {
-	case m&markWrite != 0 || tx.visible && m&markRead != 0:
-		return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
-	case tx.visible && bind == bindAlways:
-		return tx.readByToken(b, a1, a2)
+	if tx.visible {
+		if th.reads.has(b) {
+			return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
+		}
+		if bind == bindAlways {
+			return tx.readByToken(b, a1, a2)
+		}
 	}
 	w := th.tm.metaw(b)
 	for spin := 0; ; spin++ {
@@ -130,6 +130,9 @@ func (tx *Tx) read2(a1, a2 Addr, guard uint64, bind int) (uint64, uint64) {
 		}
 		w1 := metastate.PackedWord(w.Load())
 		if p := w1.Packed(); p.State() == metastate.StateWriteT {
+			if mem.TID(p.Attr()) == th.tid {
+				return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
+			}
 			tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
 			continue
 		}
@@ -148,21 +151,21 @@ func (tx *Tx) read2(a1, a2 Addr, guard uint64, bind int) (uint64, uint64) {
 			tx.extend()
 			continue
 		}
-		if m&markRead == 0 {
-			th.mark[b] = th.attempt<<markShift | markRead
-			tx.logs.appendRead(b)
-		}
+		tx.logs.appendRead(b)
 		return v1, v2
 	}
 }
 
-// readByToken is the visible read of a block this attempt holds nothing on:
-// one read token, logged for releaseAll to return.
+// readByToken is the visible read of a block this attempt holds no read
+// token on: one read token, added to the read set and logged for releaseAll
+// to return — unless the block turns out to be the attempt's own write,
+// which it reads as it stands.
 func (tx *Tx) readByToken(b uint32, a1, a2 Addr) (uint64, uint64) {
 	th := tx.th
-	tx.acquireRead(b)
-	th.mark[b] = th.attempt<<markShift | markRead
-	tx.logs.appendRead(b)
+	if tx.acquireRead(b) {
+		th.reads.add(b)
+		tx.logs.appendRead(b)
+	}
 	return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
 }
 
@@ -247,29 +250,20 @@ func (tx *Tx) LoadW(a Addr) uint64 {
 }
 
 // writeAcquire ensures this transaction holds block b's write tokens,
-// upgrading a held read token (fold-in) or acquiring fresh. An invisible
-// read left no token to fold in, so its upgrade is a fresh claim — still
-// counted in Upgrades, which is about the access pattern.
+// upgrading a held read token (fold-in, counted in Upgrades) or acquiring
+// fresh; a block already written is left as it is. An invisible read left no
+// token to fold in, so its upgrade is a fresh claim and not an Upgrade.
 //
 //tokentm:tokenclaim
 func (tx *Tx) writeAcquire(b uint32) {
 	th := tx.th
-	m := th.mark[b]
-	if m>>markShift != th.attempt {
-		m = 0
+	haveRead := tx.visible && th.reads.has(b)
+	if !tx.acquireWrite(b, haveRead) {
+		return // already the writer
 	}
-	switch {
-	case m&markWrite != 0:
-		// Already the writer.
-	case m&markRead != 0:
-		tx.acquireWrite(b, tx.visible)
-		th.mark[b] = th.attempt<<markShift | markRead | markWrite
-		tx.logs.appendWrite(b)
+	tx.logs.appendWrite(b)
+	if haveRead {
 		bump(&th.stats.Upgrades)
-	default:
-		tx.acquireWrite(b, false)
-		th.mark[b] = th.attempt<<markShift | markWrite
-		tx.logs.appendWrite(b)
 	}
 }
 
@@ -463,9 +457,10 @@ func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint
 
 // acquireRead takes one token on block b: (0,-) -> (1,self); a second reader
 // fuses the identified reader into the anonymous count (1,X) -> (2,-);
-// further readers increment it. A writer, or an anonymous count at the
-// 14-bit packing limit, is a conflict.
-func (tx *Tx) acquireRead(b uint32) {
+// further readers increment it. A foreign writer, or an anonymous count at
+// the 14-bit packing limit, is a conflict. A block showing (T, self) is this
+// attempt's own write: nothing is taken, and took reports false.
+func (tx *Tx) acquireRead(b uint32) (took bool) {
 	th := tx.th
 	w := th.tm.metaw(b)
 	for spin := 0; ; spin++ {
@@ -489,7 +484,7 @@ func (tx *Tx) acquireRead(b uint32) {
 			next = metastate.Anon(2)
 		case metastate.StateWriteT:
 			if mem.TID(p.Attr()) == th.tid {
-				panic(fmt.Sprintf("stm: thread %d read-acquiring its own written block %d", th.tid, b))
+				return false
 			}
 			tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
 			continue
@@ -505,7 +500,7 @@ func (tx *Tx) acquireRead(b uint32) {
 			continue
 		}
 		if w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
-			return
+			return true
 		}
 	}
 }
@@ -518,8 +513,9 @@ func (tx *Tx) acquireRead(b uint32) {
 // no newer than its read serial — it may go on to read the data under the
 // claim (LoadW), or have read it already — so a stamp past rv goes through
 // extend first. The claim keeps the stamp it found, which is what lets
-// readsValid treat write-held blocks like any other.
-func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
+// readsValid treat write-held blocks like any other. A block already showing
+// (T, self) is this attempt's own write: claimed reports false.
+func (tx *Tx) acquireWrite(b uint32, haveRead bool) (claimed bool) {
 	th := tx.th
 	w := th.tm.metaw(b)
 	for spin := 0; ; spin++ {
@@ -558,7 +554,7 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
 			}
 		case metastate.StateWriteT:
 			if mem.TID(p.Attr()) == th.tid {
-				panic(fmt.Sprintf("stm: thread %d re-acquiring its own write token on block %d", th.tid, b))
+				return false
 			}
 			tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
 			continue
@@ -571,7 +567,7 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) {
 		}
 		np, _ := metastate.Pack(metastate.WriteT(th.tid))
 		if w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
-			return
+			return true
 		}
 	}
 }
@@ -665,30 +661,26 @@ func (tx *Tx) abortAttempt() {
 	bump(&th.stats.Aborts)
 }
 
-// releaseAll returns every token this attempt holds. Write blocks release
-// all T tokens in one transition ((T,self) -> (0,-)); read blocks decrement
-// the anonymous count or clear the identified-reader state — visible
-// attempts only, an invisible attempt's read log holds no tokens. A
-// read-log block that was upgraded releases through its write entry only —
-// the read token was folded into the write claim, so decrementing it again
-// would be the double-entry violation the model checker hunts. Transactions
-// whose whole
-// footprint stayed within the inline log arrays take the fast path (no heap
-// log to walk), the host analog of the paper's small-transaction
-// flash-clear release.
+// releaseAll returns every token this attempt holds. Read blocks go first,
+// visible attempts only (an invisible attempt's read log holds no tokens):
+// each decrements the anonymous count or clears the identified-reader state,
+// except a block the attempt went on to upgrade, which still shows (T, self)
+// and releases through its write entry only — the read token was folded into
+// the write claim, so decrementing it again would be the double-entry
+// violation the model checker hunts. Write blocks then release all T tokens
+// in one transition ((T,self) -> (0,-)). Transactions whose whole footprint
+// stayed within the inline log arrays take the fast path (no heap log to
+// walk), the host analog of the paper's small-transaction flash-clear
+// release.
 func (tx *Tx) releaseAll(stamp uint64) {
 	th := tx.th
-	for i := 0; i < tx.logs.nWrite; i++ {
-		th.releaseWrite(tx.logs.writeAt(i), stamp)
-	}
 	if tx.visible {
 		for i := 0; i < tx.logs.nRead; i++ {
-			b := tx.logs.readAt(i)
-			if th.mark[b]>>markShift == th.attempt && th.mark[b]&markWrite != 0 {
-				continue // upgraded: released with the write set
-			}
-			th.releaseRead(b)
+			th.releaseRead(tx.logs.readAt(i))
 		}
+	}
+	for i := 0; i < tx.logs.nWrite; i++ {
+		th.releaseWrite(tx.logs.writeAt(i), stamp)
 	}
 	if tx.logs.inline() {
 		bump(&th.stats.FastReleases)
@@ -718,7 +710,8 @@ func (th *Thread) releaseWrite(b uint32, stamp uint64) {
 // releaseRead returns one token of block b. While we hold a read token the
 // word is either (1,self) — we stayed the identified reader — or an
 // anonymous count (u,-) that includes our token (fusion erases identity and
-// releases never re-identify, Table 2).
+// releases never re-identify, Table 2), or (T,self) once we upgraded, whose
+// write release returns the folded token.
 func (th *Thread) releaseRead(b uint32) {
 	w := th.tm.metaw(b)
 	for {
@@ -726,6 +719,11 @@ func (th *Thread) releaseRead(b uint32) {
 		p := old.Packed()
 		var next metastate.Meta
 		switch p.State() {
+		case metastate.StateWriteT:
+			if mem.TID(p.Attr()) == th.tid {
+				return // upgraded: released with the write set
+			}
+			panic(fmt.Sprintf("stm: thread %d releasing read token on block %d written by %d", th.tid, b, p.Attr()))
 		case metastate.StateRead1:
 			if mem.TID(p.Attr()) != th.tid {
 				panic(fmt.Sprintf("stm: thread %d releasing read token held by %d on block %d", th.tid, p.Attr(), b))
@@ -737,7 +735,7 @@ func (th *Thread) releaseRead(b uint32) {
 				panic(fmt.Sprintf("stm: thread %d releasing read token on empty block %d", th.tid, b))
 			}
 			next = metastate.Anon(u - 1)
-		case metastate.StateWriteT, metastate.StateOverflow:
+		case metastate.StateOverflow:
 			panic(fmt.Sprintf("stm: thread %d releasing read token on block %d in state %d", th.tid, b, p.State()))
 		}
 		np, _ := metastate.Pack(next)
