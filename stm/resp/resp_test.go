@@ -5,8 +5,10 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func parseAll(t *testing.T, in string) [][]string {
@@ -163,9 +165,12 @@ func TestParseUint(t *testing.T) {
 }
 
 func TestWriteBulkUintMatchesWriteBulk(t *testing.T) {
-	// WriteBulkUint's hand-rolled length header must agree with the general
-	// encoder for every digit-count boundary.
-	vals := []uint64{0, 9, 10, 99, 100, 1<<32 - 1, 1 << 32, ^uint64(0)}
+	// WriteBulkUint must agree with the general encoder at every
+	// digit-count boundary.
+	vals := []uint64{0, 1<<32 - 1, 1 << 32, ^uint64(0)}
+	for p := uint64(10); p <= 1e19; p *= 10 {
+		vals = append(vals, p-1, p)
+	}
 	for _, v := range vals {
 		var a, b bytes.Buffer
 		wa, wb := NewWriter(&a), NewWriter(&b)
@@ -194,45 +199,51 @@ func appendUintForTest(dst []byte, v uint64) []byte {
 	return append(dst, tmp[i:]...)
 }
 
+// fuzzSeeds are the frames the protocol actually exchanges plus the
+// truncation/oversize/embedded-CRLF corpus.
+var fuzzSeeds = []string{
+	"PING\r\n",
+	"GET 17\r\n",
+	"SET 1 2\r\n",
+	"MGET 1 2 3\r\n",
+	"MULTI\r\nSET 1 2\r\nEXEC\r\n",
+	"*1\r\n$4\r\nPING\r\n",
+	"*3\r\n$3\r\nSET\r\n$1\r\n1\r\n$1\r\n2\r\n",
+	"*2\r\n$3\r\nGET\r\n$20\r\n18446744073709551615\r\n",
+	// Truncated frames.
+	"*2\r\n$3\r\nGET",
+	"*1\r\n$3\r\nGE",
+	"*3\r\n$3\r\nSET\r\n",
+	"GET 1",
+	"*1\r\n",
+	"$",
+	"*",
+	// Oversized declarations.
+	"*1\r\n$9999999999\r\nx\r\n",
+	"*2147483647\r\n",
+	"*1\r\n$-9223372036854775808\r\n",
+	"*99999999999999999999999999\r\n",
+	"*1\r\n$00000000000000000004\r\nPING\r\n",
+	"*1\r\n$000000000000000000004\r\nPING\r\n",
+	":000000000000000000000000\r\n",
+	// Embedded CR/LF and other separator abuse.
+	"GET 1\rX\r\n",
+	"GET\r1\r\n",
+	"*1\r\n$4\r\nGE\r\n\r\n",
+	"*1\r\n$2\r\n\r\n\r\n",
+	"\r\n\n\n  \r\nPING\r\n",
+	"*1\n$4\nPING\n",
+	"*1\r\n$0\r\n\r\n",
+	"*0\r\n",
+}
+
 // FuzzRESPRoundTrip: any input either fails to parse (with an error, never a
 // panic, never an arg past the bounds) or parses to a command that survives
 // encode→parse→encode byte-identically. Seeded with the frames the protocol
 // actually exchanges plus the truncation/oversize/embedded-CRLF corpus the
 // satellite calls out.
 func FuzzRESPRoundTrip(f *testing.F) {
-	seeds := []string{
-		"PING\r\n",
-		"GET 17\r\n",
-		"SET 1 2\r\n",
-		"MGET 1 2 3\r\n",
-		"MULTI\r\nSET 1 2\r\nEXEC\r\n",
-		"*1\r\n$4\r\nPING\r\n",
-		"*3\r\n$3\r\nSET\r\n$1\r\n1\r\n$1\r\n2\r\n",
-		"*2\r\n$3\r\nGET\r\n$20\r\n18446744073709551615\r\n",
-		// Truncated frames.
-		"*2\r\n$3\r\nGET",
-		"*1\r\n$3\r\nGE",
-		"*3\r\n$3\r\nSET\r\n",
-		"GET 1",
-		"*1\r\n",
-		"$",
-		"*",
-		// Oversized declarations.
-		"*1\r\n$9999999999\r\nx\r\n",
-		"*2147483647\r\n",
-		"*1\r\n$-9223372036854775808\r\n",
-		"*99999999999999999999999999\r\n",
-		// Embedded CR/LF and other separator abuse.
-		"GET 1\rX\r\n",
-		"GET\r1\r\n",
-		"*1\r\n$4\r\nGE\r\n\r\n",
-		"*1\r\n$2\r\n\r\n\r\n",
-		"\r\n\n\n  \r\nPING\r\n",
-		"*1\n$4\nPING\n",
-		"*1\r\n$0\r\n\r\n",
-		"*0\r\n",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -286,4 +297,269 @@ func FuzzRESPRoundTrip(f *testing.F) {
 			t.Fatalf("canonical encoding not a fixed point: %q vs %q", enc1.Bytes(), enc2.Bytes())
 		}
 	})
+}
+
+// splitRead serves data as two reads, the first ending at offset k.
+type splitRead struct {
+	data []byte
+	k    int
+}
+
+func (s *splitRead) Read(p []byte) (int, error) {
+	if len(s.data) == 0 {
+		return 0, io.EOF
+	}
+	n := len(s.data)
+	if s.k > 0 {
+		n, s.k = s.k, 0
+	}
+	n = copy(p[:min(n, len(p))], s.data)
+	s.data = s.data[n:]
+	return n, nil
+}
+
+func encodeCommand(args ...string) []byte {
+	var b bytes.Buffer
+	w := NewWriter(&b)
+	w.WriteCommand(args...)
+	w.Flush()
+	return b.Bytes()
+}
+
+// TestSplitAtEveryOffset: a frame cut anywhere across two reads decodes as
+// it does whole.
+func TestSplitAtEveryOffset(t *testing.T) {
+	mset := []string{"MSET"}
+	for k := 1; k <= 64; k++ {
+		mset = append(mset, strconv.Itoa(k), strconv.Itoa(k*7919))
+	}
+	for _, args := range [][]string{{"GET", "17"}, {"SET", "17", "18446744073709551615"}, mset} {
+		frame := encodeCommand(args...)
+		for k := 1; k < len(frame); k++ {
+			got, err := NewReader(&splitRead{data: frame, k: k}).ReadCommand()
+			if err != nil {
+				t.Fatalf("%s split at %d: %v", args[0], k, err)
+			}
+			if len(got) != len(args) {
+				t.Fatalf("%s split at %d: %d args, want %d", args[0], k, len(got), len(args))
+			}
+			for i := range args {
+				if string(got[i]) != args[i] {
+					t.Fatalf("%s split at %d: arg %d = %q, want %q", args[0], k, i, got[i], args[i])
+				}
+			}
+		}
+	}
+}
+
+// TestBulkLargerThanBuffer: a bulk past the initial buffer grows it once,
+// on the command path and the reply path.
+func TestBulkLargerThanBuffer(t *testing.T) {
+	big := strings.Repeat("v", 60<<10)
+	args, err := NewReader(bytes.NewReader(encodeCommand("SET", "1", big))).ReadCommand()
+	if err != nil || len(args) != 3 || string(args[2]) != big {
+		t.Fatalf("60 KB bulk command: %d args, err %v", len(args), err)
+	}
+	var b bytes.Buffer
+	w := NewWriter(&b)
+	w.WriteBulkString(big)
+	w.Flush()
+	rep, err := NewReader(iotest.HalfReader(&b)).ReadReply()
+	if err != nil || rep.Str != big {
+		t.Fatalf("60 KB bulk reply: %d bytes, err %v", len(rep.Str), err)
+	}
+}
+
+// TestOversizeBulkDoesNotGrow: a bulk header past MaxBulk fails before the
+// buffer grows toward it.
+func TestOversizeBulkDoesNotGrow(t *testing.T) {
+	r := NewReader(strings.NewReader("*1\r\n$65537\r\n"))
+	if _, err := r.ReadCommand(); !errors.Is(err, ErrBulkTooLarge) {
+		t.Fatalf("err = %v, want ErrBulkTooLarge", err)
+	}
+	if len(r.buf) != bufSize {
+		t.Fatalf("buffer grew to %d bytes", len(r.buf))
+	}
+}
+
+// TestZeroPaddedHeaderDoesNotGrow: a length header that never ends, here
+// an endless run of leading zeros, fails once it passes maxDigits, before
+// the buffer grows, whether it arrives whole or a byte per Read. A header
+// of exactly maxDigits digits still parses.
+func TestZeroPaddedHeaderDoesNotGrow(t *testing.T) {
+	zeros := func(n int) string { return strings.Repeat("0", n) }
+	for _, tc := range []struct {
+		name, prefix string
+		reply        bool
+	}{
+		{"bulk header", "*1\r\n$", false},
+		{"array header", "*", false},
+		{"integer reply", ":", true},
+		{"bulk reply", "$", true},
+	} {
+		for _, trickled := range []bool{false, true} {
+			var in io.Reader = strings.NewReader(tc.prefix + zeros(1<<20))
+			if trickled {
+				in = iotest.OneByteReader(strings.NewReader(tc.prefix + zeros(64<<10)))
+			}
+			r := NewReader(in)
+			var err error
+			if tc.reply {
+				_, err = r.ReadReply()
+			} else {
+				_, err = r.ReadCommand()
+			}
+			if !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%s, trickled %v: err = %v, want ErrBadFrame", tc.name, trickled, err)
+			}
+			if len(r.buf) != bufSize {
+				t.Errorf("%s, trickled %v: buffer grew to %d bytes", tc.name, trickled, len(r.buf))
+			}
+		}
+	}
+	args, err := NewReader(strings.NewReader("*1\r\n$" + zeros(maxDigits-1) + "4\r\nPING\r\n")).ReadCommand()
+	if err != nil || len(args) != 1 || string(args[0]) != "PING" {
+		t.Fatalf("%d-digit header: %q, %v", maxDigits, args, err)
+	}
+}
+
+// trickle serves one byte per Read and records, at every Read, where the
+// frame's parse would resume.
+type trickle struct {
+	data   []byte
+	r      *Reader
+	resume []int
+}
+
+func (t *trickle) Read(p []byte) (int, error) {
+	if len(t.data) == 0 {
+		return 0, io.EOF
+	}
+	t.resume = append(t.resume, t.r.pos)
+	p[0], t.data = t.data[0], t.data[1:]
+	return 1, nil
+}
+
+// TestTrickledFrameResumes: a 1024-arg frame arriving a byte per Read
+// decodes with one Read per byte, and the parse never restarts from the
+// frame's start: the resume offset only moves forward, so each bulk is
+// parsed once and the work is linear in the frame.
+func TestTrickledFrameResumes(t *testing.T) {
+	args := []string{"MGET"}
+	for k := 1; k < MaxArgs; k++ {
+		args = append(args, strconv.Itoa(k))
+	}
+	frame := encodeCommand(args...)
+	tr := &trickle{data: frame}
+	r := NewReader(tr)
+	tr.r = r
+	got, err := r.ReadCommand()
+	if err != nil || len(got) != MaxArgs || string(got[MaxArgs-1]) != args[MaxArgs-1] {
+		t.Fatalf("trickled frame: %d args, err %v", len(got), err)
+	}
+	if len(tr.resume) != len(frame) {
+		t.Fatalf("%d reads for a %d-byte frame", len(tr.resume), len(frame))
+	}
+	for i := 1; i < len(tr.resume); i++ {
+		if tr.resume[i] < tr.resume[i-1] {
+			t.Fatalf("read %d: parse resumed at %d after %d", i, tr.resume[i], tr.resume[i-1])
+		}
+	}
+	if last := tr.resume[len(tr.resume)-1]; last < len(frame)-16 {
+		t.Fatalf("parse had reached only offset %d of %d before the last byte", last, len(frame))
+	}
+}
+
+// TestReadReplyBulkAllocs: a bulk reply costs one allocation, its string.
+func TestReadReplyBulkAllocs(t *testing.T) {
+	r := NewReader(&loopReader{frame: []byte("$7\r\n1234567\r\n")})
+	if n := testing.AllocsPerRun(200, func() {
+		if rep, err := r.ReadReply(); err != nil || rep.Str != "1234567" {
+			t.Fatalf("ReadReply = %+v, %v", rep, err)
+		}
+	}); n != 1 {
+		t.Fatalf("ReadReply of a bulk allocates %.0f times, want 1", n)
+	}
+}
+
+// countWriter records the size of every Write.
+type countWriter struct{ writes []int }
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	c.writes = append(c.writes, len(p))
+	return len(p), nil
+}
+
+// TestWriterWritesThrough: a reply longer than the buffer bound leaves in
+// pieces as it is encoded, each at most one element past the bound.
+func TestWriterWritesThrough(t *testing.T) {
+	var cw countWriter
+	w := NewWriter(&cw)
+	w.WriteArrayHeader(1000)
+	for i := 0; i < 1000; i++ {
+		w.WriteBulkUint(^uint64(0) - uint64(i))
+	}
+	if len(cw.writes) == 0 {
+		t.Fatal("nothing written before Flush")
+	}
+	w.Flush()
+	total := 0
+	for _, n := range cw.writes {
+		if n > bufSize+27 { // 27 bytes: the longest WriteBulkUint element
+			t.Fatalf("one write of %d bytes", n)
+		}
+		total += n
+	}
+	if want := len("*1000\r\n") + 1000*len("$20\r\n18446744073709551615\r\n"); total != want {
+		t.Fatalf("wrote %d bytes, want %d", total, want)
+	}
+}
+
+// The GET/SET shapes of the pipelined workload: what the server decodes
+// and encodes, and the client decodes, per operation.
+var (
+	getFrame = "*2\r\n$3\r\nGET\r\n$6\r\n123456\r\n"
+	setFrame = "*3\r\n$3\r\nSET\r\n$6\r\n123456\r\n$20\r\n18446744073709551615\r\n"
+	getReply = "*3\r\n$20\r\n18446744073709551615\r\n:2\r\n:123456789\r\n"
+	setReply = "*2\r\n:2\r\n:123456789\r\n"
+)
+
+func BenchmarkReadCommand(b *testing.B) {
+	r := NewReader(&loopReader{frame: []byte(strings.Repeat(getFrame, 4) + setFrame)})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.ReadCommand(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkWriteReply(b *testing.B) {
+	w := NewWriter(io.Discard)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if i%5 == 4 {
+			w.WriteArrayHeader(2)
+			w.WriteUint(2)
+			w.WriteUint(uint64(i))
+		} else {
+			w.WriteArrayHeader(3)
+			w.WriteBulkUint(^uint64(0) - uint64(i))
+			w.WriteUint(2)
+			w.WriteUint(uint64(i))
+		}
+		if i%16 == 15 {
+			w.Flush()
+		}
+	}
+}
+
+func BenchmarkReadReply(b *testing.B) {
+	r := NewReader(&loopReader{frame: []byte(strings.Repeat(getReply, 4) + setReply)})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.ReadReply(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

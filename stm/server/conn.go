@@ -21,8 +21,11 @@ type conn struct {
 	srv *Server
 	nc  net.Conn // nil in codec-only tests; deadline/drain poking only
 	r   *resp.Reader
-	w   *resp.Writer
+	w   *resp.Writer // encodes into c.Write
 	h   *kvstore.ShardedHandle
+
+	out  io.Writer // the socket side of w
+	werr error     // out's first write error; the connection is dead
 
 	// Scratch, reused across commands.
 	keys    []uint64
@@ -54,9 +57,10 @@ func newConn(s *Server, rw io.ReadWriter, nc net.Conn, slot int) *conn {
 		srv: s,
 		nc:  nc,
 		r:   resp.NewReader(rw),
-		w:   resp.NewWriter(rw),
 		h:   s.handles[slot],
+		out: rw,
 	}
+	c.w = resp.NewWriter(c)
 	c.mgetFn = func(tx kvstore.Tx) error {
 		c.vals = c.vals[:0]
 		c.oks = c.oks[:0]
@@ -119,7 +123,9 @@ func (c *conn) serve() {
 			c.w.Flush()
 			return
 		}
-		if err := c.dispatch(args); err != nil {
+		// A reply batch past the writer's bound is written through mid-batch;
+		// if that write failed, stop here rather than read on.
+		if err := c.dispatch(args); err != nil || c.werr != nil {
 			c.w.Flush()
 			return
 		}
@@ -132,6 +138,20 @@ func (c *conn) serve() {
 			}
 		}
 	}
+}
+
+// Write passes the writer's output to the socket, noting a failure. With a
+// ReadTimeout, each write gets that long for the peer to take it, so a peer
+// that stops reading its replies cannot pin the slot.
+func (c *conn) Write(p []byte) (int, error) {
+	if t := c.srv.cfg.ReadTimeout; t > 0 && c.nc != nil {
+		c.nc.SetWriteDeadline(time.Now().Add(t))
+	}
+	n, err := c.out.Write(p)
+	if err != nil && c.werr == nil {
+		c.werr = err
+	}
+	return n, err
 }
 
 // dispatch serves one command. A non-nil return closes the connection;

@@ -1,0 +1,209 @@
+package server
+
+// Hostile clients that reach the codec and the reply flush: garbage behind a
+// valid pipelined prefix, a reply larger than the writer's bound, and a
+// client that sends without ever reading its replies.
+
+import (
+	"errors"
+	"io"
+	"net"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"tokentm/stm/resp"
+)
+
+// TestHostileGarbageAfterPrefix: the valid commands ahead of a malformed
+// frame in one pipelined write are answered, then the server reports the
+// protocol error and hangs up.
+func TestHostileGarbageAfterPrefix(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 2, MaxConns: 2})
+	c := dial(t, addr)
+	if _, err := c.nc.Write([]byte("SET 5 55\r\n*2\r\n$3\r\nGET\r\n$1\r\n5\r\n*1\r\n$x\r\nPING\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if rep := c.recv(); rep.Type != '*' || len(rep.Elems) != 2 {
+		t.Fatalf("SET reply = %+v", rep)
+	}
+	if v, ok, _, _ := getReply(t, c.recv()); !ok || v != 55 {
+		t.Fatalf("GET = (%d,%v), want 55", v, ok)
+	}
+	if rep := c.recv(); rep.Type != '-' || !strings.HasPrefix(rep.Str, "ERR protocol") {
+		t.Fatalf("reply to garbage = %+v, want -ERR protocol", rep)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if rep, err := c.r.ReadReply(); err != io.EOF {
+		t.Fatalf("after the protocol error: %+v, %v; want the connection closed", rep, err)
+	}
+}
+
+// TestHostileLargeMGETReply: an MGET of as many keys as a command may carry
+// has a reply several times the writer's bound, written through in pieces;
+// it arrives whole and in order.
+func TestHostileLargeMGETReply(t *testing.T) {
+	srv, addr := startServer(t, Config{Shards: 4, MaxConns: 2})
+	h := srv.Store().Handle(1)
+	args := []string{"MGET"}
+	for k := uint64(1); k < resp.MaxArgs; k++ {
+		h.Put(k, ^uint64(0)-k)
+		args = append(args, strconv.FormatUint(k, 10))
+	}
+	c := dial(t, addr)
+	rep := c.cmd(args...)
+	if rep.Type != '*' || len(rep.Elems) != 2 || len(rep.Elems[0].Elems) != resp.MaxArgs-1 {
+		t.Fatalf("MGET reply shape = %c with %d elems", rep.Type, len(rep.Elems))
+	}
+	for i, e := range rep.Elems[0].Elems {
+		if want := strconv.FormatUint(^uint64(0)-uint64(i+1), 10); e.Str != want {
+			t.Fatalf("MGET value %d = %+v, want %s", i, e, want)
+		}
+	}
+	if rep := c.cmd("PING"); rep.Str != "PONG" {
+		t.Fatalf("PING after MGET = %+v", rep)
+	}
+}
+
+// TestHostileNonReaderReleasesSlot: a client that pipelines GETs and never
+// reads a reply fills the socket buffers until the server's write blocks.
+// With ReadTimeout set, that write times out and frees the only slot, so a
+// second client gets in.
+func TestHostileNonReaderReleasesSlot(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 1, MaxConns: 1, ReadTimeout: 200 * time.Millisecond})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.(*net.TCPConn).SetReadBuffer(4096)
+	flooded := make(chan error, 1)
+	go func() {
+		batch := []byte(strings.Repeat("GET 1\r\n", 1024))
+		for {
+			if _, err := nc.Write(batch); err != nil {
+				flooded <- err
+				return
+			}
+		}
+	}()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if time.Now().After(deadline) {
+			t.Fatal("a client that never reads still holds the only slot")
+		}
+		c := dial(t, addr)
+		c.nc.SetReadDeadline(time.Now().Add(time.Second))
+		c.send("PING")
+		c.flush()
+		rep, err := c.r.ReadReply()
+		c.nc.Close()
+		if err == nil && rep.Str == "PONG" {
+			break
+		}
+		if err == nil && !strings.HasPrefix(rep.Str, "ERR max connections") {
+			t.Fatalf("second client got %+v", rep)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	select {
+	case <-flooded:
+	case <-time.After(5 * time.Second):
+		t.Fatal("flooding client never saw its connection closed")
+	}
+}
+
+// TestHostileLateCommandKeepsWriteBudget: a client idle for most of
+// ReadTimeout sends an MGET, then pauses for less than ReadTimeout before
+// reading the reply. Each write gets its own ReadTimeout rather than what
+// the read wait left over, so the reply arrives whole. net.Pipe has no
+// buffering, so every write waits for the client to read.
+func TestHostileLateCommandKeepsWriteBudget(t *testing.T) {
+	const timeout = 500 * time.Millisecond
+	s, err := New(Config{Shards: 4, MaxConns: 1, ReadTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Store().Handle(0)
+	mget := []string{"MGET"}
+	for k := uint64(1); k < resp.MaxArgs; k++ {
+		h.Put(k, ^uint64(0)-k)
+		mget = append(mget, strconv.FormatUint(k, 10))
+	}
+	srvEnd, cliEnd := net.Pipe()
+	defer cliEnd.Close()
+	done := make(chan struct{})
+	go func() {
+		newConn(s, srvEnd, srvEnd, 0).serve()
+		srvEnd.Close()
+		close(done)
+	}()
+
+	time.Sleep(timeout * 4 / 5)
+	sent := make(chan error, 1)
+	go func() {
+		w := resp.NewWriter(cliEnd)
+		w.WriteCommand(mget...)
+		sent <- w.Flush()
+	}()
+	time.Sleep(timeout * 3 / 5)
+	cliEnd.SetReadDeadline(time.Now().Add(10 * time.Second))
+	rep, err := resp.NewReader(cliEnd).ReadReply()
+	if err != nil {
+		t.Fatalf("MGET: %v; the server dropped a client reading within ReadTimeout", err)
+	}
+	if rep.Type != '*' || len(rep.Elems) != 2 || len(rep.Elems[0].Elems) != resp.MaxArgs-1 {
+		t.Fatalf("MGET reply shape = %c with %d elems", rep.Type, len(rep.Elems))
+	}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	cliEnd.Close()
+	<-done
+}
+
+// floodReader is an endless stream of one command that fills every read,
+// so with a 7-byte frame no read ever ends on a frame boundary and the
+// reader never reports an empty buffer.
+type floodReader struct {
+	frame string
+	pos   int
+}
+
+func (f *floodReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = f.frame[f.pos]
+		f.pos = (f.pos + 1) % len(f.frame)
+	}
+	return len(p), nil
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errors.New("peer stopped reading") }
+
+// TestHostileWriteFailureEndsConn: once a written-through reply fails, the
+// connection ends even though the pipelined batch never drains, so it
+// never reaches the flush at the batch's end.
+func TestHostileWriteFailureEndsConn(t *testing.T) {
+	s, err := New(Config{Shards: 1, Capacity: 1 << 10, MaxConns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newConn(s, struct {
+		io.Reader
+		io.Writer
+	}{&floodReader{frame: "GET 1\r\n"}, failWriter{}}, nil, 0)
+	done := make(chan struct{})
+	go func() {
+		c.serve()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("connection kept serving after its replies could not be written")
+	}
+}

@@ -61,8 +61,9 @@ type Config struct {
 	// refused with -ERR. Default 64.
 	MaxConns int
 
-	// ReadTimeout, when positive, bounds the wait for the next command on
-	// an idle connection; a connection that stays silent longer is dropped.
+	// ReadTimeout, when positive, bounds each wait on the peer: for the
+	// next command, and for the peer to take the replies written to it. A
+	// connection that stays silent, or stops reading, longer is dropped.
 	ReadTimeout time.Duration
 
 	// DrainTimeout bounds the graceful drain: connections that have not
