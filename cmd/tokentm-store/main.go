@@ -255,29 +255,9 @@ func runGrid(cfg reportConfig) (*report, error) {
 func printSummary(rep *report) {
 	fmt.Printf("%-11s %-8s %8s %12s %10s %9s %9s %9s\n",
 		"mix", "target", "workers", "ops/s", "abort", "p50us", "p99us", "retries")
-	var sharded, unsharded loadgen.Result // write-heavy at the widest worker count
 	for _, r := range rep.Results {
 		fmt.Printf("%-11s %-8s %8d %12.0f %10.3f %9.1f %9.1f %9d\n",
 			r.Mix, r.Target, r.Workers, r.Throughput, r.AbortRate, r.P50Micros, r.P99Micros, r.WireRetries)
-		if r.Mix == "write-heavy" && r.Target == "sharded" && r.Workers >= sharded.Workers {
-			sharded = r
-		}
-		if r.Mix == "write-heavy" && r.Target == "stm" && r.Workers >= unsharded.Workers {
-			unsharded = r
-		}
-	}
-	// The honest sharded-vs-unsharded story, stated rather than implied:
-	// report the write-heavy ratio at the widest worker count, whichever way
-	// it goes. On few cores (or one), the sharded store's extra cross-shard
-	// commit work can outweigh the contention it removes.
-	if sharded.Workers > 0 && sharded.Workers == unsharded.Workers {
-		ratio := sharded.Throughput / unsharded.Throughput
-		verdict := "sharding wins"
-		if ratio < 1 {
-			verdict = "sharding loses (cross-shard group-commit overhead exceeds the contention it removes at this core count)"
-		}
-		fmt.Printf("\nwrite-heavy @ workers=%d: sharded/unsharded throughput ratio %.2f — %s\n",
-			sharded.Workers, ratio, verdict)
 	}
 }
 

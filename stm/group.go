@@ -1,32 +1,35 @@
 package stm
 
-// Group runs one atomic transaction across several TMs. The kvstore shards
-// its table over independent TMs so disjoint key ranges stop sharing one
-// serial ticket — but a cross-shard MULTI must still be one transaction.
-// Nesting Atomically cannot deliver that (the inner transaction commits and
-// releases before the outer one decides), so Group generalizes the commit
-// protocol instead: one member Thread per TM, all attempts opened together,
-// and a commit that holds every token on every shard until a serial has been
-// drawn from every touched shard — strict two-phase locking across the
-// group, which makes the per-shard serial orders mutually consistent (each
-// shard's commit-journal replay sees the group's effects at a single point).
-// Members read by token on every attempt, never invisibly as a lone
-// Thread.Atomically first does: each shard has its own clock, and stamps
+// Group runs one atomic transaction across several independent TMs, each
+// with its own serial clock. Nesting Atomically cannot deliver that (the
+// inner transaction commits and releases before the outer one decides), so
+// Group generalizes the commit protocol instead: one member Thread per TM,
+// all attempts opened together, and a commit that holds every token on every
+// TM until a serial has been drawn from every touched one — strict two-phase
+// locking across the group, which makes the per-TM serial orders mutually
+// consistent (each TM's commit-journal replay sees the group's effects at a
+// single point). Members read by token on every attempt, never invisibly as
+// a lone Thread.Atomically first does: each TM has its own clock, and stamps
 // checked against unrelated read serials would not show fn one state across
-// shards mid-flight.
+// TMs mid-flight.
 //
 // Conflict handling is entirely the members' own machinery: an acquisition
-// that loses on any shard aborts that member (releasing its tokens) and
+// that loses on any TM aborts that member (releasing its tokens) and
 // unwinds the whole group via retrySignal; Group rolls the other members
-// back and retries after the usual backoff. Dooms work per shard — the
-// eldest tiebreak compares birth tickets drawn from each shard's own ticket
-// source, so there is no cross-shard eldest. That weakens the no-starvation
+// back and retries after the usual backoff. Dooms work per TM — the
+// eldest tiebreak compares birth tickets drawn from each TM's own ticket
+// source, so there is no cross-TM eldest. That weakens the no-starvation
 // argument to the same probabilistic one every bounded-spin 2PL system
-// makes: a cross-shard cycle cannot block forever (every acquisition's spin
+// makes: a cross-TM cycle cannot block forever (every acquisition's spin
 // is bounded, and giving up releases everything), and randomized backoff
 // breaks the symmetric retry races. MaxAttempts (taken from the first
-// member's TM, so build every shard with the same Options) bounds the loop
-// when the caller would rather surface ErrAborted than wait out a storm.
+// member's TM, so build every member TM with the same Options) bounds the
+// loop when the caller would rather surface ErrAborted than wait out a storm.
+//
+// No store is built on it: kvstore.Sharded labels one TM into shards, so its
+// cross-shard transactions are ordinary Thread transactions. Group is what a
+// clock per shard would cost, kept with its tests because the benchmark's
+// layer ladder measures it (stm.group_overhead_ns).
 type Group struct {
 	members []*Thread
 	// Reused by every Atomically, so a warm call allocates nothing.
@@ -68,9 +71,9 @@ func (gt *GroupTx) Tx(i int) *Tx { return &gt.g.members[i].tx }
 // same contract as Thread.Atomically (fn re-executed after conflicts, error
 // aborts, ErrAborted after MaxAttempts). On commit it returns one serial per
 // member: the commit serial drawn from that member's TM, or 0 for a member
-// whose shard the transaction never touched. All nonzero serials were drawn
-// while the group still held every token on every shard, so each is a true
-// serialization point within its own shard's commit order. The slice is the
+// whose TM the transaction never touched. All nonzero serials were drawn
+// while the group still held every token on every TM, so each is a true
+// serialization point within its own TM's commit order. The slice is the
 // Group's own and valid until its next Atomically; a caller that keeps
 // serials longer copies them.
 func (g *Group) Atomically(fn func(gt *GroupTx) error) (serials []uint64, err error) {
@@ -123,13 +126,13 @@ func (g *Group) runAttempt(fn func(gt *GroupTx) error) (err error, again bool) {
 	return nil, !g.commitAll()
 }
 
-// commitAll is the cross-shard commit. Phase 1 closes the doom window on
+// commitAll is the cross-TM commit. Phase 1 closes the doom window on
 // every member (the same status CAS commitAttempt uses; one failure means an
 // elder doomed us and the whole group aborts). Phase 2 draws a serial from
-// every touched shard — all tokens on all shards are still held here, which
-// is the property that makes the per-shard serials jointly consistent.
-// Phase 3 releases everything, stamping each shard's written blocks with
-// that shard's serial.
+// every touched TM — all tokens on all TMs are still held here, which is
+// the property that makes the per-TM serials jointly consistent. Phase 3
+// releases everything, stamping each TM's written blocks with that TM's
+// serial.
 func (g *Group) commitAll() bool {
 	for _, th := range g.members {
 		if !th.status.CompareAndSwap(

@@ -14,9 +14,9 @@ import (
 // a Put a guarded claim. k keys hold a conserved sum; every transaction Gets
 // them all and checks the sum inside fn, and three in four then move one
 // unit between two of them by Put. The keys sit in one probe neighbourhood
-// of a small table, so Gets cross each other's slots. The unsharded store
-// runs first attempts invisibly and retries by token; the sharded one is
-// stm.Group members throughout.
+// of a small table, so Gets cross each other's slots. Both stores run first
+// attempts invisibly and retries by token; the sharded one goes through
+// TxnSerials, the shard-marking path the server's transactions take.
 func TestOpacityEveryAttempt(t *testing.T) {
 	const (
 		k       = 8
@@ -34,6 +34,13 @@ func TestOpacityEveryAttempt(t *testing.T) {
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				h := s.Handle(w)
+				txn := h.Txn
+				if sh, ok := h.(*ShardedHandle); ok {
+					txn = func(readOnly bool, fn func(Tx) error) (uint64, error) {
+						_, err := sh.TxnSerials(readOnly, fn)
+						return 0, err
+					}
+				}
 				rng := uint64(w)*0x9e3779b97f4a7c15 + 0x2545f491
 				wg.Add(1)
 				go func() {
@@ -45,7 +52,7 @@ func TestOpacityEveryAttempt(t *testing.T) {
 							lo, hi = hi, lo
 						}
 						readOnly := r&3 == 0 || lo == hi
-						if _, err := h.Txn(readOnly, func(tx Tx) error {
+						if _, err := txn(readOnly, func(tx Tx) error {
 							var v [k + 1]uint64
 							var sum uint64
 							for key := uint64(1); key <= k; key++ {

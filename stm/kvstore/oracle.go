@@ -12,13 +12,10 @@ import (
 // journaled read must equal the reference at its serialization point —
 // serializability checked end to end. It lives outside the test files so the
 // network front end's over-the-wire stress (stm/server) can replay journals
-// collected across the socket boundary through the same oracle.
-//
-// With a sharded store, serials are per shard: collect one journal set per
-// shard (each operation journaled under the serial its own shard drew) and
-// replay each shard independently — the Group commit draws all per-shard
-// serials at a single point while holding every token, which is what makes
-// the per-shard orders mutually consistent.
+// collected across the socket boundary through the same oracle. A Sharded
+// store has one clock, so its journals merge and replay like any other
+// store's: one serial order over every shard, with no per-shard argument to
+// make.
 
 // JournalOp is one journaled KV observation or effect.
 type JournalOp struct {

@@ -1,16 +1,14 @@
 package kvstore
 
-// Sharded-store tests: routing/partition sanity, cross-shard atomicity,
-// equivalence with the unsharded backend under a seeded single-threaded
-// stream (same final checksum), and the race-enabled per-shard journal
-// stress — each shard's journal replayed independently through the oracle,
-// which only holds if the Group commit keeps the per-shard serial orders
-// mutually consistent.
+// Sharded-store tests: routing/partition sanity, cross-shard atomicity and
+// the serial vector, and equivalence with the unsharded backend under a
+// seeded single-threaded stream (same final checksum). The race-enabled
+// stress is the stm-sharded row of TestStressSerializability: one clock, so
+// one merged journal.
 
 import (
 	"errors"
 	"reflect"
-	"sync"
 	"testing"
 
 	"tokentm/stm"
@@ -100,32 +98,41 @@ func TestShardedCrossShardAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var touched int
 	for i, serial := range serials {
-		if serial != 0 {
-			touched++
-			if clock := s.ShardSerial(i); clock != serial {
-				t.Errorf("shard %d clock %d != drawn serial %d", i, clock, serial)
-			}
+		touched := i == s.ShardOf(a) || i == s.ShardOf(b)
+		if clock := s.SerialClock(); touched && serial != clock || !touched && serial != 0 {
+			t.Errorf("serials %v: shard %d carries %d, want the clock %d on shards %d and %d, 0 elsewhere",
+				serials, i, serial, clock, s.ShardOf(a), s.ShardOf(b))
 		}
 	}
-	if touched != 2 {
-		t.Errorf("cross-shard txn touched %d shards, want 2 (serials %v)", touched, serials)
+
+	// The next vector marks only its own transaction's shards.
+	serials, err = h.TxnSerials(true, func(tx Tx) error {
+		tx.Get(b)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, serial := range serials {
+		if (serial != 0) != (i == s.ShardOf(b)) {
+			t.Errorf("read of b alone: serials %v", serials)
+		}
 	}
 
-	// Txn's single-serial contract: 0 for multi-shard, nonzero for one shard.
+	// Txn returns the commit serial, cross-shard or not.
 	if serial, err := h.Txn(false, func(tx Tx) error {
 		tx.Put(a, 11)
 		tx.Put(b, 21)
 		return nil
-	}); err != nil || serial != 0 {
-		t.Errorf("multi-shard Txn = (%d, %v), want (0, nil)", serial, err)
+	}); err != nil || serial == 0 || serial != s.SerialClock() {
+		t.Errorf("cross-shard Txn = (%d, %v), want (%d, nil)", serial, err, s.SerialClock())
 	}
 	if serial, err := h.Txn(false, func(tx Tx) error {
 		tx.Put(a, 12)
 		return nil
-	}); err != nil || serial == 0 {
-		t.Errorf("single-shard Txn = (%d, %v), want (nonzero, nil)", serial, err)
+	}); err != nil || serial == 0 || serial != s.SerialClock() {
+		t.Errorf("single-shard Txn = (%d, %v), want (%d, nil)", serial, err, s.SerialClock())
 	}
 
 	// Error rollback spans shards.
@@ -149,213 +156,4 @@ func TestShardedCrossShardAtomicity(t *testing.T) {
 	if shard, serial := h.PutSharded(b, 30); shard != s.ShardOf(b) || serial == 0 {
 		t.Errorf("PutSharded(b) = (%d,%d)", shard, serial)
 	}
-}
-
-// shardJournal tags every operation of a sharded transaction with its owning
-// shard so the commit can be journaled per shard under that shard's serial.
-type shardJournal struct {
-	s     *Sharded
-	inner Tx
-	reads []struct {
-		shard int
-		op    JournalOp
-	}
-	writes []struct {
-		shard int
-		op    JournalOp
-	}
-}
-
-func (j *shardJournal) wrote(key uint64) bool {
-	for i := range j.writes {
-		if j.writes[i].op.Key == key {
-			return true
-		}
-	}
-	return false
-}
-
-func (j *shardJournal) Get(key uint64) (uint64, bool) {
-	v, ok := j.inner.Get(key)
-	if !j.wrote(key) {
-		j.reads = append(j.reads, struct {
-			shard int
-			op    JournalOp
-		}{j.s.ShardOf(key), JournalOp{Key: key, Val: v, OK: ok}})
-	}
-	return v, ok
-}
-
-func (j *shardJournal) Put(key, val uint64) {
-	j.inner.Put(key, val)
-	for i := range j.writes {
-		if j.writes[i].op.Key == key {
-			j.writes[i].op.Val = val
-			return
-		}
-	}
-	j.writes = append(j.writes, struct {
-		shard int
-		op    JournalOp
-	}{j.s.ShardOf(key), JournalOp{Key: key, Val: val, OK: true}})
-}
-
-// journaledShardedTxn runs fn with per-shard journaling: the committed
-// transaction appends one JournalTxn per touched shard, carrying that
-// shard's operations under that shard's serial, to out[shard].
-func journaledShardedTxn(s *Sharded, h *ShardedHandle, readOnly bool, fn func(Tx) error, out [][]JournalTxn) error {
-	j := shardJournal{s: s}
-	serials, err := h.TxnSerials(readOnly, func(tx Tx) error {
-		j.inner = tx
-		j.reads = j.reads[:0]
-		j.writes = j.writes[:0]
-		return fn(&j)
-	})
-	if err != nil {
-		return err
-	}
-	for shard, serial := range serials {
-		if serial == 0 {
-			continue
-		}
-		rec := JournalTxn{Serial: serial}
-		for _, r := range j.reads {
-			if r.shard == shard {
-				rec.Reads = append(rec.Reads, r.op)
-			}
-		}
-		for _, w := range j.writes {
-			if w.shard == shard {
-				rec.Writes = append(rec.Writes, w.op)
-				rec.Writer = true
-			}
-		}
-		out[shard] = append(out[shard], rec)
-	}
-	return nil
-}
-
-// TestShardedStressSerializability is the sharded twin of
-// TestStressSerializability: concurrent mixed traffic (point ops and
-// cross-shard transactions), journaled per shard, each shard's journal
-// replayed independently through the oracle, plus a final-state comparison
-// against the union of the per-shard replays. Run with -race.
-func TestShardedStressSerializability(t *testing.T) {
-	const (
-		workers  = 8
-		shards   = 4
-		keyspace = 256
-	)
-	txns := 1200
-	if testing.Short() {
-		txns = 250
-	}
-	s := NewSharded(shards, 8*keyspace, workers, stm.Options{})
-	// journals[w][shard] — merged across workers per shard before replay.
-	journals := make([][][]JournalTxn, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		h := s.Handle(w).(*ShardedHandle)
-		journals[w] = make([][]JournalTxn, shards)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := uint64(w)*0x9e3779b97f4a7c15 + 99
-			key := func() uint64 {
-				if testRand(&rng)%5 == 0 {
-					return 1 + testRand(&rng)%8 // hot set
-				}
-				return 1 + testRand(&rng)%keyspace
-			}
-			for i := 0; i < txns; i++ {
-				var err error
-				switch op := testRand(&rng) % 100; {
-				case op < 25: // point read
-					k := key()
-					v, ok, shard, serial := h.GetSharded(k)
-					journals[w][shard] = append(journals[w][shard], JournalTxn{
-						Serial: serial, Reads: []JournalOp{{Key: k, Val: v, OK: ok}}})
-				case op < 45: // point write
-					k, v := key(), testRand(&rng)
-					shard, serial := h.PutSharded(k, v)
-					journals[w][shard] = append(journals[w][shard], JournalTxn{
-						Serial: serial, Writer: true,
-						Writes: []JournalOp{{Key: k, Val: v, OK: true}}})
-				case op < 65: // read-modify-write
-					k := key()
-					err = journaledShardedTxn(s, h, false, func(tx Tx) error {
-						v, _ := tx.Get(k)
-						tx.Put(k, v+1)
-						return nil
-					}, journals[w])
-				case op < 90: // cross-shard transfer
-					a, b := key(), key()
-					if a == b {
-						continue
-					}
-					err = journaledShardedTxn(s, h, false, func(tx Tx) error {
-						va, _ := tx.Get(a)
-						vb, _ := tx.Get(b)
-						tx.Put(a, va+1)
-						tx.Put(b, vb+1)
-						return nil
-					}, journals[w])
-				default: // multi-key batch spanning shards: read 10, write 4
-					base := key()
-					err = journaledShardedTxn(s, h, false, func(tx Tx) error {
-						var sum uint64
-						for j := uint64(0); j < 10; j++ {
-							v, _ := tx.Get(1 + (base+j-1)%keyspace)
-							sum += v
-						}
-						for j := uint64(0); j < 4; j++ {
-							tx.Put(1+(base+j-1)%keyspace, sum+j)
-						}
-						return nil
-					}, journals[w])
-				}
-				if err != nil {
-					t.Errorf("worker %d: %v", w, err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	ref := make(map[uint64]uint64)
-	for shard := 0; shard < shards; shard++ {
-		perWorker := make([][]JournalTxn, workers)
-		for w := 0; w < workers; w++ {
-			perWorker[w] = journals[w][shard]
-		}
-		shardRef, err := ReplayJournals(perWorker)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
-		for k, v := range shardRef {
-			if got := s.ShardOf(k); got != shard {
-				t.Fatalf("key %d journaled on shard %d but routes to %d", k, shard, got)
-			}
-			ref[k] = v
-		}
-	}
-	got := snapshot(s)
-	if len(got) != len(ref) {
-		t.Fatalf("final state has %d keys, per-shard replay has %d", len(got), len(ref))
-	}
-	for k, v := range ref {
-		if got[k] != v {
-			t.Fatalf("final state key %d = %d, replay has %d", k, got[k], v)
-		}
-	}
-	st := s.Stats()
-	if st.Commits == 0 {
-		t.Fatal("no commits recorded")
-	}
-	t.Logf("sharded: %d commits, %d aborts (rate %.3f)", st.Commits, st.Aborts, st.AbortRate())
 }

@@ -22,9 +22,8 @@ import (
 // the transaction's protocol (token, or stamp validation on an invisible
 // attempt). A read-modify-write of a key the transaction already read takes
 // the read-to-write upgrade path: the token fold-in wherever the read took a
-// token (retries, and every kvstore.Sharded transaction), a stamp-checked
-// fresh claim on a first attempt. The load generator's transfer mix
-// exercises both continuously.
+// token (retries), a stamp-checked fresh claim on a first attempt. The load
+// generator's transfer mix exercises both continuously.
 type stmStore struct {
 	tm   *stm.TM
 	mask uint64
@@ -37,8 +36,9 @@ func NewSTM(capacity, workers int) Store {
 	return NewSTMWithOptions(capacity, workers, stm.Options{})
 }
 
-// NewSTMWithOptions is NewSTM with explicit stm.Options. The server builds
-// its shards through this so MaxAttempts bounds every transaction's retries.
+// NewSTMWithOptions is NewSTM with explicit stm.Options. NewSharded builds
+// the server's store through this so MaxAttempts bounds every transaction's
+// retries.
 func NewSTMWithOptions(capacity, workers int, opt stm.Options) Store {
 	n := ceilPow2(capacity)
 	return &stmStore{
@@ -73,7 +73,8 @@ func (s *stmStore) Stats() Stats {
 }
 
 // STMStats exposes the underlying protocol counters (upgrades, conflict
-// kinds, fast releases) for benchmark reporting. Quiescent-only.
+// kinds, fast releases) for INFO and benchmark reporting. Single-writer
+// atomics underneath: safe to call while workers run, per-field exact.
 func (s *stmStore) STMStats() stm.Stats { return s.tm.Stats() }
 
 // stmHandle binds one stm.Thread. The bound closure is built once so the

@@ -1,8 +1,12 @@
 package kvstore
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
+
+	"tokentm/stm"
 )
 
 // This file is the host-side twin of internal/explore's oracle: run real
@@ -54,15 +58,26 @@ func (j *journalTx) Put(key, val uint64) {
 
 // journaledTxn runs fn through h with journaling and appends the committed
 // record to out. The journal resets on every attempt, so only the committed
-// execution survives.
+// execution survives. A sharded handle runs it through TxnSerials, the
+// server's path, and the record takes the serial of the checked vector.
 func journaledTxn(h Handle, readOnly bool, fn func(Tx) error, out *[]JournalTxn) error {
 	var j journalTx
-	serial, err := h.Txn(readOnly, func(tx Tx) error {
+	body := func(tx Tx) error {
 		j.inner = tx
 		j.reads = j.reads[:0]
 		j.writes = j.writes[:0]
 		return fn(&j)
-	})
+	}
+	var serial uint64
+	var err error
+	if sh, ok := h.(*ShardedHandle); ok {
+		var serials []uint64
+		if serials, err = sh.TxnSerials(readOnly, body); err == nil {
+			serial, err = vectorSerial(sh.mtx.s, serials, slices.Concat(j.reads, j.writes))
+		}
+	} else {
+		serial, err = h.Txn(readOnly, body)
+	}
 	if err != nil {
 		return err
 	}
@@ -71,6 +86,21 @@ func journaledTxn(h Handle, readOnly bool, fn func(Tx) error, out *[]JournalTxn)
 	rec.Writes = append(rec.Writes, j.writes...)
 	*out = append(*out, rec)
 	return nil
+}
+
+// vectorSerial checks a TxnSerials vector against the operations of the
+// attempt that committed and returns its serial: every nonzero slot holds
+// the one commit serial, and the nonzero slots are exactly the shards of
+// ops. A read-only commit before any write has serial 0 in every slot.
+func vectorSerial(s *Sharded, serials []uint64, ops []JournalOp) (uint64, error) {
+	serial := slices.Max(serials)
+	for i, v := range serials {
+		used := slices.ContainsFunc(ops, func(op JournalOp) bool { return s.ShardOf(op.Key) == i })
+		if v != 0 && v != serial || serial != 0 && used != (v != 0) {
+			return 0, fmt.Errorf("serial vector %v does not mark exactly the shards of %v", serials, ops)
+		}
+	}
+	return serial, nil
 }
 
 // replayJournals is the test-side wrapper over the exported oracle.
@@ -155,8 +185,10 @@ func stressWorkload(t *testing.T, h Handle, worker, txns int, keyspace uint64, j
 }
 
 // TestStressSerializability is the race-enabled stress + oracle suite for
-// every backend: N goroutines of mixed traffic, then the journal replay and
-// a final-state comparison.
+// every backend and the sharded store: N goroutines of mixed traffic, then
+// the journal replay and a final-state comparison. The sharded row's
+// transactions cross shards; its one clock makes their serials one order,
+// so its journals merge like any other store's.
 func TestStressSerializability(t *testing.T) {
 	const (
 		workers  = 8
@@ -166,7 +198,8 @@ func TestStressSerializability(t *testing.T) {
 	if testing.Short() {
 		txns = 300
 	}
-	for _, s := range allBackends(t, 4*keyspace, workers) {
+	stores := append(allBackends(t, 4*keyspace, workers), NewSharded(4, 8*keyspace, workers, stm.Options{}))
+	for _, s := range stores {
 		s := s
 		t.Run(s.Name(), func(t *testing.T) {
 			journals := make([][]JournalTxn, workers)

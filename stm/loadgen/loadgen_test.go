@@ -52,7 +52,7 @@ func TestSingleWorkerDeterminism(t *testing.T) {
 // TestDriverModesAgree is the unit-sized version of the benchmark's
 // determinism gate: at workers=1 one seeded op stream must leave the same
 // final-state checksum AND return the same values to its reads on all five
-// targets — three concurrency-control backends, cross-shard group commits,
+// targets — three concurrency-control backends, the shard-labelled store,
 // and a TCP round trip through the RESP codec. (The name predates the
 // merge of "backends" and "modes" into targets.)
 func TestDriverModesAgree(t *testing.T) {

@@ -102,7 +102,7 @@ func TestAllocFreeAnnotations(t *testing.T) {
 }
 
 // TestServiceAllocFree serves an endless pipelined stream of GET/SET and
-// MSET/MGET (a cross-shard stm.Group transaction each) through the full
+// MSET/MGET (a cross-shard TxnSerials transaction each) through the full
 // command loop body — frame decode, dispatch, store, reply encode — and
 // demands zero allocations per served command once the scratch buffers and
 // store slots have warmed.

@@ -1,8 +1,9 @@
 package server
 
 // Hostile clients that reach the codec and the reply flush: garbage behind a
-// valid pipelined prefix, a reply larger than the writer's bound, and a
-// client that sends without ever reading its replies.
+// valid pipelined prefix, a reply larger than the writer's bound, a client
+// that sends without ever reading its replies, one that hangs up inside
+// MULTI, and one that half-closes behind a pipelined batch.
 
 import (
 	"errors"
@@ -89,29 +90,87 @@ func TestHostileNonReaderReleasesSlot(t *testing.T) {
 		}
 	}()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("a client that never reads still holds the only slot")
-		}
-		c := dial(t, addr)
-		c.nc.SetReadDeadline(time.Now().Add(time.Second))
-		c.send("PING")
-		c.flush()
-		rep, err := c.r.ReadReply()
-		c.nc.Close()
-		if err == nil && rep.Str == "PONG" {
-			break
-		}
-		if err == nil && !strings.HasPrefix(rep.Str, "ERR max connections") {
-			t.Fatalf("second client got %+v", rep)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	waitForSlot(t, addr).nc.Close()
 	select {
 	case <-flooded:
 	case <-time.After(5 * time.Second):
 		t.Fatal("flooding client never saw its connection closed")
+	}
+}
+
+// waitForSlot dials until a connection is served rather than refused and
+// returns it, failing the test if no slot frees within ten seconds.
+func waitForSlot(t *testing.T, addr string) *client {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c := dial(t, addr)
+		c.nc.SetReadDeadline(time.Now().Add(time.Second))
+		c.w.WriteCommand("PING")
+		c.w.Flush() // a refused connection may already be closed: the read says which
+		rep, err := c.r.ReadReply()
+		if err == nil && rep.Str == "PONG" {
+			c.nc.SetReadDeadline(time.Time{})
+			return c
+		}
+		c.nc.Close()
+		if err == nil && !strings.HasPrefix(rep.Str, "ERR max connections") {
+			t.Fatalf("waiting for a slot, got %+v", rep)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the only connection slot was never freed")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestHostileDisconnectMidMulti: a client that queues a SET inside MULTI
+// and hangs up before EXEC frees its slot, and the queued SET never runs.
+func TestHostileDisconnectMidMulti(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 2, MaxConns: 1})
+	c := dial(t, addr)
+	c.send("MULTI")
+	c.send("SET", "9", "90")
+	c.flush()
+	if rep := c.recv(); rep.Str != "OK" {
+		t.Fatalf("MULTI = %+v", rep)
+	}
+	if rep := c.recv(); rep.Str != "QUEUED" {
+		t.Fatalf("queued SET = %+v", rep)
+	}
+	c.nc.Close()
+
+	next := waitForSlot(t, addr)
+	if v, ok, _, _ := getReply(t, next.cmd("GET", "9")); ok {
+		t.Fatalf("GET 9 = %d after its MULTI was abandoned, want absent", v)
+	}
+}
+
+// TestHostileHalfClose: a client that pipelines a batch and shuts its write
+// side gets every reply, then EOF.
+func TestHostileHalfClose(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 2, MaxConns: 2})
+	c := dial(t, addr)
+	const n = 64
+	for i := 1; i <= n; i++ {
+		c.send("SET", strconv.Itoa(i), strconv.Itoa(7*i))
+		c.send("GET", strconv.Itoa(i))
+	}
+	c.flush()
+	if err := c.nc.(*net.TCPConn).CloseWrite(); err != nil {
+		t.Fatal(err)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 1; i <= n; i++ {
+		if rep := c.recv(); rep.Type != '*' || len(rep.Elems) != 2 {
+			t.Fatalf("SET %d = %+v", i, rep)
+		}
+		if v, ok, _, _ := getReply(t, c.recv()); !ok || v != uint64(7*i) {
+			t.Fatalf("GET %d = (%d,%v), want %d", i, v, ok, 7*i)
+		}
+	}
+	if rep, err := c.r.ReadReply(); err != io.EOF {
+		t.Fatalf("after the last reply: %+v, %v; want EOF", rep, err)
 	}
 }
 

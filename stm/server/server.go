@@ -1,7 +1,7 @@
-// Package server is the network front end for the sharded token-protocol KV
-// store: a TCP server speaking the RESP-lite dialect of package stm/resp in
-// front of a kvstore.Sharded (hash-partitioned stm stores under one
-// cross-shard transaction protocol, see stm.Group).
+// Package server is the network front end for the token-protocol KV store:
+// a TCP server speaking the RESP-lite dialect of package stm/resp in front
+// of a kvstore.Sharded (one stm.TM whose keyspace is labelled into N hash
+// shards).
 //
 // Wire contract (values are uint64s in decimal ASCII; `$-1` is "absent"):
 //
@@ -17,20 +17,20 @@
 //	CHECKSUM           -> :checksum (quiescent stores only)
 //	SHUTDOWN           -> +OK, then the server drains and exits
 //
-// `serials` is always an array of NumShards integers: the commit serial the
-// operation drew on each shard, 0 for shards it never touched. Per-shard
-// serials order that shard's commits; serials from different shards are not
-// comparable (each shard has its own clock), but the group commit keeps the
-// per-shard orders mutually consistent — the over-the-wire stress test
-// replays client journals per shard through the kvstore oracle to check
-// exactly that.
+// `serials` is always an array of NumShards integers: the operation's commit
+// serial in the slot of every shard it touched, 0 for shards it never
+// touched. The store has one serial clock, so every serial — a GET's, a
+// SET's, each nonzero slot of a vector — is a point in one total order of
+// commits, comparable across shards; the over-the-wire stress test replays
+// the client journals merged in that order through the kvstore oracle. A
+// read-only MGET commits at its read serial (0 before the first commit) and
+// draws none.
 //
 // MULTI queues GET/SET/MGET/MSET and EXEC runs the queue as ONE atomic
-// cross-shard transaction. If the store's contention bound (MaxAttempts)
-// abandons the transaction, the client sees `-RETRY ...` with all effects
-// rolled back — the transaction is all-or-nothing even across shards, and a
-// drain racing an EXEC either commits it fully or surfaces -RETRY, never a
-// torn prefix.
+// transaction. If the store's contention bound (MaxAttempts) abandons the
+// transaction, the client sees `-RETRY ...` with all effects rolled back —
+// the transaction is all-or-nothing across shards, and a drain racing an
+// EXEC either commits it fully or surfaces -RETRY, never a torn prefix.
 //
 // Each connection is one goroutine bound to one store worker slot, so the
 // steady-state GET/SET service path allocates nothing per operation
@@ -53,8 +53,8 @@ import (
 
 // Config parameterizes a Server. Zero values take defaults.
 type Config struct {
-	Shards   int // store shard count (power of two); default 4
-	Capacity int // total slot capacity across shards; default 1 << 16
+	Shards   int // store shard labels (power of two); default 4
+	Capacity int // store slot capacity; default 1 << 16
 
 	// MaxConns bounds concurrent connections; each connection owns one
 	// store worker slot for its lifetime. Accepts past the bound are

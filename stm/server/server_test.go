@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -236,6 +238,9 @@ func TestMultiExec(t *testing.T) {
 		if s != 0 {
 			touched++
 		}
+		if s != 0 && s != srv.Store().SerialClock() {
+			t.Fatalf("EXEC serials %v: a touched shard's entry is not the commit serial %d", serials, srv.Store().SerialClock())
+		}
 	}
 	if touched != 2 {
 		t.Fatalf("cross-shard EXEC touched %d shards (serials %v), want 2", touched, serials)
@@ -377,7 +382,9 @@ func TestPipelining(t *testing.T) {
 func TestInfoDeterministic(t *testing.T) {
 	srv, addr := startServer(t, Config{Shards: 2, MaxConns: 2})
 	c := dial(t, addr)
-	c.cmd("MSET", "1", "1", "2", "2", "3", "3")
+	if serials := serialsOf(t, c.cmd("MSET", "1", "1", "2", "2", "3", "3").Elems[1]); slices.Contains(serials, 0) {
+		t.Fatalf("MSET serials %v: want both shards touched", serials)
+	}
 
 	a := c.cmd("INFO")
 	b := c.cmd("INFO")
@@ -404,14 +411,30 @@ func TestInfoDeterministic(t *testing.T) {
 		t.Fatalf("INFO commits/aborts = %d/%d, store says %d/%d",
 			fields["commits"], fields["aborts"], st.Commits, st.Aborts)
 	}
+	// The cross-shard MSET is one commit of one TM, counted once.
+	if fields["commits"] != 1 || fields["stm_commits"] != fields["commits"] {
+		t.Fatalf("INFO commits = %d, stm_commits = %d after one MSET, want 1 and 1",
+			fields["commits"], fields["stm_commits"])
+	}
 	for i := 0; i < 2; i++ {
 		name := "shard" + strconv.Itoa(i) + "_serial"
-		if fields[name] != srv.Store().ShardSerial(i) {
-			t.Fatalf("INFO %s = %d, store says %d", name, fields[name], srv.Store().ShardSerial(i))
+		if fields[name] != srv.Store().SerialClock() {
+			t.Fatalf("INFO %s = %d, the store's clock is %d", name, fields[name], srv.Store().SerialClock())
 		}
 	}
 	if _, ok := fields["stm_fast_releases"]; !ok {
 		t.Fatal("INFO lacks stm_fast_releases")
+	}
+	var keys []string
+	for _, line := range strings.Split(strings.TrimSpace(a.Str), "\n") {
+		name, _, _ := strings.Cut(line, ":")
+		keys = append(keys, name)
+	}
+	want := []string{"shards", "commits", "aborts"}
+	stm.Stats{}.Each(func(name string, _ uint64) { want = append(want, "stm_"+name) })
+	want = append(want, "shard0_serial", "shard1_serial")
+	if !slices.Equal(keys, want) {
+		t.Fatalf("INFO keys = %v, want %v", keys, want)
 	}
 }
 
@@ -457,10 +480,10 @@ func TestMaxConnsRefusal(t *testing.T) {
 }
 
 // TestServerSlotCostIsConstant: New binds every connection slot's handle up
-// front, so a slot must cost O(1), not a table per block of every shard. Four
-// shards of 16k slots hold 1.5 MB of data and token words; New may grow the
-// heap by that plus 2 MB. A per-block table per slot and shard would be
-// 64 × 4 × 16k × 8 B = 32 MB.
+// front, so a slot must cost O(1), not a table per block. The store's 64k
+// slots hold 1.5 MB of data and token words; New may grow the heap by that
+// plus 2 MB. A per-block table per connection slot would be
+// 64 × 64k × 8 B = 32 MB.
 func TestServerSlotCostIsConstant(t *testing.T) {
 	const capacity = 1 << 16
 	var before, after runtime.MemStats
@@ -631,10 +654,10 @@ func TestShutdownCommand(t *testing.T) {
 	}
 }
 
-// TestOverTheWireStress is satellite 3: concurrent clients over real
-// sockets, every reply's (shard, serial) journaled client-side, then each
-// shard's journal replayed through the kvstore serializability oracle and
-// the drained store compared against the replay. Run with -race.
+// TestOverTheWireStress: concurrent clients over real sockets, every reply's
+// serial journaled client-side, then one journal merged across clients and
+// shards replayed through the kvstore serializability oracle and the drained
+// store compared against the replay. Run with -race.
 func TestOverTheWireStress(t *testing.T) {
 	const (
 		workers  = 6
@@ -648,16 +671,15 @@ func TestOverTheWireStress(t *testing.T) {
 	srv, addr := startServer(t, Config{Shards: shards, MaxConns: workers})
 	store := srv.Store()
 
-	journals := make([][][]kvstore.JournalTxn, workers)
+	journals := make([][]kvstore.JournalTxn, workers)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		w := w
-		journals[w] = make([][]kvstore.JournalTxn, shards)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := stressClient(t, addr, store, w, txns, keyspace, journals[w]); err != nil {
+			if err := stressClient(t, addr, store, w, txns, keyspace, &journals[w]); err != nil {
 				errs <- err
 			}
 		}()
@@ -670,19 +692,9 @@ func TestOverTheWireStress(t *testing.T) {
 
 	srv.Shutdown() // quiesce before ForEach; Cleanup's Shutdown is a no-op after this
 
-	ref := make(map[uint64]uint64)
-	for shard := 0; shard < shards; shard++ {
-		perWorker := make([][]kvstore.JournalTxn, workers)
-		for w := 0; w < workers; w++ {
-			perWorker[w] = journals[w][shard]
-		}
-		shardRef, err := kvstore.ReplayJournals(perWorker)
-		if err != nil {
-			t.Fatalf("shard %d: %v", shard, err)
-		}
-		for k, v := range shardRef {
-			ref[k] = v
-		}
+	ref, err := kvstore.ReplayJournals(journals)
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := map[uint64]uint64{}
 	store.ForEach(func(k, v uint64) { got[k] = v })
@@ -698,8 +710,10 @@ func TestOverTheWireStress(t *testing.T) {
 		workers, txns, len(got), store.Stats())
 }
 
-// stressClient drives one connection's seeded mix, journaling per shard.
-func stressClient(t *testing.T, addr string, store *kvstore.Sharded, worker, txns int, keyspace uint64, journal [][]kvstore.JournalTxn) error {
+// stressClient drives one connection's seeded mix, journaling every reply
+// under its serial. An EXEC's serial vector must carry one serial, in the
+// slots of exactly the shards of its two keys.
+func stressClient(t *testing.T, addr string, store *kvstore.Sharded, worker, txns int, keyspace uint64, journal *[]kvstore.JournalTxn) error {
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		return err
@@ -743,8 +757,7 @@ func stressClient(t *testing.T, addr string, store *kvstore.Sharded, worker, txn
 				val, _ = strconv.ParseUint(rep.Elems[0].Str, 10, 64)
 				ok = true
 			}
-			shard := int(rep.Elems[1].Int)
-			journal[shard] = append(journal[shard], kvstore.JournalTxn{
+			*journal = append(*journal, kvstore.JournalTxn{
 				Serial: uint64(rep.Elems[2].Int),
 				Reads:  []kvstore.JournalOp{{Key: k, Val: val, OK: ok}},
 			})
@@ -754,8 +767,7 @@ func stressClient(t *testing.T, addr string, store *kvstore.Sharded, worker, txn
 			if err != nil {
 				return err
 			}
-			shard := int(rep.Elems[0].Int)
-			journal[shard] = append(journal[shard], kvstore.JournalTxn{
+			*journal = append(*journal, kvstore.JournalTxn{
 				Serial: uint64(rep.Elems[1].Int), Writer: true,
 				Writes: []kvstore.JournalOp{{Key: k, Val: v, OK: true}},
 			})
@@ -785,33 +797,26 @@ func stressClient(t *testing.T, addr string, store *kvstore.Sharded, worker, txn
 				return errors.New("EXEC reply " + rep.Str)
 			}
 			results, serials := rep.Elems[0], serialsOf(t, rep.Elems[1])
+			serial := slices.Max(serials)
+			for shard, s := range serials {
+				touched := shard == store.ShardOf(a) || shard == store.ShardOf(b)
+				if serial == 0 || touched && s != serial || !touched && s != 0 {
+					return fmt.Errorf("EXEC on keys %d, %d (shards %d, %d): serial vector %v",
+						a, b, store.ShardOf(a), store.ShardOf(b), serials)
+				}
+			}
 			mget := results.Elems[0]
-			reads := []kvstore.JournalOp{
-				journalRead(a, mget.Elems[0]),
-				journalRead(b, mget.Elems[1]),
-			}
-			writes := []kvstore.JournalOp{
-				{Key: a, Val: va, OK: true},
-				{Key: b, Val: vb, OK: true},
-			}
-			for shard, serial := range serials {
-				if serial == 0 {
-					continue
-				}
-				rec := kvstore.JournalTxn{Serial: serial}
-				for _, rd := range reads {
-					if store.ShardOf(rd.Key) == shard {
-						rec.Reads = append(rec.Reads, rd)
-					}
-				}
-				for _, wr := range writes {
-					if store.ShardOf(wr.Key) == shard {
-						rec.Writes = append(rec.Writes, wr)
-						rec.Writer = true
-					}
-				}
-				journal[shard] = append(journal[shard], rec)
-			}
+			*journal = append(*journal, kvstore.JournalTxn{
+				Serial: serial, Writer: true,
+				Reads: []kvstore.JournalOp{
+					journalRead(a, mget.Elems[0]),
+					journalRead(b, mget.Elems[1]),
+				},
+				Writes: []kvstore.JournalOp{
+					{Key: a, Val: va, OK: true},
+					{Key: b, Val: vb, OK: true},
+				},
+			})
 		}
 	}
 	return nil

@@ -59,8 +59,8 @@ func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 // statFields is the one table of statistics fields, in Stats declaration
 // order: the wire name (the server's INFO prints "stm_"+name) and the
-// field's address in the live counters and in a Stats snapshot. addTo,
-// Stats.Add and Stats.Each walk it, so a new counter is one struct field in
+// field's address in the live counters and in a Stats snapshot. addTo and
+// Stats.Each walk it, so a new counter is one struct field in
 // each of Stats and counters plus one row here (TestStatFieldsCoverage
 // pins the table to both structs by reflection).
 var statFields = [...]struct {
@@ -89,13 +89,6 @@ var statFields = [...]struct {
 func (c *counters) addTo(s *Stats) {
 	for _, f := range statFields {
 		*f.stat(s) += f.counter(c).Load()
-	}
-}
-
-// Add accumulates o into s field by field (summing per-shard snapshots).
-func (s *Stats) Add(o Stats) {
-	for _, f := range statFields {
-		*f.stat(s) += *f.stat(&o)
 	}
 }
 

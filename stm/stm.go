@@ -41,7 +41,7 @@
 // RMW where token reads pay 2m RMWs. The price is that a first-attempt
 // reader no longer holds writers off, so one can invalidate it — once:
 // every retry reads by token, as does every Group member on every attempt
-// (per-shard clocks give an invisible read no cross-shard consistency), so
+// (per-TM clocks give an invisible read no cross-TM consistency), so
 // under contention the protocol is the paper's and the progress argument
 // above applies unchanged. Either way every attempt, including one that
 // later aborts, reads one committed state (opacity; DESIGN.md §8).
@@ -111,8 +111,8 @@ type TM struct {
 	// Everything above is read-only after New and read on every access;
 	// the two clocks below are written by every transaction. The pads keep
 	// the groups on separate cache lines wherever the allocator places the
-	// TM, and keep one shard's clocks off the next shard's header (sharing
-	// a line costs inproc-point a quarter of its throughput).
+	// TM, and keep its clocks off the header of whatever is allocated next
+	// to it (sharing a line costs inproc-point a quarter of its throughput).
 	_      [64]byte
 	births atomic.Uint64 // birth-ticket source (eldest tiebreak)
 	serial atomic.Uint64 // commit serial clock; doubles as the invisible-read clock
@@ -174,7 +174,7 @@ func (tm *TM) metaw(b uint32) *atomic.Uint64 { return &tm.meta[b] }
 
 // SerialClock returns the current value of the commit serial clock — the
 // serial of the most recent commit (0 before any). Safe to call at any time;
-// a network front end reports it per shard as the observability surface.
+// the network front end reports it in INFO.
 func (tm *TM) SerialClock() uint64 { return tm.serial.Load() }
 
 // nextSerial draws the next commit serial, failing loudly (typed
