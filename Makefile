@@ -14,12 +14,17 @@ BENCH_PARALLEL ?= 0
 STM_OPS ?= 60000
 STM_REPS ?= 9
 
-.PHONY: verify lint race breakdown explore profile stmbench
+.PHONY: verify simverify lint race breakdown explore profile stmbench
 
 verify:
 	$(GO) build ./...
 	$(MAKE) lint
 	$(GO) test ./...
+	$(MAKE) simverify
+
+# Simulator end-to-end checks (~3 s): seed invariance and cross-run
+# identity of a small sweep, and the explorer catching a seeded protocol bug.
+simverify:
 	$(GO) run ./cmd/experiments -run verify -scale 0.01 -progress=false
 	$(GO) run ./cmd/tokentm-explore -program incr-cross -mutation skip-log-credit -max-schedules 50 > /dev/null 2>&1; \
 		if [ $$? -ne 1 ]; then echo "FAIL: seeded mutation skip-log-credit not detected"; exit 1; fi

@@ -238,11 +238,11 @@ func BenchmarkSmallSweep(b *testing.B) {
 }
 
 // TestSmallSweepAllocBudget is the one guard on the sweep's allocation
-// count (~13 500 per pass; the protocol paths inside it are pinned at 0 by
+// count (~10 000 per pass; the protocol paths inside it are pinned at 0 by
 // internal/core's TestAllocFreeAnnotations). The budget is 20 % over the
-// 13 477 recorded when the sweep was first tuned.
+// 10 040 recorded once the value store and the directory stopped paging.
 func TestSmallSweepAllocBudget(t *testing.T) {
-	const budget = 16200
+	const budget = 12050
 	if got := testing.AllocsPerRun(3, func() { smallSweep(t) }); got > budget {
 		t.Errorf("small sweep: %.0f allocs per pass, budget %d", got, budget)
 	}

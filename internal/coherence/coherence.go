@@ -101,32 +101,29 @@ type MemSys struct {
 	L1s      []*cache.Cache
 	l2banks  []*cache.Cache
 	noc      *interconnect.NoC
-	// dir is the directory, paged by block-address upper bits: entries live
-	// inline in fixed pages instead of one heap allocation per block, and
-	// workload regions are dense so a page amortizes its map insert across
-	// dirPageBlocks neighbors. lastKey/lastPage short-circuit the page
-	// lookup for the repeated same-block probes within one access.
-	dir      map[mem.BlockAddr]*dirPage
-	lastKey  mem.BlockAddr
-	lastPage *dirPage
+	// dir is the directory: it maps each block ever accessed to the index
+	// of its entry in chunks, so it grows with the blocks touched rather
+	// than the address range they span (workloads touch scattered blocks).
+	// Entries are appended in creation order into fixed-size chunks that
+	// never move, so a *dirEntry stays valid while later entries are
+	// created; a block without an entry has no copies.
+	dir      map[mem.BlockAddr]int32
+	chunks   []*dirChunk
 	listener Listener
 	Stats    Stats
 }
 
-// dirPageBlocks is the directory page size in blocks (power of two).
-const dirPageBlocks = 128
+// dirChunkEntries is the number of directory entries allocated at a time.
+const dirChunkEntries = 128
 
-// dirPage holds the entries for one aligned group of dirPageBlocks blocks.
-// Untouched entries read as {sharers: 0, owner: -1}, exactly what the
-// map-based directory materialized lazily.
-type dirPage [dirPageBlocks]dirEntry
+type dirChunk [dirChunkEntries]dirEntry
 
 // NewMemSys builds the memory system with the paper's cache geometry.
 func NewMemSys(numCores int) *MemSys {
 	m := &MemSys{
 		NumCores: numCores,
 		noc:      interconnect.New(),
-		dir:      make(map[mem.BlockAddr]*dirPage),
+		dir:      make(map[mem.BlockAddr]int32),
 		listener: nopListener{},
 	}
 	for i := 0; i < numCores; i++ {
@@ -141,35 +138,31 @@ func NewMemSys(numCores int) *MemSys {
 // SetListener attaches the metastate listener (the HTM system).
 func (m *MemSys) SetListener(l Listener) { m.listener = l }
 
+// entry returns b's directory entry, creating it ({no sharers, no owner})
+// on first touch. The pointer stays valid for the machine's lifetime.
 func (m *MemSys) entry(b mem.BlockAddr) *dirEntry {
-	key := b / dirPageBlocks
-	p := m.lastPage
-	if p == nil || m.lastKey != key {
-		var ok bool
-		p, ok = m.dir[key]
-		if !ok {
-			p = new(dirPage)
-			for i := range p {
-				p[i].owner = -1
-			}
-			m.dir[key] = p
+	i, ok := m.dir[b]
+	if !ok {
+		i = int32(len(m.dir))
+		if i%dirChunkEntries == 0 {
+			m.chunks = append(m.chunks, new(dirChunk))
 		}
-		m.lastKey, m.lastPage = key, p
+		m.dir[b] = i
+		m.at(i).owner = -1
 	}
-	return &p[b%dirPageBlocks]
+	return m.at(i)
+}
+
+func (m *MemSys) at(i int32) *dirEntry {
+	return &m.chunks[i/dirChunkEntries][i%dirChunkEntries]
 }
 
 // SharerMask returns the bitmask of cores currently holding a copy of b
 // (bit c set means core c has a copy). This is the allocation-free form of
 // Sharers, for latency-bearing probe loops.
 func (m *MemSys) SharerMask(b mem.BlockAddr) uint32 {
-	key := b / dirPageBlocks
-	if m.lastPage != nil && m.lastKey == key {
-		return m.lastPage[b%dirPageBlocks].sharers
-	}
-	if p, ok := m.dir[key]; ok {
-		m.lastKey, m.lastPage = key, p
-		return p[b%dirPageBlocks].sharers
+	if i, ok := m.dir[b]; ok {
+		return m.at(i).sharers
 	}
 	return 0
 }
@@ -286,7 +279,6 @@ func (m *MemSys) Access(core int, b mem.BlockAddr, write bool) mem.Cycle {
 		m.retire(core, victim, LossEvict)
 	}
 	lat += L1FillCycles
-	e = m.entry(b) // victim retirement may have touched the map
 	e.sharers |= 1 << uint(core)
 	if state == cache.Modified || state == cache.Exclusive {
 		e.owner = int8(core)

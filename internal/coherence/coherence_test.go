@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"runtime"
 	"testing"
 
 	"tokentm/internal/cache"
@@ -224,6 +225,33 @@ func TestFlushCore(t *testing.T) {
 	}
 	if m.Stats.Writebacks != 5 {
 		t.Fatalf("flush writebacks: %d", m.Stats.Writebacks)
+	}
+}
+
+// TestDirectorySizedByFootprint: blocks scattered 128 apart (as workloads
+// touch random blocks) cost the directory what the blocks cost, not what the
+// address range would.
+func TestDirectorySizedByFootprint(t *testing.T) {
+	const blocks, stride, budget = 4096, 128, 256 << 10
+	m := NewMemSys(4)
+	// Every block below maps to the same L1 set and the same L2 arena
+	// chunk; build those first so only the directory grows.
+	for c := 0; c < m.NumCores; c++ {
+		m.Access(c, 0, false)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= blocks; i++ {
+		m.Access(i%m.NumCores, mem.BlockAddr(i*stride), i%2 == 0)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if len(m.dir) != blocks+1 {
+		t.Fatalf("directory holds %d blocks, want %d", len(m.dir), blocks+1)
+	}
+	if got := int64(after.HeapAlloc) - int64(before.HeapAlloc); got >= budget {
+		t.Fatalf("%d accesses to blocks %d apart hold %d B of heap, budget %d", blocks, stride, got, budget)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 
 // FingerprintTo mixes the memory system's logical state: the directory (in
 // ascending block order, skipping entries with no copies — the directory
-// lazily materializes empty entries, which must not distinguish states) and
-// every cache's content. Stats are measurement, not state, and are excluded.
+// keeps an entry for every block ever accessed, and an emptied one must not
+// distinguish states) and every cache's content. Stats are measurement, not
+// state, and are excluded.
 func (m *MemSys) FingerprintTo(h *statehash.Hash) {
 	keys := make([]mem.BlockAddr, 0, len(m.dir))
 	for k := range m.dir {
@@ -18,17 +19,14 @@ func (m *MemSys) FingerprintTo(h *statehash.Hash) {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	h.Mark('D')
-	for _, k := range keys {
-		p := m.dir[k]
-		for i := range p {
-			e := &p[i]
-			if e.sharers == 0 && e.owner < 0 {
-				continue // untouched or emptied entry: not state
-			}
-			h.U64(uint64(k*dirPageBlocks) + uint64(i))
-			h.U32(e.sharers)
-			h.Int(int(e.owner))
+	for _, b := range keys {
+		e := m.at(m.dir[b])
+		if e.sharers == 0 && e.owner < 0 {
+			continue // emptied entry: not state
 		}
+		h.U64(uint64(b))
+		h.U32(e.sharers)
+		h.Int(int(e.owner))
 	}
 	h.Mark('d')
 	for i, c := range m.L1s {

@@ -51,8 +51,7 @@ const AllocFreeDirective = "//tokentm:allocfree"
 var allocFreeCallWhitelist = map[string]string{
 	"tokentm/internal/metastate.CheckStamp":      "constructs *StampOverflowError only when the 48-bit stamp space is exhausted; every caller panics on a non-nil return, so the steady state never allocates",
 	"(*tokentm/internal/cache.Cache).newSet":     "first-touch lazy materialization of one cache set from an arena chunk; amortized to zero once the working set is touched, which the AllocsPerRun tables prove",
-	"(*tokentm/internal/mem.Store).StoreWord":    "first-touch lazy page materialization (new(storePage) once per 4KiB page); steady-state stores hit the page cache, which the AllocsPerRun tables prove",
-	"(*tokentm/internal/coherence.MemSys).entry": "first-touch lazy materialization of one directory page (new(dirPage) once per dirPageBlocks); steady-state lookups hit the one-entry page cache, which the AllocsPerRun tables prove",
+	"(*tokentm/internal/coherence.MemSys).entry": "first touch of a block appends its directory entry, allocating a new chunk once per dirChunkEntries blocks; a block already in the directory is one map lookup, which the AllocsPerRun tables prove",
 }
 
 func runAllocFree(pass *analysis.Pass) error {

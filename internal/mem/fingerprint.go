@@ -10,20 +10,14 @@ import (
 // non-zero words are state (zero is the implicit value of untouched memory),
 // so two stores with equal readable content always hash equal.
 func (s *Store) FingerprintTo(h *statehash.Hash) {
-	keys := make([]Addr, 0, len(s.pages))
-	for k := range s.pages {
+	keys := make([]Addr, 0, len(s.words))
+	for k := range s.words {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	h.Int(s.nonzero)
-	for _, k := range keys {
-		p := s.pages[k]
-		for i, v := range p {
-			if v == 0 {
-				continue
-			}
-			h.U64(uint64((k*storePageWords + Addr(i)) * WordBytes))
-			h.U64(v)
-		}
+	h.Int(len(s.words))
+	for _, w := range keys {
+		h.U64(uint64(w * WordBytes))
+		h.U64(s.words[w])
 	}
 }

@@ -78,73 +78,32 @@ func (b BlockAddr) String() string { return fmt.Sprintf("B0x%x", uint64(b)) }
 // serialized by the scheduler. Old values are preserved/restored through the
 // per-thread transaction logs, exactly as LogTM's eager version management
 // does.
-// The store is paged: words live inline in fixed pages keyed by their upper
-// address bits, so dense workload regions pay one map insert per
-// storePageWords words instead of one per word, and sequential scans stay in
-// one cache-friendly array. Zero is the implicit value of absent pages and
-// untouched slots, matching the old delete-on-zero map semantics.
+// The store holds only the non-zero words, keyed by word index, so its size
+// follows the words a workload has written, not the address range they
+// span: workloads touch word 0 of scattered blocks, and a page of
+// neighbouring words would be almost all zeros. Zero is the implicit value
+// of every absent word.
 type Store struct {
-	pages    map[Addr]*storePage
-	lastKey  Addr
-	lastPage *storePage
-	nonzero  int
+	words map[Addr]uint64
 }
-
-// storePageWords is the store page size in 64-bit words (power of two).
-const storePageWords = 128
-
-type storePage [storePageWords]uint64
 
 // NewStore returns an empty value store; all words read as zero.
 func NewStore() *Store {
-	return &Store{pages: make(map[Addr]*storePage)}
-}
-
-// page returns the page holding word index w, or nil when absent, refreshing
-// the one-entry lookup cache.
-func (s *Store) page(w Addr) *storePage {
-	key := w / storePageWords
-	if s.lastPage != nil && s.lastKey == key {
-		return s.lastPage
-	}
-	p := s.pages[key]
-	if p != nil {
-		s.lastKey, s.lastPage = key, p
-	}
-	return p
+	return &Store{words: make(map[Addr]uint64)}
 }
 
 // Load returns the 64-bit word at the word-aligned address containing a.
-func (s *Store) Load(a Addr) uint64 {
-	w := a / WordBytes
-	if p := s.page(w); p != nil {
-		return p[w%storePageWords]
-	}
-	return 0
-}
+func (s *Store) Load(a Addr) uint64 { return s.words[a/WordBytes] }
 
 // StoreWord writes the 64-bit word at the word-aligned address containing a.
+// Storing zero deletes the word.
 func (s *Store) StoreWord(a Addr, v uint64) {
-	w := a / WordBytes
-	p := s.page(w)
-	if p == nil {
-		if v == 0 {
-			return // writing zero over implicit zero
-		}
-		p = new(storePage)
-		key := w / storePageWords
-		s.pages[key] = p
-		s.lastKey, s.lastPage = key, p
+	if v == 0 {
+		delete(s.words, a/WordBytes)
+		return
 	}
-	slot := &p[w%storePageWords]
-	switch {
-	case *slot == 0 && v != 0:
-		s.nonzero++
-	case *slot != 0 && v == 0:
-		s.nonzero--
-	}
-	*slot = v
+	s.words[a/WordBytes] = v
 }
 
 // Footprint returns the number of distinct non-zero words currently stored.
-func (s *Store) Footprint() int { return s.nonzero }
+func (s *Store) Footprint() int { return len(s.words) }

@@ -253,6 +253,7 @@ func (s Spec) Build(m *sim.Machine, threads int, scale float64, seed int64) {
 	for t := 0; t < threads; t++ {
 		rng := randstream.New(seed*7919 + int64(t)*104729 + 1)
 		m.Spawn(func(tc *sim.Ctx) {
+			seen := make(map[mem.Addr]bool)
 			for i := 0; i < perThread; i++ {
 				nr, rTail := rs.draw(rng)
 				nw, _ := ws.draw(rng)
@@ -260,7 +261,7 @@ func (s Spec) Build(m *sim.Machine, threads int, scale float64, seed int64) {
 					// Read-only scan of shared immutable data plus a
 					// small ordinary write set.
 					start := mem.Addr(rng.Intn(scanBlocks - nr))
-					writes := s.pickBlocks(rng, nw, hotBase, poolBase)
+					writes := s.pickBlocks(rng, seen, nw, hotBase, poolBase)
 					tc.Atomic(func(tx *sim.Tx) {
 						for j := 0; j < nr; j++ {
 							tx.Load(scanBase + (start+mem.Addr(j))*mem.BlockBytes)
@@ -279,7 +280,7 @@ func (s Spec) Build(m *sim.Machine, threads int, scale float64, seed int64) {
 				if nw > n {
 					n = nw
 				}
-				blocks := s.pickBlocks(rng, n, hotBase, poolBase)
+				blocks := s.pickBlocks(rng, seen, n, hotBase, poolBase)
 				tc.Atomic(func(tx *sim.Tx) {
 					for j, a := range blocks {
 						var v uint64
@@ -299,10 +300,11 @@ func (s Spec) Build(m *sim.Machine, threads int, scale float64, seed int64) {
 }
 
 // pickBlocks selects n distinct block addresses: SharedFrac of them from the
-// contended hot region, the rest from the weakly-shared pool.
-func (s Spec) pickBlocks(rng *rand.Rand, n int, hotBase, poolBase mem.Addr) []mem.Addr {
+// contended hot region, the rest from the weakly-shared pool. seen is the
+// calling thread's scratch set, emptied here.
+func (s Spec) pickBlocks(rng *rand.Rand, seen map[mem.Addr]bool, n int, hotBase, poolBase mem.Addr) []mem.Addr {
 	out := make([]mem.Addr, 0, n)
-	seen := make(map[mem.Addr]bool, n)
+	clear(seen)
 	for len(out) < n {
 		var a mem.Addr
 		if rng.Float64() < s.SharedFrac {

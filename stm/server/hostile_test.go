@@ -2,8 +2,9 @@ package server
 
 // Hostile clients that reach the codec and the reply flush: garbage behind a
 // valid pipelined prefix, a reply larger than the writer's bound, a client
-// that sends without ever reading its replies, one that hangs up inside
-// MULTI, and one that half-closes behind a pipelined batch.
+// that sends without ever reading its replies, one that trickles a command
+// it never finishes, one that hangs up inside MULTI, and one that
+// half-closes behind a pipelined batch.
 
 import (
 	"errors"
@@ -96,6 +97,50 @@ func TestHostileNonReaderReleasesSlot(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("flooding client never saw its connection closed")
 	}
+}
+
+// TestHostileSlowLoris: a client that trickles one command a byte every
+// quarter ReadTimeout and never finishes it is dropped once ReadTimeout has
+// passed since the command began. ReadTimeout bounds the whole command, not
+// each read, so the trickle cannot hold the only slot.
+func TestHostileSlowLoris(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	_, addr := startServer(t, Config{Shards: 1, MaxConns: 1, ReadTimeout: timeout})
+	c := dial(t, addr)
+	start := time.Now()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		tick := time.NewTicker(timeout / 4)
+		defer tick.Stop()
+		const prefix = "SET 7 " // then a value that never ends
+		for i := 0; ; i++ {
+			b := byte('7')
+			if i < len(prefix) {
+				b = prefix[i]
+			}
+			if _, err := c.nc.Write([]byte{b}); err != nil {
+				return
+			}
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+
+	c.nc.SetReadDeadline(start.Add(2 * timeout))
+	buf := make([]byte, 64)
+	n, err := c.nc.Read(buf)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open %v into a command that never completes, want it dropped within %v", time.Since(start), 2*timeout)
+	}
+	if err == nil {
+		t.Fatalf("got %q for an incomplete command, want the connection dropped", buf[:n])
+	}
+	waitForSlot(t, addr).nc.Close()
 }
 
 // waitForSlot dials until a connection is served rather than refused and
