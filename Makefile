@@ -14,7 +14,7 @@ BENCH_PARALLEL ?= 0
 STM_OPS ?= 60000
 STM_REPS ?= 9
 
-.PHONY: verify simverify lint race breakdown explore profile stmbench
+.PHONY: verify simverify lint race breakdown explore profile simprofile stmbench
 
 verify:
 	$(GO) build ./...
@@ -41,10 +41,14 @@ lint:
 # Race-enabled proof that parallel sweeps share no mutable state between
 # simulated machines (harness worker pool + scheduler contract), plus the
 # host STM stress + serializability suite (stm/...). The explorer's chooser
-# runs on simulated-thread goroutines, so its short suite runs here too.
+# runs on simulated-thread coroutines, so its short suite runs here too.
+# The goldens and the per-turn check pass the coroutine baton over every
+# workload x variant, preemptive machines included, where internal/sim's
+# unit tests and explore -short drive only small programs.
 race:
 	$(GO) test -race ./internal/harness ./internal/sim ./stm/...
 	$(GO) test -race -short ./internal/explore
+	$(GO) test -race -run 'SchedulerGoldens|PerTurnLoopMatchesEventEngine' .
 
 # Cycle-attribution breakdown sweep (Figures 7-9). BENCH_breakdown.json is
 # fully deterministic and CI `git diff --exit-code`s it after regeneration.
@@ -67,6 +71,13 @@ profile:
 	$(GO) test -run '^$$' -bench 'BenchmarkCommit/software' -benchtime 2s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
+
+# CPU profile of the simulator's host speed: BenchmarkSimSweep, the grid of
+# the benchmark's sim-sweep workload, at one P as that workload runs.
+simprofile:
+	$(GO) test -run '^$$' -bench '^BenchmarkSimSweep$$' -cpu 1 -benchtime 5s \
+		-cpuprofile sim.pprof .
+	@echo "wrote sim.pprof (go tool pprof sim.pprof)"
 
 # Host STM benchmark grid: mixes x worker counts x five targets (the stm,
 # rwmutex and tl2-occ backends unsharded, kvstore.Sharded, and a live

@@ -30,7 +30,8 @@ func TestCrossRunDeterminism(t *testing.T) {
 		{"Vacation-High", VariantTokenTM},
 		// Every commit walks the log: the release path dominates.
 		{"Delaunay", VariantTokenTMNoFast},
-		// The signature baseline: enemy enumeration over byTID.
+		// The signature baseline: enemy enumeration over the TID-sorted
+		// thread list.
 		{"Genome", VariantLogTMSE4xH3},
 	}
 	for _, tc := range cases {

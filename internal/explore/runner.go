@@ -96,8 +96,8 @@ func runSchedule(prog *Program, variant string, mut core.Mutation, o runOpts, ch
 		m.SetHTM(sys)
 	}
 	journals := spawnProgram(m, prog)
-	// Unwind any threads still parked on their grant channels when the run
-	// stops mid-schedule, so pruned executions leak no goroutines.
+	// Unwind any threads still suspended when the chooser stops the run
+	// mid-schedule, so pruned executions leak no goroutines.
 	defer m.Kill()
 
 	res := runResult{}

@@ -27,7 +27,6 @@ type LogTMSE struct {
 	ms    *coherence.MemSys
 	store *mem.Store
 
-	byTID map[mem.TID]*htm.Thread
 	// threads holds registered threads sorted by TID, each with its
 	// signatures alongside: checkConflict walks this per access, and a map
 	// lookup per foreign thread was measurable.
@@ -58,7 +57,6 @@ func New(ms *coherence.MemSys, store *mem.Store, kind sig.Kind, retryLimit int) 
 		retryLimit: retryLimit,
 		ms:         ms,
 		store:      store,
-		byTID:      make(map[mem.TID]*htm.Thread),
 		sigs:       make(map[mem.TID]*threadSigs),
 	}
 }
@@ -88,7 +86,6 @@ func (s *LogTMSE) Register(th *htm.Thread) {
 		copy(s.threads[i+1:], s.threads[i:])
 		s.threads[i] = e
 	}
-	s.byTID[th.TID] = th
 	s.sigs[th.TID] = sg
 }
 

@@ -13,11 +13,12 @@ import (
 // by refreshReady at the few points it can change), so picking the next turn
 // — the min-(ready time, core id) order the package comment documents — is a
 // scan of one flat slice, not a rescan of every core's queues. The scheduler
-// runs *on the yielding thread's goroutine*: after a thread finishes a timed
+// runs *on the yielding thread's coroutine*: after a thread finishes a timed
 // operation it settles its own result, picks the next core, fast-forwards
-// and dispatches it, and hands the baton directly to that thread's goroutine
-// — one channel handoff per cross-core turn, and none when the next turn is
-// its own. A chooser (RunChoosing) is asked before every turn, with the
+// and dispatches it, names that core's thread in Machine.handoff and
+// suspends for RunChoosing to resume it — two coroutine switches per
+// cross-thread turn, outside the Go scheduler, and none when the next turn
+// is its own. A chooser (RunChoosing) is asked before every turn, with the
 // cached min-time pick as its default.
 //
 // Work deferral. Purely local computation (Ctx.Work) charges its attr
@@ -45,34 +46,36 @@ type CoreChoice struct {
 	ReadyAt mem.Cycle
 }
 
-// stopSignal is RunChoosing's terminal signal when the chooser stops the run.
-type stopSignal struct{}
-
 // RunChoosing is Run with a chooser asked before every turn. choose gets the
 // runnable cores (RunnableCores) and def, the core the default min-(ready,
 // id) schedule would run, and returns the core to run next; it may change
 // the machine in place before answering (Preempt, say). Returning ok=false
 // stops the run, and after that the only thing a caller may do with the
 // machine is Kill. choose runs on whichever goroutine holds the turn — the
-// caller's for the first turn, a simulated thread's after that — never on
-// two at once. A nil choose runs the default schedule.
+// caller's for the first turn, a simulated thread's coroutine after that —
+// never on two at once. A nil choose runs the default schedule. A thread's
+// panic leaves RunChoosing, on the caller, once the other threads are killed.
 func (m *Machine) RunChoosing(choose func(choices []CoreChoice, def int) (core int, ok bool)) mem.Cycle {
 	if m.HTM == nil {
 		panic("sim: SetHTM before Run")
 	}
+	returned := false
+	defer func() {
+		if !returned {
+			m.Kill()
+		}
+	}()
 	m.choose = choose
-	m.done = make(chan any, 1)
 	for _, c := range m.cores {
 		m.refreshReady(c)
 	}
 	m.advance(nil, true)
-	if v := <-m.done; v != nil {
-		if _, stop := v.(stopSignal); !stop {
-			// A thread goroutine panicked (protocol invariant, user bug,
-			// deadlock mid-run): re-panic on the caller's goroutine.
-			panic(v)
-		}
+	for m.handoff != nil {
+		th := m.handoff
+		m.handoff = nil
+		th.resume()
 	}
+	returned = true
 	var makespan mem.Cycle
 	for _, c := range m.cores {
 		if c.time > makespan {
@@ -83,7 +86,7 @@ func (m *Machine) RunChoosing(choose func(choices []CoreChoice, def int) (core i
 }
 
 // yield ends the thread's turn: it settles the turn's result on the thread's
-// own goroutine, then advances the machine.
+// own coroutine, then advances the machine.
 func (th *Thread) yield(r opResult) {
 	th.flushWork()
 	m := th.m
@@ -111,32 +114,28 @@ func (th *Thread) flushWork() {
 	m.advance(th, false)
 }
 
-// advance picks the next turn, dispatches its core, and passes the baton.
-// When the next turn belongs to prev it simply returns — the caller keeps
-// running with no goroutine switch. When prev has finished (or is nil, at
-// the start of a run) the baton is passed and the caller unwinds without
-// parking. When the chooser stops the run, prev parks until Kill.
+// advance picks the next turn, dispatches its core, and passes the baton by
+// naming its thread in m.handoff. When the next turn belongs to prev it
+// simply returns — no switch. When prev has finished (or is nil, at the
+// start of a run) the caller unwinds to the driver. Otherwise prev suspends
+// until its next turn, or until Kill when the chooser stopped the run.
 func (m *Machine) advance(prev *Thread, finished bool) {
 	if m.live == 0 {
-		m.done <- nil
 		return
 	}
-	if c := m.next(); c == nil {
-		m.done <- stopSignal{}
-	} else {
+	if c := m.next(); c != nil {
 		m.enterCore(c)
 		next := c.cur
 		next.state = tsRunning
 		if next == prev {
 			return
 		}
-		next.grant <- struct{}{}
+		m.handoff = next
 	}
 	if finished {
 		return
 	}
-	<-prev.grant
-	if m.killed {
+	if !prev.suspend(struct{}{}) {
 		panic(killSignal{})
 	}
 }

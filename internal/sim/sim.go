@@ -5,15 +5,17 @@
 // Scheduling uses min-time ordering: the scheduler always resumes the core
 // with the smallest local clock (ties broken by core id), which yields a
 // deterministic, causally consistent interleaving. Threads execute one timed
-// operation per turn and pass the turn on as a baton (events.go), so
-// although each thread is a goroutine, exactly one runs at a time and no
-// model state needs locking. The paper's error bars come from
-// pseudo-randomly perturbed simulations; the Seed configuration reproduces
-// that by jittering conflict backoffs.
+// operation per turn and pass the turn on as a baton (events.go). Each
+// thread is a coroutine (iter.Pull) that Run resumes and the thread
+// suspends, so exactly one runs at a time, a switch never enters the Go
+// scheduler, and no model state needs locking. The paper's error bars come
+// from pseudo-randomly perturbed simulations; the Seed configuration
+// reproduces that by jittering conflict backoffs.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/bits"
 	"math/rand"
 
@@ -100,8 +102,12 @@ type Thread struct {
 	core *coreState
 	fn   ThreadFunc
 
-	// grant wakes the thread's goroutine for its next turn (or for Kill).
-	grant chan struct{}
+	// resume (RunChoosing) runs the thread's coroutine to its next suspend
+	// or its end; suspend, on the coroutine, hands control back; stop (Kill)
+	// makes a pending suspend return false, or ends an unstarted thread.
+	resume  func() (struct{}, bool)
+	suspend func(struct{}) bool
+	stop    func()
 
 	state   threadState
 	wakeAt  mem.Cycle
@@ -150,13 +156,11 @@ type Machine struct {
 	locks   map[int]*lockState
 	rng     *rand.Rand
 	live    int
-	killed  bool
 	// choose is RunChoosing's chooser, nil for the default schedule.
 	choose func(choices []CoreChoice, def int) (int, bool)
-	// done carries the terminal signal back to RunChoosing: nil for normal
-	// completion, stopSignal when the chooser stopped the run, or the panic
-	// value a thread goroutine died with.
-	done chan any
+	// handoff is the thread RunChoosing resumes next, set by advance when
+	// the baton leaves the running thread; nil ends the run.
+	handoff *Thread
 	// readyKeys caches each core's next event time for pickReadyCore,
 	// packed as time<<readyShift|id (notReady when the core has nothing to
 	// run); maintained by refreshReady.
@@ -260,14 +264,16 @@ func (m *Machine) Spawn(fn ThreadFunc) *Thread {
 		m:     m,
 		core:  c,
 		fn:    fn,
-		grant: make(chan struct{}),
 		state: tsRunnable,
 	}
+	th.resume, th.stop = iter.Pull(func(suspend func(struct{}) bool) {
+		th.suspend = suspend
+		th.run()
+	})
 	m.threads = append(m.threads, th)
 	c.runq = append(c.runq, th)
 	m.HTM.Register(th.H)
 	m.live++
-	go th.run()
 	return th
 }
 
@@ -285,7 +291,7 @@ func (m *Machine) CoreTimes() []mem.Cycle {
 	return out
 }
 
-// killSignal unwinds a thread goroutine that was woken only to die (Kill).
+// killSignal unwinds a suspended thread that was stopped (Kill).
 type killSignal struct{}
 
 func (th *Thread) run() {
@@ -298,9 +304,9 @@ func (th *Thread) run() {
 			return // Kill: exit without reporting a turn
 		}
 		// A panic escaped the thread body (protocol invariant failure,
-		// user-code bug) or the scheduler running on this goroutine (a
-		// deadlock). Retire the thread and forward the value to whoever
-		// called Run.
+		// user-code bug) or the scheduler running on this coroutine (a
+		// deadlock). Retire the thread and let the panic continue:
+		// iter.Pull re-raises it out of resume, on whoever called Run.
 		if th.state != tsFinished {
 			th.core.time += th.deferred
 			th.deferred = 0
@@ -310,12 +316,8 @@ func (th *Thread) run() {
 			}
 			th.m.live--
 		}
-		th.m.done <- r
+		panic(r)
 	}()
-	<-th.grant
-	if th.m.killed {
-		return
-	}
 	tc := &Ctx{th: th}
 	th.fn(tc)
 	if tc.xactDepth != 0 {
@@ -371,22 +373,19 @@ func (m *Machine) Preempt(core int) bool {
 	return true
 }
 
-// Kill terminates every unfinished thread goroutine so an abandoned machine
-// leaks nothing. It must only be called while no thread holds the turn:
-// after Run or RunChoosing returned or panicked. The machine cannot run
-// again afterwards.
+// Kill terminates every unfinished thread so an abandoned machine leaks no
+// goroutines. It must only be called while no thread holds the turn: after
+// Run or RunChoosing returned or panicked (a panicking run has already
+// called it; a second Kill finds every thread finished). The machine cannot
+// run again afterwards.
 func (m *Machine) Kill() {
-	if m.killed {
-		return
-	}
-	m.killed = true
 	for _, th := range m.threads {
 		if th.state == tsFinished {
 			continue
 		}
 		th.state = tsFinished
 		m.live--
-		th.grant <- struct{}{}
+		th.stop()
 	}
 }
 

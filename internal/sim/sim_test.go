@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tokentm/internal/core"
@@ -512,6 +513,57 @@ func TestRandomizedStressWithInvariant(t *testing.T) {
 				t.Fatalf("trial %d (%s): %v", trial, variant, err)
 			}
 		}
+	}
+}
+
+// spawnLoaders spawns four threads that each do 1 000 Loads; thread
+// panicker panics at its fourth (-1: none does).
+func spawnLoaders(m *Machine, panicker int) {
+	for id := 0; id < 4; id++ {
+		m.Spawn(func(tc *Ctx) {
+			for i := 0; i < 1000; i++ {
+				if id == panicker && i == 3 {
+					panic("boom")
+				}
+				tc.Load(mem.Addr(0x10000 + (id*1000+i)*mem.BlockBytes))
+			}
+		})
+	}
+}
+
+// TestThreadPanicLeavesNoGoroutines: a thread's panic leaves Run on the
+// caller, and the machine's other threads have exited by then, with no Kill.
+func TestThreadPanicLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := newMachine(t, 4, "TokenTM")
+	spawnLoaders(m, 2)
+	var p any
+	func() {
+		defer func() { p = recover() }()
+		m.Run()
+	}()
+	if p != "boom" {
+		t.Fatalf("Run panicked with %v, want the thread's panic", p)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after the panicking run, %d before it", got, before)
+	}
+}
+
+// TestChooserStopThenKillLeavesNoGoroutines: a chooser stop leaves the
+// threads suspended until Kill, which returns once they have all exited.
+func TestChooserStopThenKillLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := newMachine(t, 4, "TokenTM")
+	spawnLoaders(m, -1)
+	turns := 0
+	m.RunChoosing(func(_ []CoreChoice, def int) (int, bool) {
+		turns++
+		return def, turns <= 20
+	})
+	m.Kill()
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("%d goroutines after stop and Kill, %d before the machine", got, before)
 	}
 }
 
