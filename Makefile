@@ -32,7 +32,7 @@ simverify:
 
 # Static gates: go vet, gofmt, and the tokentm analyzer suite
 # (maporder, wallclock, allocfree with its interprocedural closure,
-# exhaustive, atomicfield, logorder — see internal/lint).
+# exhaustive, atomicfield — see internal/lint).
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi

@@ -56,7 +56,7 @@ var allocFreeCallWhitelist = map[string]string{
 
 func runAllocFree(pass *analysis.Pass) error {
 	for _, fd := range enclosingFuncs(pass.Files) {
-		if !isAllocFreeAnnotated(fd) {
+		if !hasDirective(fd, AllocFreeDirective) {
 			continue
 		}
 		checkAllocFreeFunc(pass, fd)
@@ -120,19 +120,6 @@ func findAllocPath(facts *analysis.Facts, key string, visited map[string]bool, d
 		}
 	}
 	return nil, nil
-}
-
-func isAllocFreeAnnotated(fd *ast.FuncDecl) bool {
-	if fd.Doc == nil {
-		return false
-	}
-	for _, c := range fd.Doc.List {
-		if c.Text == AllocFreeDirective ||
-			len(c.Text) > len(AllocFreeDirective) && c.Text[:len(AllocFreeDirective)+1] == AllocFreeDirective+" " {
-			return true
-		}
-	}
-	return false
 }
 
 func checkAllocFreeFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
@@ -404,7 +391,7 @@ func AllocFreeFuncs(dir string) ([]string, error) {
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !isAllocFreeAnnotated(fd) {
+			if !ok || !hasDirective(fd, AllocFreeDirective) {
 				continue
 			}
 			out = append(out, funcDisplayName(fd))

@@ -86,12 +86,8 @@ type FuncFact struct {
 	Pos token.Pos
 
 	// Annotations parsed from the doc comment.
-	AllocFree  bool // //tokentm:allocfree — body must not allocate
-	Backoff    bool // //tokentm:backoff — counts as backoff in CAS retry loops
-	WritePath  bool // //tokentm:writepath — logorder entry point
-	TokenClaim bool // //tokentm:tokenclaim — claims write tokens
-	LogAppend  bool // //tokentm:logappend — appends the undo-log entry
-	DataWord   bool // //tokentm:dataword — returns a tracked data word
+	AllocFree bool // //tokentm:allocfree — body must not allocate
+	Backoff   bool // //tokentm:backoff — counts as backoff in CAS retry loops
 
 	// AllocSites are the allocating constructs in the body, judged by the
 	// same conservative rules the allocfree analyzer applies to annotated

@@ -13,7 +13,7 @@ import (
 // This file is the cross-package phase of the suite. The driver loads every
 // requested package, calls CollectFacts over all of them, and only then runs
 // the analyzers package by package with the shared analysis.Facts on each
-// pass. Three analyzers consume the index:
+// pass. Two analyzers consume the index:
 //
 //   - atomicfield: the //tokentm:backoff annotation resolves through
 //     Facts.Funcs, so a CAS retry loop may back off through a helper defined
@@ -22,9 +22,6 @@ import (
 //     form a call graph over function bodies, so a //tokentm:allocfree root
 //     is checked against the closure of its same-module callees instead of
 //     trusting annotation coverage.
-//   - logorder: the //tokentm:tokenclaim, //tokentm:logappend and
-//     //tokentm:dataword role annotations resolve through Facts.Funcs, so a
-//     write path may call roles defined in another package.
 //
 // When the driver analyzes a subset of the module (a single fixture package
 // in linttest, or an explicit package argument), calls into packages outside
@@ -36,25 +33,11 @@ import (
 // testdata/src/tokentm mimic the same prefix on purpose.
 const modulePath = "tokentm"
 
-// Directive annotations recognized by the fact collector, beyond
-// AllocFreeDirective (allocfree.go).
-const (
-	// BackoffDirective marks a function that backs off or dooms the caller;
-	// calling it satisfies the atomicfield CAS retry-loop backoff rule.
-	BackoffDirective = "//tokentm:backoff"
-	// WritePathDirective marks a logorder entry point: a function whose
-	// tracked data-word stores must be dominated by a token claim and a
-	// matching undo-log append.
-	WritePathDirective = "//tokentm:writepath"
-	// TokenClaimDirective marks the function that claims write tokens.
-	TokenClaimDirective = "//tokentm:tokenclaim"
-	// LogAppendDirective marks the function that appends the undo-log
-	// entry; its first argument is the block address being logged.
-	LogAppendDirective = "//tokentm:logappend"
-	// DataWordDirective marks the accessor returning a tracked data word;
-	// its last argument is the block address.
-	DataWordDirective = "//tokentm:dataword"
-)
+// BackoffDirective marks a function that backs off or dooms the caller;
+// calling it satisfies the atomicfield CAS retry-loop backoff rule. It and
+// AllocFreeDirective (allocfree.go) are the only //tokentm: annotations; any
+// other is a lint diagnostic (parseDirectives).
+const BackoffDirective = "//tokentm:backoff"
 
 // CollectFacts builds the module-wide index over the given packages. All
 // packages must come from one Loader (shared FileSet), which is what both
@@ -101,14 +84,10 @@ func collectFuncFacts(pkg *Package, facts *analysis.Facts) {
 			continue
 		}
 		fact := &analysis.FuncFact{
-			Name:       funcDisplayName(fd),
-			Pos:        fd.Pos(),
-			AllocFree:  isAllocFreeAnnotated(fd),
-			Backoff:    hasDirective(fd, BackoffDirective),
-			WritePath:  hasDirective(fd, WritePathDirective),
-			TokenClaim: hasDirective(fd, TokenClaimDirective),
-			LogAppend:  hasDirective(fd, LogAppendDirective),
-			DataWord:   hasDirective(fd, DataWordDirective),
+			Name:      funcDisplayName(fd),
+			Pos:       fd.Pos(),
+			AllocFree: hasDirective(fd, AllocFreeDirective),
+			Backoff:   hasDirective(fd, BackoffDirective),
 		}
 		collect := func(pos token.Pos, format string, args ...any) {
 			// The checker's message templates address annotated functions
@@ -162,16 +141,4 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return fn
 	}
 	return nil
-}
-
-// funcFactFor looks up the facts of a call's static target, or nil.
-func funcFactFor(facts *analysis.Facts, info *types.Info, call *ast.CallExpr) *analysis.FuncFact {
-	if facts == nil {
-		return nil
-	}
-	fn := calleeFunc(info, call)
-	if fn == nil {
-		return nil
-	}
-	return facts.Funcs[funcKey(fn)]
 }

@@ -1,4 +1,4 @@
-// Package lint implements the tokentm static-analysis suite: six analyzers
+// Package lint implements the tokentm static-analysis suite: five analyzers
 // that enforce the determinism, hot-path and concurrency-discipline
 // contracts from DESIGN.md at lint time, at the offending source line,
 // before any simulation or host transaction runs.
@@ -18,9 +18,6 @@
 //   - atomicfield: no function-style sync/atomic calls (typed atomics make
 //     mixed atomic/plain access a compile error), and CompareAndSwap retry
 //     loops re-load their expected value and back off (atomicfield.go).
-//   - logorder: on //tokentm:writepath functions, every store to a tracked
-//     data word is dominated by the token claim and the matching undo-log
-//     append (logorder.go).
 //
 // The driver runs in two phases: CollectFacts indexes every loaded package
 // (per-function alloc sites, call edges, annotations), then each analyzer
@@ -32,7 +29,9 @@
 //
 // placed either at the end of the offending line or alone on the line
 // directly above it. A directive without a reason is itself a diagnostic,
-// and so is a stale directive that suppresses nothing.
+// and so is a stale directive that suppresses nothing. A //tokentm:
+// annotation other than //tokentm:allocfree and //tokentm:backoff is a
+// diagnostic too, so a misspelled or retired annotation cannot sit unread.
 package lint
 
 import (
@@ -46,7 +45,7 @@ import (
 
 // Analyzers returns the full tokentm suite in a fixed order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{MapOrder, WallClock, AllocFree, Exhaustive, AtomicField, LogOrder}
+	return []*analysis.Analyzer{MapOrder, WallClock, AllocFree, Exhaustive, AtomicField}
 }
 
 // knownAnalyzer reports whether name names a suite analyzer.
@@ -167,13 +166,24 @@ func matchDirective(dirs []*directive, file string, line int, analyzer string) b
 
 // parseDirectives scans every comment of the package for //lint:ignore
 // directives, returning the well-formed ones plus hygiene diagnostics for
-// malformed ones (missing analyzer list, unknown analyzer, missing reason).
+// malformed ones (missing analyzer list, unknown analyzer, missing reason)
+// and for unknown //tokentm: annotations.
 func parseDirectives(pkg *Package) ([]*directive, []analysis.Diagnostic) {
 	var dirs []*directive
 	var diags []analysis.Diagnostic
 	for _, f := range pkg.Files {
 		for _, grp := range f.Comments {
 			for _, c := range grp.List {
+				if name, ok := strings.CutPrefix(c.Text, "//tokentm:"); ok {
+					name, _, _ = strings.Cut(name, " ")
+					if d := "//tokentm:" + name; d != AllocFreeDirective && d != BackoffDirective {
+						diags = append(diags, analysis.Diagnostic{
+							Pos: c.Slash, Analyzer: "lint",
+							Message: "unknown annotation " + d,
+						})
+					}
+					continue
+				}
 				text, ok := strings.CutPrefix(c.Text, "//lint:ignore")
 				if !ok {
 					continue

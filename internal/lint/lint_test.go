@@ -34,12 +34,6 @@ func TestAtomicField(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/stm/atomicfield", lint.AtomicField)
 }
 
-// TestLogOrder covers claim/log/store ordering on annotated write paths,
-// including the seeded store-before-log bug and branch-merge dominance.
-func TestLogOrder(t *testing.T) {
-	linttest.Run(t, "testdata/src/tokentm/stm/logorder", lint.LogOrder)
-}
-
 // TestAllocFreeInterproc covers the call-graph closure out of annotated
 // roots: the seeded allocating-callee bug, trust in annotated callees, and
 // the interprocedural panic-path exemption.

@@ -181,8 +181,8 @@ const (
 	// maporder rules.
 	ScopeOrderedOutput Scope = "ordered-output"
 	// ScopeHostSide: host-concurrent by charter; exempt from the simulation
-	// contracts, covered by the concurrency-discipline analyzers
-	// (atomicfield, logorder) and annotation-driven allocfree.
+	// contracts, covered by the concurrency-discipline analyzer
+	// atomicfield and annotation-driven allocfree.
 	ScopeHostSide Scope = "host-side"
 	// ScopeExempt: bound by no contract (tooling, examples, facade).
 	ScopeExempt Scope = "exempt"

@@ -1,7 +1,8 @@
 // Package directives is a lint fixture for //lint:ignore handling: both
 // placements (trailing, standalone-above), multi-analyzer lists, and the
-// hygiene diagnostics for missing reasons, unknown analyzers and stale
-// directives. Run with the wallclock analyzer.
+// hygiene diagnostics for missing reasons, unknown analyzers, stale
+// directives and unknown //tokentm: annotations. Run with the wallclock
+// analyzer.
 package directives
 
 import "time"
@@ -44,3 +45,11 @@ func unknownAnalyzer() int {
 	// want-1 `lint: //lint:ignore names unknown analyzer nosuchcheck`
 	return 0
 }
+
+// unknownAnnotation: a //tokentm: annotation the suite does not know is a
+// diagnostic, so a misspelled or retired one cannot sit unread.
+//
+// want+2 `lint: unknown annotation //tokentm:backof`
+//
+//tokentm:backof
+func unknownAnnotation() int { return 0 }

@@ -83,10 +83,9 @@ func (l *txLogs) writeAt(i int) uint32 {
 	return l.writeSpill[i-inlineLog]
 }
 
-// appendUndo records the pre-image of data word a for abort replay. On an
-// annotated write path it is the log half of the claim/log/store order.
-//
-//tokentm:logappend
+// appendUndo records the pre-image of data word a for abort replay: the log
+// step of a write path's claim, log, store order, which the rollback tests
+// (TestErrorRollsBack, TestMaxAttemptsSurfacesErrAborted) pin.
 func (l *txLogs) appendUndo(a Addr, old uint64) {
 	if l.nUndo < inlineLog {
 		l.undoInl[l.nUndo] = undoEnt{addr: a, old: old}

@@ -8,6 +8,8 @@ package stm
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -86,6 +88,60 @@ func parkReader(th *Thread, b uint32) (release func()) {
 	th.ensureBirth()
 	tx.Load(Addr(b) << th.tm.shift)
 	return func() { tx.commitAttempt() }
+}
+
+// TestWritePathsClaimBeforeStoring pins the claim-before-store half of both
+// transactional write paths: no data word of a block changes before the
+// writer holds the block's write tokens. A parked elder reader keeps block 0,
+// so a one-attempt writer spins out its claim and returns ErrAborted while a
+// poller loads the block's words. A store made before the claim would show
+// the poller the written value for the whole spin, even though the abort
+// rolls it back. The log-before-store half is pinned by the rollback tests.
+func TestWritePathsClaimBeforeStoring(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		write func(tx *Tx)
+	}{
+		{"Store", func(tx *Tx) { tx.Store(1, 70) }},
+		{"Upsert2", func(tx *Tx) { tx.Upsert2(0, 1, 7, 70) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tm := NewWithOptions(4, 2, 2, Options{MaxAttempts: 1})
+			release := parkReader(tm.Thread(0), 0)
+			var stop atomic.Bool
+			polling := make(chan struct{})
+			seen := make(chan uint64, 1)
+			go func() {
+				defer close(seen)
+				for pass := 0; !stop.Load(); pass++ {
+					for a := Addr(0); a < Addr(tm.WordsPerBlock()); a++ {
+						if v := tm.LoadWord(a); v != 0 {
+							seen <- v
+							return
+						}
+					}
+					if pass == 0 {
+						close(polling)
+					}
+					runtime.Gosched()
+				}
+			}()
+			<-polling
+			_, err := tm.Thread(1).Atomically(func(tx *Tx) error {
+				tc.write(tx)
+				return nil
+			})
+			stop.Store(true)
+			if v, ok := <-seen; ok {
+				t.Errorf("poller saw %d in block 0 before the writer claimed it", v)
+			}
+			if !errors.Is(err, ErrAborted) {
+				t.Fatalf("writer against a parked elder reader = %v, want ErrAborted", err)
+			}
+			release()
+			quiesced(t, tm)
+		})
+	}
 }
 
 // TestMaxAttemptsSurfacesErrAborted pins the bounded-retry surface the

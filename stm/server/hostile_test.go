@@ -3,8 +3,8 @@ package server
 // Hostile clients that reach the codec and the reply flush: garbage behind a
 // valid pipelined prefix, a reply larger than the writer's bound, a client
 // that sends without ever reading its replies, one that trickles a command
-// it never finishes, one that hangs up inside MULTI, and one that
-// half-closes behind a pipelined batch.
+// it never finishes, one that hangs up inside MULTI, one that
+// half-closes behind a pipelined batch, and one that fills the store's table.
 
 import (
 	"errors"
@@ -266,6 +266,77 @@ func TestHostileLateCommandKeepsWriteBudget(t *testing.T) {
 	}
 	cliEnd.Close()
 	<-done
+}
+
+// fillTable SETs keys 1..5 into a four-slot table in one pipelined batch.
+// The fifth finds no free slot and its handler panics: c gets the four
+// replies ahead of it, one -ERR naming the panic, then EOF.
+func fillTable(t *testing.T, c *client) {
+	t.Helper()
+	for k := 1; k <= 5; k++ {
+		c.send("SET", strconv.Itoa(k), strconv.Itoa(10*k))
+	}
+	c.flush()
+	for k := 1; k <= 4; k++ {
+		if rep := c.recv(); rep.Type != '*' || len(rep.Elems) != 2 {
+			t.Fatalf("SET %d = %+v", k, rep)
+		}
+	}
+	wantPanicReply(t, c)
+}
+
+// wantPanicReply reads the -ERR of a recovered handler panic and then EOF.
+func wantPanicReply(t *testing.T, c *client) {
+	t.Helper()
+	if rep := c.recv(); rep.Type != '-' || !strings.Contains(rep.Str, "table full") {
+		t.Fatalf("reply = %+v, want -ERR naming the table-full panic", rep)
+	}
+	c.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if rep, err := c.r.ReadReply(); err != io.EOF {
+		t.Fatalf("after the -ERR: %+v, %v; want the connection closed", rep, err)
+	}
+}
+
+// TestHostileTableFull: a client that fills the store's table makes a
+// handler panic. The server closes that connection only: the other one still
+// answers, the stored keys keep their values, a MULTI whose queued SET
+// overflows rolls back its other queued SET, and the slot comes back.
+func TestHostileTableFull(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 1, Capacity: 4, MaxConns: 2})
+	filler, other := dial(t, addr), dial(t, addr)
+	if rep := other.cmd("PING"); rep.Str != "PONG" {
+		t.Fatalf("PING = %+v", rep)
+	}
+	fillTable(t, filler)
+	if rep := other.cmd("PING"); rep.Str != "PONG" {
+		t.Fatalf("PING after another connection's panic = %+v", rep)
+	}
+	for k := 1; k <= 4; k++ {
+		if v, ok, _, _ := getReply(t, other.cmd("GET", strconv.Itoa(k))); !ok || v != uint64(10*k) {
+			t.Fatalf("GET %d = (%d,%v), want %d", k, v, ok, 10*k)
+		}
+	}
+
+	other.send("MULTI")
+	other.send("SET", "1", "100")
+	other.send("SET", "6", "60")
+	other.send("EXEC")
+	other.flush()
+	for _, want := range []string{"OK", "QUEUED", "QUEUED"} {
+		if rep := other.recv(); rep.Str != want {
+			t.Fatalf("reply = %+v, want %s", rep, want)
+		}
+	}
+	wantPanicReply(t, other)
+	if v, ok, _, _ := getReply(t, waitForSlot(t, addr).cmd("GET", "1")); !ok || v != 10 {
+		t.Fatalf("GET 1 = (%d,%v) after the overflowing EXEC, want 10 (rolled back)", v, ok)
+	}
+
+	_, addr = startServer(t, Config{Shards: 1, Capacity: 4, MaxConns: 1})
+	fillTable(t, dial(t, addr))
+	if v, ok, _, _ := getReply(t, waitForSlot(t, addr).cmd("GET", "4")); !ok || v != 40 {
+		t.Fatalf("GET 4 = (%d,%v) on the freed slot, want 40", v, ok)
+	}
 }
 
 // floodReader is an endless stream of one command that fills every read,

@@ -186,10 +186,19 @@ func (s *Server) Serve(ln net.Listener) error {
 				continue
 			}
 			go func() {
+				defer func() {
+					// A handler panic ends this connection only: flush the
+					// replies already buffered, then one -ERR naming it. A
+					// panic inside a transaction rolled it back on the way out.
+					if r := recover(); r != nil {
+						c.w.WriteErrorString(fmt.Sprintf("ERR internal: %v", r))
+						c.w.Flush()
+					}
+					s.unregister(c)
+					nc.Close()
+					s.slots <- id
+				}()
 				c.serve()
-				s.unregister(c)
-				nc.Close()
-				s.slots <- id
 			}()
 		default:
 			nc.Write(errRefused)

@@ -189,11 +189,9 @@ func (tm *TM) nextSerial() uint64 {
 	return s
 }
 
-// dataw returns the cell holding data word a. Stores through it on an
-// annotated write path must be preceded by a token claim and an undo-log
-// append for the same address (the logorder analyzer's contract).
-//
-//tokentm:dataword
+// dataw returns the cell holding data word a. A transaction stores through
+// it only after claiming the block's write tokens and logging the old value
+// (Tx.Store; TestWritePathsClaimBeforeStoring and the rollback tests pin it).
 func (tm *TM) dataw(a Addr) *atomic.Uint64 { return &tm.words[a] }
 
 // Thread returns the transactional thread with the given id (0-based,

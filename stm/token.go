@@ -221,9 +221,10 @@ func spanPanic(a1, a2 Addr) {
 // A block previously read by this transaction takes the upgrade path.
 //
 // This is the canonical write path: claim the block's tokens, log the old
-// value, then store — the order the logorder analyzer enforces.
+// value, then store. TestWritePathsClaimBeforeStoring pins the claim before
+// the store; the rollback tests (TestErrorRollsBack,
+// TestMaxAttemptsSurfacesErrAborted) pin the log before it.
 //
-//tokentm:writepath
 //tokentm:allocfree
 func (tx *Tx) Store(a Addr, v uint64) {
 	th := tx.th
@@ -253,8 +254,6 @@ func (tx *Tx) LoadW(a Addr) uint64 {
 // upgrading a held read token (fold-in, counted in Upgrades) or acquiring
 // fresh; a block already written is left as it is. An invisible read left no
 // token to fold in, so its upgrade is a fresh claim and not an Upgrade.
-//
-//tokentm:tokenclaim
 func (tx *Tx) writeAcquire(b uint32) {
 	th := tx.th
 	haveRead := tx.visible && th.reads.has(b)
@@ -277,7 +276,10 @@ func (tx *Tx) writeAcquire(b uint32) {
 // where the guard can turn out to hold a foreign key that won the slot in
 // between; the surplus claim is then released with the transaction.
 //
-//tokentm:writepath
+// Like Store it claims, logs, then stores. TestWritePathsClaimBeforeStoring
+// pins the claim before the stores; TestTxUpsert2ClaimAndSkip and
+// TestTxUpsert2UpgradeOnRetry pin the logs before them.
+//
 //tokentm:allocfree
 func (tx *Tx) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool) {
 	th := tx.th
@@ -389,9 +391,8 @@ func (th *Thread) NoteCommit() {
 // discipline: the claim is the direct full-token CompareAndSwap above each
 // store (not writeAcquire), and no undo entries are appended because the
 // path either commits in place or backs out having written nothing. The
-// per-store ignore directives below record that argument.
+// comments at the two stores below record that argument.
 //
-//tokentm:writepath
 //tokentm:allocfree
 func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint64) {
 	tm := th.tm
@@ -434,14 +435,16 @@ func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint
 		// thread can transition the word, so plain stores release it.
 		switch g := tm.dataw(a1).Load(); g {
 		case 0:
-			//lint:ignore logorder claimed by the full-token CAS above; the guard word was zero, so there is no old value to log
+			// Claimed by the full-token CAS above; the guard word was zero,
+			// so there is no old value to log.
 			tm.dataw(a1).Store(k1)
 		case k1:
 		default:
 			w.Store(uint64(old)) // nothing written: the stamp must not move
 			return false, 0
 		}
-		//lint:ignore logorder claimed by the full-token CAS above; a2 is the value word of a claimed-or-fresh record, never replayed on abort
+		// Claimed by the full-token CAS above; a2 is the value word of a
+		// claimed-or-fresh record, never replayed on abort.
 		tm.dataw(a2).Store(v2)
 		serial = tm.nextSerial()
 		w.Store(uint64(metastate.MakeWord(metastate.PackedZero, serial)))
