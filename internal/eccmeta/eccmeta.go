@@ -11,9 +11,9 @@
 // (2^5 > 16+6).
 //
 // This package implements real Hamming SECDED encoders/decoders at both
-// granularities and the MetaDRAM container that the memory controller model
-// uses, so the claimed storage trick is demonstrated bit-for-bit, including
-// single-error correction and double-error detection on the metabits.
+// granularities and a MetaDRAM container, so the claimed storage trick is
+// demonstrated bit-for-bit, including single-error correction and
+// double-error detection on the metabits. No other package imports it yet.
 package eccmeta
 
 import (

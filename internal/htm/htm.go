@@ -157,8 +157,7 @@ type Xact struct {
 	// the contention manager when this transaction is told to abort, consumed
 	// by the simulator's abort-lifecycle record.
 	//
-	// AbortedBy is the winner's TID (NoTID for a non-transactional winner or
-	// a user-initiated retry).
+	// AbortedBy is the winner's TID (NoTID for a non-transactional winner).
 	AbortedBy mem.TID
 	// AbortBlock is the block the losing conflict was on.
 	AbortBlock mem.BlockAddr
@@ -335,18 +334,17 @@ type CommitRecord struct {
 // AbortRecord captures one aborted transaction attempt for the lifecycle
 // stream: who lost, who won, where, and what the attempt cost.
 type AbortRecord struct {
-	// Thread is the simulator thread id; TID the transactional identity
-	// (auxiliary TIDs for open-nested attempts).
+	// Thread is the simulator thread id; TID the transactional identity.
 	Thread int
 	TID    mem.TID
 	// Attempt is the 1-based attempt number that aborted.
 	Attempt int
 	// Enemy is the conflict winner's TID (NoTID for a non-transactional
-	// winner or a user-initiated retry).
+	// winner).
 	Enemy mem.TID
 	// Block is the block the losing conflict was on.
 	Block mem.BlockAddr
-	// Kind classifies the losing conflict (KindNone for user retries).
+	// Kind classifies the losing conflict.
 	Kind ConflictKind
 	// Wasted is the attempt's reclassified work (begin + useful + memory).
 	Wasted mem.Cycle

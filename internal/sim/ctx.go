@@ -25,18 +25,10 @@ type Ctx struct {
 	// of the in-flight transaction attempt. In-attempt buckets
 	// (begin/useful/memory stall) accumulate there and are merged into the
 	// core's breakdown on commit — or reclassified as attr.Wasted on abort.
-	// atomPend backs top-level Atomic attempts, openPend open-nested ones;
-	// both are storage reused across attempts, so charging allocates
-	// nothing.
+	// pend is nil or &atomPend, storage reused across attempts, so charging
+	// allocates nothing.
 	pend     *attr.Breakdown
 	atomPend attr.Breakdown
-	openPend attr.Breakdown
-
-	// Open-nesting state (see opennest.go).
-	inOpen        bool
-	aux           *htm.Thread
-	parentXact    *htm.Xact
-	compensations []func(*Tx)
 }
 
 // abortSignal unwinds a transaction body back to Atomic on abort.
@@ -64,25 +56,25 @@ func (tc *Ctx) charge(k attr.Bucket, n mem.Cycle) {
 	tc.th.m.charge(tc.th.core.id, k, n)
 }
 
-// beginAttempt activates frame as the pending attempt breakdown.
-func (tc *Ctx) beginAttempt(frame *attr.Breakdown) {
-	frame.Reset()
-	tc.pend = frame
+// beginAttempt activates atomPend as the pending attempt breakdown.
+func (tc *Ctx) beginAttempt() {
+	tc.atomPend.Reset()
+	tc.pend = &tc.atomPend
 }
 
 // commitAttempt merges the pending frame into the core's breakdown (the
 // attempt's work stands) and deactivates it.
-func (tc *Ctx) commitAttempt(prev *attr.Breakdown) {
+func (tc *Ctx) commitAttempt() {
 	tc.th.m.breakdowns[tc.th.core.id].Merge(tc.pend)
-	tc.pend = prev
+	tc.pend = nil
 }
 
 // abortAttempt reclassifies the pending frame's cycles as wasted work and
 // deactivates it, returning the wasted total.
-func (tc *Ctx) abortAttempt(prev *attr.Breakdown) mem.Cycle {
+func (tc *Ctx) abortAttempt() mem.Cycle {
 	wasted := tc.pend.Total()
 	tc.th.m.charge(tc.th.core.id, attr.Wasted, wasted)
-	tc.pend = prev
+	tc.pend = nil
 	return wasted
 }
 
@@ -130,9 +122,6 @@ func (tc *Ctx) Load(addr mem.Addr) uint64 {
 			th.yield(opResult{lat: acc.Latency})
 			return v
 		case htm.Stall:
-			if tc.selfDeadlock(acc.Enemies) {
-				panic(errOpenSelfConflict)
-			}
 			tc.setStalling(true)
 			tc.stall(acc.Latency, th.m.backoff(retries))
 		case htm.AbortSelf:
@@ -179,9 +168,6 @@ func (tc *Ctx) Store(addr mem.Addr, val uint64) {
 			th.yield(opResult{lat: acc.Latency})
 			return
 		case htm.Stall:
-			if tc.selfDeadlock(acc.Enemies) {
-				panic(errOpenSelfConflict)
-			}
 			tc.setStalling(true)
 			tc.stall(acc.Latency, th.m.backoff(retries))
 		case htm.AbortSelf:
@@ -210,8 +196,7 @@ func (tx *Tx) Now() mem.Cycle { return tx.tc.Now() }
 
 // Atomic runs fn as a transaction, retrying on abort with randomized
 // exponential backoff. Nested calls flatten into the outer transaction
-// (closed nesting by subsumption; the paper leaves open nesting to future
-// work).
+// (closed nesting by subsumption).
 func (tc *Ctx) Atomic(fn func(*Tx)) {
 	if tc.xactDepth > 0 {
 		tc.xactDepth++
@@ -241,8 +226,7 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 		x.Core = th.core.id
 		x.BeginTime = tc.Now()
 		th.H.Xact = x
-		prev := tc.pend
-		tc.beginAttempt(&tc.atomPend)
+		tc.beginAttempt()
 		beginLat := th.m.HTM.Begin(th.H, tc.Now())
 		tc.charge(attr.Begin, beginLat)
 		th.yield(opResult{lat: beginLat})
@@ -275,8 +259,7 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 			th.m.Commits = append(th.m.Commits, rec)
 			th.m.HTM.Stats().RecordCommit(rec)
 			th.H.Xact = nil
-			tc.compensations = nil // open-nested commits stand
-			tc.commitAttempt(prev)
+			tc.commitAttempt()
 			tc.charge(attr.Commit, lat)
 			th.yield(opResult{lat: lat})
 			return
@@ -285,7 +268,7 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 		// Abort: unroll, back off, retry with the original timestamp.
 		lat := th.m.HTM.Abort(th.H)
 		th.AbortCount++
-		wasted := tc.abortAttempt(prev)
+		wasted := tc.abortAttempt()
 		x.WastedCycles += wasted
 		tc.recordAbort(x, attempt, wasted, lat)
 		th.H.Xact = nil
@@ -293,15 +276,11 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 		tc.charge(attr.LogUnroll, lat)
 		tc.charge(attr.AbortBackoff, bo)
 		th.yield(opResult{lat: lat + bo})
-		// Undo committed open-nested children (each compensation is its
-		// own top-level transaction), then retry.
-		tc.runCompensations()
 	}
 }
 
 // recordAbort appends the abort-lifecycle record for one aborted attempt of
-// x, consuming the attribution the contention manager left on it (empty for
-// user-initiated retries).
+// x, consuming the attribution the contention manager left on it.
 func (tc *Ctx) recordAbort(x *htm.Xact, attempt int, wasted, unroll mem.Cycle) {
 	th := tc.th
 	rec := htm.AbortRecord{

@@ -96,7 +96,13 @@ retry:
 	for i := uint64(0); ; i++ {
 		slot := (hh + i) & st.mask
 		w1 := st.locks[slot].Load()
-		if w1&1 == 1 || w1>>1 > rv {
+		if w1&1 == 1 {
+			// A commit holds the slot and its owner may be switched out:
+			// yield rather than spin for a whole timeslice.
+			runtime.Gosched()
+			goto retry
+		}
+		if w1>>1 > rv {
 			goto retry
 		}
 		k := st.keys[slot].Load()
@@ -132,7 +138,8 @@ retry:
 		slot := (hh + i) & st.mask
 		w1 := st.locks[slot].Load()
 		if w1&1 == 1 {
-			goto retry // a commit is in flight on this slot
+			runtime.Gosched() // a commit is in flight on this slot (see Get)
+			goto retry
 		}
 		k := st.keys[slot].Load()
 		if st.locks[slot].Load() != w1 {
