@@ -1,5 +1,5 @@
 // Package sig implements the read/write-set signatures used by the
-// LogTM-SE baseline HTM systems (paper §2.2, Figure 1).
+// LogTM-SE_2xH3 and LogTM-SE_4xH3 baselines (paper §2.2, Figure 1).
 //
 // A signature is a Bloom filter summarizing the set of blocks a transaction
 // has read or written. LogTM-SE tests incoming coherence requests against
@@ -7,7 +7,9 @@
 // transactions can be serialized, which is exactly the pathology TokenTM's
 // precise tokens eliminate. Following Sanchez et al. (cited by the paper as
 // the best-performing designs), the implementable variants use a single
-// 2 Kbit SRAM array indexed by k parallel H3 hash functions.
+// 2 Kbit SRAM array indexed by k parallel H3 hash functions. The exact
+// LogTM-SE_Perf upper bound needs no filter: package logtmse answers it
+// from an exact per-block index.
 package sig
 
 import (
@@ -21,21 +23,6 @@ import (
 // DefaultBits is the paper's signature size: 2 Kbit.
 const DefaultBits = 2048
 
-// Signature summarizes a set of block addresses with possible false
-// positives but no false negatives.
-type Signature interface {
-	// Add inserts a block into the summarized set.
-	Add(b mem.BlockAddr)
-	// Test reports whether b may be in the set. False positives are
-	// allowed; false negatives are not.
-	Test(b mem.BlockAddr) bool
-	// Clear empties the signature (constant time in hardware).
-	Clear()
-	// Occupancy returns the fraction of filter state in use (set bits /
-	// total bits for Bloom signatures), a proxy for false-positive rate.
-	Occupancy() float64
-}
-
 // H3 is one H₃-class universal hash function: each input bit of the block
 // address selects a precomputed random row that is XORed into the output.
 // H3 functions are popular in hardware because they reduce to an XOR tree.
@@ -45,16 +32,24 @@ type Signature interface {
 // table lookups instead of a loop over its set bits. The output is
 // bit-for-bit identical to the row-per-bit definition (XOR is associative;
 // the tables just reassociate it), which the sig tests pin against the
-// reference loop.
+// reference loop. Every row is masked below m ≤ 2^16, so the tables hold
+// uint16s (8 KB per function), and an input below 2^24 — every workload
+// block — skips the five high-byte lookups, whose entries for byte 0 are 0.
 type H3 struct {
 	rows [64]uint32
 	mask uint32
-	tbl  [8][256]uint32
+	tbl  [8][256]uint16
 }
 
+// maxBits is the widest H3 output the uint16 tables hold.
+const maxBits = 1 << 16
+
 // NewH3 builds an H3 function producing log2(m)-bit outputs, with rows drawn
-// from rng so that parallel functions are independent.
+// from rng so that parallel functions are independent. m is at most 2^16.
 func NewH3(m int, rng *rand.Rand) *H3 {
+	if m > maxBits {
+		panic("sig: H3 outputs are at most 16 bits")
+	}
 	h := &H3{mask: uint32(m - 1)}
 	for i := range h.rows {
 		h.rows[i] = rng.Uint32() & h.mask
@@ -63,7 +58,7 @@ func NewH3(m int, rng *rand.Rand) *H3 {
 	// bit)'s XOR plus that bit's row.
 	for k := 0; k < 8; k++ {
 		for v := 1; v < 256; v++ {
-			h.tbl[k][v] = h.tbl[k][v&(v-1)] ^ h.rows[k*8+bits.TrailingZeros64(uint64(v))]
+			h.tbl[k][v] = h.tbl[k][v&(v-1)] ^ uint16(h.rows[k*8+bits.TrailingZeros64(uint64(v))])
 		}
 	}
 	return h
@@ -74,13 +69,15 @@ func (h *H3) Hash(b mem.BlockAddr) uint32 {
 	x := uint64(b)
 	out := h.tbl[0][x&0xff] ^
 		h.tbl[1][x>>8&0xff] ^
-		h.tbl[2][x>>16&0xff] ^
-		h.tbl[3][x>>24&0xff] ^
-		h.tbl[4][x>>32&0xff] ^
-		h.tbl[5][x>>40&0xff] ^
-		h.tbl[6][x>>48&0xff] ^
-		h.tbl[7][x>>56&0xff]
-	return out & h.mask
+		h.tbl[2][x>>16&0xff]
+	if x>>24 != 0 {
+		out ^= h.tbl[3][x>>24&0xff] ^
+			h.tbl[4][x>>32&0xff] ^
+			h.tbl[5][x>>40&0xff] ^
+			h.tbl[6][x>>48&0xff] ^
+			h.tbl[7][x>>56]
+	}
+	return uint32(out)
 }
 
 // hashRef is the row-per-bit reference implementation, kept for the
@@ -104,8 +101,6 @@ type Bloom struct {
 	nbits  int
 	nset   int
 }
-
-var _ Signature = (*Bloom)(nil)
 
 // h3Key identifies one deterministic hash-function family: NewBloom's rows
 // are a pure function of (nbits, k, seed), so families can be shared.
@@ -133,11 +128,11 @@ func hashFamily(nbits, k int, seed int64) []*H3 {
 	return v.([]*H3)
 }
 
-// NewBloom returns a Bloom signature with nbits bits (a power of two) and k
-// H3 hash functions seeded from seed.
+// NewBloom returns a Bloom signature with nbits bits (a power of two, at most
+// 2^16) and k H3 hash functions seeded from seed.
 func NewBloom(nbits, k int, seed int64) *Bloom {
-	if nbits <= 0 || nbits&(nbits-1) != 0 {
-		panic("sig: nbits must be a positive power of two")
+	if nbits <= 0 || nbits&(nbits-1) != 0 || nbits > maxBits {
+		panic("sig: nbits must be a power of two in [1, 2^16]")
 	}
 	return &Bloom{
 		words:  make([]uint64, nbits/64),
@@ -187,44 +182,12 @@ func (s *Bloom) Occupancy() float64 {
 	return float64(s.nset) / float64(s.nbits)
 }
 
-// Perfect is the unimplementable exact signature used by the paper's
-// LogTM-SE_Perf upper bound: it records the set precisely and never aliases.
-type Perfect struct {
-	set map[mem.BlockAddr]struct{}
-}
-
-var _ Signature = (*Perfect)(nil)
-
-// NewPerfect returns an empty perfect signature.
-func NewPerfect() *Perfect {
-	return &Perfect{set: make(map[mem.BlockAddr]struct{})}
-}
-
-// Add inserts block b.
-func (s *Perfect) Add(b mem.BlockAddr) { s.set[b] = struct{}{} }
-
-// Test reports exact membership.
-func (s *Perfect) Test(b mem.BlockAddr) bool {
-	_, ok := s.set[b]
-	return ok
-}
-
-// Clear empties the signature.
-func (s *Perfect) Clear() {
-	for k := range s.set {
-		delete(s.set, k)
-	}
-}
-
-// Occupancy is 0 for perfect signatures: they never saturate.
-func (s *Perfect) Occupancy() float64 { return 0 }
-
 // Kind names a signature configuration.
 type Kind int
 
 // Signature configurations evaluated in the paper.
 const (
-	KindPerfect Kind = iota // exact tracking (unimplementable)
+	KindPerfect Kind = iota // exact tracking (unimplementable; no signature)
 	Kind2xH3                // 2 Kbit Bloom, 2 H3 hashes
 	Kind4xH3                // 2 Kbit Bloom, 4 H3 hashes
 )
@@ -243,17 +206,15 @@ func (k Kind) String() string {
 	}
 }
 
-// New builds a signature of the given kind; seed decorrelates the hash
-// functions of different cores.
-func New(k Kind, seed int64) Signature {
+// New builds a signature of the given Bloom kind; seed decorrelates the hash
+// functions of different cores. KindPerfect has no signature.
+func New(k Kind, seed int64) *Bloom {
 	switch k {
-	case KindPerfect:
-		return NewPerfect()
 	case Kind2xH3:
 		return NewBloom(DefaultBits, 2, seed)
 	case Kind4xH3:
 		return NewBloom(DefaultBits, 4, seed)
 	default:
-		panic("sig: unknown kind")
+		panic("sig: no signature for kind " + k.String())
 	}
 }

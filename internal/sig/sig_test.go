@@ -136,18 +136,31 @@ func TestH3Linearity(t *testing.T) {
 // TestH3ByteSlicedMatchesReference pins the table-driven Hash to the
 // row-per-bit definition: the byte-slice tables are an optimization and must
 // never change a single hash value (signature contents are modeled behavior).
+// quick.Check's uniform inputs almost never fall below 2^24, where Hash
+// skips the high bytes, so that range and every byte boundary are sampled
+// explicitly, at the narrowest, the paper's and the widest output.
 func TestH3ByteSlicedMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	h := NewH3(DefaultBits, rng)
-	f := func(b uint64) bool {
-		return h.Hash(mem.BlockAddr(b)) == h.hashRef(mem.BlockAddr(b))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-	for _, b := range []uint64{0, 1, 1 << 63, ^uint64(0)} {
-		if h.Hash(mem.BlockAddr(b)) != h.hashRef(mem.BlockAddr(b)) {
-			t.Fatalf("byte-sliced hash diverges at %#x", b)
+	for _, nbits := range []int{64, DefaultBits, 1 << 16} {
+		rng := rand.New(rand.NewSource(7))
+		h := NewH3(nbits, rng)
+		check := func(b uint64) bool {
+			return h.Hash(mem.BlockAddr(b)) == h.hashRef(mem.BlockAddr(b))
+		}
+		if err := quick.Check(check, nil); err != nil {
+			t.Errorf("nbits %d: %v", nbits, err)
+		}
+		low := func(b uint32) bool { return check(uint64(b) & (1<<24 - 1)) }
+		if err := quick.Check(low, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Errorf("nbits %d, below 2^24: %v", nbits, err)
+		}
+		edges := []uint64{0, 1, 1 << 63, ^uint64(0)}
+		for k := uint(8); k < 64; k += 8 {
+			edges = append(edges, 1<<k-1, 1<<k, 1<<k+1)
+		}
+		for _, b := range edges {
+			if !check(b) {
+				t.Fatalf("nbits %d: byte-sliced hash diverges at %#x", nbits, b)
+			}
 		}
 	}
 }
@@ -178,22 +191,6 @@ func TestHashFamilyInterned(t *testing.T) {
 	}
 }
 
-func TestPerfectIsExact(t *testing.T) {
-	s := NewPerfect()
-	s.Add(1)
-	s.Add(99)
-	if !s.Test(1) || !s.Test(99) || s.Test(2) {
-		t.Fatal("perfect signature must be exact")
-	}
-	if s.Occupancy() != 0 {
-		t.Fatal("perfect signatures report zero occupancy")
-	}
-	s.Clear()
-	if s.Test(1) {
-		t.Fatal("clear failed")
-	}
-}
-
 func TestKinds(t *testing.T) {
 	if KindPerfect.String() != "Perf" || Kind2xH3.String() != "2xH3" || Kind4xH3.String() != "4xH3" {
 		t.Fatal("kind names")
@@ -201,20 +198,38 @@ func TestKinds(t *testing.T) {
 	if Kind(42).String() != "unknown" {
 		t.Fatal("unknown kind name")
 	}
-	for _, k := range []Kind{KindPerfect, Kind2xH3, Kind4xH3} {
+	for _, k := range []Kind{Kind2xH3, Kind4xH3} {
 		s := New(k, 3)
 		s.Add(77)
 		if !s.Test(77) {
 			t.Fatalf("%v: missing member", k)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Perf has no signature: New must panic")
+		}
+	}()
+	New(KindPerfect, 3)
 }
 
 func TestNewBloomPanics(t *testing.T) {
+	// 2^17 is a power of two, but its hash values do not fit the uint16
+	// tables.
+	for _, nbits := range []int{1000, 1 << 17} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected panic for nbits %d", nbits)
+				}
+			}()
+			NewBloom(nbits, 2, 1)
+		}()
+	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("expected panic for non-power-of-two size")
+			t.Fatal("expected NewH3 to panic past 16 output bits")
 		}
 	}()
-	NewBloom(1000, 2, 1)
+	NewH3(1<<17, rand.New(rand.NewSource(1)))
 }

@@ -44,13 +44,16 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			m.refreshReady(m.cores[1])
 		}},
 		{"Machine.pickReadyCore", func() {
-			m.readyKeys[0] = 9<<m.readyShift | 0
-			m.readyKeys[1] = 3<<m.readyShift | 1
+			m.setReadyKey(0, 9<<m.readyShift|0)
+			m.setReadyKey(1, 3<<m.readyShift|1)
 			if c := m.pickReadyCore(); c == nil || c.id != 1 {
 				panic("pickReadyCore picked the wrong core")
 			}
-			m.readyKeys[0] = notReady
-			m.readyKeys[1] = notReady
+			m.setReadyKey(0, notReady)
+			m.setReadyKey(1, notReady)
+			if m.pickReadyCore() != nil {
+				panic("pickReadyCore picked a core with nothing to run")
+			}
 		}},
 	}
 

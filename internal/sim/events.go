@@ -9,17 +9,18 @@ import (
 
 // The scheduler. There is one engine; Run and RunChoosing both use it.
 //
-// Every core caches its next event time (readyKeys, maintained incrementally
-// by refreshReady at the few points it can change), so picking the next turn
-// — the min-(ready time, core id) order the package comment documents — is a
-// scan of one flat slice, not a rescan of every core's queues. The scheduler
-// runs *on the yielding thread's coroutine*: after a thread finishes a timed
-// operation it settles its own result, picks the next core, fast-forwards
-// and dispatches it, names that core's thread in Machine.handoff and
-// suspends for RunChoosing to resume it — two coroutine switches per
-// cross-thread turn, outside the Go scheduler, and none when the next turn
-// is its own. A chooser (RunChoosing) is asked before every turn, with the
-// cached min-time pick as its default.
+// Every core caches its next event time as a leaf of a min-tree (readyTree,
+// maintained incrementally by refreshReady at the few points it can change,
+// at log2(cores) compares each), so picking the next turn — the min-(ready
+// time, core id) order the package comment documents — reads the root, not
+// a rescan of every core's queues. The scheduler runs *on the yielding
+// thread's coroutine*: after a thread finishes a timed operation it settles
+// its own result, picks the next core, fast-forwards and dispatches it,
+// names that core's thread in Machine.handoff and suspends for RunChoosing
+// to resume it — two coroutine switches per cross-thread turn, outside the
+// Go scheduler, and none when the next turn is its own. A chooser
+// (RunChoosing) is asked before every turn, with the cached min-time pick
+// as its default.
 //
 // Work deferral. Purely local computation (Ctx.Work) charges its attr
 // bucket immediately but, when nothing observes turn boundaries, advances
@@ -179,16 +180,32 @@ const notReady = ^uint64(0)
 // refreshReady recomputes core c's cached next-event time. It must be called
 // whenever c's schedulability changes: after a turn settles on c, when a
 // lock handoff moves a thread onto c's run queue, and on Preempt. The time
-// is cached packed as ready<<readyShift | id so the picker's min-scan walks
-// one flat uint64 slice and the (ready, id) tie-break is a single integer
-// compare.
+// is cached packed as ready<<readyShift | id so the (ready, id) tie-break is
+// a single integer compare.
 //
 //tokentm:allocfree
 func (m *Machine) refreshReady(c *coreState) {
+	k := notReady
 	if t, ok := m.coreReadyTime(c); ok {
-		m.readyKeys[c.id] = uint64(t)<<m.readyShift | uint64(c.id)
-	} else {
-		m.readyKeys[c.id] = notReady
+		k = uint64(t)<<m.readyShift | uint64(c.id)
+	}
+	m.setReadyKey(c.id, k)
+}
+
+// setReadyKey sets core id's leaf of readyTree to k and recomputes its
+// ancestors, stopping at the first one whose minimum does not change. Keys
+// are unique (they carry the core id), so the root is the one smallest key.
+func (m *Machine) setReadyKey(id int, k uint64) {
+	t := m.readyTree
+	i := len(t)/2 + id
+	t[i] = k
+	for i > 1 {
+		i /= 2
+		v := min(t[2*i], t[2*i+1])
+		if t[i] == v {
+			return
+		}
+		t[i] = v
 	}
 }
 
@@ -197,12 +214,7 @@ func (m *Machine) refreshReady(c *coreState) {
 //
 //tokentm:allocfree
 func (m *Machine) pickReadyCore() *coreState {
-	best := notReady
-	for _, k := range m.readyKeys {
-		if k < best {
-			best = k
-		}
-	}
+	best := m.readyTree[1]
 	if best == notReady {
 		return nil
 	}

@@ -161,10 +161,13 @@ type Machine struct {
 	// handoff is the thread RunChoosing resumes next, set by advance when
 	// the baton leaves the running thread; nil ends the run.
 	handoff *Thread
-	// readyKeys caches each core's next event time for pickReadyCore,
+	// readyTree caches each core's next event time for pickReadyCore,
 	// packed as time<<readyShift|id (notReady when the core has nothing to
-	// run); maintained by refreshReady.
-	readyKeys  []uint64
+	// run), as a min-tree: node i is the smaller of nodes 2i and 2i+1, the
+	// root is node 1, and core id's leaf is node 1<<readyShift + id, with
+	// padding leaves past the last core left notReady. Maintained by
+	// refreshReady.
+	readyTree  []uint64
 	readyShift uint
 	// rngDraws counts backoff-jitter draws; part of the state fingerprint so
 	// two schedules that consumed the rng differently never merge.
@@ -200,10 +203,12 @@ func New(cfg Config) *Machine {
 	}
 	m.choiceScratch = make([]CoreChoice, 0, cfg.Cores)
 	m.readyShift = uint(bits.Len(uint(cfg.Cores - 1)))
-	m.readyKeys = make([]uint64, cfg.Cores)
+	m.readyTree = make([]uint64, 2<<m.readyShift)
+	for i := range m.readyTree {
+		m.readyTree[i] = notReady
+	}
 	for i := 0; i < cfg.Cores; i++ {
 		m.cores = append(m.cores, &coreState{id: i})
-		m.readyKeys[i] = notReady
 	}
 	m.breakdowns = make([]attr.Breakdown, cfg.Cores)
 	return m
