@@ -28,14 +28,13 @@ func main() {
 	var (
 		program   = flag.String("program", "incr-cross", "standard program to explore (see -list)")
 		variant   = flag.String("variant", "TokenTM", "HTM variant: "+strings.Join(explore.Variants, ", "))
-		mode      = flag.String("mode", explore.ModeExhaustive, "exploration mode: exhaustive or swarm")
 		mutation  = flag.String("mutation", "none", "seeded protocol bug: none, no-fission-writer, skip-log-credit")
 		schedules = flag.Int("max-schedules", explore.DefaultBudget().MaxSchedules, "schedule budget")
 		steps     = flag.Int("max-steps", explore.DefaultBudget().MaxSteps, "per-schedule step bound (livelock limit)")
 		depth     = flag.Int("branch-depth", explore.DefaultBudget().BranchDepth, "branch only in the first N decisions (0 = unbounded)")
 		preempts  = flag.Int("preempts", explore.DefaultBudget().Preempts, "adversary context-switch budget per schedule")
 		bounces   = flag.Int("bounces", explore.DefaultBudget().Bounces, "adversary page-out/page-in budget per schedule")
-		seed      = flag.Int64("seed", explore.DefaultBudget().Seed, "seed (swarm sampling and machine RNG)")
+		seed      = flag.Int64("seed", explore.DefaultBudget().Seed, "machine RNG seed")
 		noSleep   = flag.Bool("no-sleep-sets", false, "disable commuting-siblings pruning")
 		sweep     = flag.Bool("sweep", false, "run the full standard sweep (all programs x variants + mutation smoke)")
 		jsonOut   = flag.String("json", "", "write the sweep as JSON to this file (- for stdout; implies -sweep)")
@@ -85,7 +84,6 @@ func main() {
 	opts := explore.Options{
 		Variant:      *variant,
 		Mutation:     mut,
-		Mode:         *mode,
 		MaxSchedules: *schedules,
 		MaxSteps:     *steps,
 		BranchDepth:  *depth,
@@ -95,8 +93,8 @@ func main() {
 		Seed:         *seed,
 	}
 	r := explore.Explore(prog, opts)
-	fmt.Printf("%s/%s (%s): %d schedules, %d steps, %d distinct states, pruned %d seen + %d sleep, max depth %d, complete=%v\n",
-		r.Program, r.Variant, r.Mode, r.Schedules, r.Steps, r.DistinctStates,
+	fmt.Printf("%s/%s: %d schedules, %d steps, %d distinct states, pruned %d seen + %d sleep, max depth %d, complete=%v\n",
+		r.Program, r.Variant, r.Schedules, r.Steps, r.DistinctStates,
 		r.PrunedVisited, r.PrunedSleep, r.MaxDepth, r.Complete)
 	fmt.Printf("  %d commits, %d aborts, %d violating schedules\n", r.Commits, r.Aborts, r.TotalViolations)
 	for _, v := range r.Violations {

@@ -369,8 +369,8 @@ func (m *MemSys) EvictAll(b mem.BlockAddr) {
 	bank.Invalidate(b)
 }
 
-// FlushCore invalidates every line in core's L1 (used by tests and the
-// paging model); each loss is reported as an eviction.
+// FlushCore invalidates every line in core's L1 (used by tests only; the
+// paging model does not call it); each loss is reported as an eviction.
 func (m *MemSys) FlushCore(core int) {
 	var blocks []mem.BlockAddr
 	m.L1s[core].VisitValid(func(l *cache.Line) { blocks = append(blocks, l.Block) })

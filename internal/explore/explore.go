@@ -1,34 +1,22 @@
 package explore
 
 import (
-	"math/rand"
 	"sort"
 
 	"tokentm/internal/core"
 	"tokentm/internal/sim"
 )
 
-// Exploration modes.
-const (
-	// ModeExhaustive walks the full decision tree depth-first with
-	// fingerprint and commuting-siblings pruning.
-	ModeExhaustive = "exhaustive"
-	// ModeSwarm samples schedules uniformly at random from the decision
-	// tree, with a distinct machine seed per schedule.
-	ModeSwarm = "swarm"
-)
-
 // Options parameterizes an exploration.
 type Options struct {
 	Variant  string
 	Mutation core.Mutation
-	Mode     string
 	// MaxSchedules caps executed schedules (pruned re-executions
 	// included); hitting it leaves Complete=false.
 	MaxSchedules int
 	// MaxSteps is the per-schedule livelock bound (DecRun decisions).
 	MaxSteps int
-	// BranchDepth bounds where exhaustive mode introduces nondeterminism:
+	// BranchDepth bounds where the exploration introduces nondeterminism:
 	// decisions past this index follow the default min-time schedule.
 	// Decision trees of the timed machine are infinite in depth — an
 	// adversary can stretch backoff/retry loops forever, and every retry
@@ -41,8 +29,7 @@ type Options struct {
 	Bounces  int
 	// SleepSets enables the commuting-siblings pruning rule.
 	SleepSets bool
-	// Seed drives machine backoff jitter; in swarm mode it also seeds the
-	// schedule sampler, and schedule s runs its machine with Seed+s.
+	// Seed drives machine backoff jitter.
 	Seed int64
 	// StopOnViolation stops at the first counterexample (mutation smoke).
 	StopOnViolation bool
@@ -52,7 +39,6 @@ type Options struct {
 func DefaultOptions(variant string) Options {
 	return Options{
 		Variant:      variant,
-		Mode:         ModeExhaustive,
 		MaxSchedules: 30000,
 		MaxSteps:     4000,
 		BranchDepth:  12,
@@ -67,20 +53,19 @@ type Result struct {
 	Program  string `json:"program"`
 	Variant  string `json:"variant"`
 	Mutation string `json:"mutation"`
-	Mode     string `json:"mode"`
 	// Schedules counts full program executions, including ones abandoned
 	// at a pruned decision point.
 	Schedules int `json:"schedules"`
 	// Steps totals DecRun decisions across all executions.
 	Steps uint64 `json:"steps"`
 	// DistinctStates counts distinct (fingerprint, budgets) decision
-	// points seen; in swarm mode states recur across samples.
+	// points seen.
 	DistinctStates int `json:"distinct_states"`
 	// PrunedVisited counts executions abandoned at an already-seen state;
 	// PrunedSleep counts sibling decisions skipped as commuting.
 	PrunedVisited int `json:"pruned_visited"`
 	PrunedSleep   int `json:"pruned_sleep"`
-	// Complete reports full enumeration (always false for swarm).
+	// Complete reports full enumeration.
 	Complete bool `json:"complete"`
 	// MaxDepth is the longest schedule executed (decision count).
 	MaxDepth int `json:"max_depth"`
@@ -109,23 +94,12 @@ type stateKey struct {
 
 // Explore runs the configured exploration of prog and returns its summary.
 func Explore(prog *Program, opts Options) *Result {
-	if opts.Mode == "" {
-		opts.Mode = ModeExhaustive
-	}
 	res := &Result{
 		Program:  prog.Name,
 		Variant:  opts.Variant,
 		Mutation: opts.Mutation.String(),
-		Mode:     opts.Mode,
 	}
-	switch opts.Mode {
-	case ModeExhaustive:
-		exploreDFS(prog, opts, res)
-	case ModeSwarm:
-		exploreSwarm(prog, opts, res)
-	default:
-		panic("explore: unknown mode " + opts.Mode)
-	}
+	exploreDFS(prog, opts, res)
 	sortViolations(res.Violations)
 	return res
 }
@@ -220,35 +194,6 @@ func exploreDFS(prog *Program, opts Options, res *Result) {
 	}
 	if budgetHit {
 		res.Complete = false
-	}
-	res.DistinctStates = len(seen)
-}
-
-// exploreSwarm samples MaxSchedules random walks of the decision tree, one
-// machine seed per walk. No pruning: DistinctStates reports coverage.
-func exploreSwarm(prog *Program, opts Options, res *Result) {
-	rng := rand.New(rand.NewSource(opts.Seed))
-	seen := make(map[stateKey]struct{})
-	for s := 0; s < opts.MaxSchedules; s++ {
-		res.Schedules++
-		rr := runSchedule(prog, opts.Variant, opts.Mutation, runOpts{
-			seed:      opts.Seed + int64(s),
-			maxSteps:  opts.MaxSteps,
-			preempts:  opts.Preempts,
-			bounces:   opts.Bounces,
-			checkStep: true,
-		}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) (Decision, bool) {
-			seen[stateKey{fp: m.Fingerprint(), preempts: st.PreemptsLeft, bounces: st.BouncesLeft}] = struct{}{}
-			alts := enumerate(m, tok, choices, def, st)
-			return alts[rng.Intn(len(alts))], true
-		})
-		accumulate(res, &rr)
-		if len(rr.schedule) > res.MaxDepth {
-			res.MaxDepth = len(rr.schedule)
-		}
-		if rr.violation != nil && opts.StopOnViolation {
-			break
-		}
 	}
 	res.DistinctStates = len(seen)
 }

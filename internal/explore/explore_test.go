@@ -98,25 +98,6 @@ func TestSleepSetEquivalence(t *testing.T) {
 	}
 }
 
-// TestSwarmDeterministic re-runs the seeded random swarm and expects
-// identical summaries: same schedules, states, and verdicts.
-func TestSwarmDeterministic(t *testing.T) {
-	prog := ProgramByName("incr-cross")
-	o := DefaultOptions("TokenTM")
-	o.Mode = ModeSwarm
-	o.MaxSchedules = 50
-	o.Seed = 7
-	a := Explore(prog, o)
-	b := Explore(prog, o)
-	if a.Schedules != b.Schedules || a.Steps != b.Steps || a.DistinctStates != b.DistinctStates ||
-		a.Commits != b.Commits || a.Aborts != b.Aborts || a.TotalViolations != b.TotalViolations {
-		t.Fatalf("swarm runs diverged:\n%+v\n%+v", a, b)
-	}
-	if a.TotalViolations != 0 {
-		t.Fatalf("swarm found %d violations in the unmutated protocol: %+v", a.TotalViolations, a.Violations)
-	}
-}
-
 // TestExploreDeterministic re-runs the exhaustive exploration of one cell
 // and expects an identical summary — the property CI's BENCH_explore.json
 // diff rests on.

@@ -9,9 +9,9 @@
 // Each schedule is one full re-execution of the program (stateless model
 // checking); the explorer forces a decision prefix and extends it, walking
 // the decision tree depth-first with state-fingerprint pruning and a
-// commuting-siblings (sleep-set style) rule, or sampling it randomly (swarm
-// mode). Every explored schedule serializes to a compact replayable string,
-// so a failure is a counterexample anyone can re-run under trace.
+// commuting-siblings (sleep-set style) rule. Every explored schedule
+// serializes to a compact replayable string, so a failure is a
+// counterexample anyone can re-run under trace.
 package explore
 
 import (

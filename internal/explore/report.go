@@ -102,7 +102,6 @@ func CheckMutation(mut core.Mutation, progName string, b Budget) MutationCheck {
 func optionsFromBudget(variant string, b Budget) Options {
 	return Options{
 		Variant:      variant,
-		Mode:         ModeExhaustive,
 		MaxSchedules: b.MaxSchedules,
 		MaxSteps:     b.MaxSteps,
 		BranchDepth:  b.BranchDepth,

@@ -80,9 +80,6 @@ type Result struct {
 	Err string `json:"err,omitempty"`
 	// Stack is the goroutine stack for a panicking job.
 	Stack string `json:"stack,omitempty"`
-	// Trace optionally attaches a failed job's event ring (JSON lines), as
-	// dumped by trace.Tracer.DumpJSON.
-	Trace string `json:"trace,omitempty"`
 }
 
 // OK reports whether the job succeeded.

@@ -24,7 +24,7 @@ var Exhaustive = &analysis.Analyzer{
 }
 
 func runExhaustive(pass *analysis.Pass) error {
-	if !isSimPackage(pass.Pkg.Path()) {
+	if !isSimPackage(pass.Pkg.Path()) && !isOrderedOutputPackage(pass.Pkg.Path()) {
 		return nil
 	}
 	pass.Inspect(func(n ast.Node) bool {

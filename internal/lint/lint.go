@@ -13,8 +13,9 @@
 //     fact-based call-graph closure; a dynamic testing.AllocsPerRun table
 //     test cross-checks the annotation list).
 //   - exhaustive: switches over the protocol enums (MESI states, packed
-//     metastate states, access outcomes, ...) cover every constant or carry
-//     a default that panics or returns.
+//     metastate states, access outcomes, ...) in a simulation or
+//     ordered-output package cover every constant or carry a default that
+//     panics or returns.
 //   - atomicfield: no function-style sync/atomic calls (typed atomics make
 //     mixed atomic/plain access a compile error), and CompareAndSwap retry
 //     loops re-load their expected value and back off (atomicfield.go).

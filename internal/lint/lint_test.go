@@ -27,6 +27,12 @@ func TestExhaustive(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/internal/sim/exhaustive", lint.Exhaustive)
 }
 
+// TestExhaustiveOrderedOutput covers the ordered-output packages: the trace
+// decorator switches over the same protocol enums as the simulator.
+func TestExhaustiveOrderedOutput(t *testing.T) {
+	linttest.Run(t, "testdata/src/tokentm/internal/trace/exhaustive", lint.Exhaustive)
+}
+
 // TestAtomicField covers the ban on function-style sync/atomic calls and
 // CAS retry-loop hygiene, including the seeded stale-expected-value
 // livelock.

@@ -16,7 +16,6 @@ var simPackages = []string{
 	"internal/cache",
 	"internal/coherence",
 	"internal/core",
-	"internal/eccmeta",
 	"internal/explore",
 	"internal/htm",
 	"internal/interconnect",
@@ -31,7 +30,8 @@ var simPackages = []string{
 }
 
 // orderedOutputPackages additionally owe deterministic, byte-stable output
-// (trace dumps, plot text): maporder covers them on top of simPackages.
+// (trace dumps, plot text): maporder and exhaustive cover them on top of
+// simPackages.
 var orderedOutputPackages = []string{
 	"internal/plot",
 	"internal/trace",
@@ -178,7 +178,7 @@ const (
 	// exhaustive).
 	ScopeSim Scope = "sim"
 	// ScopeOrderedOutput: byte-stable output on top of the sim contract's
-	// maporder rules.
+	// maporder and exhaustive rules.
 	ScopeOrderedOutput Scope = "ordered-output"
 	// ScopeHostSide: host-concurrent by charter; exempt from the simulation
 	// contracts, covered by the concurrency-discipline analyzer

@@ -17,11 +17,7 @@
 // values and release tokens.
 package tmlog
 
-import (
-	"fmt"
-
-	"tokentm/internal/mem"
-)
+import "tokentm/internal/mem"
 
 // Kind discriminates log record types.
 type Kind uint8
@@ -132,24 +128,3 @@ func (l *Log) Reset() {
 // Records returns the records oldest-first. The slice aliases internal
 // state; callers must not retain it across appends.
 func (l *Log) Records() []Record { return l.records }
-
-// WalkReverse visits records newest-first, the order an abort handler
-// unrolls them.
-func (l *Log) WalkReverse(fn func(Record) error) error {
-	for i := len(l.records) - 1; i >= 0; i-- {
-		if err := fn(l.records[i]); err != nil {
-			return fmt.Errorf("tmlog: record %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Walk visits records oldest-first (commit-time token release order).
-func (l *Log) Walk(fn func(Record) error) error {
-	for i, r := range l.records {
-		if err := fn(r); err != nil {
-			return fmt.Errorf("tmlog: record %d: %w", i, err)
-		}
-	}
-	return nil
-}

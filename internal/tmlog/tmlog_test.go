@@ -1,7 +1,6 @@
 package tmlog
 
 import (
-	"errors"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +37,9 @@ func TestAppendAndAccounting(t *testing.T) {
 	if l.TotalTokens() != 1+1<<16 {
 		t.Fatalf("total tokens: %d", l.TotalTokens())
 	}
+	if r := l.Records(); len(r) != 2 || r[0].Block != 5 || r[1].Block != 9 {
+		t.Fatalf("records not oldest-first: %+v", r)
+	}
 }
 
 func TestResetIsConstantTimeSemantics(t *testing.T) {
@@ -53,51 +55,6 @@ func TestResetIsConstantTimeSemantics(t *testing.T) {
 	addr, _ := l.AppendToken(3, 1)
 	if addr != l.Base() {
 		t.Fatal("log pointer not reset to base")
-	}
-}
-
-func TestWalkOrders(t *testing.T) {
-	l := New(0)
-	for i := 0; i < 5; i++ {
-		l.AppendToken(mem.BlockAddr(i), 1)
-	}
-	var fwd, rev []mem.BlockAddr
-	if err := l.Walk(func(r Record) error {
-		fwd = append(fwd, r.Block)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WalkReverse(func(r Record) error {
-		rev = append(rev, r.Block)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if fwd[i] != mem.BlockAddr(i) || rev[i] != mem.BlockAddr(4-i) {
-			t.Fatalf("walk order wrong: %v %v", fwd, rev)
-		}
-	}
-}
-
-func TestWalkError(t *testing.T) {
-	l := New(0)
-	l.AppendToken(1, 1)
-	l.AppendToken(2, 1)
-	sentinel := errors.New("stop")
-	err := l.Walk(func(r Record) error {
-		if r.Block == 2 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("walk should propagate error: %v", err)
-	}
-	err = l.WalkReverse(func(r Record) error { return sentinel })
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("reverse walk should propagate error: %v", err)
 	}
 }
 

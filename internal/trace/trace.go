@@ -6,7 +6,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -33,7 +32,7 @@ const (
 
 // hasAddr reports whether events of this kind carry a meaningful Addr.
 // Address 0 is a legal block address, so presence is a property of the kind,
-// not of the value (DumpJSON relies on this to emit addr explicitly).
+// not of the value.
 func (k Kind) hasAddr() bool {
 	switch k {
 	case EvLoad, EvStore, EvConflict, EvAbortSelf:
@@ -178,45 +177,6 @@ func (t *Tracer) Dump(w io.Writer) {
 	for _, e := range t.Events() {
 		fmt.Fprintln(w, e.String())
 	}
-}
-
-// jsonEvent is the wire form of an Event: the kind as its symbolic name.
-// Addr is a pointer so that presence is explicit — block address 0 and
-// "this event kind has no address" are different facts, and latency is
-// always emitted because a genuine 0-cycle latency must not read as absent.
-type jsonEvent struct {
-	Seq      uint64    `json:"seq"`
-	Kind     string    `json:"kind"`
-	TID      mem.TID   `json:"tid"`
-	Core     int       `json:"core"`
-	Addr     *mem.Addr `json:"addr,omitempty"`
-	Latency  mem.Cycle `json:"latency"`
-	Conflict string    `json:"conflict,omitempty"`
-	Enemies  []mem.TID `json:"enemies,omitempty"`
-}
-
-// DumpJSON writes the retained events oldest-first as one indented JSON
-// array, so harness failure reports can attach the event ring of a failed
-// job in machine-readable form.
-func (t *Tracer) DumpJSON(w io.Writer) error {
-	events := t.Events()
-	out := make([]jsonEvent, len(events))
-	for i, e := range events {
-		out[i] = jsonEvent{
-			Seq: e.Seq, Kind: e.Kind.String(), TID: e.TID, Core: e.Core,
-			Latency: e.Latency, Enemies: e.Enemies,
-		}
-		if e.Kind.hasAddr() {
-			addr := e.Addr
-			out[i].Addr = &addr
-		}
-		if e.Conflict != htm.KindNone {
-			out[i].Conflict = e.Conflict.String()
-		}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // System decorates an htm.System with tracing.

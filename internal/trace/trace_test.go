@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -24,11 +23,19 @@ func TestRingBuffer(t *testing.T) {
 	if evs[0].Seq != 2 || evs[3].Seq != 5 {
 		t.Fatalf("ring order: %+v", evs)
 	}
+	// Address 0 is a legal block address: a load there still prints it,
+	// because presence is a property of the kind, not of the value.
+	if s := evs[0].String(); !strings.Contains(s, " addr=0x0") {
+		t.Fatalf("load at address 0 lost its addr: %q", s)
+	}
 	// Unfilled tracer.
 	tr2 := NewTracer(8)
 	tr2.Record(Event{Kind: EvBegin})
 	if tr2.Len() != 1 || tr2.Events()[0].Seq != 0 {
 		t.Fatal("partial ring")
+	}
+	if s := tr2.Events()[0].String(); strings.Contains(s, "addr=") {
+		t.Fatalf("begin printed an addr: %q", s)
 	}
 	// Default capacity.
 	if NewTracer(0).Len() != 0 {
@@ -127,82 +134,6 @@ func TestTracerBoundToOneMachine(t *testing.T) {
 		}
 	}()
 	Wrap(core.New(m2.Mem, m2.Store), tr)
-}
-
-func TestDumpJSON(t *testing.T) {
-	tr := NewTracer(16)
-	tr.Record(Event{Kind: EvBegin, TID: 3, Core: 1})
-	tr.Record(Event{Kind: EvConflict, TID: 3, Core: 1, Addr: 0x1000, Latency: 20, Enemies: []mem.TID{7}})
-	tr.Record(Event{Kind: EvCommitFast, TID: 3, Core: 1, Latency: 4})
-
-	var buf bytes.Buffer
-	if err := tr.DumpJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(events) != 3 {
-		t.Fatalf("%d events", len(events))
-	}
-	if events[0]["kind"] != "begin" || events[1]["kind"] != "conflict" || events[2]["kind"] != "commit-fast" {
-		t.Fatalf("kinds: %v", events)
-	}
-	if events[1]["latency"].(float64) != 20 {
-		t.Fatalf("conflict latency: %v", events[1])
-	}
-	if events[0]["seq"].(float64) != 0 || events[2]["seq"].(float64) != 2 {
-		t.Fatalf("sequence numbers: %v", events)
-	}
-	enemies := events[1]["enemies"].([]any)
-	if len(enemies) != 1 || enemies[0].(float64) != 7 {
-		t.Fatalf("enemies: %v", events[1])
-	}
-}
-
-// TestDumpJSONAddrZero pins the presence semantics the old schema got
-// wrong: block address 0 on an access event must appear in the JSON as an
-// explicit "addr": 0 (presence by event kind, not by value), a genuine
-// 0-cycle latency must still be emitted, and kinds without an address must
-// omit the key entirely.
-func TestDumpJSONAddrZero(t *testing.T) {
-	tr := NewTracer(16)
-	tr.Record(Event{Kind: EvLoad, TID: 2, Core: 0, Addr: 0, Latency: 0})
-	tr.Record(Event{Kind: EvBegin, TID: 2, Core: 0, Latency: 0})
-
-	var buf bytes.Buffer
-	if err := tr.DumpJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if len(events) != 2 {
-		t.Fatalf("%d events", len(events))
-	}
-	load, begin := events[0], events[1]
-	addr, ok := load["addr"]
-	if !ok {
-		t.Fatalf("load at address 0 lost its addr field: %s", buf.String())
-	}
-	if string(addr) != "0" {
-		t.Fatalf("load addr = %s, want 0", addr)
-	}
-	lat, ok := load["latency"]
-	if !ok {
-		t.Fatalf("0-cycle latency omitted: %s", buf.String())
-	}
-	if string(lat) != "0" {
-		t.Fatalf("load latency = %s, want 0", lat)
-	}
-	if _, ok := begin["addr"]; ok {
-		t.Fatalf("begin event must not carry addr: %s", buf.String())
-	}
-	if _, ok := begin["latency"]; !ok {
-		t.Fatalf("begin event lost latency: %s", buf.String())
-	}
 }
 
 // TestTracerReset pins the reuse path: Reset returns a bound, full tracer

@@ -62,3 +62,62 @@ func TestReadmePackagesReachable(t *testing.T) {
 		}
 	}
 }
+
+// TestDocPathsExist: every repository path a reader is pointed at in
+// backticks (or in a fenced code block) in README.md, DESIGN.md and
+// EXPERIMENTS.md names a file or directory in the tree, so the prose
+// cannot keep sending readers to a command or package that was deleted.
+// A trailing Go identifier is trimmed: `internal/plot.Stacked` resolves as
+// internal/plot.
+func TestDocPathsExist(t *testing.T) {
+	fence := regexp.MustCompile("(?ms)^```[^\n]*\n(.*?)^```")
+	span := regexp.MustCompile("`([^`]+)`")
+	path := regexp.MustCompile(`(?:^|[\s(=])(?:\./)?((?:cmd|internal|stm|examples)/[A-Za-z0-9_./-]*)`)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		var code []string
+		for _, m := range fence.FindAllStringSubmatch(text, -1) {
+			code = append(code, m[1])
+		}
+		text = fence.ReplaceAllString(text, "")
+		for _, m := range span.FindAllStringSubmatch(text, -1) {
+			code = append(code, m[1])
+		}
+		n := 0
+		for _, c := range code {
+			for _, m := range path.FindAllStringSubmatch(c, -1) {
+				n++
+				if p, ok := resolveDocPath(m[1]); !ok {
+					t.Errorf("%s names %s, which is not in the tree", doc, p)
+				}
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s: found no repository paths; has the markup changed?", doc)
+		}
+	}
+}
+
+// resolveDocPath cleans a path as written in the docs ("stm/...",
+// "internal/sim/", "internal/plot.Stacked") and reports whether it names a
+// file or directory.
+func resolveDocPath(p string) (string, bool) {
+	p = strings.TrimRight(p, "/.")
+	if _, err := os.Stat(p); err == nil {
+		return p, true
+	}
+	dir, last := "", p
+	if i := strings.LastIndex(p, "/"); i >= 0 {
+		dir, last = p[:i+1], p[i+1:]
+	}
+	if i := strings.Index(last, "."); i > 0 {
+		if _, err := os.Stat(dir + last[:i]); err == nil {
+			return p, true
+		}
+	}
+	return p, false
+}
