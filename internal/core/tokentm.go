@@ -507,38 +507,33 @@ func (t *TokenTM) Store(th *htm.Thread, addr mem.Addr, val uint64, retries int) 
 	}
 
 	mine := x.Tokens.Get(b)
-	var needed uint32
-	switch {
-	case p.writer == x.TID:
-		needed = 0
-	case p.writer != mem.NoTID:
-		return t.conflict(x, b, t.enemiesOf1(p.writer, x.TID), retries, coherence.L1HitCycles, htm.KindWriteVsWriter)
-	default:
-		others := p.sum - mine
-		if others > 0 {
-			enemies := t.enemiesOf(p.readers, x.TID)
-			var walkLat mem.Cycle
-			if uint32(len(enemies)) < others {
-				// Unknown readers hide in anonymous counts: §5.2's
-				// hardest case.
-				enemies, walkLat = t.hardCaseLookup(b, x.TID)
-			}
-			return t.conflict(x, b, enemies, retries, coherence.L1HitCycles+walkLat, htm.KindWriteVsReaders)
+	claim, needed, ok := metastate.ClaimWrite(metastate.Meta{Sum: p.sum, TID: p.writer}, x.TID, mine)
+	if !ok {
+		if p.writer != mem.NoTID {
+			return t.conflict(x, b, t.enemiesOf1(p.writer, x.TID), retries, coherence.L1HitCycles, htm.KindWriteVsWriter)
 		}
-		needed = metastate.T - mine
+		others := p.sum - mine
+		enemies := t.enemiesOf(p.readers, x.TID)
+		var walkLat mem.Cycle
+		if uint32(len(enemies)) < others {
+			// Unknown readers hide in anonymous counts: §5.2's
+			// hardest case.
+			enemies, walkLat = t.hardCaseLookup(b, x.TID)
+		}
+		return t.conflict(x, b, enemies, retries, coherence.L1HitCycles+walkLat, htm.KindWriteVsReaders)
 	}
 
 	lat := t.ms.Access(core, b, true)
 	line := t.ms.LineAt(core, b)
 	// The pre-check proved every outstanding debit is ours, so the write
-	// takes all remaining tokens; the contention manager resolves the
-	// anonymous-count-is-all-mine case in software (§5.2). The coherence
-	// upgrade folded every other copy's metastate home (CopyLost), and the
-	// (T,X) metabits we set now assert all T debits locally — so the homed
-	// share (e.g. our own reader token stranded by an earlier eviction or
-	// page-out) is absorbed into the claim, not left to double-count.
+	// takes all remaining tokens (ClaimWrite's anonymous-count-is-all-mine
+	// case, §5.2). The coherence upgrade folded every other copy's
+	// metastate home (CopyLost), and the (T,X) metabits we set now assert
+	// all T debits locally — so the homed share (e.g. our own reader token
+	// stranded by an earlier eviction or page-out) is absorbed into the
+	// claim, not left to double-count.
 	t.setHome(b, metastate.Zero)
-	line.Meta = metastate.L1Meta{W: true, Attr: uint16(x.TID)}
+	line.Meta = mustL1(claim, x.TID)
 
 	if _, seen := x.WriteSet[b]; !seen {
 		old := t.readBlock(b)
@@ -626,79 +621,29 @@ func (t *TokenTM) softwareRelease(th *htm.Thread) mem.Cycle {
 	return lat
 }
 
-// releaseBlock credits total tokens for block b back to the metastate,
-// looking first in the thread's own L1 line (R/W bits, post-context-switch
-// R'/W' bits, anonymous R+ counts) and then at home. Anonymous tokens are
-// fungible, so greedy decrementing preserves the bookkeeping invariant.
+// releaseBlock credits total tokens for block b back to the metastate: the
+// thread's own L1 line first (L1Meta.Release), then home (Release) for the
+// rest. A writer checks home even when the line held its (T,me), because
+// fission may have left a duplicate there.
 //
 //tokentm:allocfree
 func (t *TokenTM) releaseBlock(th *htm.Thread, b mem.BlockAddr, total uint32) {
 	me := th.TID
-	line := t.ms.LineAt(th.Core, b)
-
+	var taken uint32
+	if line := t.ms.LineAt(th.Core, b); line != nil {
+		taken = line.Meta.Release(me, total)
+	}
+	n := total - taken
 	if total == metastate.T {
-		// Writer release: clear every copy of (T,me) — the line and a
-		// possible home duplicate created by fission.
-		cleared := false
-		if line != nil && (line.Meta.W || (line.Meta.Wp && mem.TID(line.Meta.Attr) == me)) {
-			line.Meta.W = false
-			line.Meta.Wp = false
-			cleared = true
-		}
-		if h := t.home[b]; h.IsWriter() && h.TID == me {
-			t.setHome(b, metastate.Zero)
-			cleared = true
-		}
-		if !cleared {
-			panic(fmt.Sprintf("tokentm: writer release found no tokens for X%d on %v", me, b))
-		}
-		return
+		n = total
 	}
-
-	remaining := total
-	if line != nil && remaining > 0 {
-		if line.Meta.R {
-			line.Meta.R = false
-			remaining--
-		} else if line.Meta.Rp && !line.Meta.RPlus && mem.TID(line.Meta.Attr) == me {
-			line.Meta.Rp = false
-			remaining--
-		}
-		if remaining > 0 && line.Meta.RPlus {
-			take := remaining
-			if uint32(line.Meta.Attr) < take {
-				take = uint32(line.Meta.Attr)
-			}
-			line.Meta.Attr -= uint16(take)
-			remaining -= take
-			// An R' bit under R+ is one more anonymous token (Logical
-			// counts it); R+ may go only once no anonymous token is left.
-			if remaining > 0 && line.Meta.Rp {
-				line.Meta.Rp = false
-				remaining--
-			}
-			if line.Meta.Attr == 0 && !line.Meta.Rp {
-				line.Meta.RPlus = false
-			}
-		}
+	if n > 0 {
+		next, k := metastate.Release(t.home[b], me, n)
+		t.setHome(b, next)
+		taken += k
 	}
-	if remaining > 0 {
-		h := t.home[b]
-		switch {
-		case h.IsIdentified() && h.TID == me && h.Sum == 1:
-			t.setHome(b, metastate.Zero)
-			remaining--
-		case !h.IsWriter() && h.TID == mem.NoTID && h.Sum > 0:
-			take := remaining
-			if h.Sum < take {
-				take = h.Sum
-			}
-			t.setHome(b, metastate.Anon(h.Sum-take))
-			remaining -= take
-		}
-	}
-	if remaining > 0 {
-		panic(fmt.Sprintf("tokentm: release lost %d tokens for X%d on %v", remaining, me, b))
+	if taken < total {
+		panic(fmt.Sprintf("tokentm: release lost %d tokens for X%d on %v", total-taken, me, b))
 	}
 }
 

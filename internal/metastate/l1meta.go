@@ -119,16 +119,16 @@ func (l *L1Meta) FlashOR() {
 	l.W = false
 }
 
-// AcquireResult describes the outcome of attempting a transactional access
+// AcquireResult describes the outcome of attempting a transactional read
 // against a line's metabits.
 type AcquireResult struct {
 	// OK is true when the access may proceed.
 	OK bool
-	// TokensAcquired is the number of tokens newly debited (0, 1, T-1 or
-	// T); nonzero values must be credited to the thread's log.
+	// TokensAcquired is the number of tokens newly debited (0 or 1); a
+	// nonzero value must be credited to the thread's log.
 	TokensAcquired uint32
-	// ConflictWith summarizes the conflicting metastate when !OK. Its TID
-	// identifies the enemy transaction when the state is (1,Y) or (T,Y).
+	// ConflictWith summarizes the conflicting metastate when !OK: the
+	// (T,Y) of the writer whose TID identifies the enemy transaction.
 	ConflictWith Meta
 }
 
@@ -181,43 +181,50 @@ func (l *L1Meta) AcquireRead(cur mem.TID) AcquireResult {
 	}
 }
 
-// AcquireWrite attempts to add the block to thread cur's write set, which
-// requires all T of the block's tokens.
-func (l *L1Meta) AcquireWrite(cur mem.TID) AcquireResult {
-	switch {
-	case l.W:
-		return AcquireResult{OK: true}
-	case l.Wp:
-		if mem.TID(l.Attr) == cur {
+// Release credits up to n of thread cur's tokens back from the line and
+// reports how many it took; the rest are the home metastate's to return
+// (Release). n == T is a writer's release: W, or a W' carrying cur's TID
+// after a context switch, clears. Otherwise R goes first, else cur's own
+// R' when no anonymous count hides its TID, then the anonymous R+ count
+// (with an R' under it as one more anonymous token) — anonymous tokens are
+// fungible, so taking greedily keeps the double-entry books balanced.
+func (l *L1Meta) Release(cur mem.TID, n uint32) (taken uint32) {
+	if n == T {
+		if l.W || (l.Wp && mem.TID(l.Attr) == cur) {
+			l.W = false
 			l.Wp = false
-			l.W = true
-			return AcquireResult{OK: true}
+			return T
 		}
-		return AcquireResult{ConflictWith: WriteT(mem.TID(l.Attr))}
-	case l.RPlus:
-		// One or more other transactions hold read tokens (an anonymous
-		// count); the writer cannot take all T.
-		return AcquireResult{ConflictWith: l.Logical()}
-	case l.Rp:
-		if mem.TID(l.Attr) == cur {
-			// Upgrade my pre-context-switch read token.
-			l.Rp = false
-			l.W = true
-			return AcquireResult{OK: true, TokensAcquired: T - 1}
-		}
-		return AcquireResult{ConflictWith: Read1(mem.TID(l.Attr))}
-	case l.R:
-		// Upgrade my own read token to a write: acquire the remaining
-		// T-1 tokens.
-		l.R = false
-		l.W = true
-		l.Attr = uint16(cur)
-		return AcquireResult{OK: true, TokensAcquired: T - 1}
-	default:
-		l.W = true
-		l.Attr = uint16(cur)
-		return AcquireResult{OK: true, TokensAcquired: T}
+		return 0
 	}
+	remaining := n
+	if remaining > 0 {
+		if l.R {
+			l.R = false
+			remaining--
+		} else if l.Rp && !l.RPlus && mem.TID(l.Attr) == cur {
+			l.Rp = false
+			remaining--
+		}
+		if remaining > 0 && l.RPlus {
+			take := remaining
+			if uint32(l.Attr) < take {
+				take = uint32(l.Attr)
+			}
+			l.Attr -= uint16(take)
+			remaining -= take
+			// An R' bit under R+ is one more anonymous token (Logical
+			// counts it); R+ may go only once no anonymous token is left.
+			if remaining > 0 && l.Rp {
+				l.Rp = false
+				remaining--
+			}
+			if l.Attr == 0 && !l.Rp {
+				l.RPlus = false
+			}
+		}
+	}
+	return n - remaining
 }
 
 // String renders the metabits for debugging, e.g. "[R attr=42]".

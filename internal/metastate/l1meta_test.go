@@ -2,7 +2,6 @@ package metastate
 
 import (
 	"testing"
-	"testing/quick"
 
 	"tokentm/internal/mem"
 )
@@ -93,11 +92,12 @@ func TestFigure4FastRelease(t *testing.T) {
 	}
 
 	// (c) add B to the write set: W=1, Attr=42 -> logically (T,42).
-	res = b.AcquireWrite(tid42)
-	if !res.OK || res.TokensAcquired != T {
-		t.Fatalf("write B: %+v", res)
+	m, needed, ok := ClaimWrite(b.Logical(), tid42, 0)
+	if !ok || needed != T {
+		t.Fatalf("write B: %v %d %v", m, needed, ok)
 	}
-	if b.Logical() != WriteT(tid42) || !b.W || b.Attr != 42 {
+	b, err := L1FromMeta(m, tid42)
+	if err != nil || b.Logical() != WriteT(tid42) || !b.W || b.Attr != 42 {
 		t.Fatalf("B after write: %v", b)
 	}
 
@@ -146,21 +146,22 @@ func TestContextSwitchFlashOR(t *testing.T) {
 		t.Fatalf("rule (ii) logical: %v", other.Logical())
 	}
 
-	// Writes: W survives a flash-OR as W' and conflicts with others.
-	w := L1Zero
-	w.AcquireWrite(tidX)
+	// Writes: W survives a flash-OR as W' and conflicts with others. The
+	// owner's next store re-claims it for free and refills W, as core.Store
+	// does.
+	w := L1Meta{W: true, Attr: uint16(tidX)}
 	w.FlashOR()
 	if !w.Wp || w.W || w.Logical() != WriteT(tidX) {
 		t.Fatalf("W flash-OR: %v", w)
 	}
-	wSame := w
-	if res := wSame.AcquireWrite(tidX); !res.OK || res.TokensAcquired != 0 || !wSame.W {
-		t.Fatalf("W' refusion by owner: %+v %v", res, wSame)
+	m, needed, ok := ClaimWrite(w.Logical(), tidX, T)
+	if wSame, err := L1FromMeta(m, tidX); !ok || needed != 0 || err != nil || !wSame.W {
+		t.Fatalf("W' refusion by owner: %v %d %v -> %v", m, needed, ok, wSame)
+	}
+	if m, _, ok := ClaimWrite(w.Logical(), tidY, 0); ok || m != WriteT(tidX) {
+		t.Fatalf("W' conflict: %v %v", m, ok)
 	}
 	wOther := w
-	if res := wOther.AcquireWrite(tidY); res.OK || res.ConflictWith != WriteT(tidX) {
-		t.Fatalf("W' conflict: %+v", res)
-	}
 	if res := wOther.AcquireRead(tidY); res.OK || res.ConflictWith != WriteT(tidX) {
 		t.Fatalf("W' read conflict: %+v", res)
 	}
@@ -184,73 +185,76 @@ func TestPostSwitchAnonymousFold(t *testing.T) {
 
 // TestAcquireConflicts covers the conflict rows for reads and writes.
 func TestAcquireConflicts(t *testing.T) {
-	// Writer vs anonymous readers.
-	l := L1Meta{RPlus: true, Attr: 2}
-	if res := l.AcquireWrite(tidX); res.OK || res.ConflictWith != Anon(2) {
-		t.Errorf("write vs (2,-): %+v", res)
-	}
-	// Writer vs identified reader.
-	l = L1Meta{Rp: true, Attr: uint16(tidY)}
-	if res := l.AcquireWrite(tidX); res.OK || res.ConflictWith != Read1(tidY) {
-		t.Errorf("write vs (1,Y): %+v", res)
+	// Writer vs anonymous readers, vs an identified reader, and a
+	// read-to-write upgrade with coexisting readers.
+	for _, c := range []struct {
+		l    L1Meta
+		mine uint32
+	}{
+		{L1Meta{RPlus: true, Attr: 2}, 0},
+		{L1Meta{Rp: true, Attr: uint16(tidY)}, 0},
+		{L1Meta{R: true, RPlus: true, Attr: 1}, 1},
+	} {
+		if m, _, ok := ClaimWrite(c.l.Logical(), tidX, c.mine); ok || m != c.l.Logical() {
+			t.Errorf("write vs %v: %v %v", c.l, m, ok)
+		}
 	}
 	// Reader vs writer.
-	l = L1Meta{Wp: true, Attr: uint16(tidY)}
+	l := L1Meta{Wp: true, Attr: uint16(tidY)}
 	if res := l.AcquireRead(tidX); res.OK || res.ConflictWith != WriteT(tidY) {
 		t.Errorf("read vs (T,Y): %+v", res)
 	}
-	// Read-to-write upgrade with coexisting readers conflicts.
-	l = L1Meta{R: true, RPlus: true, Attr: 1}
-	if res := l.AcquireWrite(tidX); res.OK {
-		t.Errorf("upgrade with other readers should conflict: %+v", res)
-	}
 }
 
-// TestUpgrade covers read-to-write upgrades acquiring the remaining T-1.
+// TestUpgrade covers read-to-write upgrades acquiring the remaining T-1,
+// before and after a context switch turned the read token into R'.
 func TestUpgrade(t *testing.T) {
-	l := L1Zero
-	l.AcquireRead(tidX)
-	res := l.AcquireWrite(tidX)
-	if !res.OK || res.TokensAcquired != T-1 || l.Logical() != WriteT(tidX) {
-		t.Fatalf("upgrade: %+v %v", res, l.Logical())
-	}
-	// Upgrade of a pre-context-switch own token.
-	l = L1Zero
-	l.AcquireRead(tidX)
-	l.FlashOR()
-	res = l.AcquireWrite(tidX)
-	if !res.OK || res.TokensAcquired != T-1 || l.Logical() != WriteT(tidX) {
-		t.Fatalf("upgrade post-switch: %+v %v", res, l.Logical())
+	for _, flashOR := range []bool{false, true} {
+		l := L1Zero
+		l.AcquireRead(tidX)
+		if flashOR {
+			l.FlashOR()
+		}
+		m, needed, ok := ClaimWrite(l.Logical(), tidX, 1)
+		if !ok || needed != T-1 || m != WriteT(tidX) {
+			t.Fatalf("upgrade (flash-OR %v): %v %d %v", flashOR, m, needed, ok)
+		}
 	}
 }
 
-// Property: any sequence of valid acquires by one thread keeps the line
-// metabits valid, and the logical sum equals tokens acquired (for a fresh
-// line touched only by that thread).
-func TestAcquireTokenAccounting(t *testing.T) {
-	f := func(ops []bool, tid uint16) bool {
-		cur := mem.TID(tid&uint16(mem.MaxTID)) | 1
-		l := L1Zero
-		var acquired uint32
-		for _, isWrite := range ops {
-			var res AcquireResult
-			if isWrite {
-				res = l.AcquireWrite(cur)
-			} else {
-				res = l.AcquireRead(cur)
+// TestL1TokenAccounting runs AcquireRead and Release over every valid bit
+// combination × Attr × thread: a read keeps the line valid and raises
+// Logical().Sum by exactly the tokens acquired (a refused one changes
+// nothing), and a release of n keeps it valid, takes at most n and drops
+// Logical().Sum by exactly what it took.
+func TestL1TokenAccounting(t *testing.T) {
+	attrs := []uint16{0, 1, 2, 3, uint16(tidX), uint16(tidY)}
+	ns := []uint32{1, 2, 3, 4, T}
+	for bits := 0; bits < 32; bits++ {
+		for _, attr := range attrs {
+			l0 := L1Meta{R: bits&1 != 0, W: bits&2 != 0, Rp: bits&4 != 0, Wp: bits&8 != 0, RPlus: bits&16 != 0, Attr: attr}
+			if !l0.Valid() {
+				continue
 			}
-			if !res.OK {
-				return false
-			}
-			acquired += res.TokensAcquired
-			if !l.Valid() {
-				return false
+			sum := l0.Logical().Sum
+			for _, cur := range []mem.TID{tidX, tidY} {
+				l := l0
+				res := l.AcquireRead(cur)
+				switch {
+				case !res.OK && l != l0:
+					t.Errorf("%v AcquireRead(X%d) refused but changed the line to %v", l0, cur, l)
+				case !l.Valid() || l.Logical().Sum != sum+res.TokensAcquired:
+					t.Errorf("%v AcquireRead(X%d) = %+v -> %v (sum %d)", l0, cur, res, l, l.Logical().Sum)
+				}
+				for _, n := range ns {
+					l := l0
+					taken := l.Release(cur, n)
+					if !l.Valid() || taken > n || l.Logical().Sum != sum-taken {
+						t.Errorf("%v Release(X%d, %d) = %d -> %v (sum %d)", l0, cur, n, taken, l, l.Logical().Sum)
+					}
+				}
 			}
 		}
-		return l.Logical().Sum == acquired
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

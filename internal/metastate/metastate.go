@@ -1,8 +1,15 @@
 // Package metastate implements TokenTM's per-block logical metastate: the
-// (Sum, TID) summary of token debits, the metastate fission/fusion rules
-// (paper Tables 3a and 3b), the in-memory 16-metabit packing (Table 4a), and
-// the in-L1 sparse R/W/R'/W'/R+ representation with flash-clear and flash-OR
-// semantics (Table 4b, §4.4).
+// (Sum, TID) summary of token debits, the common transitions (paper Table 2:
+// AcquireRead, ClaimWrite, Release), the metastate fission/fusion rules
+// (Tables 3a and 3b), the in-memory 16-metabit packing (Table 4a) with its
+// packed transitions (AddReader, ClaimWrite, DropReader), and the in-L1
+// sparse R/W/R'/W'/R+ representation with flash-clear and flash-OR semantics
+// (Table 4b, §4.4).
+//
+// It is the one place a Table 2 transition is computed: the simulator
+// (internal/core) runs the Meta and L1Meta forms, the host STM (stm) the
+// packed ones, and TestPackedTransitionsMatchMeta holds every packed
+// transition equal to Unpack, the Meta rule, then Pack.
 //
 // Conceptually every 64-byte block has T tokens. A transaction acquires one
 // token to read the block and all T tokens to write it. The metastate
@@ -158,39 +165,41 @@ func Fuse(a, b Meta) (Meta, error) {
 	return Anon(sum), nil
 }
 
-// FuseAll folds a sequence of copies into a single metastate.
-func FuseAll(ms ...Meta) (Meta, error) {
-	acc := Zero
-	var err error
-	for _, m := range ms {
-		acc, err = Fuse(acc, m)
-		if err != nil {
-			return Zero, err
-		}
-	}
-	return acc, nil
-}
-
-// ReleaseOne credits one token back to metastate m (Table 2 rows
-// "Release one Token"): (1,X) -> (0,-) and (v,-) -> (v-1,-).
-func ReleaseOne(m Meta) (Meta, error) {
+// ClaimWrite is Table 2's Store row for thread x, which holds mine of the
+// block's tokens already: every other debit must be x's own, so (0,-) and a
+// (v,-) with v <= mine become (T,X) and x needs T-mine more tokens — the
+// second case is §5.2's "the anonymous count is all mine", which the
+// contention manager resolves in software. (1,X) with mine >= 1 is an
+// upgrade, and (T,X) is already x's and needs none. A foreign writer, a
+// count above mine or an identified reader other than x refuses (the
+// Conflicting Store rows), returning m unchanged.
+func ClaimWrite(m Meta, x mem.TID, mine uint32) (next Meta, needed uint32, ok bool) {
 	switch {
-	case m.Sum == 0:
-		return Zero, fmt.Errorf("metastate: release from %v with no debits", m)
 	case m.IsWriter():
-		return Zero, fmt.Errorf("metastate: single-token release from writer %v", m)
-	case m.Sum == 1:
-		return Zero, nil
-	default:
-		return Anon(m.Sum - 1), nil
+		return m, 0, m.TID == x
+	case m.TID != mem.NoTID && m.TID != x, m.Sum > mine:
+		return m, 0, false
 	}
+	return WriteT(x), T - mine, true
 }
 
-// ReleaseWriter credits all T tokens back (Table 2 row "Release T tokens"):
-// (T,X) -> (0,-).
-func ReleaseWriter(m Meta, x mem.TID) (Meta, error) {
-	if !m.IsWriter() || m.TID != x {
-		return Zero, fmt.Errorf("metastate: writer release by X%d from %v", x, m)
+// Release credits up to n of thread x's tokens back to m (Table 2's Release
+// rows) and reports how many it took: (T,X) -> (0,-) when n is T, (1,X) ->
+// (0,-), and (v,-) -> (v-k,-) with k = min(v, n), since anonymous tokens are
+// fungible. Anything else takes nothing and returns m unchanged.
+func Release(m Meta, x mem.TID, n uint32) (next Meta, taken uint32) {
+	switch {
+	case m.IsWriter():
+		if m.TID == x && n == T {
+			return Zero, T
+		}
+	case m.TID != mem.NoTID:
+		if m.TID == x && n > 0 {
+			return Zero, 1
+		}
+	default:
+		k := min(m.Sum, n)
+		return Anon(m.Sum - k), k
 	}
-	return Zero, nil
+	return m, 0
 }

@@ -103,7 +103,8 @@ func TestFusionTable3b(t *testing.T) {
 	}
 }
 
-// TestTable2Transitions walks the common metastate transitions of Table 2.
+// TestTable2Transitions walks the common metastate transitions of Table 2
+// through the functions the simulator runs, refusals included.
 func TestTable2Transitions(t *testing.T) {
 	// Transaction Load: (0,-) -> (1,X).
 	line := L1Zero
@@ -111,29 +112,8 @@ func TestTable2Transitions(t *testing.T) {
 	if !res.OK || res.TokensAcquired != 1 || line.Logical() != Read1(tidX) {
 		t.Fatalf("load transition: %v %v", res, line.Logical())
 	}
-	// Release one token: (1,X) -> (0,-).
-	m, err := ReleaseOne(line.Logical())
-	if err != nil || m != Zero {
-		t.Fatalf("release one from (1,X): %v %v", m, err)
-	}
-	// Transaction Store: (0,-) -> (T,X).
-	line = L1Zero
-	res = line.AcquireWrite(tidX)
-	if !res.OK || res.TokensAcquired != T || line.Logical() != WriteT(tidX) {
-		t.Fatalf("store transition: %v %v", res, line.Logical())
-	}
-	// Release T tokens: (T,X) -> (0,-).
-	m, err = ReleaseWriter(line.Logical(), tidX)
-	if err != nil || m != Zero {
-		t.Fatalf("release writer: %v %v", m, err)
-	}
-	// Release one token from anonymous count: (v,-) -> (v-1,-).
-	m, err = ReleaseOne(Anon(3))
-	if err != nil || m != Anon(2) {
-		t.Fatalf("release one from (3,-): %v %v", m, err)
-	}
 	// Conflicting Load: (T,Y) stays (T,Y).
-	line, err = L1FromMeta(WriteT(tidY), tidX)
+	line, err := L1FromMeta(WriteT(tidY), tidX)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,38 +121,55 @@ func TestTable2Transitions(t *testing.T) {
 	if res.OK || res.ConflictWith != WriteT(tidY) || line.Logical() != WriteT(tidY) {
 		t.Fatalf("conflicting load: %v %v", res, line.Logical())
 	}
-	// Conflicting Store against (v,-), v != 0.
-	line, err = L1FromMeta(Anon(2), tidX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res = line.AcquireWrite(tidX)
-	if res.OK || line.Logical() != Anon(2) {
-		t.Fatalf("conflicting store vs readers: %v %v", res, line.Logical())
-	}
-	// Conflicting Store against (T,Y).
-	line, err = L1FromMeta(WriteT(tidY), tidX)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res = line.AcquireWrite(tidX)
-	if res.OK || res.ConflictWith != WriteT(tidY) {
-		t.Fatalf("conflicting store vs writer: %v", res)
-	}
-}
 
-func TestReleaseErrors(t *testing.T) {
-	if _, err := ReleaseOne(Zero); err == nil {
-		t.Error("release from (0,-) should fail")
+	claims := []struct {
+		m      Meta
+		mine   uint32
+		next   Meta
+		needed uint32
+		ok     bool
+	}{
+		{Zero, 0, WriteT(tidX), T, true},            // Transaction Store
+		{Read1(tidX), 1, WriteT(tidX), T - 1, true}, // upgrade
+		{Anon(1), 1, WriteT(tidX), T - 1, true},     // the lone anonymous token is mine
+		{Anon(3), 3, WriteT(tidX), T - 3, true},     // §5.2: the count is all mine
+		{WriteT(tidX), T, WriteT(tidX), 0, true},
+		{Read1(tidX), 0, Read1(tidX), 0, false},
+		{Anon(2), 0, Anon(2), 0, false}, // Conflicting Store rows
+		{Anon(3), 2, Anon(3), 0, false},
+		{WriteT(tidY), 0, WriteT(tidY), 0, false},
+		{Read1(tidY), 1, Read1(tidY), 0, false}, // identified, not mine, whatever mine says
+		{Read1(tidY), 5, Read1(tidY), 0, false},
 	}
-	if _, err := ReleaseOne(WriteT(tidX)); err == nil {
-		t.Error("single release from writer should fail")
+	for _, c := range claims {
+		next, needed, ok := ClaimWrite(c.m, tidX, c.mine)
+		if next != c.next || needed != c.needed || ok != c.ok {
+			t.Errorf("ClaimWrite(%v, X, %d) = %v, %d, %v; want %v, %d, %v",
+				c.m, c.mine, next, needed, ok, c.next, c.needed, c.ok)
+		}
 	}
-	if _, err := ReleaseWriter(Read1(tidX), tidX); err == nil {
-		t.Error("writer release from reader state should fail")
+
+	releases := []struct {
+		m     Meta
+		n     uint32
+		next  Meta
+		taken uint32
+	}{
+		{Read1(tidX), 1, Zero, 1},          // Release one Token
+		{Anon(3), 1, Anon(2), 1},           // (v,-) -> (v-1,-)
+		{Anon(3), 2, Anon(1), 2},           // fungible: k of them
+		{Anon(2), 5, Zero, 2},              // at most v
+		{WriteT(tidX), T, Zero, T},         // Release T tokens
+		{WriteT(tidX), 1, WriteT(tidX), 0}, // a writer returns all T at once
+		{WriteT(tidY), T, WriteT(tidY), 0},
+		{Read1(tidY), 1, Read1(tidY), 0},
+		{Read1(tidX), 0, Read1(tidX), 0},
+		{Zero, 1, Zero, 0},
 	}
-	if _, err := ReleaseWriter(WriteT(tidY), tidX); err == nil {
-		t.Error("writer release by non-owner should fail")
+	for _, c := range releases {
+		if next, taken := Release(c.m, tidX, c.n); next != c.next || taken != c.taken {
+			t.Errorf("Release(%v, X, %d) = %v, %d; want %v, %d", c.m, c.n, next, taken, c.next, c.taken)
+		}
 	}
 }
 
@@ -243,9 +240,13 @@ func TestFusionAssociativeReaders(t *testing.T) {
 			}
 		}
 		// Left fold.
-		left, err := FuseAll(ms...)
-		if err != nil {
-			t.Fatalf("left fold: %v", err)
+		left := Zero
+		var err error
+		for _, m := range ms {
+			left, err = Fuse(left, m)
+			if err != nil {
+				t.Fatalf("left fold: %v", err)
+			}
 		}
 		// Right fold.
 		right := Zero
@@ -260,11 +261,5 @@ func TestFusionAssociativeReaders(t *testing.T) {
 		if left.Sum != right.Sum {
 			t.Fatalf("fold sums differ: %v vs %v over %v", left, right, ms)
 		}
-	}
-}
-
-func TestFuseAllError(t *testing.T) {
-	if _, err := FuseAll(Read1(tidX), WriteT(tidY)); err == nil {
-		t.Error("expected fusion error")
 	}
 }

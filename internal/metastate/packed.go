@@ -74,6 +74,73 @@ func Pack(m Meta) (p Packed, overflow bool) {
 	}
 }
 
+// The packed transitions are Table 2 computed on the 16 metabits directly,
+// for the host STM's CAS loops: each returns the next word and true, or p
+// unchanged and false when it refuses. Each equals Unpack, the Meta rule
+// named below, then Pack, with a Pack that would need the overflow escape
+// refused (TestPackedTransitionsMatchMeta checks every canonical word).
+
+// AddReader is Fuse(m, Read1(x)), Table 2's Load row: (0,-) -> (1,X); a
+// second reader fuses (1,Y) into (2,-), and further readers count up to the
+// 14-bit limit. A writer, or a count already at the limit, refuses.
+func (p Packed) AddReader(x mem.TID) (Packed, bool) {
+	switch p.State() {
+	case StateAnon:
+		switch p.Attr() {
+		case 0:
+			return packedOf(StateRead1, uint16(x)), true
+		case maxPackedCount:
+			return p, false
+		}
+		return p + 1, true
+	case StateRead1:
+		return packedOf(StateAnon, 2), true
+	case StateWriteT, StateOverflow:
+	}
+	return p, false
+}
+
+// ClaimWrite is the Meta ClaimWrite: all T tokens for x, which holds mine
+// (0 or 1) of them already. (0,-), (1,-) when mine is 1, (1,X) when mine is
+// 1 and (T,X) become (T,X); anything else refuses.
+func (p Packed) ClaimWrite(x mem.TID, mine uint32) (Packed, bool) {
+	switch p.State() {
+	case StateAnon:
+		if uint32(p.Attr()) > mine {
+			return p, false
+		}
+	case StateRead1:
+		if mem.TID(p.Attr()) != x || mine == 0 {
+			return p, false
+		}
+	case StateWriteT:
+		if mem.TID(p.Attr()) != x {
+			return p, false
+		}
+	case StateOverflow:
+		return p, false
+	}
+	return packedOf(StateWriteT, uint16(x)), true
+}
+
+// DropReader is Release(m, x, 1), Table 2's "Release one Token" row:
+// (1,X) -> (0,-) and (v,-) -> (v-1,-). Anything else refuses, (T,X)
+// included: a writer returns all T tokens at once.
+func (p Packed) DropReader(x mem.TID) (Packed, bool) {
+	switch p.State() {
+	case StateAnon:
+		if p.Attr() != 0 {
+			return p - 1, true
+		}
+	case StateRead1:
+		if mem.TID(p.Attr()) == x {
+			return PackedZero, true
+		}
+	case StateWriteT, StateOverflow:
+	}
+	return p, false
+}
+
 // Unpack decodes 16 metabits into a logical metastate. For the overflow
 // encoding the caller supplies the software-maintained count via table
 // (may be nil only if p is not overflow).

@@ -100,3 +100,72 @@ func TestPackedIsSixteenBits(t *testing.T) {
 		t.Errorf("attr mask wrong")
 	}
 }
+
+// TestPackedTransitionsMatchMeta ties the host's packed transitions to the
+// Meta rules the simulator runs. For every canonical packed word (all but a
+// (1,·) or (T,·) with TID 0, which no transition writes; each round-trips,
+// Pack(Unpack(p)) == p), for x the word's own TID and another one, and for
+// mine in {0, 1}, each packed transition must equal
+// Unpack, the Meta rule, then Pack — and refuse, returning p, wherever the
+// Meta rule refuses or Pack would need the overflow escape. Every word in
+// the overflow escape itself must refuse all three.
+func TestPackedTransitionsMatchMeta(t *testing.T) {
+	check := func(name string, p Packed, got Packed, gotOK bool, m Meta, ok bool) {
+		want, wantOK := p, false
+		if ok {
+			if np, over := Pack(m); !over {
+				want, wantOK = np, true
+			}
+		}
+		if got != want || gotOK != wantOK {
+			t.Fatalf("%s on %#04x = %#04x, %v; want %#04x, %v", name, uint16(p), uint16(got), gotOK, uint16(want), wantOK)
+		}
+	}
+	cases := 0
+	for v := 0; v < 1<<16; v++ {
+		p := Packed(v)
+		if p.IsOverflow() {
+			for _, x := range []mem.TID{tidX, tidY} {
+				got, ok := p.AddReader(x)
+				check("AddReader", p, got, ok, Zero, false)
+				got, ok = p.DropReader(x)
+				check("DropReader", p, got, ok, Zero, false)
+				for mine := uint32(0); mine <= 1; mine++ {
+					got, ok = p.ClaimWrite(x, mine)
+					check("ClaimWrite", p, got, ok, Zero, false)
+				}
+			}
+			continue
+		}
+		if p.State() != StateAnon && p.Attr() == 0 {
+			continue
+		}
+		m, err := Unpack(p, nil, 0)
+		if q, _ := Pack(m); err != nil || q != p {
+			t.Fatalf("%#04x does not round-trip: %v, %v", uint16(p), m, err)
+		}
+		self := m.TID
+		if self == mem.NoTID {
+			self = tidX
+		}
+		for _, x := range []mem.TID{self, self%mem.MaxTID + 1} {
+			got, ok := p.AddReader(x)
+			fused, err := Fuse(m, Read1(x))
+			check("AddReader", p, got, ok, fused, err == nil)
+
+			got, ok = p.DropReader(x)
+			released, taken := Release(m, x, 1)
+			check("DropReader", p, got, ok, released, taken > 0)
+
+			for mine := uint32(0); mine <= 1; mine++ {
+				got, ok = p.ClaimWrite(x, mine)
+				claimed, _, claimOK := ClaimWrite(m, x, mine)
+				check("ClaimWrite", p, got, ok, claimed, claimOK)
+				cases++
+			}
+		}
+	}
+	if cases != 4*(3<<14-2) {
+		t.Fatalf("checked %d canonical cases", cases)
+	}
+}

@@ -68,11 +68,21 @@ func TestReadmePackagesReachable(t *testing.T) {
 // EXPERIMENTS.md names a file or directory in the tree, so the prose
 // cannot keep sending readers to a command or package that was deleted.
 // A trailing Go identifier is trimmed: `internal/plot.Stacked` resolves as
-// internal/plot.
+// internal/plot. Likewise every `make <target>` run there (at the start of
+// a span or line, or after && or ;) names a Makefile target.
 func TestDocPathsExist(t *testing.T) {
 	fence := regexp.MustCompile("(?ms)^```[^\n]*\n(.*?)^```")
 	span := regexp.MustCompile("`([^`]+)`")
 	path := regexp.MustCompile(`(?:^|[\s(=])(?:\./)?((?:cmd|internal|stm|examples)/[A-Za-z0-9_./-]*)`)
+	makeRun := regexp.MustCompile(`(?m)(?:^|&&|;)\s*make\s+([A-Za-z0-9_-]+)`)
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`).FindAllStringSubmatch(string(makefile), -1) {
+		targets[m[1]] = true
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -93,6 +103,11 @@ func TestDocPathsExist(t *testing.T) {
 				n++
 				if p, ok := resolveDocPath(m[1]); !ok {
 					t.Errorf("%s names %s, which is not in the tree", doc, p)
+				}
+			}
+			for _, m := range makeRun.FindAllStringSubmatch(c, -1) {
+				if !targets[m[1]] {
+					t.Errorf("%s runs make %s, which the Makefile does not define", doc, m[1])
 				}
 			}
 		}

@@ -10,14 +10,18 @@ import (
 )
 
 // This file is the host port of the token protocol proper: every transition
-// is a CAS on the block's 64-bit metastate.PackedWord, computing the
-// successor state with the same Table 3a/3b fission/fusion rules the
-// simulator uses. Visible reads acquire one token (fissioning into the
-// anonymous reader count when a second reader arrives); writes acquire all T
-// tokens; a read-to-write upgrade folds the upgrader's own read token into
-// the all-token claim — the bug class the PR 5 model checker caught in the
-// simulator (double-counting the upgrader's token) is pinned here by
-// TestUpgradeFoldsReadToken and the race stress suite.
+// is a CAS on the block's 64-bit metastate.PackedWord, whose successor comes
+// from metastate's packed transitions (AddReader, ClaimWrite, DropReader):
+// load, transition, CAS. Those are the same Table 2/3b rules the simulator
+// runs — TestPackedTransitionsMatchMeta in internal/metastate checks each
+// against Unpack, the Meta rule and Pack on every canonical word. Visible
+// reads acquire one token (fusing into the anonymous reader count when a
+// second reader arrives); writes acquire all T tokens; a read-to-write
+// upgrade folds the upgrader's own read token into the all-token claim — the
+// bug class the simulator's model checker once caught there (double-counting
+// the upgrader's token) is pinned here by TestUpgradeFoldsReadToken and the
+// race stress suite. What a refusal means (enemy, counter, herd guard, own
+// token misuse) is decided here, by the state the transition refused.
 //
 // The first attempt of a Thread.Atomically, and every attempt of a ReadOnly,
 // reads invisibly instead: no token, a stamp check against the attempt's
@@ -404,30 +408,26 @@ func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint
 	for spin := 0; ; spin++ {
 		old := metastate.PackedWord(w.Load())
 		p := old.Packed()
-		switch p.State() {
-		case metastate.StateAnon:
-			if uint32(p.Attr()) != 0 {
+		np, ok := p.ClaimWrite(th.tid, 0)
+		if !ok || np == p { // np == p: (T, self), the misuse below
+			switch p.State() {
+			case metastate.StateAnon:
 				bump(&th.stats.ConflictReader)
-				spinWait(spin, &th.rng)
-				continue
+			case metastate.StateRead1, metastate.StateWriteT:
+				if mem.TID(p.Attr()) == th.tid {
+					panic(fmt.Sprintf("stm: Upsert2 of block %d inside thread %d's own transaction", b, th.tid))
+				}
+				if p.State() == metastate.StateWriteT {
+					bump(&th.stats.ConflictWriter)
+				} else {
+					bump(&th.stats.ConflictReader)
+				}
+			case metastate.StateOverflow:
+				bump(&th.stats.ConflictAnon)
 			}
-		case metastate.StateRead1, metastate.StateWriteT:
-			if mem.TID(p.Attr()) == th.tid {
-				panic(fmt.Sprintf("stm: Upsert2 of block %d inside thread %d's own transaction", b, th.tid))
-			}
-			if p.State() == metastate.StateWriteT {
-				bump(&th.stats.ConflictWriter)
-			} else {
-				bump(&th.stats.ConflictReader)
-			}
-			spinWait(spin, &th.rng)
-			continue
-		case metastate.StateOverflow:
-			bump(&th.stats.ConflictAnon)
 			spinWait(spin, &th.rng)
 			continue
 		}
-		np, _ := metastate.Pack(metastate.WriteT(th.tid))
 		if !w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
 			continue
 		}
@@ -472,35 +472,24 @@ func (tx *Tx) acquireRead(b uint32) (took bool) {
 		}
 		old := metastate.PackedWord(w.Load())
 		p := old.Packed()
-		var next metastate.Meta
-		switch p.State() {
-		case metastate.StateAnon:
-			if u := uint32(p.Attr()); u == 0 {
-				next = metastate.Read1(th.tid)
-			} else {
-				next = metastate.Anon(u + 1)
+		np, ok := p.AddReader(th.tid)
+		if !ok {
+			switch p.State() {
+			case metastate.StateWriteT:
+				if mem.TID(p.Attr()) == th.tid {
+					return false
+				}
+				tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
+			case metastate.StateAnon, metastate.StateRead1, metastate.StateOverflow:
+				// A count at the 14-bit limit, or the overflow escape the
+				// host never packs (readers are bounded by maxThreads «
+				// 2^14): an anonymous conflict. (1,Y) never refuses.
+				tx.conflict(mem.NoTID, &th.stats.ConflictAnon, spin)
 			}
-		case metastate.StateRead1:
-			if mem.TID(p.Attr()) == th.tid {
-				panic(fmt.Sprintf("stm: thread %d re-acquiring its own read token on block %d", th.tid, b))
-			}
-			next = metastate.Anon(2)
-		case metastate.StateWriteT:
-			if mem.TID(p.Attr()) == th.tid {
-				return false
-			}
-			tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
-			continue
-		case metastate.StateOverflow:
-			// The host never packs the overflow escape (readers are bounded
-			// by maxThreads « 2^14); treat it as an anonymous conflict.
-			tx.conflict(mem.NoTID, &th.stats.ConflictAnon, spin)
 			continue
 		}
-		np, over := metastate.Pack(next)
-		if over {
-			tx.conflict(mem.NoTID, &th.stats.ConflictAnon, spin)
-			continue
+		if p.State() == metastate.StateRead1 && mem.TID(p.Attr()) == th.tid {
+			panic(fmt.Sprintf("stm: thread %d re-acquiring its own read token on block %d", th.tid, b))
 		}
 		if w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
 			return true
@@ -521,20 +510,20 @@ func (tx *Tx) acquireRead(b uint32) (took bool) {
 func (tx *Tx) acquireWrite(b uint32, haveRead bool) (claimed bool) {
 	th := tx.th
 	w := th.tm.metaw(b)
+	var mine uint32 // our read token, folded into the claim
+	if haveRead {
+		mine = 1
+	}
 	for spin := 0; ; spin++ {
 		if th.doomed() {
 			tx.retry(&th.stats.DoomedAborts)
 		}
 		old := metastate.PackedWord(w.Load())
 		p := old.Packed()
-		switch p.State() {
-		case metastate.StateAnon:
-			u := uint32(p.Attr())
-			// Claimable when free, or when Sum is 1 and we hold a token —
-			// the lone anonymous token is then provably ours, and folding
-			// it in (rather than adding T on top) is the double-entry
-			// discipline.
-			if !(u == 0 || (u == 1 && haveRead)) {
+		np, ok := p.ClaimWrite(th.tid, mine)
+		if !ok {
+			switch p.State() {
+			case metastate.StateAnon:
 				// Upgrade herd guard: an upgrader blocked by other readers
 				// is itself holding a fused read token those readers (often
 				// fellow upgraders) are waiting on. Spinning here with the
@@ -545,30 +534,24 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) (claimed bool) {
 					tx.retry(&th.stats.ConflictAborts)
 				}
 				tx.conflict(mem.NoTID, &th.stats.ConflictReader, spin)
-				continue
-			}
-		case metastate.StateRead1:
-			if mem.TID(p.Attr()) != th.tid {
+			case metastate.StateRead1:
+				if mem.TID(p.Attr()) == th.tid {
+					panic(fmt.Sprintf("stm: thread %d identified on block %d without a logged read", th.tid, b))
+				}
 				tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictReader, spin)
-				continue
+			case metastate.StateWriteT:
+				tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
+			case metastate.StateOverflow:
+				tx.conflict(mem.NoTID, &th.stats.ConflictAnon, spin)
 			}
-			if !haveRead {
-				panic(fmt.Sprintf("stm: thread %d identified on block %d without a logged read", th.tid, b))
-			}
-		case metastate.StateWriteT:
-			if mem.TID(p.Attr()) == th.tid {
-				return false
-			}
-			tx.conflict(mem.TID(p.Attr()), &th.stats.ConflictWriter, spin)
 			continue
-		case metastate.StateOverflow:
-			tx.conflict(mem.NoTID, &th.stats.ConflictAnon, spin)
-			continue
+		}
+		if np == p {
+			return false // (T, self): already the writer
 		}
 		if !tx.visible && old.Stamp() > tx.rv {
 			tx.extend() // on return rv covers old: its stamp was drawn before we loaded it
 		}
-		np, _ := metastate.Pack(metastate.WriteT(th.tid))
 		if w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
 			return true
 		}
@@ -720,28 +703,13 @@ func (th *Thread) releaseRead(b uint32) {
 	for {
 		old := metastate.PackedWord(w.Load())
 		p := old.Packed()
-		var next metastate.Meta
-		switch p.State() {
-		case metastate.StateWriteT:
-			if mem.TID(p.Attr()) == th.tid {
+		np, ok := p.DropReader(th.tid)
+		if !ok {
+			if p.State() == metastate.StateWriteT && mem.TID(p.Attr()) == th.tid {
 				return // upgraded: released with the write set
 			}
-			panic(fmt.Sprintf("stm: thread %d releasing read token on block %d written by %d", th.tid, b, p.Attr()))
-		case metastate.StateRead1:
-			if mem.TID(p.Attr()) != th.tid {
-				panic(fmt.Sprintf("stm: thread %d releasing read token held by %d on block %d", th.tid, p.Attr(), b))
-			}
-			next = metastate.Zero
-		case metastate.StateAnon:
-			u := uint32(p.Attr())
-			if u == 0 {
-				panic(fmt.Sprintf("stm: thread %d releasing read token on empty block %d", th.tid, b))
-			}
-			next = metastate.Anon(u - 1)
-		case metastate.StateOverflow:
-			panic(fmt.Sprintf("stm: thread %d releasing read token on block %d in state %d", th.tid, b, p.State()))
+			panic(fmt.Sprintf("stm: thread %d releasing read token it does not hold on block %d (%#04x)", th.tid, b, uint16(p)))
 		}
-		np, _ := metastate.Pack(next)
 		if w.CompareAndSwap(uint64(old), uint64(old.With(np))) {
 			return
 		}
