@@ -32,7 +32,8 @@ simverify:
 
 # Static gates: go vet, gofmt, and the tokentm analyzer suite
 # (maporder, wallclock, allocfree with its interprocedural closure,
-# exhaustive, atomicfield — see internal/lint).
+# exhaustive, and atomicfield's ban on function-style sync/atomic — see
+# internal/lint).
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi

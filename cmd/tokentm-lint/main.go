@@ -1,7 +1,8 @@
 // Command tokentm-lint is the multichecker for the tokentm static-analysis
 // suite (internal/lint): it loads the requested packages from source,
 // collects module-wide facts, and runs the maporder, wallclock, allocfree,
-// exhaustive and atomicfield analyzers, honoring //lint:ignore directives.
+// exhaustive and atomicfield (no function-style sync/atomic) analyzers,
+// honoring //lint:ignore directives.
 // `make lint` runs it together with go vet over the whole module.
 //
 // Usage:

@@ -41,7 +41,8 @@ var AllocFree = &analysis.Analyzer{
 }
 
 // AllocFreeDirective is the annotation marking a function's body
-// allocation-free.
+// allocation-free. It is the only //tokentm: annotation; any other is a
+// lint diagnostic (parseDirectives).
 const AllocFreeDirective = "//tokentm:allocfree"
 
 // allocFreeCallWhitelist names same-module callees the interprocedural

@@ -87,7 +87,6 @@ type FuncFact struct {
 
 	// Annotations parsed from the doc comment.
 	AllocFree bool // //tokentm:allocfree — body must not allocate
-	Backoff   bool // //tokentm:backoff — counts as backoff in CAS retry loops
 
 	// AllocSites are the allocating constructs in the body, judged by the
 	// same conservative rules the allocfree analyzer applies to annotated

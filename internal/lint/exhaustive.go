@@ -24,7 +24,7 @@ var Exhaustive = &analysis.Analyzer{
 }
 
 func runExhaustive(pass *analysis.Pass) error {
-	if !isSimPackage(pass.Pkg.Path()) && !isOrderedOutputPackage(pass.Pkg.Path()) {
+	if s := ScopeOf(pass.Pkg.Path()); s != ScopeSim && s != ScopeOrderedOutput {
 		return nil
 	}
 	pass.Inspect(func(n ast.Node) bool {

@@ -13,15 +13,10 @@ import (
 // This file is the cross-package phase of the suite. The driver loads every
 // requested package, calls CollectFacts over all of them, and only then runs
 // the analyzers package by package with the shared analysis.Facts on each
-// pass. Two analyzers consume the index:
-//
-//   - atomicfield: the //tokentm:backoff annotation resolves through
-//     Facts.Funcs, so a CAS retry loop may back off through a helper defined
-//     in another package.
-//   - allocfree (interprocedural): FuncFact.AllocSites and FuncFact.Callees
-//     form a call graph over function bodies, so a //tokentm:allocfree root
-//     is checked against the closure of its same-module callees instead of
-//     trusting annotation coverage.
+// pass. One analyzer consumes the index: allocfree, whose
+// FuncFact.AllocSites and FuncFact.Callees form a call graph over function
+// bodies, so a //tokentm:allocfree root is checked against the closure of
+// its same-module callees instead of trusting annotation coverage.
 //
 // When the driver analyzes a subset of the module (a single fixture package
 // in linttest, or an explicit package argument), calls into packages outside
@@ -32,12 +27,6 @@ import (
 // standard library) are never followed. Fixture packages under
 // testdata/src/tokentm mimic the same prefix on purpose.
 const modulePath = "tokentm"
-
-// BackoffDirective marks a function that backs off or dooms the caller;
-// calling it satisfies the atomicfield CAS retry-loop backoff rule. It and
-// AllocFreeDirective (allocfree.go) are the only //tokentm: annotations; any
-// other is a lint diagnostic (parseDirectives).
-const BackoffDirective = "//tokentm:backoff"
 
 // CollectFacts builds the module-wide index over the given packages. All
 // packages must come from one Loader (shared FileSet), which is what both
@@ -87,7 +76,6 @@ func collectFuncFacts(pkg *Package, facts *analysis.Facts) {
 			Name:      funcDisplayName(fd),
 			Pos:       fd.Pos(),
 			AllocFree: hasDirective(fd, AllocFreeDirective),
-			Backoff:   hasDirective(fd, BackoffDirective),
 		}
 		collect := func(pos token.Pos, format string, args ...any) {
 			// The checker's message templates address annotated functions

@@ -17,8 +17,8 @@
 //     ordered-output package cover every constant or carry a default that
 //     panics or returns.
 //   - atomicfield: no function-style sync/atomic calls (typed atomics make
-//     mixed atomic/plain access a compile error), and CompareAndSwap retry
-//     loops re-load their expected value and back off (atomicfield.go).
+//     mixed atomic/plain access a compile error). That wait loops yield is
+//     checked at run time, by TestWaitsYield and TestTL2WaitsYield.
 //
 // The driver runs in two phases: CollectFacts indexes every loaded package
 // (per-function alloc sites, call edges, annotations), then each analyzer
@@ -31,8 +31,8 @@
 // placed either at the end of the offending line or alone on the line
 // directly above it. A directive without a reason is itself a diagnostic,
 // and so is a stale directive that suppresses nothing. A //tokentm:
-// annotation other than //tokentm:allocfree and //tokentm:backoff is a
-// diagnostic too, so a misspelled or retired annotation cannot sit unread.
+// annotation other than //tokentm:allocfree is a diagnostic too, so a
+// misspelled or retired annotation cannot sit unread.
 package lint
 
 import (
@@ -177,7 +177,7 @@ func parseDirectives(pkg *Package) ([]*directive, []analysis.Diagnostic) {
 			for _, c := range grp.List {
 				if name, ok := strings.CutPrefix(c.Text, "//tokentm:"); ok {
 					name, _, _ = strings.Cut(name, " ")
-					if d := "//tokentm:" + name; d != AllocFreeDirective && d != BackoffDirective {
+					if d := "//tokentm:" + name; d != AllocFreeDirective {
 						diags = append(diags, analysis.Diagnostic{
 							Pos: c.Slash, Analyzer: "lint",
 							Message: "unknown annotation " + d,

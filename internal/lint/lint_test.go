@@ -33,9 +33,7 @@ func TestExhaustiveOrderedOutput(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/internal/trace/exhaustive", lint.Exhaustive)
 }
 
-// TestAtomicField covers the ban on function-style sync/atomic calls and
-// CAS retry-loop hygiene, including the seeded stale-expected-value
-// livelock.
+// TestAtomicField covers the ban on function-style sync/atomic calls.
 func TestAtomicField(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/stm/atomicfield", lint.AtomicField)
 }

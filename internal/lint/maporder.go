@@ -33,7 +33,7 @@ var MapOrder = &analysis.Analyzer{
 }
 
 func runMapOrder(pass *analysis.Pass) error {
-	if !isSimPackage(pass.Pkg.Path()) && !isOrderedOutputPackage(pass.Pkg.Path()) {
+	if s := ScopeOf(pass.Pkg.Path()); s != ScopeSim && s != ScopeOrderedOutput {
 		return nil
 	}
 	for _, fd := range enclosingFuncs(pass.Files) {

@@ -38,30 +38,23 @@ var orderedOutputPackages = []string{
 }
 
 // hostSidePackages are host-concurrent packages that measure real time by
-// charter: the stm subsystem runs on actual goroutines and its load
-// generator reads time.Now for throughput and latency. They are exempt
-// from the simulation contracts *explicitly* — listed here rather than
-// relying on "not in simPackages" — so the exemption survives refactors of
-// the scope logic and is pinned by fixture tests. Note stm imports
-// internal/metastate, which stays fully in scope: the packing helpers it
-// reuses are wall-clock-free by this very gate.
+// charter: the stm subsystem (the TM, the KV store, the wire codec and the
+// server) runs on actual goroutines and its load generator reads time.Now
+// for throughput and latency. They are exempt from the simulation contracts
+// *explicitly* — listed here rather than relying on "not in simPackages" —
+// so the exemption survives refactors of the scope logic and is pinned by
+// fixture tests. Note stm imports internal/metastate, which stays fully in
+// scope: the packing helpers it reuses are wall-clock-free by this very gate.
 var hostSidePackages = []string{
 	"stm",
-	// The network front end (wire codec + TCP server) is registered
-	// explicitly even though the "stm" prefix already covers it: the
-	// fixture tests pin these entries so a future split of stm/... into
-	// separate scope roots cannot silently drop the server from the
-	// concurrency-discipline analyzers.
-	"stm/resp",
-	"stm/server",
 	"cmd",
 }
 
 // exemptPackages are bound by no contract: the module root (public facade),
-// the examples, host-side analysis helpers, and the lint tooling itself. Every module package must appear in
-// exactly one scope — this list exists so "unclassified" is always a
-// mistake, never a default. TestScopeCoversModule pins the invariant
-// against `go list ./...`. Paths are module-relative; "." is the root.
+// the examples, host-side analysis helpers, and the lint tooling itself.
+// Every module package must appear in exactly one scope — this list exists
+// so "unclassified" is always a mistake, never a default.
+// TestScopeCoversModule pins the invariant against `go list ./...`.
 var exemptPackages = []string{
 	".",
 	"examples",
@@ -72,98 +65,30 @@ var exemptPackages = []string{
 	"internal/workload",
 }
 
-// pkgKey reduces an import path to its module-relative form: the suffix
-// starting at "internal/". Paths without an internal/ element (the root
-// package, cmd/...) are out of every scope.
-func pkgKey(path string) string {
-	if path == "" {
+// relKey reduces an import path to the module-relative form every scope list
+// is written in: "tokentm" -> ".", "tokentm/examples/bank" -> "examples/bank".
+// The lint fixtures under testdata/src/tokentm import as tokentm/... too, so
+// they key like the packages they mimic. Paths outside the module map to "".
+func relKey(path string) string {
+	if path == modulePath {
+		return "."
+	}
+	rel, ok := strings.CutPrefix(path, modulePath+"/")
+	if !ok {
 		return ""
 	}
-	if strings.HasPrefix(path, "internal/") {
-		return path
-	}
-	if i := strings.Index(path, "/internal/"); i >= 0 {
-		return path[i+1:]
-	}
-	return ""
+	return rel
 }
 
 // inList reports whether the package path is one of the listed packages or a
 // subpackage of one.
 func inList(path string, list []string) bool {
-	key := pkgKey(path)
+	key := relKey(path)
 	if key == "" {
 		return false
 	}
 	for _, p := range list {
 		if key == p || strings.HasPrefix(key, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// hostKey reduces an import path to its module-relative form for the
-// host-side roots (stm/..., cmd/...), the counterpart of pkgKey.
-func hostKey(path string) string {
-	for _, root := range hostSidePackages {
-		if path == root || strings.HasPrefix(path, root+"/") {
-			return path
-		}
-		if strings.HasSuffix(path, "/"+root) {
-			return root
-		}
-		if i := strings.Index(path, "/"+root+"/"); i >= 0 {
-			return path[i+1:]
-		}
-	}
-	return ""
-}
-
-// isHostSidePackage reports whether path is host-side by charter and thus
-// explicitly exempt from the wallclock contract.
-func isHostSidePackage(path string) bool {
-	key := hostKey(path)
-	if key == "" {
-		return false
-	}
-	for _, p := range hostSidePackages {
-		if key == p || strings.HasPrefix(key, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
-// isSimPackage reports whether path is bound by the full simulation
-// contract.
-func isSimPackage(path string) bool { return inList(path, simPackages) }
-
-// isOrderedOutputPackage reports whether path owes deterministic iteration
-// order for its output without being a simulation package.
-func isOrderedOutputPackage(path string) bool { return inList(path, orderedOutputPackages) }
-
-// relKey reduces an import path to its module-relative form for the exempt
-// list: "tokentm" -> ".", "tokentm/examples/bank" -> "examples/bank". Paths outside the
-// module map to "".
-func relKey(path string) string {
-	if path == modulePath {
-		return "."
-	}
-	if strings.HasPrefix(path, modulePath+"/") {
-		return strings.TrimPrefix(path, modulePath+"/")
-	}
-	return ""
-}
-
-// isExemptPackage reports whether path is explicitly outside every contract.
-func isExemptPackage(path string) bool {
-	key := relKey(path)
-	if key == "" {
-		return false
-	}
-	for _, p := range exemptPackages {
-		if key == p || (p != "." && strings.HasPrefix(key, p+"/")) {
 			return true
 		}
 	}
@@ -181,8 +106,9 @@ const (
 	// maporder and exhaustive rules.
 	ScopeOrderedOutput Scope = "ordered-output"
 	// ScopeHostSide: host-concurrent by charter; exempt from the simulation
-	// contracts, covered by the concurrency-discipline analyzer
-	// atomicfield and annotation-driven allocfree.
+	// contracts. The module-wide atomicfield ban and annotation-driven
+	// allocfree still bind it, and its wait loops are checked to yield at
+	// run time (TestWaitsYield, TestTL2WaitsYield).
 	ScopeHostSide Scope = "host-side"
 	// ScopeExempt: bound by no contract (tooling, examples, facade).
 	ScopeExempt Scope = "exempt"
@@ -196,13 +122,13 @@ const (
 // contracts.
 func ScopeOf(path string) Scope {
 	switch {
-	case isSimPackage(path):
+	case inList(path, simPackages):
 		return ScopeSim
-	case isOrderedOutputPackage(path):
+	case inList(path, orderedOutputPackages):
 		return ScopeOrderedOutput
-	case isHostSidePackage(path):
+	case inList(path, hostSidePackages):
 		return ScopeHostSide
-	case isExemptPackage(path):
+	case inList(path, exemptPackages):
 		return ScopeExempt
 	}
 	return ScopeUnknown

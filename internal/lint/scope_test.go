@@ -41,15 +41,22 @@ func TestScopeCoversModule(t *testing.T) {
 		}
 	}
 
-	// Overlap check: the predicates must be mutually exclusive, so ScopeOf's
+	lists := []struct {
+		name string
+		list []string
+	}{
+		{"simPackages", simPackages},
+		{"orderedOutputPackages", orderedOutputPackages},
+		{"hostSidePackages", hostSidePackages},
+		{"exemptPackages", exemptPackages},
+	}
+
+	// Overlap check: the lists must be mutually exclusive, so ScopeOf's
 	// switch order never hides a double classification.
 	for _, pkg := range pkgs {
 		n := 0
-		for _, in := range []bool{
-			isSimPackage(pkg), isOrderedOutputPackage(pkg),
-			isHostSidePackage(pkg), isExemptPackage(pkg),
-		} {
-			if in {
+		for _, l := range lists {
+			if inList(pkg, l.list) {
 				n++
 			}
 		}
@@ -59,42 +66,35 @@ func TestScopeCoversModule(t *testing.T) {
 	}
 
 	// Staleness check: every list entry must cover at least one package.
-	covers := func(match func(string) bool) bool {
-		for _, pkg := range pkgs {
-			if match(pkg) {
-				return true
+	for _, l := range lists {
+		for _, e := range l.list {
+			covered := false
+			for _, pkg := range pkgs {
+				if inList(pkg, []string{e}) {
+					covered = true
+					break
+				}
+			}
+			if !covered {
+				t.Errorf("%s entry %q matches no module package; remove or rename it", l.name, e)
 			}
 		}
-		return false
 	}
-	for _, e := range simPackages {
-		e := e
-		if !covers(func(p string) bool { return inList(p, []string{e}) }) {
-			t.Errorf("simPackages entry %q matches no module package; remove or rename it", e)
-		}
-	}
-	for _, e := range orderedOutputPackages {
-		e := e
-		if !covers(func(p string) bool { return inList(p, []string{e}) }) {
-			t.Errorf("orderedOutputPackages entry %q matches no module package; remove or rename it", e)
-		}
-	}
-	for _, e := range hostSidePackages {
-		e := e
-		if !covers(func(p string) bool {
-			key := hostKey(p)
-			return key == e || strings.HasPrefix(key, e+"/")
-		}) {
-			t.Errorf("hostSidePackages entry %q matches no module package; remove or rename it", e)
-		}
-	}
-	for _, e := range exemptPackages {
-		e := e
-		if !covers(func(p string) bool {
-			key := relKey(p)
-			return key == e || (e != "." && strings.HasPrefix(key, e+"/"))
-		}) {
-			t.Errorf("exemptPackages entry %q matches no module package; remove or rename it", e)
+}
+
+// TestScopeOf pins ScopeOf on paths `go list ./...` never returns: a lint
+// fixture keys like the package it mimics, and a path outside the module is
+// in no scope.
+func TestScopeOf(t *testing.T) {
+	for _, c := range []struct {
+		path string
+		want Scope
+	}{
+		{"tokentm/stm/atomicfield", ScopeHostSide},
+		{"fmt", ScopeUnknown},
+	} {
+		if got := ScopeOf(c.path); got != c.want {
+			t.Errorf("ScopeOf(%q) = %s, want %s", c.path, got, c.want)
 		}
 	}
 }

@@ -47,9 +47,10 @@ func unknownAnalyzer() int {
 }
 
 // unknownAnnotation: a //tokentm: annotation the suite does not know is a
-// diagnostic, so a misspelled or retired one cannot sit unread.
+// diagnostic, so a misspelled or retired one cannot sit unread. backoff is
+// the retired one: restoring it anywhere fails the lint.
 //
-// want+2 `lint: unknown annotation //tokentm:backof`
+// want+2 `lint: unknown annotation //tokentm:backoff`
 //
-//tokentm:backof
+//tokentm:backoff
 func unknownAnnotation() int { return 0 }

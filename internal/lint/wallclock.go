@@ -12,9 +12,8 @@ import (
 // arithmetic, and the only sanctioned randomness is a seeded
 // rand.New(rand.NewSource(seed)) instance owned by the machine — anything
 // else lets host timing or process-global state leak into simulated
-// observables. Host-side packages (cmd/, stm/..., internal/harness,
-// internal/trace) and _test.go files are out of scope: the explicitly
-// exempt hostSidePackages first, then everything outside simPackages.
+// observables. Only simulation packages are in scope: host-side packages
+// (cmd/, stm/...), exempt and ordered-output ones, and _test.go files are not.
 var WallClock = &analysis.Analyzer{
 	Name: "wallclock",
 	Doc:  "forbid wall-clock and global math/rand use in simulation packages",
@@ -39,13 +38,7 @@ var allowedRandFuncs = map[string]bool{
 }
 
 func runWallClock(pass *analysis.Pass) error {
-	// Host-side packages (stm/..., cmd/...) read the wall clock by
-	// charter — throughput and latency measurement — and are exempt
-	// explicitly, not just by falling outside simPackages.
-	if isHostSidePackage(pass.Pkg.Path()) {
-		return nil
-	}
-	if !isSimPackage(pass.Pkg.Path()) {
+	if ScopeOf(pass.Pkg.Path()) != ScopeSim {
 		return nil
 	}
 	pass.Inspect(func(n ast.Node) bool {

@@ -365,8 +365,6 @@ func (th *Thread) runAttempt(tx *Tx, fn func(tx *Tx) error) (serial uint64, err 
 // backoff delays a conflicted transaction before its next attempt: bounded
 // exponential in the retry count with splitmix jitter, yielding the
 // processor so the token holder can run (essential when GOMAXPROCS is small).
-//
-//tokentm:backoff
 func (th *Thread) backoff(retries int) {
 	shift := retries
 	if shift > backoffShiftCap {

@@ -562,8 +562,6 @@ func (tx *Tx) acquireWrite(b uint32, haveRead bool) (claimed bool) {
 // acquisition round: count it, draw our birth ticket if this is the
 // transaction's first conflict, doom a younger identified holder, give up
 // after spinLimit rounds, otherwise yield briefly and re-examine.
-//
-//tokentm:backoff
 func (tx *Tx) conflict(enemy mem.TID, counter *atomic.Uint64, spin int) {
 	th := tx.th
 	bump(counter)
@@ -577,11 +575,9 @@ func (tx *Tx) conflict(enemy mem.TID, counter *atomic.Uint64, spin int) {
 	spinWait(spin, &th.rng)
 }
 
-// retry aborts the attempt (undo + release) and unwinds to Atomically.
-// It dooms the attempt rather than pausing it, which satisfies the CAS
-// retry-loop hygiene rule the same way a direct panic does.
-//
-//tokentm:backoff
+// retry aborts the attempt (undo + release) and unwinds to the retry
+// driver (Thread.run or Group.Atomically), which backs off before the next
+// attempt.
 func (tx *Tx) retry(counter *atomic.Uint64) {
 	bump(counter)
 	tx.abortAttempt()
@@ -720,7 +716,6 @@ func (th *Thread) releaseRead(b uint32) {
 // capped at spinShiftCap, with jitter, implemented as scheduler yields so
 // the holder runs even at GOMAXPROCS=1.
 //
-//tokentm:backoff
 //tokentm:allocfree
 func spinWait(spin int, rng *uint64) {
 	if spin > spinShiftCap {
