@@ -32,7 +32,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated: table1,table2,table3,table4,table5,table6,fig1,fig5,breakdown,verify,explore,all")
+	run := flag.String("run", "all", "comma-separated: table1,table2,table3,table4,table5,table6,fig1,fig5,breakdown,verify,all")
 	scale := flag.Float64("scale", 0.05, "fraction of the paper's per-workload transaction counts")
 	seeds := flag.Int("seeds", 3, "number of perturbed runs (error bars) for fig1/fig5")
 	chart := flag.Bool("chart", false, "render fig1/fig5 as ASCII bar charts in addition to tables")
@@ -86,21 +86,6 @@ func main() {
 		}
 		done()
 		if len(errs) > 0 {
-			os.Exit(1)
-		}
-	}
-	if want["explore"] {
-		done := section("Explore: schedule exploration (stateless model checking) of the token protocol")
-		fails := tokentm.ExploreSweep(out)
-		if len(fails) == 0 {
-			fmt.Fprintln(out, "PASS: all program x variant cells enumerated completely, invariants hold, seeded mutations detected")
-		} else {
-			for _, f := range fails {
-				fmt.Fprintln(out, "FAIL:", f)
-			}
-		}
-		done()
-		if len(fails) > 0 {
 			os.Exit(1)
 		}
 	}

@@ -35,7 +35,6 @@ func main() {
 		preempts  = flag.Int("preempts", explore.DefaultBudget().Preempts, "adversary context-switch budget per schedule")
 		bounces   = flag.Int("bounces", explore.DefaultBudget().Bounces, "adversary page-out/page-in budget per schedule")
 		seed      = flag.Int64("seed", explore.DefaultBudget().Seed, "machine RNG seed")
-		noSleep   = flag.Bool("no-sleep-sets", false, "disable commuting-siblings pruning")
 		sweep     = flag.Bool("sweep", false, "run the full standard sweep (all programs x variants + mutation smoke)")
 		jsonOut   = flag.String("json", "", "write the sweep as JSON to this file (- for stdout; implies -sweep)")
 		replay    = flag.String("replay", "", "replay one schedule (counterexample) instead of exploring")
@@ -81,17 +80,15 @@ func main() {
 		return
 	}
 
-	opts := explore.Options{
-		Variant:      *variant,
-		Mutation:     mut,
+	opts := explore.DefaultOptions(*variant, explore.Budget{
 		MaxSchedules: *schedules,
 		MaxSteps:     *steps,
 		BranchDepth:  *depth,
 		Preempts:     *preempts,
 		Bounces:      *bounces,
-		SleepSets:    !*noSleep,
 		Seed:         *seed,
-	}
+	})
+	opts.Mutation = mut
 	r := explore.Explore(prog, opts)
 	fmt.Printf("%s/%s: %d schedules, %d steps, %d distinct states, pruned %d seen + %d sleep, max depth %d, complete=%v\n",
 		r.Program, r.Variant, r.Schedules, r.Steps, r.DistinctStates,

@@ -51,9 +51,9 @@ func (t *TokenTM) CheckBookkeeping() error {
 			return err
 		}
 	}
-	for c := range t.ms.L1s {
+	for c := range t.Mem.L1s {
 		var err error
-		t.ms.L1s[c].VisitValid(func(l *cache.Line) {
+		t.Mem.L1s[c].VisitValid(func(l *cache.Line) {
 			if !l.Meta.Valid() {
 				err = fmt.Errorf("core %d block %v: invalid metabits %v", c, l.Block, l.Meta)
 				return

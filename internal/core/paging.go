@@ -34,7 +34,7 @@ func (t *TokenTM) PageOut(p mem.PageAddr) *SavedPage {
 	first := p.Block()
 	for i := 0; i < mem.BlocksPerPage; i++ {
 		b := first + mem.BlockAddr(i)
-		t.ms.EvictAll(b)
+		t.Mem.EvictAll(b)
 		m := t.home[b]
 		if m.IsZero() {
 			continue

@@ -24,21 +24,16 @@ import (
 	"tokentm/internal/htm"
 	"tokentm/internal/mem"
 	"tokentm/internal/metastate"
-	"tokentm/internal/tmlog"
 )
 
 // TokenTM is the token-based HTM system. It implements htm.System and
 // coherence.Listener.
 type TokenTM struct {
-	name        string
+	htm.Eager
 	fastRelease bool
-	retryLimit  int
 	// mutation, when not MutNone, disables one protocol rule so the
 	// schedule explorer can prove it detects the resulting violations.
 	mutation Mutation
-
-	ms    *coherence.MemSys
-	store *mem.Store
 
 	// home is the metastate at the block's home (memory/L2 in this
 	// model); blocks absent from the map are (0,-).
@@ -58,8 +53,6 @@ type TokenTM struct {
 	enemyScratch  []*htm.Xact
 	tidScratch    []mem.TID
 
-	// Metrics aggregates evaluation counters.
-	Metrics htm.Metrics
 	// FastCommits and SlowCommits count commit kinds (Table 6).
 	FastCommits, SlowCommits uint64
 }
@@ -77,25 +70,22 @@ type Option func(*TokenTM)
 func WithoutFastRelease() Option {
 	return func(t *TokenTM) {
 		t.fastRelease = false
-		t.name = "TokenTM_NoFast"
+		t.Variant = "TokenTM_NoFast"
 	}
 }
 
 // WithRetryLimit sets how many stalled retries a transaction tolerates
 // against an older enemy before aborting itself.
 func WithRetryLimit(n int) Option {
-	return func(t *TokenTM) { t.retryLimit = n }
+	return func(t *TokenTM) { t.RetryLimit = n }
 }
 
 // New builds a TokenTM system over the given memory system and value store,
 // and attaches itself as the coherence metastate listener.
 func New(ms *coherence.MemSys, store *mem.Store, opts ...Option) *TokenTM {
 	t := &TokenTM{
-		name:        "TokenTM",
+		Eager:       htm.Eager{Variant: "TokenTM", RetryLimit: htm.DefaultRetryLimit, Mem: ms, Values: store},
 		fastRelease: true,
-		retryLimit:  64,
-		ms:          ms,
-		store:       store,
 		home:        make(map[mem.BlockAddr]metastate.Meta),
 		overflow:    metastate.NewOverflowTable(),
 		byTID:       make(map[mem.TID]*htm.Thread),
@@ -107,12 +97,6 @@ func New(ms *coherence.MemSys, store *mem.Store, opts ...Option) *TokenTM {
 	ms.SetListener(t)
 	return t
 }
-
-// Name returns the variant name.
-func (t *TokenTM) Name() string { return t.name }
-
-// Stats exposes the variant's metrics.
-func (t *TokenTM) Stats() *htm.Metrics { return &t.Metrics }
 
 // Register introduces a thread, keeping the thread list sorted by TID so
 // every walk over "all threads" (hard-case lookups, anonymous-token
@@ -255,8 +239,8 @@ func (p *probeResult) collect(b mem.BlockAddr, m metastate.Meta) {
 func (t *TokenTM) probe(b mem.BlockAddr) probeResult {
 	p := probeResult{readers: t.readerScratch[:0]}
 	p.collect(b, t.home[b])
-	for mask := t.ms.SharerMask(b); mask != 0; mask &= mask - 1 {
-		if line := t.ms.LineAt(bits.TrailingZeros32(mask), b); line != nil {
+	for mask := t.Mem.SharerMask(b); mask != 0; mask &= mask - 1 {
+		if line := t.Mem.LineAt(bits.TrailingZeros32(mask), b); line != nil {
 			p.collect(b, line.Meta.Logical())
 		}
 	}
@@ -334,45 +318,6 @@ func (t *TokenTM) hardCaseLookup(b mem.BlockAddr, self mem.TID) ([]*htm.Xact, me
 	return enemies, lat
 }
 
-// conflict traps to the software contention manager and applies the
-// timestamp policy, recording abort attribution (winner, block, kind) on
-// every loser.
-func (t *TokenTM) conflict(req *htm.Xact, b mem.BlockAddr, enemies []*htm.Xact, retries int, lat mem.Cycle, kind htm.ConflictKind) htm.Access {
-	t.Metrics.Conflicts++
-	t.Metrics.CountConflict(kind)
-	lat += htm.ConflictTrapCycles
-	abort, dec := htm.ResolveTimestamp(req, enemies, retries, t.retryLimit)
-	htm.ApplyResolution(req, enemies, abort, dec, b, kind)
-	if dec == htm.DecideAbortSelf {
-		return htm.Access{Outcome: htm.AbortSelf, Latency: lat, Enemies: enemies, Kind: kind}
-	}
-	t.Metrics.Stalls++
-	return htm.Access{Outcome: htm.Stall, Latency: lat, Enemies: enemies, Kind: kind}
-}
-
-// logWrite simulates appending a record to the thread's in-memory log. The
-// cache state is updated with real accesses, but the core only stalls for a
-// fraction of the raw miss time: log stores drain through the store buffer
-// off the critical path. The residual stall is the transaction's log-stall
-// time.
-func (t *TokenTM) logWrite(th *htm.Thread, addr mem.Addr, size int) mem.Cycle {
-	var raw mem.Cycle
-	first := addr.Block()
-	last := (addr + mem.Addr(size) - 1).Block()
-	for b := first; b <= last; b++ {
-		raw += t.ms.Access(th.Core, b, true)
-	}
-	lat := coherence.L1HitCycles
-	if raw > coherence.L1HitCycles {
-		stall := (raw - coherence.L1HitCycles) / htm.LogWriteOverlap
-		lat += stall
-		if th.InXact() {
-			th.Xact.LogStall += stall
-		}
-	}
-	return lat
-}
-
 // Begin starts a transaction attempt; the simulator has already installed
 // th.Xact.
 func (t *TokenTM) Begin(th *htm.Thread, now mem.Cycle) mem.Cycle {
@@ -395,7 +340,7 @@ func (t *TokenTM) Load(th *htm.Thread, addr mem.Addr, retries int) (uint64, htm.
 		return 0, htm.Access{Outcome: htm.AbortSelf}
 	}
 
-	line := t.ms.LineAt(core, b)
+	line := t.Mem.LineAt(core, b)
 	if line == nil {
 		// Miss: the requester sees the metastate arriving with the data;
 		// model the check on the fused global state before the fill.
@@ -406,33 +351,33 @@ func (t *TokenTM) Load(th *htm.Thread, addr mem.Addr, retries int) (uint64, htm.
 		}
 		if p.writer != mem.NoTID && p.writer != self {
 			enemies := t.enemiesOf1(p.writer, self)
-			return 0, t.conflict(x, b, enemies, retries, coherence.L1HitCycles, htm.KindReadVsWriter)
+			return 0, t.Trap(x, b, enemies, retries, 0, htm.KindReadVsWriter, false)
 		}
-		lat := t.ms.Access(core, b, false)
-		line = t.ms.LineAt(core, b)
+		lat := t.Mem.Access(core, b, false)
+		line = t.Mem.LineAt(core, b)
 		if x == nil {
-			return t.store.Load(addr), htm.Access{Latency: lat}
+			return t.Values.Load(addr), htm.Access{Latency: lat}
 		}
 		lat += t.acquireRead(th, line, b)
-		return t.store.Load(addr), htm.Access{Latency: lat}
+		return t.Values.Load(addr), htm.Access{Latency: lat}
 	}
 
 	// Resident copy: local metabits carry the whole truth about writers.
 	if x == nil {
 		if line.Meta.Wp {
 			enemies := t.enemiesOf1(mem.TID(line.Meta.Attr), mem.NoTID)
-			return 0, t.conflict(nil, b, enemies, retries, coherence.L1HitCycles, htm.KindNonXact)
+			return 0, t.Trap(nil, b, enemies, retries, 0, htm.KindNonXact, false)
 		}
-		lat := t.ms.Access(core, b, false)
-		return t.store.Load(addr), htm.Access{Latency: lat}
+		lat := t.Mem.Access(core, b, false)
+		return t.Values.Load(addr), htm.Access{Latency: lat}
 	}
 	if line.Meta.Wp && mem.TID(line.Meta.Attr) != x.TID {
 		enemies := t.enemiesOf1(mem.TID(line.Meta.Attr), x.TID)
-		return 0, t.conflict(x, b, enemies, retries, coherence.L1HitCycles, htm.KindReadVsWriter)
+		return 0, t.Trap(x, b, enemies, retries, 0, htm.KindReadVsWriter, false)
 	}
-	lat := t.ms.Access(core, b, false)
+	lat := t.Mem.Access(core, b, false)
 	lat += t.acquireRead(th, line, b)
-	return t.store.Load(addr), htm.Access{Latency: lat}
+	return t.Values.Load(addr), htm.Access{Latency: lat}
 }
 
 // acquireRead applies the local read-acquire rules and logs any new token.
@@ -446,8 +391,7 @@ func (t *TokenTM) acquireRead(th *htm.Thread, line *cache.Line, b mem.BlockAddr)
 	if res.TokensAcquired > 0 {
 		x.Tokens.Add(b, res.TokensAcquired)
 		if t.mutation != MutSkipLogCredit {
-			rAddr, rSize := th.Log.AppendToken(b, res.TokensAcquired)
-			lat += t.logWrite(th, rAddr, rSize)
+			lat += t.LogTokens(th, b, res.TokensAcquired)
 		}
 	}
 	x.ReadSet[b] = struct{}{}
@@ -468,15 +412,15 @@ func (t *TokenTM) Store(th *htm.Thread, addr mem.Addr, val uint64, retries int) 
 	// core has a copy, and any foreign tokens would have blocked the
 	// transition that granted us write permission, so the local metabits
 	// are authoritative.
-	if line := t.ms.LineAt(core, b); line != nil && line.State.CanWrite() {
+	if line := t.Mem.LineAt(core, b); line != nil && line.State.CanWrite() {
 		if x != nil && line.Meta.W {
-			lat := t.ms.Access(core, b, true)
-			t.store.StoreWord(addr, val)
+			lat := t.Mem.Access(core, b, true)
+			t.Values.StoreWord(addr, val)
 			return htm.Access{Latency: lat}
 		}
 		if x == nil && line.Meta.IsZero() {
-			lat := t.ms.Access(core, b, true)
-			t.store.StoreWord(addr, val)
+			lat := t.Mem.Access(core, b, true)
+			t.Values.StoreWord(addr, val)
 			return htm.Access{Latency: lat}
 		}
 	}
@@ -497,12 +441,12 @@ func (t *TokenTM) Store(th *htm.Thread, addr mem.Addr, val uint64, retries int) 
 			if uint32(len(enemies)) < minNonWriter(p) {
 				more, walkLat := t.hardCaseLookup(b, mem.NoTID)
 				enemies = more
-				return t.conflict(nil, b, enemies, retries, coherence.L1HitCycles+walkLat, htm.KindNonXact)
+				return t.Trap(nil, b, enemies, retries, walkLat, htm.KindNonXact, false)
 			}
-			return t.conflict(nil, b, enemies, retries, coherence.L1HitCycles, htm.KindNonXact)
+			return t.Trap(nil, b, enemies, retries, 0, htm.KindNonXact, false)
 		}
-		lat := t.ms.Access(core, b, true)
-		t.store.StoreWord(addr, val)
+		lat := t.Mem.Access(core, b, true)
+		t.Values.StoreWord(addr, val)
 		return htm.Access{Latency: lat}
 	}
 
@@ -510,7 +454,7 @@ func (t *TokenTM) Store(th *htm.Thread, addr mem.Addr, val uint64, retries int) 
 	claim, needed, ok := metastate.ClaimWrite(metastate.Meta{Sum: p.sum, TID: p.writer}, x.TID, mine)
 	if !ok {
 		if p.writer != mem.NoTID {
-			return t.conflict(x, b, t.enemiesOf1(p.writer, x.TID), retries, coherence.L1HitCycles, htm.KindWriteVsWriter)
+			return t.Trap(x, b, t.enemiesOf1(p.writer, x.TID), retries, 0, htm.KindWriteVsWriter, false)
 		}
 		others := p.sum - mine
 		enemies := t.enemiesOf(p.readers, x.TID)
@@ -520,11 +464,11 @@ func (t *TokenTM) Store(th *htm.Thread, addr mem.Addr, val uint64, retries int) 
 			// hardest case.
 			enemies, walkLat = t.hardCaseLookup(b, x.TID)
 		}
-		return t.conflict(x, b, enemies, retries, coherence.L1HitCycles+walkLat, htm.KindWriteVsReaders)
+		return t.Trap(x, b, enemies, retries, walkLat, htm.KindWriteVsReaders, false)
 	}
 
-	lat := t.ms.Access(core, b, true)
-	line := t.ms.LineAt(core, b)
+	lat := t.Mem.Access(core, b, true)
+	line := t.Mem.LineAt(core, b)
 	// The pre-check proved every outstanding debit is ours, so the write
 	// takes all remaining tokens (ClaimWrite's anonymous-count-is-all-mine
 	// case, §5.2). The coherence upgrade folded every other copy's
@@ -536,15 +480,12 @@ func (t *TokenTM) Store(th *htm.Thread, addr mem.Addr, val uint64, retries int) 
 	line.Meta = mustL1(claim, x.TID)
 
 	if _, seen := x.WriteSet[b]; !seen {
-		old := t.readBlock(b)
-		rAddr, rSize := th.Log.AppendData(b, needed, old)
-		lat += t.logWrite(th, rAddr, rSize)
-		x.WriteSet[b] = struct{}{}
+		lat += t.LogData(th, b, needed)
 	} else if needed != 0 {
 		panic("tokentm: rewritten block missing tokens")
 	}
 	x.Tokens.Add(b, needed)
-	t.store.StoreWord(addr, val)
+	t.Values.StoreWord(addr, val)
 	return htm.Access{Latency: lat}
 }
 
@@ -557,21 +498,6 @@ func minNonWriter(p probeResult) uint32 {
 	return p.sum
 }
 
-func (t *TokenTM) readBlock(b mem.BlockAddr) (out [mem.WordsPerBlock]uint64) {
-	base := b.Addr()
-	for i := range out {
-		out[i] = t.store.Load(base + mem.Addr(i*mem.WordBytes))
-	}
-	return out
-}
-
-func (t *TokenTM) writeBlock(b mem.BlockAddr, words [mem.WordsPerBlock]uint64) {
-	base := b.Addr()
-	for i, w := range words {
-		t.store.StoreWord(base+mem.Addr(i*mem.WordBytes), w)
-	}
-}
-
 // Commit ends th's transaction. If fast release is enabled and still legal,
 // tokens are returned by flash-clearing the L1's R/W columns and resetting
 // the log pointer, in constant time. Otherwise the software handler walks
@@ -582,7 +508,7 @@ func (t *TokenTM) writeBlock(b mem.BlockAddr, words [mem.WordsPerBlock]uint64) {
 func (t *TokenTM) Commit(th *htm.Thread) (mem.Cycle, bool) {
 	x := th.Xact
 	if t.fastRelease && x.FastOK {
-		t.ms.L1s[th.Core].FlashClearRW()
+		t.Mem.L1s[th.Core].FlashClearRW()
 		th.Log.Reset()
 		x.Tokens.Reset()
 		x.Active = false
@@ -606,14 +532,14 @@ func (t *TokenTM) softwareRelease(th *htm.Thread) mem.Cycle {
 	offset := 0
 	for _, rec := range th.Log.Records() {
 		lat += htm.ReleaseRecordCycles
-		lat += t.ms.Access(core, (th.Log.Base() + mem.Addr(offset)).Block(), false)
+		lat += t.Mem.Access(core, (th.Log.Base() + mem.Addr(offset)).Block(), false)
 		offset += rec.Bytes()
 	}
 	// Release in ascending block order — TokenSet keeps its block list
 	// sorted, so the simulated access sequence (and therefore cache state
 	// and cycle totals) is identical across identical runs.
 	for _, b := range x.Tokens.Blocks() {
-		lat += t.ms.Access(core, b, false)
+		lat += t.Mem.Access(core, b, false)
 		t.releaseBlock(th, b, x.Tokens.Get(b))
 	}
 	th.Log.Reset()
@@ -630,7 +556,7 @@ func (t *TokenTM) softwareRelease(th *htm.Thread) mem.Cycle {
 func (t *TokenTM) releaseBlock(th *htm.Thread, b mem.BlockAddr, total uint32) {
 	me := th.TID
 	var taken uint32
-	if line := t.ms.LineAt(th.Core, b); line != nil {
+	if line := t.Mem.LineAt(th.Core, b); line != nil {
 		taken = line.Meta.Release(me, total)
 	}
 	n := total - taken
@@ -653,27 +579,12 @@ func (t *TokenTM) releaseBlock(th *htm.Thread, b mem.BlockAddr, total uint32) {
 //tokentm:allocfree
 func (t *TokenTM) Abort(th *htm.Thread) mem.Cycle {
 	x := th.Xact
-	core := th.Core
-	var lat mem.Cycle
-	offset := th.Log.Bytes()
-	// Walk newest-first: restore old data for store records.
-	recs := th.Log.Records()
-	for i := len(recs) - 1; i >= 0; i-- {
-		rec := recs[i]
-		offset -= rec.Bytes()
-		lat += htm.AbortRecordCycles
-		lat += t.ms.Access(core, (th.Log.Base() + mem.Addr(offset)).Block(), false)
-		if rec.Kind == tmlog.DataRecord {
-			lat += t.ms.Access(core, rec.Block, true)
-			t.writeBlock(rec.Block, rec.Old)
-		}
-	}
+	lat := t.Unroll(th)
 	// Ascending block order, matching softwareRelease's determinism rule.
 	for _, b := range x.Tokens.Blocks() {
-		lat += t.ms.Access(core, b, false)
+		lat += t.Mem.Access(th.Core, b, false)
 		t.releaseBlock(th, b, x.Tokens.Get(b))
 	}
-	th.Log.Reset()
 	x.Tokens.Reset()
 	x.Active = false
 	t.Metrics.Aborts++
@@ -685,7 +596,7 @@ func (t *TokenTM) Abort(th *htm.Thread) mem.Cycle {
 // the incoming thread, at the cost of the departing transaction's
 // fast-release eligibility (§4.4).
 func (t *TokenTM) ContextSwitch(core int, out, in *htm.Thread) mem.Cycle {
-	t.ms.L1s[core].FlashOR()
+	t.Mem.L1s[core].FlashOR()
 	if out != nil && out.InXact() {
 		out.Xact.FastOK = false
 	}

@@ -7,15 +7,14 @@ import (
 	"tokentm/internal/sim"
 )
 
-// Options parameterizes an exploration.
-type Options struct {
-	Variant  string
-	Mutation core.Mutation
+// Budget bounds an exploration. A sweep records it in its JSON so a diff
+// against a checked-in document compares like with like.
+type Budget struct {
 	// MaxSchedules caps executed schedules (pruned re-executions
 	// included); hitting it leaves Complete=false.
-	MaxSchedules int
+	MaxSchedules int `json:"max_schedules"`
 	// MaxSteps is the per-schedule livelock bound (DecRun decisions).
-	MaxSteps int
+	MaxSteps int `json:"max_steps"`
 	// BranchDepth bounds where the exploration introduces nondeterminism:
 	// decisions past this index follow the default min-time schedule.
 	// Decision trees of the timed machine are infinite in depth — an
@@ -23,29 +22,34 @@ type Options struct {
 	// advances a clock, minting a fresh state — so exhaustive enumeration
 	// is over the schedules that branch within this prefix (0 = unbounded,
 	// for programs known to converge).
-	BranchDepth int
+	BranchDepth int `json:"branch_depth"`
 	// Preempts / Bounces are per-schedule adversary budgets.
-	Preempts int
-	Bounces  int
+	Preempts int `json:"preempts"`
+	Bounces  int `json:"bounces"`
+	// Seed drives machine backoff jitter.
+	Seed int64 `json:"seed"`
+}
+
+// DefaultBudget is the CI exploration budget.
+func DefaultBudget() Budget {
+	return Budget{MaxSchedules: 30000, MaxSteps: 4000, BranchDepth: 12, Preempts: 1, Bounces: 1}
+}
+
+// Options parameterizes an exploration.
+type Options struct {
+	Budget
+	Variant  string
+	Mutation core.Mutation
 	// SleepSets enables the commuting-siblings pruning rule.
 	SleepSets bool
-	// Seed drives machine backoff jitter.
-	Seed int64
 	// StopOnViolation stops at the first counterexample (mutation smoke).
 	StopOnViolation bool
 }
 
-// DefaultOptions is the CI exploration budget for a variant.
-func DefaultOptions(variant string) Options {
-	return Options{
-		Variant:      variant,
-		MaxSchedules: 30000,
-		MaxSteps:     4000,
-		BranchDepth:  12,
-		Preempts:     1,
-		Bounces:      1,
-		SleepSets:    true,
-	}
+// DefaultOptions explores variant within budget b with sleep-set pruning,
+// as every sweep does.
+func DefaultOptions(variant string, b Budget) Options {
+	return Options{Budget: b, Variant: variant, SleepSets: true}
 }
 
 // Result summarizes one program × variant exploration.

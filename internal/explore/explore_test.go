@@ -18,7 +18,7 @@ func TestExhaustiveAllVariants(t *testing.T) {
 			prog, variant := prog, variant
 			t.Run(prog.Name+"/"+variant, func(t *testing.T) {
 				t.Parallel()
-				r := Explore(prog, DefaultOptions(variant))
+				r := Explore(prog, DefaultOptions(variant, DefaultBudget()))
 				t.Logf("schedules=%d steps=%d states=%d pruned(seen)=%d pruned(sleep)=%d maxDepth=%d commits=%d aborts=%d",
 					r.Schedules, r.Steps, r.DistinctStates, r.PrunedVisited, r.PrunedSleep, r.MaxDepth, r.Commits, r.Aborts)
 				if !r.Complete {
@@ -77,7 +77,7 @@ func TestMutationsDetected(t *testing.T) {
 // verdict, must actually fire, and must only shrink the explored space.
 func TestSleepSetEquivalence(t *testing.T) {
 	prog := ProgramByName("disjoint-lanes")
-	on := DefaultOptions("TokenTM")
+	on := DefaultOptions("TokenTM", DefaultBudget())
 	off := on
 	off.SleepSets = false
 	ron := Explore(prog, on)
@@ -103,7 +103,7 @@ func TestSleepSetEquivalence(t *testing.T) {
 // diff rests on.
 func TestExploreDeterministic(t *testing.T) {
 	prog := ProgramByName("writer-reread")
-	o := DefaultOptions("TokenTM")
+	o := DefaultOptions("TokenTM", DefaultBudget())
 	a := Explore(prog, o)
 	b := Explore(prog, o)
 	if a.Schedules != b.Schedules || a.Steps != b.Steps || a.DistinctStates != b.DistinctStates ||

@@ -36,7 +36,7 @@ func Replay(prog *Program, variant string, mut core.Mutation, schedule string, s
 		return nil, err
 	}
 	if maxSteps <= 0 {
-		maxSteps = DefaultOptions(variant).MaxSteps
+		maxSteps = DefaultBudget().MaxSteps
 	}
 	i := 0
 	var bad error

@@ -47,7 +47,7 @@ func TestReplayByteIdentical(t *testing.T) {
 	// A schedule-budget truncation must report Complete=false, so a CI
 	// budget that silently stops enumerating can't masquerade as a proof.
 	prog := ProgramByName("upgrade-duel")
-	o := DefaultOptions("TokenTM")
+	o := DefaultOptions("TokenTM", DefaultBudget())
 	o.MaxSchedules = 40
 	if r := Explore(prog, o); r.Complete || r.Schedules > 40 {
 		t.Fatalf("budget of 40 gave complete=%v schedules=%d", r.Complete, r.Schedules)

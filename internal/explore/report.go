@@ -12,30 +12,6 @@ import (
 // Format identifies the sweep JSON document version.
 const Format = "tokentm-explore/v1"
 
-// Budget is the sweep-wide exploration budget, recorded in the JSON so a
-// diff against a checked-in document compares like with like.
-type Budget struct {
-	MaxSchedules int   `json:"max_schedules"`
-	MaxSteps     int   `json:"max_steps"`
-	BranchDepth  int   `json:"branch_depth"`
-	Preempts     int   `json:"preempts"`
-	Bounces      int   `json:"bounces"`
-	Seed         int64 `json:"seed"`
-}
-
-// DefaultBudget is the CI sweep budget.
-func DefaultBudget() Budget {
-	o := DefaultOptions("")
-	return Budget{
-		MaxSchedules: o.MaxSchedules,
-		MaxSteps:     o.MaxSteps,
-		BranchDepth:  o.BranchDepth,
-		Preempts:     o.Preempts,
-		Bounces:      o.Bounces,
-		Seed:         o.Seed,
-	}
-}
-
 // MutationCheck is one seeded-bug smoke result: exploring the program with
 // the protocol mutation enabled must surface a violation, proving the
 // checker's invariants have teeth.
@@ -81,7 +57,7 @@ func CheckMutation(mut core.Mutation, progName string, b Budget) MutationCheck {
 	if prog == nil {
 		panic("explore: unknown mutation target program " + progName)
 	}
-	opts := optionsFromBudget("TokenTM", b)
+	opts := DefaultOptions("TokenTM", b)
 	opts.Mutation = mut
 	opts.StopOnViolation = true
 	r := Explore(prog, opts)
@@ -99,26 +75,13 @@ func CheckMutation(mut core.Mutation, progName string, b Budget) MutationCheck {
 	return mc
 }
 
-func optionsFromBudget(variant string, b Budget) Options {
-	return Options{
-		Variant:      variant,
-		MaxSchedules: b.MaxSchedules,
-		MaxSteps:     b.MaxSteps,
-		BranchDepth:  b.BranchDepth,
-		Preempts:     b.Preempts,
-		Bounces:      b.Bounces,
-		SleepSets:    true,
-		Seed:         b.Seed,
-	}
-}
-
 // StandardSweep explores every standard program under every variant
 // exhaustively within the budget, then runs the mutation smoke checks.
 func StandardSweep(b Budget) *SweepResult {
 	sw := &SweepResult{Format: Format, Budget: b}
 	for _, prog := range StandardPrograms() {
 		for _, variant := range Variants {
-			sw.Results = append(sw.Results, Explore(prog, optionsFromBudget(variant, b)))
+			sw.Results = append(sw.Results, Explore(prog, DefaultOptions(variant, b)))
 		}
 	}
 	for _, t := range mutationTargets() {

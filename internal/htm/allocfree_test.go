@@ -10,8 +10,10 @@ import (
 	"sort"
 	"testing"
 
+	"tokentm/internal/coherence"
 	"tokentm/internal/lint"
 	"tokentm/internal/mem"
+	"tokentm/internal/tmlog"
 )
 
 func TestAllocFreeAnnotations(t *testing.T) {
@@ -24,10 +26,25 @@ func TestAllocFreeAnnotations(t *testing.T) {
 	}
 	s.Reset()
 
+	// Unroll rig: each run logs one token record and one data record, then
+	// unrolls them, restoring the data block.
+	e := Eager{Mem: coherence.NewMemSys(1), Values: mem.NewStore()}
+	th := &Thread{TID: 1, Log: tmlog.New(mem.Addr(1 << 40))}
+	const dataBlk, tokenBlk = mem.BlockAddr(3), mem.BlockAddr(5)
+	e.Values.StoreWord(dataBlk.Addr(), 7)
+
 	entries := []struct {
 		name string
 		fn   func()
 	}{
+		{"Eager.Unroll", func() {
+			th.Log.AppendToken(tokenBlk, 1)
+			th.Log.AppendData(dataBlk, 0, [mem.WordsPerBlock]uint64{7})
+			e.Values.StoreWord(dataBlk.Addr(), 9)
+			if e.Unroll(th) == 0 || th.Log.Len() != 0 || e.Values.Load(dataBlk.Addr()) != 7 {
+				t.Fatal("unroll did not restore the data block and empty the log")
+			}
+		}},
 		{"TokenSet.Add", func() {
 			s.Reset()
 			// 37 is coprime to 64, so the walk hits every residue out of

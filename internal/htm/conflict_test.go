@@ -54,7 +54,7 @@ func TestXactResetAttribution(t *testing.T) {
 func TestApplyResolutionAttributesVictims(t *testing.T) {
 	req := xact(1, 10)
 	v1, v2 := xact(2, 20), xact(3, 30)
-	ApplyResolution(req, []*Xact{v1, v2}, []*Xact{v1, v2}, DecideStall, 0x80, KindWriteVsReaders)
+	applyResolution(req, []*Xact{v1, v2}, []*Xact{v1, v2}, DecideStall, 0x80, KindWriteVsReaders)
 	for _, v := range []*Xact{v1, v2} {
 		if !v.AbortRequested {
 			t.Fatalf("victim %d not marked for abort", v.TID)
@@ -73,8 +73,8 @@ func TestApplyResolutionAttributesVictims(t *testing.T) {
 func TestApplyResolutionFirstCauseWins(t *testing.T) {
 	v := xact(5, 50)
 	first, second := xact(1, 10), xact(2, 20)
-	ApplyResolution(first, []*Xact{v}, []*Xact{v}, DecideStall, 0x40, KindWriteVsWriter)
-	ApplyResolution(second, []*Xact{v}, []*Xact{v}, DecideStall, 0x80, KindReadVsWriter)
+	applyResolution(first, []*Xact{v}, []*Xact{v}, DecideStall, 0x40, KindWriteVsWriter)
+	applyResolution(second, []*Xact{v}, []*Xact{v}, DecideStall, 0x80, KindReadVsWriter)
 	if v.AbortedBy != first.TID || v.AbortBlock != 0x40 || v.AbortKind != KindWriteVsWriter {
 		t.Errorf("second conflict overwrote first cause: by=%d block=%d kind=%s",
 			v.AbortedBy, v.AbortBlock, v.AbortKind)
@@ -84,7 +84,7 @@ func TestApplyResolutionFirstCauseWins(t *testing.T) {
 func TestApplyResolutionSelfAbort(t *testing.T) {
 	req := xact(9, 90)
 	enemy := xact(1, 10)
-	ApplyResolution(req, []*Xact{enemy}, nil, DecideAbortSelf, 0xc0, KindReadVsWriter)
+	applyResolution(req, []*Xact{enemy}, nil, DecideAbortSelf, 0xc0, KindReadVsWriter)
 	if req.AbortedBy != enemy.TID || req.AbortBlock != 0xc0 || req.AbortKind != KindReadVsWriter {
 		t.Errorf("self-abort attribution: by=%d block=%d kind=%s", req.AbortedBy, req.AbortBlock, req.AbortKind)
 	}
@@ -98,7 +98,7 @@ func TestApplyResolutionSelfAbort(t *testing.T) {
 // atomicity) attributes its victims to NoTID.
 func TestApplyResolutionNonTransactionalWinner(t *testing.T) {
 	v := xact(3, 30)
-	ApplyResolution(nil, []*Xact{v}, []*Xact{v}, DecideStall, 0x100, KindNonXact)
+	applyResolution(nil, []*Xact{v}, []*Xact{v}, DecideStall, 0x100, KindNonXact)
 	if !v.AbortRequested || v.AbortedBy != mem.NoTID || v.AbortKind != KindNonXact {
 		t.Errorf("non-transactional winner: requested=%v by=%d kind=%s", v.AbortRequested, v.AbortedBy, v.AbortKind)
 	}

@@ -22,17 +22,17 @@ const (
 	// released on a log walk (trap + loop body), excluding memory system
 	// time, which is simulated separately.
 	ReleaseRecordCycles mem.Cycle = 8
-	// LogWriteOverlap models the store buffer hiding most of a log
-	// write's miss latency: only 1/LogWriteOverlap of the raw memory
+	// logWriteOverlap models the store buffer hiding most of a log
+	// write's miss latency: only 1/logWriteOverlap of the raw memory
 	// time stalls the core (log writes are not on the critical path
 	// unless the buffer fills; Moore's thesis, cited in §6.2, identifies
 	// the residual stalls as the dominant logging overhead).
-	LogWriteOverlap mem.Cycle = 8
-	// AbortRecordCycles is the per-record cost of unrolling the log.
-	AbortRecordCycles mem.Cycle = 30
-	// ConflictTrapCycles is the cost of trapping to the software
+	logWriteOverlap mem.Cycle = 8
+	// abortRecordCycles is the per-record cost of unrolling the log.
+	abortRecordCycles mem.Cycle = 30
+	// conflictTrapCycles is the cost of trapping to the software
 	// contention manager.
-	ConflictTrapCycles mem.Cycle = 80
+	conflictTrapCycles mem.Cycle = 80
 	// LogWalkPerRecordCycles is the cost, per remote log record scanned,
 	// of the §5.2 hard case where the contention manager must search
 	// active transactions' logs to identify unknown readers.
@@ -221,7 +221,7 @@ const (
 	DecideAbortSelf
 )
 
-// ResolveTimestamp implements the timestamp (LogTM-style) conflict
+// resolveTimestamp implements the timestamp (LogTM-style) conflict
 // resolution used by all the paper's HTM variants: the requester stalls and
 // retries, and transactions abort only when a deadlock cycle is possible.
 // A younger holder that is itself stalled while an older requester wants its
@@ -230,7 +230,7 @@ const (
 // younger holders out, and a younger requester sacrifices itself.
 // A nil requester models a non-transactional access (strong atomicity): it
 // has no priority and always stalls; the transactional holder finishes.
-func ResolveTimestamp(req *Xact, enemies []*Xact, retries, retryLimit int) (abort []*Xact, dec Decision) {
+func resolveTimestamp(req *Xact, enemies []*Xact, retries, retryLimit int) (abort []*Xact, dec Decision) {
 	if req == nil {
 		return nil, DecideStall
 	}
@@ -252,13 +252,13 @@ func ResolveTimestamp(req *Xact, enemies []*Xact, retries, retryLimit int) (abor
 	return abort, DecideStall
 }
 
-// ApplyResolution records a contention-management verdict on the losers:
+// applyResolution records a contention-management verdict on the losers:
 // every transaction in abort is marked AbortRequested with attribution
 // (winner's TID, conflicting block, conflict kind), and a requester ordered
 // to abort itself records its first identified enemy as the winner. Only the
 // first cause per attempt sticks — a victim already condemned keeps its
 // original attribution until Reset.
-func ApplyResolution(req *Xact, enemies, abort []*Xact, dec Decision, b mem.BlockAddr, kind ConflictKind) {
+func applyResolution(req *Xact, enemies, abort []*Xact, dec Decision, b mem.BlockAddr, kind ConflictKind) {
 	winner := mem.NoTID
 	if req != nil {
 		winner = req.TID

@@ -49,7 +49,7 @@ func TestOlder(t *testing.T) {
 func TestResolveTimestampNonTransactional(t *testing.T) {
 	// Non-transactional requesters always stall and abort no one.
 	enemy := xact(1, 5)
-	abort, dec := ResolveTimestamp(nil, []*Xact{enemy}, 100, 8)
+	abort, dec := resolveTimestamp(nil, []*Xact{enemy}, 100, 8)
 	if dec != DecideStall || len(abort) != 0 {
 		t.Fatalf("nonxact: %v %v", dec, abort)
 	}
@@ -60,7 +60,7 @@ func TestResolveTimestampRunningYoungHolder(t *testing.T) {
 	// no aborts (the holder will finish).
 	old := xact(1, 5)
 	young := xact(2, 50)
-	abort, dec := ResolveTimestamp(old, []*Xact{young}, 0, 8)
+	abort, dec := resolveTimestamp(old, []*Xact{young}, 0, 8)
 	if dec != DecideStall || len(abort) != 0 {
 		t.Fatalf("running young holder: %v %v", dec, abort)
 	}
@@ -72,7 +72,7 @@ func TestResolveTimestampDeadlockRule(t *testing.T) {
 	old := xact(1, 5)
 	young := xact(2, 50)
 	young.Stalling = true
-	abort, dec := ResolveTimestamp(old, []*Xact{young}, 0, 8)
+	abort, dec := resolveTimestamp(old, []*Xact{young}, 0, 8)
 	if dec != DecideStall || len(abort) != 1 || abort[0] != young {
 		t.Fatalf("deadlock rule: %v %v", dec, abort)
 	}
@@ -83,7 +83,7 @@ func TestResolveTimestampBackstopOlderRequester(t *testing.T) {
 	// holders out.
 	old := xact(1, 5)
 	young := xact(2, 50)
-	abort, dec := ResolveTimestamp(old, []*Xact{young}, 8, 8)
+	abort, dec := resolveTimestamp(old, []*Xact{young}, 8, 8)
 	if dec != DecideStall || len(abort) != 1 {
 		t.Fatalf("backstop: %v %v", dec, abort)
 	}
@@ -93,12 +93,12 @@ func TestResolveTimestampYoungRequester(t *testing.T) {
 	young := xact(2, 50)
 	old := xact(1, 5)
 	// Young requester stalls on an older holder...
-	abort, dec := ResolveTimestamp(young, []*Xact{old}, 0, 8)
+	abort, dec := resolveTimestamp(young, []*Xact{old}, 0, 8)
 	if dec != DecideStall || len(abort) != 0 {
 		t.Fatalf("young stalls: %v %v", dec, abort)
 	}
 	// ...and sacrifices itself at the backstop.
-	_, dec = ResolveTimestamp(young, []*Xact{old}, 8, 8)
+	_, dec = resolveTimestamp(young, []*Xact{old}, 8, 8)
 	if dec != DecideAbortSelf {
 		t.Fatalf("young backstop: %v", dec)
 	}
@@ -109,7 +109,7 @@ func TestResolveTimestampMixedEnemies(t *testing.T) {
 	older := xact(1, 5)
 	youngerStalled := xact(3, 90)
 	youngerStalled.Stalling = true
-	abort, dec := ResolveTimestamp(req, []*Xact{older, youngerStalled}, 0, 8)
+	abort, dec := resolveTimestamp(req, []*Xact{older, youngerStalled}, 0, 8)
 	if dec != DecideStall {
 		t.Fatalf("mixed: %v", dec)
 	}
@@ -117,7 +117,7 @@ func TestResolveTimestampMixedEnemies(t *testing.T) {
 		t.Fatalf("mixed aborts: %v", abort)
 	}
 	// Past the limit, the requester (younger than one enemy) gives up.
-	_, dec = ResolveTimestamp(req, []*Xact{older, youngerStalled}, 9, 8)
+	_, dec = resolveTimestamp(req, []*Xact{older, youngerStalled}, 9, 8)
 	if dec != DecideAbortSelf {
 		t.Fatalf("mixed backstop: %v", dec)
 	}
@@ -149,10 +149,10 @@ func TestMetricsRecordCommit(t *testing.T) {
 
 func TestCommitRecordBytesAccounting(t *testing.T) {
 	// Spot-check the cost constants stay sane (used across variants).
-	if BeginCycles == 0 || FastCommitCycles == 0 || ConflictTrapCycles == 0 {
+	if BeginCycles == 0 || FastCommitCycles == 0 || conflictTrapCycles == 0 {
 		t.Fatal("zero cost constants")
 	}
-	if LogWriteOverlap == 0 {
+	if logWriteOverlap == 0 {
 		t.Fatal("log write overlap must be nonzero (divide-by-zero)")
 	}
 }

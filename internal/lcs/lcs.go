@@ -126,7 +126,7 @@ func Run(m Model, seed int64) Report {
 // Simulate is Run that also returns the finished machine, for audits of its
 // schedule and books.
 func Simulate(m Model, seed int64) (Report, *sim.Machine) {
-	mach := sim.New(sim.Config{Cores: m.Cores, Seed: seed, Quantum: 2 * CyclesPerMs, RetryLimit: 8})
+	mach := sim.New(sim.Config{Cores: m.Cores, Seed: seed, Quantum: 2 * CyclesPerMs})
 	mach.SetHTM(core.New(mach.Mem, mach.Store))
 
 	probes := &Probes{}

@@ -1,10 +1,11 @@
 // Package logtmse implements the paper's baseline unbounded HTM, LogTM-SE
 // (Yen et al., HPCA 2007): eager version management through per-thread logs
-// (shared with TokenTM) and conflict detection through read/write-set
-// signatures. The three variants evaluated — Perf (unimplementable exact
-// signatures), 2xH3 and 4xH3 (2 Kbit Bloom filters with 2 or 4 parallel H3
-// hashes) — differ only in the signature implementation, so signature false
-// positives are the sole source of performance difference (Figure 1).
+// (htm.Eager, shared with TokenTM) and conflict detection through
+// read/write-set signatures. The three variants evaluated — Perf
+// (unimplementable exact signatures), 2xH3 and 4xH3 (2 Kbit Bloom filters
+// with 2 or 4 parallel H3 hashes) — differ only in the signature
+// implementation, so signature false positives are the sole source of
+// performance difference (Figure 1).
 //
 // Perf's exact signatures are modeled by one exact per-block holder index
 // (holders.go), so its conflict check is one lookup. Only the Bloom
@@ -21,17 +22,12 @@ import (
 	"tokentm/internal/htm"
 	"tokentm/internal/mem"
 	"tokentm/internal/sig"
-	"tokentm/internal/tmlog"
 )
 
 // LogTMSE is the signature-based HTM system.
 type LogTMSE struct {
-	name       string
-	kind       sig.Kind
-	retryLimit int
-
-	ms    *coherence.MemSys
-	store *mem.Store
+	htm.Eager
+	kind sig.Kind
 
 	// threads holds registered threads sorted by TID: the Bloom variants'
 	// checkConflict walks it per access, and a thread's index in it is its
@@ -40,9 +36,6 @@ type LogTMSE struct {
 	state   map[mem.TID]*threadState
 	// holders is Perf's exact holder index; nil for the Bloom variants.
 	holders *holderIndex
-
-	// Metrics aggregates evaluation counters.
-	Metrics htm.Metrics
 }
 
 // threadState is one thread's conflict-detection state: its read and write
@@ -61,24 +54,15 @@ var _ htm.System = (*LogTMSE)(nil)
 // New builds a LogTM-SE system with the given signature kind.
 func New(ms *coherence.MemSys, store *mem.Store, kind sig.Kind, retryLimit int) *LogTMSE {
 	s := &LogTMSE{
-		name:       "LogTM-SE_" + kind.String(),
-		kind:       kind,
-		retryLimit: retryLimit,
-		ms:         ms,
-		store:      store,
-		state:      make(map[mem.TID]*threadState),
+		Eager: htm.Eager{Variant: "LogTM-SE_" + kind.String(), RetryLimit: retryLimit, Mem: ms, Values: store},
+		kind:  kind,
+		state: make(map[mem.TID]*threadState),
 	}
 	if kind == sig.KindPerfect {
 		s.holders = newHolderIndex()
 	}
 	return s
 }
-
-// Name returns the variant name (e.g. "LogTM-SE_4xH3").
-func (s *LogTMSE) Name() string { return s.name }
-
-// Stats exposes the variant's metrics.
-func (s *LogTMSE) Stats() *htm.Metrics { return &s.Metrics }
 
 // Register introduces a thread and builds its signatures; per-thread seeds
 // decorrelate the H3 hash functions across cores as in hardware, where each
@@ -225,43 +209,6 @@ func (s *LogTMSE) signatureHits(self mem.TID, b mem.BlockAddr, isWrite bool) (en
 	return enemies, writerHit, real
 }
 
-func (s *LogTMSE) conflict(req *htm.Xact, b mem.BlockAddr, enemies []*htm.Xact, retries int, kind htm.ConflictKind, falsePos bool) htm.Access {
-	s.Metrics.Conflicts++
-	s.Metrics.CountConflict(kind)
-	if falsePos {
-		s.Metrics.FalseConflicts++
-	}
-	lat := coherence.L1HitCycles + htm.ConflictTrapCycles
-	abort, dec := htm.ResolveTimestamp(req, enemies, retries, s.retryLimit)
-	htm.ApplyResolution(req, enemies, abort, dec, b, kind)
-	if dec == htm.DecideAbortSelf {
-		return htm.Access{Outcome: htm.AbortSelf, Latency: lat, Enemies: enemies, Kind: kind, False: falsePos}
-	}
-	s.Metrics.Stalls++
-	return htm.Access{Outcome: htm.Stall, Latency: lat, Enemies: enemies, Kind: kind, False: falsePos}
-}
-
-// logWrite simulates the log append; like TokenTM's, log stores drain
-// through the store buffer so the core stalls only for a fraction of the
-// raw miss time.
-func (s *LogTMSE) logWrite(th *htm.Thread, addr mem.Addr, size int) mem.Cycle {
-	var raw mem.Cycle
-	first := addr.Block()
-	last := (addr + mem.Addr(size) - 1).Block()
-	for b := first; b <= last; b++ {
-		raw += s.ms.Access(th.Core, b, true)
-	}
-	lat := coherence.L1HitCycles
-	if raw > coherence.L1HitCycles {
-		stall := (raw - coherence.L1HitCycles) / htm.LogWriteOverlap
-		lat += stall
-		if th.InXact() {
-			th.Xact.LogStall += stall
-		}
-	}
-	return lat
-}
-
 // Load performs a read with eager conflict detection against foreign write
 // signatures (strong atomicity applies to non-transactional reads too).
 func (s *LogTMSE) Load(th *htm.Thread, addr mem.Addr, retries int) (uint64, htm.Access) {
@@ -276,19 +223,19 @@ func (s *LogTMSE) Load(th *htm.Thread, addr mem.Addr, retries int) (uint64, htm.
 		if _, ok := x.ReadSet[b]; ok {
 			// Already in our read set: eager detection means any
 			// conflicting writer found us when it accessed the block.
-			lat := s.ms.Access(th.Core, b, false)
-			return s.store.Load(addr), htm.Access{Latency: lat}
+			lat := s.Mem.Access(th.Core, b, false)
+			return s.Values.Load(addr), htm.Access{Latency: lat}
 		}
 	}
 	if enemies, kind, falsePos := s.checkConflict(self, b, false); len(enemies) > 0 {
-		return 0, s.conflict(x, b, enemies, retries, kind, falsePos)
+		return 0, s.Trap(x, b, enemies, retries, 0, kind, falsePos)
 	}
-	lat := s.ms.Access(th.Core, b, false)
+	lat := s.Mem.Access(th.Core, b, false)
 	if x != nil {
 		s.addToSet(s.state[x.TID], b, false)
 		x.ReadSet[b] = struct{}{}
 	}
-	return s.store.Load(addr), htm.Access{Latency: lat}
+	return s.Values.Load(addr), htm.Access{Latency: lat}
 }
 
 // Store performs a write with eager conflict detection against foreign read
@@ -303,34 +250,21 @@ func (s *LogTMSE) Store(th *htm.Thread, addr mem.Addr, val uint64, retries int) 
 	if x != nil {
 		self = x.TID
 		if _, ok := x.WriteSet[b]; ok {
-			lat := s.ms.Access(th.Core, b, true)
-			s.store.StoreWord(addr, val)
+			lat := s.Mem.Access(th.Core, b, true)
+			s.Values.StoreWord(addr, val)
 			return htm.Access{Latency: lat}
 		}
 	}
 	if enemies, kind, falsePos := s.checkConflict(self, b, true); len(enemies) > 0 {
-		return s.conflict(x, b, enemies, retries, kind, falsePos)
+		return s.Trap(x, b, enemies, retries, 0, kind, falsePos)
 	}
-	lat := s.ms.Access(th.Core, b, true)
+	lat := s.Mem.Access(th.Core, b, true)
 	if x != nil {
 		s.addToSet(s.state[x.TID], b, true)
-		if _, seen := x.WriteSet[b]; !seen {
-			old := s.readBlock(b)
-			rAddr, rSize := th.Log.AppendData(b, 0, old)
-			lat += s.logWrite(th, rAddr, rSize)
-			x.WriteSet[b] = struct{}{}
-		}
+		lat += s.LogData(th, b, 0)
 	}
-	s.store.StoreWord(addr, val)
+	s.Values.StoreWord(addr, val)
 	return htm.Access{Latency: lat}
-}
-
-func (s *LogTMSE) readBlock(b mem.BlockAddr) (out [mem.WordsPerBlock]uint64) {
-	base := b.Addr()
-	for i := range out {
-		out[i] = s.store.Load(base + mem.Addr(i*mem.WordBytes))
-	}
-	return out
 }
 
 // Commit is always constant time in LogTM-SE: clear the signatures and
@@ -345,33 +279,11 @@ func (s *LogTMSE) Commit(th *htm.Thread) (mem.Cycle, bool) {
 // Abort unrolls the log in reverse, restoring pre-transaction values, and
 // clears the signatures.
 func (s *LogTMSE) Abort(th *htm.Thread) mem.Cycle {
-	x := th.Xact
-	core := th.Core
-	var lat mem.Cycle
-	offset := th.Log.Bytes()
-	recs := th.Log.Records()
-	for i := len(recs) - 1; i >= 0; i-- {
-		rec := recs[i]
-		offset -= rec.Bytes()
-		lat += htm.AbortRecordCycles
-		lat += s.ms.Access(core, (th.Log.Base() + mem.Addr(offset)).Block(), false)
-		if rec.Kind == tmlog.DataRecord {
-			lat += s.ms.Access(core, rec.Block, true)
-			s.writeBlock(rec.Block, rec.Old)
-		}
-	}
+	lat := s.Unroll(th)
 	s.clearSets(s.state[th.TID])
-	th.Log.Reset()
-	x.Active = false
+	th.Xact.Active = false
 	s.Metrics.Aborts++
 	return lat
-}
-
-func (s *LogTMSE) writeBlock(b mem.BlockAddr, words [mem.WordsPerBlock]uint64) {
-	base := b.Addr()
-	for i, w := range words {
-		s.store.StoreWord(base+mem.Addr(i*mem.WordBytes), w)
-	}
 }
 
 // ContextSwitch is cheap for LogTM-SE: signatures are per-thread software-
@@ -390,4 +302,4 @@ func (s *LogTMSE) SigOccupancy(tid mem.TID) (read, write float64) {
 	return st.read.Occupancy(), st.write.Occupancy()
 }
 
-func (s *LogTMSE) String() string { return fmt.Sprintf("%s(retry=%d)", s.name, s.retryLimit) }
+func (s *LogTMSE) String() string { return fmt.Sprintf("%s(retry=%d)", s.Variant, s.RetryLimit) }

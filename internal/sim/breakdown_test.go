@@ -12,7 +12,7 @@ import (
 // many threads) so every variant exercises stalls, backoffs and aborts.
 func contend(t *testing.T, variant string) *Machine {
 	t.Helper()
-	m := New(Config{Cores: 4, RetryLimit: 4, Seed: 7})
+	m := New(Config{Cores: 4, Seed: 7})
 	m.SetHTM(buildHTM(m, variant))
 	const addr mem.Addr = 0x3000
 	for i := 0; i < 8; i++ {

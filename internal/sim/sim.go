@@ -47,9 +47,6 @@ type Config struct {
 	// lock-based server workloads; TM workloads run one thread per core
 	// and never switch, matching Table 5's note).
 	Quantum mem.Cycle
-	// RetryLimit is how many stalls a transaction tolerates against an
-	// older enemy before self-aborting.
-	RetryLimit int
 }
 
 // ThreadFunc is the body of a simulated thread.
@@ -190,9 +187,6 @@ type Machine struct {
 func New(cfg Config) *Machine {
 	if cfg.Cores <= 0 {
 		cfg.Cores = 32
-	}
-	if cfg.RetryLimit <= 0 {
-		cfg.RetryLimit = 64
 	}
 	m := &Machine{
 		cfg:   cfg,

@@ -34,7 +34,7 @@ var allVariants = []string{"TokenTM", "TokenTM_NoFast", "LogTM-SE_Perf", "LogTM-
 
 func newMachine(t *testing.T, cores int, variant string) *Machine {
 	t.Helper()
-	m := New(Config{Cores: cores, RetryLimit: 8})
+	m := New(Config{Cores: cores})
 	m.SetHTM(buildHTM(m, variant))
 	return m
 }
@@ -259,7 +259,7 @@ func TestNoFastVariantAlwaysWalksLog(t *testing.T) {
 // core with a small quantum: transactions survive flash-OR context switches
 // and still commit correctly (necessarily via software release).
 func TestContextSwitchDuringTransaction(t *testing.T) {
-	m := New(Config{Cores: 1, Quantum: 500, RetryLimit: 8})
+	m := New(Config{Cores: 1, Quantum: 500})
 	tok := core.New(m.Mem, m.Store)
 	m.SetHTM(tok)
 	const addr mem.Addr = 0x9000
@@ -355,7 +355,7 @@ func TestLocksAndSyscalls(t *testing.T) {
 // seeds perturb them.
 func TestDeterminism(t *testing.T) {
 	run := func(seed int64) mem.Cycle {
-		m := New(Config{Cores: 4, Seed: seed, RetryLimit: 8})
+		m := New(Config{Cores: 4, Seed: seed})
 		m.SetHTM(core.New(m.Mem, m.Store))
 		const addr mem.Addr = 0x2000
 		for i := 0; i < 4; i++ {
@@ -480,7 +480,7 @@ func TestLargeTransactionDoesNotBlockOthers(t *testing.T) {
 func TestRandomizedStressWithInvariant(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		variant := allVariants[trial%len(allVariants)]
-		m := New(Config{Cores: 4, Seed: int64(trial), RetryLimit: 8})
+		m := New(Config{Cores: 4, Seed: int64(trial)})
 		m.SetHTM(buildHTM(m, variant))
 		for i := 0; i < 6; i++ {
 			seed := int64(trial*100 + i)
@@ -587,7 +587,7 @@ func TestSpawnPinning(t *testing.T) {
 }
 
 func ExampleMachine() {
-	m := New(Config{Cores: 2, RetryLimit: 8})
+	m := New(Config{Cores: 2})
 	m.SetHTM(core.New(m.Mem, m.Store))
 	m.Spawn(func(tc *Ctx) {
 		tc.Atomic(func(tx *Tx) {

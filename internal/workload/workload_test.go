@@ -74,7 +74,7 @@ func TestSetSizerCalibration(t *testing.T) {
 // TokenTM and checks the measured footprints resemble the spec.
 func TestBuildRunsAndMeasures(t *testing.T) {
 	spec, _ := ByName("Cholesky")
-	m := sim.New(sim.Config{Cores: 8, RetryLimit: 8})
+	m := sim.New(sim.Config{Cores: 8})
 	tok := core.New(m.Mem, m.Store)
 	m.SetHTM(tok)
 	spec.Build(m, 8, 0.01, 1)
@@ -105,7 +105,7 @@ func TestBuildRunsAndMeasures(t *testing.T) {
 // TestScaling: scale cuts the transaction count proportionally.
 func TestScaling(t *testing.T) {
 	spec, _ := ByName("Radiosity")
-	m := sim.New(sim.Config{Cores: 4, RetryLimit: 8})
+	m := sim.New(sim.Config{Cores: 4})
 	m.SetHTM(core.New(m.Mem, m.Store))
 	spec.Build(m, 4, 0.002, 1)
 	m.Run()

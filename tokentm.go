@@ -102,12 +102,7 @@ func New(cfg Config) *System {
 	if cfg.Variant == "" {
 		cfg.Variant = VariantTokenTM
 	}
-	m := sim.New(sim.Config{
-		Cores:      cfg.Cores,
-		Seed:       cfg.Seed,
-		Quantum:    cfg.Quantum,
-		RetryLimit: cfg.RetryLimit,
-	})
+	m := sim.New(sim.Config{Cores: cfg.Cores, Seed: cfg.Seed, Quantum: cfg.Quantum})
 	var h htm.System
 	switch cfg.Variant {
 	case VariantTokenTM:
@@ -127,14 +122,12 @@ func New(cfg Config) *System {
 	return &System{M: m, HTM: h}
 }
 
-// retryLimit resolves the configured stall-retry backstop. Timestamp
-// ordering makes waits-for cycles impossible (young always waits on old),
-// so the limit is only a livelock backstop, not a deadlock breaker.
+// retryLimit resolves the configured stall-retry backstop.
 func retryLimit(cfg Config) int {
 	if cfg.RetryLimit > 0 {
 		return cfg.RetryLimit
 	}
-	return 64
+	return htm.DefaultRetryLimit
 }
 
 // Spawn starts a simulated thread (pinned round-robin to cores).
