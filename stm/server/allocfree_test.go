@@ -1,10 +1,11 @@
 package server
 
-// Satellite: steady-state GET/SET service allocates zero per operation after
-// warm-up. TestAllocFreeAnnotations pins the annotated helper set against
+// Steady-state service allocates zero per operation after warm-up.
+// TestAllocFreeAnnotations pins the annotated helper set against
 // lint.AllocFreeFuncs (as in stm and stm/resp); TestServiceAllocFree drives
 // the real decode→dispatch→store→encode path end to end (minus the socket)
-// and measures zero allocations per served command, MSET/MGET included.
+// and measures zero allocations per served command, MSET/MGET and
+// MULTI…EXEC included.
 
 import (
 	"io"
@@ -49,6 +50,7 @@ func testConn(t *testing.T, frame string) *conn {
 func TestAllocFreeAnnotations(t *testing.T) {
 	c := testConn(t, "PING\r\n")
 	serials := []uint64{1, 0, 2, 0}
+	mset := [][]byte{[]byte("MSET"), []byte("5"), []byte("50"), []byte("6"), []byte("60")}
 
 	entries := []struct {
 		name string
@@ -62,6 +64,12 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		{"cmdIs", func() {
 			if !cmdIs([]byte("get"), "GET") || cmdIs([]byte("GETX"), "GET") {
 				t.Fatal("cmdIs misbehaves")
+			}
+		}},
+		{"conn.parse", func() {
+			c.clearQueue()
+			if q, f := c.parse('M', mset); f != noFault || q.hi != 2 {
+				t.Fatalf("parse(MSET 5 50 6 60) = %+v, %d", q, f)
 			}
 		}},
 		{"conn.replyGet", func() { c.replyGet(42, true, 3, 99) }},
@@ -101,13 +109,16 @@ func TestAllocFreeAnnotations(t *testing.T) {
 	}
 }
 
-// TestServiceAllocFree serves an endless pipelined stream of GET/SET and
-// MSET/MGET (a cross-shard TxnSerials transaction each) through the full
-// command loop body — frame decode, dispatch, store, reply encode — and
-// demands zero allocations per served command once the scratch buffers and
-// store slots have warmed.
+// TestServiceAllocFree serves an endless pipelined stream of GET/SET,
+// MSET/MGET (a cross-shard TxnSerials transaction each), a MULTI…EXEC block
+// queueing GET, SET, MGET and MSET, and a MULTI/DISCARD pair, through the
+// full command loop body — frame decode, dispatch, store, reply encode — and
+// demands zero allocations per served command once the scratch buffers, the
+// connection's flat MULTI queue and the store slots have warmed.
 func TestServiceAllocFree(t *testing.T) {
-	c := testConn(t, "SET 123 456\r\nGET 123\r\nSET 7001 1\r\nGET 99\r\nMSET 5 1 6 2 7 3\r\nMGET 5 6 7 8\r\n")
+	c := testConn(t, "SET 123 456\r\nGET 123\r\nSET 7001 1\r\nGET 99\r\nMSET 5 1 6 2 7 3\r\nMGET 5 6 7 8\r\n"+
+		"MULTI\r\nGET 123\r\nSET 9 90\r\nMGET 1 2 3 4 5 6 7 8\r\nMSET 1 10 2 20 3 30 4 40\r\nEXEC\r\n"+
+		"MULTI\r\nSET 9 91\r\nDISCARD\r\n")
 	step := func() {
 		args, err := c.r.ReadCommand()
 		if err != nil {
@@ -117,7 +128,7 @@ func TestServiceAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 16; i++ { // warm store slots, scratch, stats
+	for i := 0; i < 32; i++ { // warm store slots, scratch, stats
 		step()
 	}
 	if n := testing.AllocsPerRun(400, step); n != 0 {

@@ -13,10 +13,10 @@ import (
 )
 
 // conn serves one connection: a resp codec pair over the socket, one store
-// worker handle, and reusable scratch so the steady-state point-op path
-// allocates nothing. Only its own goroutine touches any field except nc
-// (which Shutdown pokes with a read deadline — net.Conn methods are
-// goroutine-safe by contract).
+// worker handle, and reusable scratch so that steady-state service — point
+// GET/SET, MGET/MSET and MULTI…EXEC — allocates nothing. Only its own
+// goroutine touches any field except nc (which Shutdown pokes with a read
+// deadline — net.Conn methods are goroutine-safe by contract).
 type conn struct {
 	srv *Server
 	nc  net.Conn // nil in codec-only tests; deadline/drain poking only
@@ -27,30 +27,41 @@ type conn struct {
 	out  io.Writer // the socket side of w
 	werr error     // out's first write error; the connection is dead
 
-	// Scratch, reused across commands.
+	// The flat queue, reused across transactions: MULTI's queued commands,
+	// or a direct command's one. Each qcmd's [lo, hi) indexes keys, vals
+	// and oks alike. A SET/MSET's vals are the values it writes; a
+	// GET/MGET's vals and oks are what execFn read.
+	queue   []qcmd
 	keys    []uint64
 	vals    []uint64
 	oks     []bool
-	info    []byte
-	queue   []qcmd
 	inMulti bool
-	qerr    bool // a queued command failed to parse; EXEC must refuse
+	qerr    bool // a queued command was refused; EXEC must refuse
 
-	// Bound transaction closures (allocated once, parameters via fields).
-	mgetFn func(kvstore.Tx) error
-	msetFn func(kvstore.Tx) error
-	execFn func(kvstore.Tx) error
+	info   []byte                 // INFO scratch
+	execFn func(kvstore.Tx) error // runs the queue; bound once
 }
 
-// qcmd is one queued MULTI command. rvals/rok capture GET/MGET results
-// during EXEC's transaction for the reply phase.
+// qcmd is one queued command: its op and its range of the flat queue.
 type qcmd struct {
-	op    byte // 'g' GET, 's' SET, 'm' MGET, 'M' MSET
-	keys  []uint64
-	vals  []uint64
-	rvals []uint64
-	rok   []bool
+	op     byte // 'g' GET, 's' SET, 'm' MGET, 'M' MSET
+	lo, hi int
 }
+
+// maxQueuedKeys caps the keys one MULTI may queue, so a client that never
+// sends EXEC cannot grow the connection's queue without bound.
+const maxQueuedKeys = 1 << 16
+
+// fault is why a GET/SET/MGET/MSET is refused.
+type fault uint8
+
+const (
+	noFault fault = iota
+	badArity
+	badKey
+	badInt
+	queueFull
+)
 
 func newConn(s *Server, rw io.ReadWriter, nc net.Conn, slot int) *conn {
 	c := &conn{
@@ -61,37 +72,13 @@ func newConn(s *Server, rw io.ReadWriter, nc net.Conn, slot int) *conn {
 		out: rw,
 	}
 	c.w = resp.NewWriter(c)
-	c.mgetFn = func(tx kvstore.Tx) error {
-		c.vals = c.vals[:0]
-		c.oks = c.oks[:0]
-		for _, k := range c.keys {
-			v, ok := tx.Get(k)
-			c.vals = append(c.vals, v)
-			c.oks = append(c.oks, ok)
-		}
-		return nil
-	}
-	c.msetFn = func(tx kvstore.Tx) error {
-		for i, k := range c.keys {
-			tx.Put(k, c.vals[i])
-		}
-		return nil
-	}
 	c.execFn = func(tx kvstore.Tx) error {
-		for i := range c.queue {
-			q := &c.queue[i]
-			switch q.op {
-			case 'g', 'm':
-				q.rvals = q.rvals[:0]
-				q.rok = q.rok[:0]
-				for _, k := range q.keys {
-					v, ok := tx.Get(k)
-					q.rvals = append(q.rvals, v)
-					q.rok = append(q.rok, ok)
-				}
-			default: // 's', 'M'
-				for j, k := range q.keys {
-					tx.Put(k, q.vals[j])
+		for _, q := range c.queue {
+			for i := q.lo; i < q.hi; i++ {
+				if q.op == 'g' || q.op == 'm' {
+					c.vals[i], c.oks[i] = tx.Get(c.keys[i])
+				} else {
+					tx.Put(c.keys[i], c.vals[i])
 				}
 			}
 		}
@@ -158,93 +145,23 @@ func (c *conn) Write(p []byte) (int, error) {
 // client-level mistakes (bad arity, bad integer) answer -ERR and keep it.
 func (c *conn) dispatch(args [][]byte) error {
 	cmd := args[0]
-	if c.inMulti && !cmdIs(cmd, "EXEC") && !cmdIs(cmd, "DISCARD") && !cmdIs(cmd, "MULTI") {
-		return c.enqueue(args)
-	}
 	switch {
 	case cmdIs(cmd, "GET"):
-		if len(args) != 2 {
-			return c.arity("GET")
-		}
-		k, ok := parseKey(args[1])
-		if !ok {
-			return c.badKey()
-		}
-		v, found, shard, serial := c.h.GetSharded(k)
-		c.replyGet(v, found, shard, serial)
+		return c.data('g', "GET", args)
 	case cmdIs(cmd, "SET"):
-		if len(args) != 3 {
-			return c.arity("SET")
-		}
-		k, ok := parseKey(args[1])
-		if !ok {
-			return c.badKey()
-		}
-		v, ok := resp.ParseUint(args[2])
-		if !ok {
-			return c.badInt()
-		}
-		shard, serial := c.h.PutSharded(k, v)
-		c.replySet(shard, serial)
+		return c.data('s', "SET", args)
 	case cmdIs(cmd, "MGET"):
-		if len(args) < 2 {
-			return c.arity("MGET")
-		}
-		c.keys = c.keys[:0]
-		for _, a := range args[1:] {
-			k, ok := parseKey(a)
-			if !ok {
-				return c.badKey()
-			}
-			c.keys = append(c.keys, k)
-		}
-		serials, err := c.h.TxnSerials(true, c.mgetFn)
-		if err != nil {
-			return c.txnErr(err)
-		}
-		c.w.WriteArrayHeader(2)
-		c.w.WriteArrayHeader(len(c.vals))
-		for i, v := range c.vals {
-			if c.oks[i] {
-				c.w.WriteBulkUint(v)
-			} else {
-				c.w.WriteNull()
-			}
-		}
-		c.writeSerials(serials)
+		return c.data('m', "MGET", args)
 	case cmdIs(cmd, "MSET"):
-		if len(args) < 3 || len(args)%2 != 1 {
-			return c.arity("MSET")
-		}
-		c.keys = c.keys[:0]
-		c.vals = c.vals[:0]
-		for i := 1; i < len(args); i += 2 {
-			k, ok := parseKey(args[i])
-			if !ok {
-				return c.badKey()
-			}
-			v, ok := resp.ParseUint(args[i+1])
-			if !ok {
-				return c.badInt()
-			}
-			c.keys = append(c.keys, k)
-			c.vals = append(c.vals, v)
-		}
-		serials, err := c.h.TxnSerials(false, c.msetFn)
-		if err != nil {
-			return c.txnErr(err)
-		}
-		c.w.WriteArrayHeader(2)
-		c.w.WriteUint(uint64(len(c.keys)))
-		c.writeSerials(serials)
+		return c.data('M', "MSET", args)
 	case cmdIs(cmd, "MULTI"):
 		if c.inMulti {
 			c.w.WriteErrorString("ERR MULTI calls can not be nested")
 			return nil
 		}
+		c.clearQueue()
 		c.inMulti = true
 		c.qerr = false
-		c.queue = c.queue[:0]
 		c.w.WriteSimple("OK")
 	case cmdIs(cmd, "EXEC"):
 		return c.exec()
@@ -253,8 +170,11 @@ func (c *conn) dispatch(args [][]byte) error {
 			c.w.WriteErrorString("ERR DISCARD without MULTI")
 			return nil
 		}
-		c.resetMulti()
+		c.inMulti = false
 		c.w.WriteSimple("OK")
+	case c.inMulti:
+		c.qerr = true
+		c.w.WriteErrorString("ERR command not allowed in MULTI")
 	case cmdIs(cmd, "PING"):
 		c.w.WriteSimple("PONG")
 	case cmdIs(cmd, "INFO"):
@@ -276,58 +196,102 @@ func (c *conn) dispatch(args [][]byte) error {
 	return nil
 }
 
-// enqueue parses and queues one command inside MULTI. Parse failures poison
-// the queue: the client still gets per-command -ERR, and EXEC refuses.
-func (c *conn) enqueue(args [][]byte) error {
-	var q qcmd
-	cmd := args[0]
-	bad := func(reply func() error) error {
-		c.qerr = true
-		return reply()
+// data serves GET, SET, MGET or MSET, named name in arity errors. The
+// command is parsed onto the flat queue; inside MULTI it stays queued, and
+// otherwise it runs at once: GET and SET on the store's point fast paths,
+// MGET and MSET as a one-command queue.
+func (c *conn) data(op byte, name string, args [][]byte) error {
+	if !c.inMulti {
+		c.clearQueue()
 	}
-	switch {
-	case cmdIs(cmd, "GET"), cmdIs(cmd, "MGET"):
-		if (cmdIs(cmd, "GET") && len(args) != 2) || len(args) < 2 {
-			return bad(func() error { return c.arity("queued command") })
-		}
-		q.op = 'm'
-		if cmdIs(cmd, "GET") {
-			q.op = 'g'
-		}
-		for _, a := range args[1:] {
-			k, ok := parseKey(a)
-			if !ok {
-				return bad(c.badKey)
-			}
-			q.keys = append(q.keys, k)
-		}
-	case cmdIs(cmd, "SET"), cmdIs(cmd, "MSET"):
-		if (cmdIs(cmd, "SET") && len(args) != 3) || len(args) < 3 || len(args)%2 != 1 {
-			return bad(func() error { return c.arity("queued command") })
-		}
-		q.op = 'M'
-		if cmdIs(cmd, "SET") {
-			q.op = 's'
-		}
-		for i := 1; i < len(args); i += 2 {
-			k, ok := parseKey(args[i])
-			if !ok {
-				return bad(c.badKey)
-			}
-			v, ok := resp.ParseUint(args[i+1])
-			if !ok {
-				return bad(c.badInt)
-			}
-			q.keys = append(q.keys, k)
-			q.vals = append(q.vals, v)
-		}
-	default:
-		c.qerr = true
-		c.w.WriteErrorString("ERR command not allowed in MULTI")
-		return nil
+	q, f := c.parse(op, args)
+	if f == noFault && c.inMulti && len(c.keys) > maxQueuedKeys {
+		c.trim(q.lo)
+		f = queueFull
+	}
+	if f != noFault {
+		return c.refuse(f, name)
 	}
 	c.queue = append(c.queue, q)
-	c.w.WriteSimple("QUEUED")
+	if c.inMulti {
+		c.w.WriteSimple("QUEUED")
+		return nil
+	}
+	switch op {
+	case 'g':
+		v, found, shard, serial := c.h.GetSharded(c.keys[q.lo])
+		c.replyGet(v, found, shard, serial)
+		return nil
+	case 's':
+		shard, serial := c.h.PutSharded(c.keys[q.lo], c.vals[q.lo])
+		c.replySet(shard, serial)
+		return nil
+	}
+	serials, err := c.h.TxnSerials(op == 'm', c.execFn)
+	if err != nil {
+		return c.txnErr(err)
+	}
+	c.w.WriteArrayHeader(2)
+	if op == 'm' {
+		c.writeResult(q)
+	} else {
+		c.w.WriteUint(uint64(q.hi - q.lo))
+	}
+	c.writeSerials(serials)
+	return nil
+}
+
+// parse appends the keys of a GET or MGET, or the key/value pairs of a SET
+// or MSET, to the flat queue and returns the qcmd naming them. A refused
+// command leaves the queue as it found it.
+//
+//tokentm:allocfree
+func (c *conn) parse(op byte, args [][]byte) (qcmd, fault) {
+	n := len(args) - 1
+	pairs := op == 's' || op == 'M'
+	if n < 1 || (op == 'g' && n != 1) || (op == 's' && n != 2) || (pairs && n%2 != 0) {
+		return qcmd{}, badArity
+	}
+	q := qcmd{op: op, lo: len(c.keys)}
+	for i := 1; i <= n; i++ {
+		k, ok := parseKey(args[i])
+		if !ok {
+			c.trim(q.lo)
+			return qcmd{}, badKey
+		}
+		var v uint64
+		if pairs {
+			i++
+			if v, ok = resp.ParseUint(args[i]); !ok {
+				c.trim(q.lo)
+				return qcmd{}, badInt
+			}
+		}
+		c.keys = append(c.keys, k)
+		c.vals = append(c.vals, v)
+		c.oks = append(c.oks, false)
+	}
+	q.hi = len(c.keys)
+	return q, noFault
+}
+
+// refuse answers a command parse or the queue bound refused. Inside MULTI
+// it poisons the transaction, so EXEC refuses too.
+func (c *conn) refuse(f fault, name string) error {
+	if c.inMulti {
+		c.qerr = true
+		name = "queued command"
+	}
+	switch f {
+	case badArity:
+		c.w.WriteErrorString("ERR wrong number of arguments for " + name)
+	case badKey:
+		c.w.WriteErrorString("ERR key must be a decimal integer >= 1")
+	case badInt:
+		c.w.WriteErrorString("ERR value is not a decimal uint64")
+	default:
+		c.w.WriteErrorString("ERR MULTI queue full")
+	}
 	return nil
 }
 
@@ -337,49 +301,57 @@ func (c *conn) exec() error {
 		c.w.WriteErrorString("ERR EXEC without MULTI")
 		return nil
 	}
+	c.inMulti = false
 	if c.qerr {
-		c.resetMulti()
 		c.w.WriteErrorString("EXECABORT transaction discarded because of previous errors")
 		return nil
 	}
 	serials, err := c.h.TxnSerials(false, c.execFn)
-	queue := c.queue
-	c.resetMulti()
 	if err != nil {
 		return c.txnErr(err)
 	}
 	c.w.WriteArrayHeader(2)
-	c.w.WriteArrayHeader(len(queue))
-	for i := range queue {
-		q := &queue[i]
-		switch q.op {
-		case 'g':
-			if q.rok[0] {
-				c.w.WriteBulkUint(q.rvals[0])
-			} else {
-				c.w.WriteNull()
-			}
-		case 'm':
-			c.w.WriteArrayHeader(len(q.keys))
-			for j := range q.keys {
-				if q.rok[j] {
-					c.w.WriteBulkUint(q.rvals[j])
-				} else {
-					c.w.WriteNull()
-				}
-			}
-		default:
-			c.w.WriteSimple("OK")
-		}
+	c.w.WriteArrayHeader(len(c.queue))
+	for _, q := range c.queue {
+		c.writeResult(q)
 	}
 	c.writeSerials(serials)
 	return nil
 }
 
-func (c *conn) resetMulti() {
-	c.inMulti = false
-	c.qerr = false
+// writeResult writes one queued command's result: a GET's value, an MGET's
+// array of values, or a write's +OK.
+func (c *conn) writeResult(q qcmd) {
+	switch q.op {
+	case 'g':
+		c.writeValue(q.lo)
+	case 'm':
+		c.w.WriteArrayHeader(q.hi - q.lo)
+		for i := q.lo; i < q.hi; i++ {
+			c.writeValue(i)
+		}
+	default:
+		c.w.WriteSimple("OK")
+	}
+}
+
+// writeValue writes the value read into queue slot i, or null.
+func (c *conn) writeValue(i int) {
+	if c.oks[i] {
+		c.w.WriteBulkUint(c.vals[i])
+	} else {
+		c.w.WriteNull()
+	}
+}
+
+// trim cuts the flat queue's arrays back to n keys.
+func (c *conn) trim(n int) {
+	c.keys, c.vals, c.oks = c.keys[:n], c.vals[:n], c.oks[:n]
+}
+
+func (c *conn) clearQueue() {
 	c.queue = c.queue[:0]
+	c.trim(0)
 }
 
 // txnErr maps a transaction error onto the wire: the contention bound's
@@ -392,21 +364,6 @@ func (c *conn) txnErr(err error) error {
 	}
 	c.w.WriteErrorString("ERR internal: " + err.Error())
 	return err
-}
-
-func (c *conn) arity(cmd string) error {
-	c.w.WriteErrorString("ERR wrong number of arguments for " + cmd)
-	return nil
-}
-
-func (c *conn) badKey() error {
-	c.w.WriteErrorString("ERR key must be a decimal integer >= 1")
-	return nil
-}
-
-func (c *conn) badInt() error {
-	c.w.WriteErrorString("ERR value is not a decimal uint64")
-	return nil
 }
 
 // parseKey parses a key: a uint64 >= 1 (zero marks empty slots in the

@@ -3,8 +3,9 @@ package server
 // Hostile clients that reach the codec and the reply flush: garbage behind a
 // valid pipelined prefix, a reply larger than the writer's bound, a client
 // that sends without ever reading its replies, one that trickles a command
-// it never finishes, one that hangs up inside MULTI, one that
-// half-closes behind a pipelined batch, and one that fills the store's table.
+// it never finishes, one that hangs up inside MULTI, one that queues
+// without end inside MULTI, one that half-closes behind a pipelined batch,
+// and one that fills the store's table.
 
 import (
 	"errors"
@@ -188,6 +189,59 @@ func TestHostileDisconnectMidMulti(t *testing.T) {
 	next := waitForSlot(t, addr)
 	if v, ok, _, _ := getReply(t, next.cmd("GET", "9")); ok {
 		t.Fatalf("GET 9 = %d after its MULTI was abandoned, want absent", v)
+	}
+}
+
+// TestHostileUnboundedMulti: a client that queues more than maxQueuedKeys
+// keys inside one MULTI gets -ERR for the command that crosses the bound,
+// its EXEC answers EXECABORT and runs nothing, and the same connection then
+// serves a normal MULTI…EXEC.
+func TestHostileUnboundedMulti(t *testing.T) {
+	_, addr := startServer(t, Config{Shards: 2, MaxConns: 1})
+	c := dial(t, addr)
+	mset := []string{"MSET"}
+	for k := 1; len(mset)+2 <= resp.MaxArgs; k++ {
+		mset = append(mset, strconv.Itoa(k), "7")
+	}
+	fits := maxQueuedKeys / (len(mset) / 2) // MSETs that fit under the bound
+	c.send("MULTI")
+	for i := 0; i <= fits; i++ {
+		c.send(mset...)
+	}
+	c.send("EXEC")
+	c.flush()
+	if rep := c.recv(); rep.Str != "OK" {
+		t.Fatalf("MULTI = %+v", rep)
+	}
+	for i := 0; i < fits; i++ {
+		if rep := c.recv(); rep.Str != "QUEUED" {
+			t.Fatalf("MSET %d = %+v, want QUEUED", i, rep)
+		}
+	}
+	if rep := c.recv(); rep.Type != '-' || rep.Str != "ERR MULTI queue full" {
+		t.Fatalf("MSET past the bound = %+v, want -ERR MULTI queue full", rep)
+	}
+	if rep := c.recv(); rep.Type != '-' || !strings.HasPrefix(rep.Str, "EXECABORT") {
+		t.Fatalf("EXEC past the bound = %+v, want EXECABORT", rep)
+	}
+	if v, ok, _, _ := getReply(t, c.cmd("GET", "1")); ok {
+		t.Fatalf("GET 1 = %d after the refused MULTI, want absent", v)
+	}
+
+	c.send("MULTI")
+	c.send("SET", "1", "10")
+	c.send("GET", "1")
+	c.send("EXEC")
+	c.flush()
+	for _, want := range []string{"OK", "QUEUED", "QUEUED"} {
+		if rep := c.recv(); rep.Str != want {
+			t.Fatalf("reply = %+v, want %s", rep, want)
+		}
+	}
+	rep := c.recv()
+	if rep.Type != '*' || len(rep.Elems) != 2 || len(rep.Elems[0].Elems) != 2 ||
+		rep.Elems[0].Elems[0].Str != "OK" || rep.Elems[0].Elems[1].Str != "10" {
+		t.Fatalf("EXEC after the refused MULTI = %+v", rep)
 	}
 }
 

@@ -26,15 +26,17 @@
 // read-only MGET commits at its read serial (0 before the first commit) and
 // draws none.
 //
-// MULTI queues GET/SET/MGET/MSET and EXEC runs the queue as ONE atomic
-// transaction. If the store's contention bound (MaxAttempts) abandons the
+// MULTI queues GET/SET/MGET/MSET, up to 65536 keys (past that, -ERR MULTI
+// queue full, and EXEC answers EXECABORT), and EXEC runs the queue as ONE
+// atomic transaction. If the store's contention bound (MaxAttempts) abandons the
 // transaction, the client sees `-RETRY ...` with all effects rolled back —
 // the transaction is all-or-nothing across shards, and a drain racing an
 // EXEC either commits it fully or surfaces -RETRY, never a torn prefix.
 //
-// Each connection is one goroutine bound to one store worker slot, so the
-// steady-state GET/SET service path allocates nothing per operation
-// (per-worker scratch in the handle, per-connection scratch in the codec).
+// Each connection is one goroutine bound to one store worker slot, so
+// steady-state service, MULTI…EXEC included, allocates nothing per operation
+// (per-worker scratch in the handle, per-connection scratch and a flat
+// command queue in the conn).
 // Responses are flushed when the read buffer drains, so pipelined command
 // batches get batched replies.
 package server
