@@ -30,10 +30,9 @@ simverify:
 		if [ $$? -ne 1 ]; then echo "FAIL: seeded mutation skip-log-credit not detected"; exit 1; fi
 	@echo "PASS: mutation smoke (seeded protocol bug detected by explorer)"
 
-# Static gates: go vet, gofmt, and the tokentm analyzer suite
-# (maporder, wallclock, allocfree with its interprocedural closure,
-# exhaustive, and atomicfield's ban on function-style sync/atomic — see
-# internal/lint).
+# Static gates: go vet, gofmt, and the tokentm analyzer suite (allocfree
+# with its interprocedural closure, and exhaustive — see internal/lint).
+# The determinism contract is checked by go test, not here.
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi

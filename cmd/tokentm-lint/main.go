@@ -1,8 +1,7 @@
 // Command tokentm-lint is the multichecker for the tokentm static-analysis
 // suite (internal/lint): it loads the requested packages from source,
-// collects module-wide facts, and runs the maporder, wallclock, allocfree,
-// exhaustive and atomicfield (no function-style sync/atomic) analyzers,
-// honoring //lint:ignore directives.
+// collects module-wide facts, and runs the allocfree and exhaustive
+// analyzers, honoring //lint:ignore directives.
 // `make lint` runs it together with go vet over the whole module.
 //
 // Usage:
@@ -61,7 +60,7 @@ func main() {
 	}
 
 	// Phase 1: load everything, so fact collection sees the whole module
-	// (atomic-field usage and the allocfree call graph are cross-package).
+	// (the allocfree call graph is cross-package).
 	loader := lint.NewLoader()
 	var loaded []*lint.Package
 	for _, lp := range pkgs {

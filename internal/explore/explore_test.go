@@ -1,9 +1,12 @@
 package explore
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"tokentm/internal/core"
+	"tokentm/internal/sim"
 )
 
 // TestExhaustiveAllVariants is the acceptance gate: exhaustive mode fully
@@ -110,5 +113,30 @@ func TestExploreDeterministic(t *testing.T) {
 		a.PrunedVisited != b.PrunedVisited || a.PrunedSleep != b.PrunedSleep ||
 		a.MaxDepth != b.MaxDepth || a.Commits != b.Commits || a.Aborts != b.Aborts {
 		t.Fatalf("explorations diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestEndChecksReportsLowestAddress: a transaction's journaled reads are a
+// map, so the serializability check must walk them in address order. With
+// every read wrong, the reported one is the lowest address, on every walk.
+func TestEndChecksReportsLowestAddress(t *testing.T) {
+	prog := &Program{Name: "read-four", Cores: 1, Blocks: 4, Threads: []ThreadProg{{Txns: []Txn{{
+		{Kind: OpLoad, Block: 2}, {Kind: OpLoad, Block: 0}, {Kind: OpLoad, Block: 3}, {Kind: OpLoad, Block: 1},
+	}}}}}
+	m := sim.New(sim.Config{Cores: prog.Cores})
+	sys, tok := buildHTM(m, "TokenTM", core.MutNone)
+	m.SetHTM(sys)
+	journals := spawnProgram(m, prog)
+	m.Run()
+	for a := range journals[0][0].reads {
+		journals[0][0].reads[a] = 7
+	}
+	vio := func(kind, msg string) *Violation { return &Violation{Kind: kind, Message: msg} }
+	want := fmt.Sprintf("read %v=7,", prog.BlockAddr(0))
+	for range 20 {
+		v := endChecks(m, tok, prog, journals, vio)
+		if v == nil || v.Kind != "serializability" || !strings.Contains(v.Message, want) {
+			t.Fatalf("endChecks = %+v, want a serializability violation naming %q", v, want)
+		}
 	}
 }

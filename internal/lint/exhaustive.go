@@ -24,7 +24,7 @@ var Exhaustive = &analysis.Analyzer{
 }
 
 func runExhaustive(pass *analysis.Pass) error {
-	if s := ScopeOf(pass.Pkg.Path()); s != ScopeSim && s != ScopeOrderedOutput {
+	if ScopeOf(pass.Pkg.Path()) != ScopeDeterminism {
 		return nil
 	}
 	pass.Inspect(func(n ast.Node) bool {

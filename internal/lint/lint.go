@@ -1,24 +1,19 @@
-// Package lint implements the tokentm static-analysis suite: five analyzers
-// that enforce the determinism, hot-path and concurrency-discipline
-// contracts from DESIGN.md at lint time, at the offending source line,
-// before any simulation or host transaction runs.
+// Package lint implements the tokentm static-analysis suite: two analyzers
+// for the hot-path and protocol-completeness contracts from DESIGN.md that
+// no runtime test covers everywhere, reported at the offending source line.
 //
-//   - maporder: no for-range over a map in a simulation or ordered-output
-//     package unless the body is order-insensitive aggregation.
-//   - wallclock: no wall-clock reads or global math/rand calls in
-//     simulation packages; seeded rand.New(rand.NewSource(...)) is fine.
 //   - allocfree: functions annotated //tokentm:allocfree contain no
 //     allocating constructs, and no call chain out of them reaches one in
 //     an unannotated same-module callee (conservative AST check plus a
 //     fact-based call-graph closure; a dynamic testing.AllocsPerRun table
 //     test cross-checks the annotation list).
 //   - exhaustive: switches over the protocol enums (MESI states, packed
-//     metastate states, access outcomes, ...) in a simulation or
-//     ordered-output package cover every constant or carry a default that
-//     panics or returns.
-//   - atomicfield: no function-style sync/atomic calls (typed atomics make
-//     mixed atomic/plain access a compile error). That wait loops yield is
-//     checked at run time, by TestWaitsYield and TestTL2WaitsYield.
+//     metastate states, access outcomes, ...) in a determinism package
+//     cover every constant or carry a default that panics or returns.
+//
+// The determinism contract itself (sorted map walks, no wall clock, no
+// global rand) is checked by go test: the fingerprint and determinism
+// tests, the scheduler goldens, and TestDeterminismPackagesImportNoTime.
 //
 // The driver runs in two phases: CollectFacts indexes every loaded package
 // (per-function alloc sites, call edges, annotations), then each analyzer
@@ -46,7 +41,7 @@ import (
 
 // Analyzers returns the full tokentm suite in a fixed order.
 func Analyzers() []*analysis.Analyzer {
-	return []*analysis.Analyzer{MapOrder, WallClock, AllocFree, Exhaustive, AtomicField}
+	return []*analysis.Analyzer{AllocFree, Exhaustive}
 }
 
 // knownAnalyzer reports whether name names a suite analyzer.

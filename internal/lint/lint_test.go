@@ -8,16 +8,8 @@ import (
 )
 
 // The fixtures live under testdata/src/tokentm/internal/... so that the
-// scope rules (simPackages, orderedOutputPackages) see the same
+// scope rules (determinismPackages, exemptPackages) see the same
 // "internal/..." package-key suffixes the real tree produces.
-
-func TestMapOrder(t *testing.T) {
-	linttest.Run(t, "testdata/src/tokentm/internal/sim/maporder", lint.MapOrder)
-}
-
-func TestWallClock(t *testing.T) {
-	linttest.Run(t, "testdata/src/tokentm/internal/sim/wallclock", lint.WallClock)
-}
 
 func TestAllocFree(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/internal/sim/allocfree", lint.AllocFree)
@@ -27,15 +19,10 @@ func TestExhaustive(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/internal/sim/exhaustive", lint.Exhaustive)
 }
 
-// TestExhaustiveOrderedOutput covers the ordered-output packages: the trace
-// decorator switches over the same protocol enums as the simulator.
+// TestExhaustiveOrderedOutput covers the byte-stable output packages: the
+// trace decorator switches over the same protocol enums as the simulator.
 func TestExhaustiveOrderedOutput(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/internal/trace/exhaustive", lint.Exhaustive)
-}
-
-// TestAtomicField covers the ban on function-style sync/atomic calls.
-func TestAtomicField(t *testing.T) {
-	linttest.Run(t, "testdata/src/tokentm/stm/atomicfield", lint.AtomicField)
 }
 
 // TestAllocFreeInterproc covers the call-graph closure out of annotated
@@ -49,19 +36,12 @@ func TestAllocFreeInterproc(t *testing.T) {
 // placements, missing-reason and unknown-analyzer diagnostics, and stale
 // directive detection.
 func TestDirectives(t *testing.T) {
-	linttest.Run(t, "testdata/src/tokentm/internal/sim/directives", lint.WallClock)
+	linttest.Run(t, "testdata/src/tokentm/internal/sim/directives", lint.AllocFree)
 }
 
-// TestHostSideOutOfScope runs the full suite over a harness-side fixture
-// that reads the wall clock, uses global rand and ranges over maps — and
-// expects zero diagnostics, because scope gating exempts host-side code.
+// TestHostSideOutOfScope runs the full suite over an exempt stm-side fixture
+// holding a partial enum switch and unannotated allocations, and expects zero
+// diagnostics: exhaustive is scope-gated and allocfree reads annotations only.
 func TestHostSideOutOfScope(t *testing.T) {
-	linttest.Run(t, "testdata/src/tokentm/internal/harness/hostside", lint.Analyzers()...)
-}
-
-// TestSTMHostSideExempt pins the explicit exemption for the stm subsystem:
-// stm/... is host-side by charter (wall-clock latency measurement), so the
-// full analyzer suite reports nothing for it.
-func TestSTMHostSideExempt(t *testing.T) {
 	linttest.Run(t, "testdata/src/tokentm/stm/hostside", lint.Analyzers()...)
 }

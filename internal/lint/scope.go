@@ -2,16 +2,17 @@ package lint
 
 import "strings"
 
-// The determinism and hot-path contracts (DESIGN.md §"Determinism contract")
-// bind the packages that execute *simulated* work: everything a simulated
-// cycle count, cache state, or commit stream can observe. Host-side packages
-// (the harness, the experiment drivers, plotting) measure wall-clock time
-// and aggregate freely; they are exempt from wallclock and allocfree, and
-// maporder applies to them only where their output must be byte-stable.
+// The determinism contract (DESIGN.md §"Determinism contract") binds the
+// packages that execute *simulated* work — everything a simulated cycle
+// count, cache state or commit stream can observe — and the packages whose
+// output must be byte-stable (trace dumps, plot text). Host-side packages
+// (the stm subsystem, the harness, the experiment drivers) measure
+// wall-clock time and aggregate freely.
 
-// simPackages are the simulation packages: no wall-clock, no global rand,
-// no map-order-dependent control flow, exhaustive enum switches.
-var simPackages = []string{
+// determinismPackages are bound by the determinism contract: the exhaustive
+// analyzer checks their enum switches, and TestDeterminismPackagesImportNoTime
+// keeps the wall clock out of them.
+var determinismPackages = []string{
 	"internal/attr",
 	"internal/cache",
 	"internal/coherence",
@@ -23,46 +24,31 @@ var simPackages = []string{
 	"internal/logtmse",
 	"internal/mem",
 	"internal/metastate",
+	"internal/plot",
 	"internal/sig",
 	"internal/sim",
 	"internal/statehash",
 	"internal/tmlog",
-}
-
-// orderedOutputPackages additionally owe deterministic, byte-stable output
-// (trace dumps, plot text): maporder and exhaustive cover them on top of
-// simPackages.
-var orderedOutputPackages = []string{
-	"internal/plot",
 	"internal/trace",
 }
 
-// hostSidePackages are host-concurrent packages that measure real time by
-// charter: the stm subsystem (the TM, the KV store, the wire codec and the
-// server) runs on actual goroutines and its load generator reads time.Now
-// for throughput and latency. They are exempt from the simulation contracts
-// *explicitly* — listed here rather than relying on "not in simPackages" —
-// so the exemption survives refactors of the scope logic and is pinned by
-// fixture tests. Note stm imports internal/metastate, which stays fully in
-// scope: the packing helpers it reuses are wall-clock-free by this very gate.
-var hostSidePackages = []string{
-	"stm",
-	"cmd",
-}
-
-// exemptPackages are bound by no contract: the module root (public facade),
-// the examples, host-side analysis helpers, and the lint tooling itself.
-// Every module package must appear in exactly one scope — this list exists
-// so "unclassified" is always a mistake, never a default.
-// TestScopeCoversModule pins the invariant against `go list ./...`.
+// exemptPackages are bound by no scoped contract: the host-concurrent stm
+// subsystem and commands, which read time.Now for throughput and latency by
+// charter, the module root (public facade), the examples, host-side
+// analysis helpers, and the lint tooling itself. allocfree still checks
+// every //tokentm:allocfree function here. Every module package must appear
+// in exactly one list, so "unclassified" is always a mistake, never a
+// default; TestScopeCoversModule pins that against `go list ./...`.
 var exemptPackages = []string{
 	".",
+	"cmd",
 	"examples",
 	"internal/harness",
 	"internal/lint",
 	"internal/randstream",
 	"internal/stats",
 	"internal/workload",
+	"stm",
 }
 
 // relKey reduces an import path to the module-relative form every scope list
@@ -99,18 +85,11 @@ func inList(path string, list []string) bool {
 type Scope string
 
 const (
-	// ScopeSim: full simulation contract (wallclock, maporder, allocfree,
-	// exhaustive).
-	ScopeSim Scope = "sim"
-	// ScopeOrderedOutput: byte-stable output on top of the sim contract's
-	// maporder and exhaustive rules.
-	ScopeOrderedOutput Scope = "ordered-output"
-	// ScopeHostSide: host-concurrent by charter; exempt from the simulation
-	// contracts. The module-wide atomicfield ban and annotation-driven
-	// allocfree still bind it, and its wait loops are checked to yield at
-	// run time (TestWaitsYield, TestTL2WaitsYield).
-	ScopeHostSide Scope = "host-side"
-	// ScopeExempt: bound by no contract (tooling, examples, facade).
+	// ScopeDeterminism: the determinism contract (exhaustive enum
+	// switches, no time import).
+	ScopeDeterminism Scope = "determinism"
+	// ScopeExempt: bound by no scoped contract (host side, tooling,
+	// examples, facade).
 	ScopeExempt Scope = "exempt"
 	// ScopeUnknown: not classified — always a configuration error.
 	ScopeUnknown Scope = "unknown"
@@ -119,15 +98,11 @@ const (
 // ScopeOf classifies a package import path. Every package `go list ./...`
 // reports must classify to something other than ScopeUnknown; the scope
 // sync test enforces this, so a new package cannot silently dodge the
-// contracts.
+// contract.
 func ScopeOf(path string) Scope {
 	switch {
-	case inList(path, simPackages):
-		return ScopeSim
-	case inList(path, orderedOutputPackages):
-		return ScopeOrderedOutput
-	case inList(path, hostSidePackages):
-		return ScopeHostSide
+	case inList(path, determinismPackages):
+		return ScopeDeterminism
 	case inList(path, exemptPackages):
 		return ScopeExempt
 	}

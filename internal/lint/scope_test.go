@@ -12,9 +12,11 @@ import (
 	"testing"
 )
 
-func modulePackages(t *testing.T) []string {
+// goList runs `go list -f format ./...` from the module root and returns one
+// line per package.
+func goList(t *testing.T, format string) []string {
 	t.Helper()
-	cmd := exec.Command("go", "list", "./...")
+	cmd := exec.Command("go", "list", "-f", format, "./...")
 	cmd.Dir = "../.." // module root
 	out, err := cmd.Output()
 	if err != nil {
@@ -33,7 +35,7 @@ func modulePackages(t *testing.T) []string {
 }
 
 func TestScopeCoversModule(t *testing.T) {
-	pkgs := modulePackages(t)
+	pkgs := goList(t, "{{.ImportPath}}")
 
 	for _, pkg := range pkgs {
 		if ScopeOf(pkg) == ScopeUnknown {
@@ -45,9 +47,7 @@ func TestScopeCoversModule(t *testing.T) {
 		name string
 		list []string
 	}{
-		{"simPackages", simPackages},
-		{"orderedOutputPackages", orderedOutputPackages},
-		{"hostSidePackages", hostSidePackages},
+		{"determinismPackages", determinismPackages},
 		{"exemptPackages", exemptPackages},
 	}
 
@@ -90,11 +90,30 @@ func TestScopeOf(t *testing.T) {
 		path string
 		want Scope
 	}{
-		{"tokentm/stm/atomicfield", ScopeHostSide},
+		{"tokentm/stm/hostside", ScopeExempt},
 		{"fmt", ScopeUnknown},
 	} {
 		if got := ScopeOf(c.path); got != c.want {
 			t.Errorf("ScopeOf(%q) = %s, want %s", c.path, got, c.want)
+		}
+	}
+}
+
+// TestDeterminismPackagesImportNoTime keeps the host clock out of the
+// determinism packages: a wall-clock budget or timestamp there would make a
+// simulated result, or BENCH_explore.json, depend on host speed. Only direct
+// non-test imports are checked. Global math/rand in these packages is
+// caught by the determinism tests and the scheduler goldens instead.
+func TestDeterminismPackagesImportNoTime(t *testing.T) {
+	for _, line := range goList(t, `{{.ImportPath}}{{range .Imports}} {{.}}{{end}}`) {
+		pkg, imports, _ := strings.Cut(line, " ")
+		if ScopeOf(pkg) != ScopeDeterminism {
+			continue
+		}
+		for _, imp := range strings.Fields(imports) {
+			if imp == "time" {
+				t.Errorf("determinism package %s imports time", pkg)
+			}
 		}
 	}
 }

@@ -3,9 +3,12 @@ package tokentm
 import (
 	"os"
 	"os/exec"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"tokentm/internal/lint"
 )
 
 // TestReadmePackagesReachable: every package in README's "What is
@@ -135,4 +138,38 @@ func resolveDocPath(p string) (string, bool) {
 		}
 	}
 	return p, false
+}
+
+// TestDocAnalyzersMatchSuite: the analyzers README's "Static checks" bullets
+// and EXPERIMENTS' analyzer table name are exactly lint.Analyzers(), in
+// order, so a deleted analyzer cannot linger in the docs and a new one
+// cannot go undocumented.
+func TestDocAnalyzersMatchSuite(t *testing.T) {
+	var want []string
+	for _, a := range lint.Analyzers() {
+		want = append(want, a.Name)
+	}
+	for _, c := range []struct{ doc, section, item string }{
+		{"README.md", "\n## Static checks", `^\* \*\*([a-z]+)\*\* —`},
+		{"EXPERIMENTS.md", "\n## Static analysis", "^\\| `([a-z]+)` \\|"},
+	} {
+		raw, err := os.ReadFile(c.doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, section, ok := strings.Cut(string(raw), c.section)
+		if !ok {
+			t.Fatalf("%s has no %q section", c.doc, strings.TrimPrefix(c.section, "\n"))
+		}
+		if i := strings.Index(section, "\n## "); i >= 0 {
+			section = section[:i]
+		}
+		var got []string
+		for _, m := range regexp.MustCompile("(?m)"+c.item).FindAllStringSubmatch(section, -1) {
+			got = append(got, m[1])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s names analyzers %v, lint.Analyzers() is %v", c.doc, got, want)
+		}
+	}
 }

@@ -411,9 +411,8 @@ func (th *Thread) maybeDoom(enemy mem.TID) {
 	}
 }
 
-// nextRand is splitmix64: cheap per-thread jitter with no global state (the
-// wallclock lint contract bans global math/rand in sim packages; host-side
-// code keeps the same hygiene by construction).
+// nextRand is splitmix64: cheap per-thread jitter with no global state, so
+// threads never contend on a shared rand source.
 func nextRand(s *uint64) uint64 {
 	*s += 0x9e3779b97f4a7c15
 	z := *s
