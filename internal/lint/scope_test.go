@@ -99,6 +99,25 @@ func TestScopeOf(t *testing.T) {
 	}
 }
 
+// TestSTMHostSideExempt pins the explicit exemption for the stm subsystem:
+// stm/... is host-side by charter (wall-clock throughput and latency
+// measurement), so every stm package `go list ./...` reports, present or
+// future, classifies as exempt.
+func TestSTMHostSideExempt(t *testing.T) {
+	n := 0
+	for _, pkg := range goList(t, "{{.ImportPath}}") {
+		if inList(pkg, []string{"stm"}) {
+			n++
+			if got := ScopeOf(pkg); got != ScopeExempt {
+				t.Errorf("ScopeOf(%q) = %s, want %s", pkg, got, ScopeExempt)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("go list reported no stm packages")
+	}
+}
+
 // TestDeterminismPackagesImportNoTime keeps the host clock out of the
 // determinism packages: a wall-clock budget or timestamp there would make a
 // simulated result, or BENCH_explore.json, depend on host speed. Only direct
