@@ -72,12 +72,14 @@ profile:
 		-cpuprofile cpu.pprof -memprofile mem.pprof ./internal/core
 	@echo "wrote cpu.pprof and mem.pprof (go tool pprof <file>)"
 
-# CPU profile of the simulator's host speed: BenchmarkSimSweep, the grid of
-# the benchmark's sim-sweep workload, at one P as that workload runs.
+# CPU and allocation profiles of the simulator's host speed:
+# BenchmarkSimSweep, the grid of the benchmark's sim-sweep workload, at one P
+# as that workload runs. sim.mem.pprof gives allocated bytes per site
+# (go tool pprof -sample_index=alloc_space sim.mem.pprof).
 simprofile:
 	$(GO) test -run '^$$' -bench '^BenchmarkSimSweep$$' -cpu 1 -benchtime 5s \
-		-cpuprofile sim.pprof .
-	@echo "wrote sim.pprof (go tool pprof sim.pprof)"
+		-benchmem -cpuprofile sim.pprof -memprofile sim.mem.pprof .
+	@echo "wrote sim.pprof and sim.mem.pprof (go tool pprof <file>)"
 
 # Host STM benchmark grid: mixes x worker counts x five targets (the stm,
 # rwmutex and tl2-occ backends unsharded, kvstore.Sharded, and a live

@@ -56,20 +56,28 @@ type Line struct {
 // Cache is a set-associative cache. It tracks residency, replacement and
 // per-line metabits; data values live in the simulator's global store.
 //
-// Sets materialize lazily on first touch: the modeled geometry (set count,
+// Sets materialize lazily on first insert: the modeled geometry (set count,
 // associativity, replacement) is exactly that of the eager layout, but a
 // run only pays host memory — and the zeroing of it — for the sets its
-// footprint actually reaches. The 8 MB L2's line array dominated a
-// machine's construction cost; small sweep runs touch a few percent of it.
+// footprint actually reaches. An untouched set costs its 4-byte slot: a
+// 32-core machine has 20 480 sets, and small sweep runs fill a few percent.
 type Cache struct {
 	name    string
-	sets    [][]Line
 	setMask uint64
 	tick    uint64
 	assoc   int
-	// arena is the current allocation chunk; newSet carves fixed-capacity
-	// set slices from it, so *Line pointers handed out stay valid forever.
-	arena []Line
+	// slots locates each set's lines in the arena: the offset of its first
+	// line in its chunk <<slotOffShift | slotTouched | the chunk number. A
+	// zero slot is a set nothing was ever inserted into.
+	slots []uint32
+	// chunks is the line arena. A chunk is allocated when a set gets its
+	// first line and the last chunk is full, and never moves, so *Line
+	// pointers handed out stay valid forever. The fixed array of chunks
+	// adds no allocation.
+	chunks   [maxChunks][]Line
+	nchunks  uint32
+	chunkLen int // lines per chunk, a multiple of assoc
+	fill     int // lines of the last chunk handed out; full when none
 }
 
 // Config sizes a cache.
@@ -85,6 +93,20 @@ var L1Config = Config{Name: "L1", SizeBytes: 32 << 10, Assoc: 4}
 // L2BankConfig is one of the 32 L2 banks: 8 MB total, 8-way.
 var L2BankConfig = Config{Name: "L2bank", SizeBytes: (8 << 20) / 32, Assoc: 8}
 
+// chunkLines is the least number of lines the arena allocates at a time;
+// maxChunks bounds the chunk count, so a large cache gets larger chunks.
+const (
+	chunkLines = 512
+	maxChunks  = 8
+)
+
+// Slot encoding: the chunk number sits in the low bits, so indexing
+// chunks needs no bounds check.
+const (
+	slotTouched  = maxChunks
+	slotOffShift = 4
+)
+
 // New builds a cache from a configuration.
 func New(cfg Config) *Cache {
 	nlines := cfg.SizeBytes / mem.BlockBytes
@@ -92,40 +114,51 @@ func New(cfg Config) *Cache {
 	if nsets == 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d must be a power of two", cfg.Name, nsets))
 	}
+	setsPerChunk := min(max(chunkLines/cfg.Assoc, (nsets+maxChunks-1)/maxChunks), nsets)
 	return &Cache{
-		name:    cfg.Name,
-		sets:    make([][]Line, nsets),
-		setMask: uint64(nsets - 1),
-		assoc:   cfg.Assoc,
+		name:     cfg.Name,
+		slots:    make([]uint32, nsets),
+		setMask:  uint64(nsets - 1),
+		assoc:    cfg.Assoc,
+		chunkLen: setsPerChunk * cfg.Assoc,
+		fill:     setsPerChunk * cfg.Assoc,
 	}
 }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return len(c.slots) }
 
 // Assoc returns the associativity.
 func (c *Cache) Assoc() int { return c.assoc }
 
+// set returns the lines of b's set, or nil while no block was ever
+// inserted into it: such a set holds no valid line, so lookups need not
+// materialize it.
 func (c *Cache) set(b mem.BlockAddr) []Line {
-	idx := uint64(b) & c.setMask
-	if s := c.sets[idx]; s != nil {
-		return s
+	slot := c.slots[uint64(b)&c.setMask]
+	if slot == 0 {
+		return nil
 	}
-	return c.newSet(idx)
+	return c.lines(slot)
 }
 
-// chunkLines is the arena granularity; a multiple of every associativity.
-const chunkLines = 512
+// lines returns the set's lines that a non-zero slot locates.
+func (c *Cache) lines(slot uint32) []Line {
+	off := int(slot >> slotOffShift)
+	return c.chunks[slot%maxChunks][off : off+c.assoc : off+c.assoc]
+}
 
-// newSet materializes one set's lines on first touch.
-func (c *Cache) newSet(idx uint64) []Line {
-	if len(c.arena) < c.assoc {
-		c.arena = make([]Line, chunkLines)
+// newSet materializes the lines of b's set on its first insert.
+func (c *Cache) newSet(b mem.BlockAddr) []Line {
+	if c.fill == c.chunkLen {
+		c.chunks[c.nchunks] = make([]Line, c.chunkLen)
+		c.nchunks++
+		c.fill = 0
 	}
-	s := c.arena[:c.assoc:c.assoc]
-	c.arena = c.arena[c.assoc:]
-	c.sets[idx] = s
-	return s
+	slot := uint32(c.fill)<<slotOffShift | slotTouched | (c.nchunks - 1)
+	c.slots[uint64(b)&c.setMask] = slot
+	c.fill += c.assoc
+	return c.lines(slot)
 }
 
 // Lookup returns the line holding block b, or nil. It refreshes LRU state.
@@ -157,6 +190,9 @@ func (c *Cache) Peek(b mem.BlockAddr) *Line {
 // ensured b is not already present.
 func (c *Cache) Insert(b mem.BlockAddr, state CohState) (victim Line, evicted bool) {
 	s := c.set(b)
+	if s == nil {
+		s = c.newSet(b)
+	}
 	c.tick++
 	// Prefer an invalid way.
 	vi := 0
@@ -188,10 +224,10 @@ func (c *Cache) Invalidate(b mem.BlockAddr) (old Line, ok bool) {
 // FlashClearRW applies the fast-token-release flash clear to every line: a
 // constant-time hardware operation over the R and W metabit columns.
 func (c *Cache) FlashClearRW() {
-	for _, s := range c.sets {
-		for i := range s {
-			if s[i].State != Invalid {
-				s[i].Meta.FlashClearRW()
+	for _, ch := range c.chunks {
+		for i := range ch {
+			if ch[i].State != Invalid {
+				ch[i].Meta.FlashClearRW()
 			}
 		}
 	}
@@ -200,18 +236,22 @@ func (c *Cache) FlashClearRW() {
 // FlashOR applies the context-switch flash-OR (R'|=R, W'|=W, clear R and W)
 // to every line: the paper's two flash-OR circuits per cache block.
 func (c *Cache) FlashOR() {
-	for _, s := range c.sets {
-		for i := range s {
-			if s[i].State != Invalid {
-				s[i].Meta.FlashOR()
+	for _, ch := range c.chunks {
+		for i := range ch {
+			if ch[i].State != Invalid {
+				ch[i].Meta.FlashOR()
 			}
 		}
 	}
 }
 
-// VisitValid calls fn for every valid line.
+// VisitValid calls fn for every valid line, in set order.
 func (c *Cache) VisitValid(fn func(*Line)) {
-	for _, s := range c.sets {
+	for _, slot := range c.slots {
+		if slot == 0 {
+			continue
+		}
+		s := c.lines(slot)
 		for i := range s {
 			if s[i].State != Invalid {
 				fn(&s[i])

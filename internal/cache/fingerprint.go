@@ -18,7 +18,11 @@ import (
 // count stays zero for its (deliberately tiny) programs.
 func (c *Cache) FingerprintTo(h *statehash.Hash) {
 	scratch := make([]Line, 0, 8)
-	for si, s := range c.sets {
+	for si, slot := range c.slots {
+		if slot == 0 {
+			continue
+		}
+		s := c.lines(slot)
 		scratch = scratch[:0]
 		for i := range s {
 			if s[i].State != Invalid {

@@ -255,6 +255,23 @@ func TestDirectorySizedByFootprint(t *testing.T) {
 	}
 }
 
+// TestCachesSizedByFootprint: a fresh 32-core machine holds its 20 480 cache
+// sets as a 4-byte slot each, with no lines until a block is inserted; a slice
+// header per set (24 B each, 480 KiB) would exceed the budget.
+func TestCachesSizedByFootprint(t *testing.T) {
+	const budget = 128 << 10
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := NewMemSys(32)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(m)
+	if got := int64(after.HeapAlloc) - int64(before.HeapAlloc); got > budget {
+		t.Fatalf("a fresh NewMemSys(32) holds %d B of heap, budget %d", got, budget)
+	}
+}
+
 func TestLatencyOrdering(t *testing.T) {
 	m, _ := newSys()
 	const b mem.BlockAddr = 21

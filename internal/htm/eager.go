@@ -120,7 +120,7 @@ func (e *Eager) Unroll(th *Thread) mem.Cycle {
 		if rec.Kind == tmlog.DataRecord {
 			lat += e.Mem.Access(core, rec.Block, true)
 			base := rec.Block.Addr()
-			for j, w := range rec.Old {
+			for j, w := range th.Log.Old(*rec) {
 				e.Values.StoreWord(base+mem.Addr(j*mem.WordBytes), w)
 			}
 		}

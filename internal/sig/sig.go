@@ -28,18 +28,22 @@ const DefaultBits = 2048
 // H3 functions are popular in hardware because they reduce to an XOR tree.
 //
 // Hash evaluates byte-sliced: tbl[k][v] precomputes the XOR of the rows
-// selected by byte value v at byte position k, so a 64-bit input costs 8
-// table lookups instead of a loop over its set bits. The output is
-// bit-for-bit identical to the row-per-bit definition (XOR is associative;
-// the tables just reassociate it), which the sig tests pin against the
-// reference loop. Every row is masked below m ≤ 2^16, so the tables hold
-// uint16s (8 KB per function), and an input below 2^24 — every workload
-// block — skips the five high-byte lookups, whose entries for byte 0 are 0.
+// selected by byte value v at byte position k, so the three low bytes of
+// the input cost three table lookups instead of a loop over their set bits.
+// The output is bit-for-bit identical to the row-per-bit definition (XOR is
+// associative; the tables just reassociate it), which the sig tests pin
+// against the reference loop. Every row is masked below m ≤ 2^16, so the
+// tables hold uint16s (1.5 KB per function). Every workload block is below
+// 2^24, so tables for the five high bytes would never be read; a wider
+// input folds in one row per set bit above bit 23, as hashRef does.
 type H3 struct {
 	rows [64]uint32
 	mask uint32
-	tbl  [8][256]uint16
+	tbl  [tableBytes][256]uint16
 }
+
+// tableBytes is the number of low input bytes Hash looks up by table.
+const tableBytes = 3
 
 // maxBits is the widest H3 output the uint16 tables hold.
 const maxBits = 1 << 16
@@ -56,7 +60,7 @@ func NewH3(m int, rng *rand.Rand) *H3 {
 	}
 	// Byte-slice tables by subset DP: v's XOR is (v minus its lowest set
 	// bit)'s XOR plus that bit's row.
-	for k := 0; k < 8; k++ {
+	for k := range h.tbl {
 		for v := 1; v < 256; v++ {
 			h.tbl[k][v] = h.tbl[k][v&(v-1)] ^ uint16(h.rows[k*8+bits.TrailingZeros64(uint64(v))])
 		}
@@ -67,17 +71,13 @@ func NewH3(m int, rng *rand.Rand) *H3 {
 // Hash maps a block address to a bit index in [0, m).
 func (h *H3) Hash(b mem.BlockAddr) uint32 {
 	x := uint64(b)
-	out := h.tbl[0][x&0xff] ^
+	out := uint32(h.tbl[0][x&0xff] ^
 		h.tbl[1][x>>8&0xff] ^
-		h.tbl[2][x>>16&0xff]
-	if x>>24 != 0 {
-		out ^= h.tbl[3][x>>24&0xff] ^
-			h.tbl[4][x>>32&0xff] ^
-			h.tbl[5][x>>40&0xff] ^
-			h.tbl[6][x>>48&0xff] ^
-			h.tbl[7][x>>56]
+		h.tbl[2][x>>16&0xff])
+	for hi := x >> (8 * tableBytes); hi != 0; hi &= hi - 1 {
+		out ^= h.rows[8*tableBytes+bits.TrailingZeros64(hi)]
 	}
-	return uint32(out)
+	return out
 }
 
 // hashRef is the row-per-bit reference implementation, kept for the

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tokentm/internal/mem"
 )
@@ -130,6 +131,15 @@ func TestH3Linearity(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestH3Size: an H3 keeps byte tables for the three low input bytes only
+// (1.5 KB); eight tables (4 KB) would exceed the bound. A 4xH3 sweep interns
+// 256 of them.
+func TestH3Size(t *testing.T) {
+	if got := unsafe.Sizeof(H3{}); got > 2048 {
+		t.Fatalf("H3 is %d B, want at most 2048", got)
 	}
 }
 

@@ -12,7 +12,7 @@ func (l *Log) FingerprintTo(h *statehash.Hash) {
 		h.U64(uint64(r.Block))
 		h.U32(r.Tokens)
 		if r.Kind == DataRecord {
-			for _, w := range r.Old {
+			for _, w := range l.Old(r) {
 				h.U64(w)
 			}
 		}

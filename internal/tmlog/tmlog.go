@@ -32,12 +32,15 @@ const (
 	DataRecord
 )
 
-// Record is one log entry.
+// Record is one log entry: its kind, block and credited tokens. A data
+// record's pre-transaction block is kept in the log's side array (Log.Old),
+// not in the record, so a record is three host words whatever its kind;
+// most records are token records, one word in the simulated log (Bytes).
 type Record struct {
 	Kind   Kind
+	old    uint32 // DataRecord: index of its old block in Log.olds
 	Block  mem.BlockAddr
-	Tokens uint32                    // tokens credited by this record
-	Old    [mem.WordsPerBlock]uint64 // pre-transaction data (DataRecord)
+	Tokens uint32 // tokens credited by this record
 }
 
 // Bytes returns the simulated size of the record in the in-memory log: one
@@ -55,15 +58,24 @@ func (r Record) Bytes() int {
 type Log struct {
 	base    mem.Addr
 	records []Record
+	olds    [][mem.WordsPerBlock]uint64 // data records' old blocks, in order
 	bytes   int
+	// recBuf and oldBuf back records and olds until a transaction
+	// outgrows them.
+	recBuf [16]Record
+	oldBuf [4][mem.WordsPerBlock]uint64
 }
 
-// New returns an empty log whose simulated storage begins at base. Record
-// storage starts small — many workloads' write sets are a handful of blocks
-// — and Reset keeps whatever capacity the log grows to, so steady-state
-// appends never reallocate.
+// New returns an empty log whose simulated storage begins at base. The
+// first 16 records and 4 old blocks are stored in the Log itself — many
+// workloads' write sets are a handful of blocks — so New is a log's only
+// allocation until a transaction outgrows them. Reset keeps whatever
+// capacity the log grows to, so steady-state appends never reallocate.
 func New(base mem.Addr) *Log {
-	return &Log{base: base, records: make([]Record, 0, 8)}
+	l := &Log{base: base}
+	l.records = l.recBuf[:0]
+	l.olds = l.oldBuf[:0]
+	return l
 }
 
 // Base returns the log's base address in simulated memory.
@@ -107,9 +119,14 @@ func (l *Log) AppendToken(b mem.BlockAddr, tokens uint32) (addr mem.Addr, size i
 // AppendData writes a store record: the block's old data plus the tokens
 // acquired by the store.
 func (l *Log) AppendData(b mem.BlockAddr, tokens uint32, old [mem.WordsPerBlock]uint64) (addr mem.Addr, size int) {
-	r := Record{Kind: DataRecord, Block: b, Tokens: tokens, Old: old}
+	r := Record{Kind: DataRecord, old: uint32(len(l.olds)), Block: b, Tokens: tokens}
+	l.olds = append(l.olds, old)
 	return l.append(r)
 }
+
+// Old returns data record r's pre-transaction block. r must be a data
+// record of l; the array aliases internal state until the next Reset.
+func (l *Log) Old(r Record) *[mem.WordsPerBlock]uint64 { return &l.olds[r.old] }
 
 func (l *Log) append(r Record) (mem.Addr, int) {
 	addr := l.base + mem.Addr(l.bytes)
@@ -122,6 +139,7 @@ func (l *Log) append(r Record) (mem.Addr, int) {
 // to the log base — the log half of a fast token release.
 func (l *Log) Reset() {
 	l.records = l.records[:0]
+	l.olds = l.olds[:0]
 	l.bytes = 0
 }
 

@@ -3,6 +3,7 @@ package tmlog
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tokentm/internal/mem"
 )
@@ -58,6 +59,31 @@ func TestResetIsConstantTimeSemantics(t *testing.T) {
 	}
 }
 
+// TestResetReusesStorage: Reset empties the records and the old blocks
+// alike, so a log refilled to the same size after a Reset allocates nothing.
+func TestResetReusesStorage(t *testing.T) {
+	l := New(0)
+	fill := func() {
+		for i := 0; i < 100; i++ {
+			l.AppendToken(mem.BlockAddr(i), 1)
+			l.AppendData(mem.BlockAddr(i), 1, [mem.WordsPerBlock]uint64{uint64(i)})
+		}
+		if got := l.Old(l.Records()[199])[0]; got != 99 {
+			t.Fatalf("last data record's old word 0 is %d, want 99", got)
+		}
+		l.Reset()
+	}
+	fill()
+	refills := func() {
+		for range 10 {
+			fill()
+		}
+	}
+	if n := testing.AllocsPerRun(1, refills); n != 0 {
+		t.Fatalf("refilling a reset log 10 times allocates %.0f times, want 0", n)
+	}
+}
+
 // Property: bytes accounting matches the sum of record sizes, and token
 // accounting matches the sum of appended tokens.
 func TestAccountingProperty(t *testing.T) {
@@ -92,5 +118,14 @@ func TestRecordBytes(t *testing.T) {
 	}
 	if (Record{Kind: DataRecord}).Bytes() != 80 {
 		t.Error("data record is 2 words + 64B block")
+	}
+}
+
+// TestRecordSize: a record holds its kind, block and count; a data record's
+// old block lives in the log's side array, not in every record (inline, it
+// made each record 88 B).
+func TestRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got > 24 {
+		t.Fatalf("Record is %d B, want at most 24", got)
 	}
 }
