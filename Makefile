@@ -30,9 +30,10 @@ simverify:
 		if [ $$? -ne 1 ]; then echo "FAIL: seeded mutation skip-log-credit not detected"; exit 1; fi
 	@echo "PASS: mutation smoke (seeded protocol bug detected by explorer)"
 
-# Static gates: go vet, gofmt, and the tokentm analyzer suite (allocfree
-# with its interprocedural closure, and exhaustive — see internal/lint).
-# The determinism contract is checked by go test, not here.
+# Static gates: go vet, gofmt, and the tokentm analyzer suite (exhaustive
+# — see internal/lint). Allocation-free hot paths (each package's
+# TestAllocFreeAnnotations) and the determinism contract are checked by
+# go test.
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi

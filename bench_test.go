@@ -6,8 +6,8 @@ package tokentm
 // tables). Reported custom metrics carry the experiment's headline numbers
 // into the benchmark output.
 //
-// The figure benchmarks run on internal/harness (Figure1/Figure5 sweep
-// their grids through the parallel job system); BenchmarkHarnessSweep
+// The figure benchmarks run on internal/harness (Figure1With/Figure5With
+// sweep their grids through the parallel job system); BenchmarkHarnessSweep
 // measures the job system itself at serial vs full parallelism.
 
 import (
@@ -43,7 +43,10 @@ func BenchmarkTable1(b *testing.B) {
 // the LogTM-SE signature variants.
 func BenchmarkFigure1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := Figure1(benchScale, []int64{int64(i + 1)})
+		rows, err := Figure1With(NewRunner(SweepOptions{}), benchScale, []int64{int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
 		for _, r := range rows {
 			if r.Workload == "Delaunay" && i == 0 {
 				b.ReportMetric(r.Speedup[VariantLogTMSE2xH3], "Delaunay-2xH3-speedup")
@@ -57,7 +60,10 @@ func BenchmarkFigure1(b *testing.B) {
 // on all five HTM variants.
 func BenchmarkFigure5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := Figure5(benchScale, []int64{int64(i + 1)})
+		rows, err := Figure5With(NewRunner(SweepOptions{}), benchScale, []int64{int64(i + 1)})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(rows) != 8 {
 			b.Fatal("figure 5 rows")
 		}

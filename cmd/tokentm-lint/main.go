@@ -1,12 +1,11 @@
-// Command tokentm-lint is the multichecker for the tokentm static-analysis
-// suite (internal/lint): it loads the requested packages from source,
-// collects module-wide facts, and runs the allocfree and exhaustive
-// analyzers, honoring //lint:ignore directives.
-// `make lint` runs it together with go vet over the whole module.
+// Command tokentm-lint is the driver for the tokentm static-analysis suite
+// (internal/lint): it loads the requested packages from source and runs the
+// exhaustive analyzer on each. `make lint` runs it together with go vet and
+// gofmt over the whole module.
 //
 // Usage:
 //
-//	tokentm-lint [-analyzers name,name] [packages]
+//	tokentm-lint [packages]
 //
 // Packages default to ./... and accept any `go list` pattern. The process
 // working directory must be inside the module (imports resolve from
@@ -24,7 +23,6 @@ import (
 	"strings"
 
 	"tokentm/internal/lint"
-	"tokentm/internal/lint/analysis"
 )
 
 type listedPackage struct {
@@ -34,20 +32,13 @@ type listedPackage struct {
 }
 
 func main() {
-	names := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: tokentm-lint [-analyzers name,name] [packages]\n\nanalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: tokentm-lint [packages]\n\nanalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-10s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
-
-	analyzers, err := selectAnalyzers(*names)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tokentm-lint:", err)
-		os.Exit(2)
-	}
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -59,10 +50,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Phase 1: load everything, so fact collection sees the whole module
-	// (the allocfree call graph is cross-package).
 	loader := lint.NewLoader()
-	var loaded []*lint.Package
+	findings := 0
 	for _, lp := range pkgs {
 		if len(lp.GoFiles) == 0 {
 			continue
@@ -72,15 +61,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tokentm-lint:", err)
 			os.Exit(2)
 		}
-		loaded = append(loaded, pkg)
-	}
-	facts := lint.CollectFacts(loaded)
-
-	// Phase 2: run the analyzers package by package against the shared
-	// fact index.
-	findings := 0
-	for _, pkg := range loaded {
-		for _, d := range lint.RunWithFacts(pkg, analyzers, facts) {
+		for _, d := range lint.Run(pkg, lint.Analyzers()) {
 			pos := loader.Fset().Position(d.Pos)
 			fmt.Printf("%s:%d:%d: %s: %s\n", relPath(pos.Filename), pos.Line, pos.Column, d.Analyzer, d.Message)
 			findings++
@@ -90,28 +71,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tokentm-lint: %d finding(s)\n", findings)
 		os.Exit(1)
 	}
-}
-
-func selectAnalyzers(names string) ([]*analysis.Analyzer, error) {
-	all := lint.Analyzers()
-	if names == "" {
-		return all, nil
-	}
-	var out []*analysis.Analyzer
-	for _, name := range strings.Split(names, ",") {
-		found := false
-		for _, a := range all {
-			if a.Name == name {
-				out = append(out, a)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("unknown analyzer %q", name)
-		}
-	}
-	return out, nil
 }
 
 // listPackages resolves the patterns through `go list -json`.

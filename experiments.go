@@ -216,12 +216,6 @@ func speedups(r *harness.Runner, specs []workload.Spec, variants []Variant, scal
 	return rows, nil
 }
 
-// defaultRunner serves the legacy figure entry points: full parallelism,
-// no cache, no progress.
-func defaultRunner() *harness.Runner {
-	return &harness.Runner{Run: ExperimentRun}
-}
-
 // figure1Specs are the STAMP workloads of Figure 1.
 func figure1Specs() []workload.Spec {
 	var specs []workload.Spec
@@ -241,31 +235,11 @@ func Figure1With(r *harness.Runner, scale float64, seeds []int64) ([]SpeedupRow,
 	return speedups(r, figure1Specs(), []Variant{VariantLogTMSE2xH3, VariantLogTMSE4xH3}, scale, seeds)
 }
 
-// Figure1 is Figure1With on a default parallel runner; it panics if a
-// simulation fails (matching the historical serial behaviour).
-func Figure1(scale float64, seeds []int64) []SpeedupRow {
-	rows, err := Figure1With(defaultRunner(), scale, seeds)
-	if err != nil {
-		panic(err)
-	}
-	return rows
-}
-
 // Figure5With reproduces the paper's Figure 5 on the given runner: all
 // eight workloads on all five HTM variants, speedup normalized to
 // LogTM-SE_Perf.
 func Figure5With(r *harness.Runner, scale float64, seeds []int64) ([]SpeedupRow, error) {
 	return speedups(r, workload.Specs(), Variants(), scale, seeds)
-}
-
-// Figure5 is Figure5With on a default parallel runner; it panics if a
-// simulation fails.
-func Figure5(scale float64, seeds []int64) []SpeedupRow {
-	rows, err := Figure5With(defaultRunner(), scale, seeds)
-	if err != nil {
-		panic(err)
-	}
-	return rows
 }
 
 // VerifyGrid runs harness.Verify over one job per workload × variant cell

@@ -97,8 +97,6 @@ func (k Bucket) String() string {
 // category even inside a doomed attempt (the paper separates those stacks),
 // and commit/unroll/scheduler time is attributed when the attempt's fate is
 // already known.
-//
-//tokentm:allocfree
 func (k Bucket) InAttempt() bool {
 	switch k {
 	case Useful, ReadStall, WriteStall, Begin:
@@ -134,18 +132,12 @@ type Breakdown struct {
 }
 
 // Charge adds n cycles to bucket k.
-//
-//tokentm:allocfree
 func (b *Breakdown) Charge(k Bucket, n mem.Cycle) { b.c[k] += n }
 
 // Get returns the cycles charged to bucket k.
-//
-//tokentm:allocfree
 func (b *Breakdown) Get(k Bucket) mem.Cycle { return b.c[k] }
 
 // Total returns the sum over all buckets.
-//
-//tokentm:allocfree
 func (b *Breakdown) Total() mem.Cycle {
 	var sum mem.Cycle
 	for _, v := range b.c {
@@ -155,8 +147,6 @@ func (b *Breakdown) Total() mem.Cycle {
 }
 
 // Merge adds o's cycles into b.
-//
-//tokentm:allocfree
 func (b *Breakdown) Merge(o *Breakdown) {
 	for i, v := range o.c {
 		b.c[i] += v
@@ -164,8 +154,6 @@ func (b *Breakdown) Merge(o *Breakdown) {
 }
 
 // Reset zeroes every bucket.
-//
-//tokentm:allocfree
 func (b *Breakdown) Reset() {
 	for i := range b.c {
 		b.c[i] = 0

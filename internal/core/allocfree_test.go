@@ -1,20 +1,16 @@
 package core
 
-// TestAllocFreeAnnotations keeps the //tokentm:allocfree annotations honest
-// at runtime: the table below drives every annotated function in this
-// package and asserts testing.AllocsPerRun == 0 on its steady-state path.
-// The table's key set must equal the annotation list the static analyzer
-// sees (lint.AllocFreeFuncs), so adding an annotation without a table entry
-// — or vice versa — fails the test, and an allocation the conservative AST
-// scan cannot see fails AllocsPerRun.
+// TestAllocFreeAnnotations is this package's allocation guard: the table
+// drives the protocol's per-access and per-commit paths — probe, enemy
+// enumeration, both release paths, abort — and asserts testing.AllocsPerRun
+// == 0 on each once warm. Rows for a writer-held block and for tokens that
+// went home with an evicted line take the arms a small transaction never
+// reaches.
 
 import (
-	"slices"
-	"sort"
 	"testing"
 
 	"tokentm/internal/htm"
-	"tokentm/internal/lint"
 	"tokentm/internal/mem"
 	"tokentm/internal/metastate"
 )
@@ -30,6 +26,12 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		if _, acc := tokP.Load(th, benchHeap, 0); acc.Outcome != htm.OK {
 			t.Fatal("setup load conflicted")
 		}
+	}
+
+	// A writer: core 1 also holds all tokens on blkW.
+	blkW := (benchHeap + 64*mem.BlockBytes).Block()
+	if acc := tokP.Store(thsP[1], blkW.Addr(), 1, 0); acc.Outcome != htm.OK {
+		t.Fatal("setup store conflicted")
 	}
 
 	// Commit rigs: one per release path, each closure runs a whole small
@@ -57,6 +59,20 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		}
 	}
 
+	// evictedXact reads assoc+1 blocks of one L1 set: the first read's line
+	// is evicted, and its token goes home with the metastate.
+	sets := mem.Addr(tokS.Mem.L1s[0].Sets())
+	assoc := tokS.Mem.L1s[0].Assoc()
+	evictedXact := func() {
+		benchBegin(tokS, thS, xS)
+		for j := 0; j <= assoc; j++ {
+			a := benchHeap + mem.Addr(j)*sets*mem.BlockBytes
+			if _, acc := tokS.Load(thS, a, 0); acc.Outcome != htm.OK {
+				t.Fatal("load conflicted")
+			}
+		}
+	}
+
 	pr := probeResult{readers: make([]mem.TID, 0, 8)}
 	anonMeta := metastate.Anon(3)
 	enemyTIDs := []mem.TID{thsP[1].TID, thsP[2].TID, thsP[1].TID}
@@ -72,9 +88,21 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			pr.collect(blkP, anonMeta)
 			pr.collect(blkP, metastate.Zero)
 		}},
+		{"probeResult.collect/writer", func() {
+			pr.readers = pr.readers[:0]
+			pr.writer = mem.NoTID
+			pr.anon = 0
+			pr.collect(blkW, metastate.WriteT(thsP[1].TID))
+			pr.collect(blkW, metastate.WriteT(thsP[1].TID))
+		}},
 		{"TokenTM.probe", func() {
 			if p := tokP.probe(blkP); p.sum != 3 {
 				t.Fatalf("want 3 reader tokens, got %d", p.sum)
+			}
+		}},
+		{"TokenTM.probe/writer", func() {
+			if p := tokP.probe(blkW); p.sum != metastate.T || p.writer != thsP[1].TID {
+				t.Fatalf("want (T, X%d), got (%d, X%d)", thsP[1].TID, p.sum, p.writer)
 			}
 		}},
 		{"TokenTM.enemiesOf", func() {
@@ -107,6 +135,17 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			}
 			thS.Xact = nil
 		}},
+		{"TokenTM.softwareRelease/evicted", func() {
+			evictedXact()
+			if tokS.HomeMeta(benchHeap.Block()).IsZero() {
+				t.Fatal("the evicted line's token did not go home")
+			}
+			tokS.Commit(thS)
+			thS.Xact = nil
+			if !tokS.HomeMeta(benchHeap.Block()).IsZero() {
+				t.Fatal("release left the token at home")
+			}
+		}},
 		{"TokenTM.releaseBlock", func() {
 			benchBegin(tokS, thS, xS)
 			if _, acc := tokS.Load(thS, benchHeap, 0); acc.Outcome != htm.OK {
@@ -131,21 +170,7 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		}},
 	}
 
-	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	want, err := lint.AllocFreeFuncs(".")
-	if err != nil {
-		t.Fatalf("scanning annotations: %v", err)
-	}
-	if !slices.Equal(names, want) {
-		t.Fatalf("annotation/table drift:\n annotated: %v\n table:     %v", want, names)
-	}
-
-	for _, e := range entries {
-		e := e
 		t.Run(e.name, func(t *testing.T) {
 			// Extra warm-up beyond AllocsPerRun's own: first iterations pay
 			// one-time costs (map buckets, scratch capacity, log storage).

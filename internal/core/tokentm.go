@@ -212,8 +212,6 @@ type probeResult struct {
 }
 
 // collect folds one metastate copy into the probe summary.
-//
-//tokentm:allocfree
 func (p *probeResult) collect(b mem.BlockAddr, m metastate.Meta) {
 	switch {
 	case m.IsZero():
@@ -234,8 +232,6 @@ func (p *probeResult) collect(b mem.BlockAddr, m metastate.Meta) {
 // invalidation-ack piggybacks (§5.2). It runs on every transactional miss
 // and every store, so it allocates nothing: sharers are walked as a bitmask
 // and the reader list reuses the system's scratch buffer.
-//
-//tokentm:allocfree
 func (t *TokenTM) probe(b mem.BlockAddr) probeResult {
 	p := probeResult{readers: t.readerScratch[:0]}
 	p.collect(b, t.home[b])
@@ -260,8 +256,6 @@ func (t *TokenTM) probe(b mem.BlockAddr) probeResult {
 // transactions, deduplicating without allocation (probe reader lists are a
 // handful of entries, so the quadratic scan beats a map). The returned slice
 // reuses scratch storage: it is valid only until the next enemy enumeration.
-//
-//tokentm:allocfree
 func (t *TokenTM) enemiesOf(tids []mem.TID, self mem.TID) []*htm.Xact {
 	out := t.enemyScratch[:0]
 	for i, id := range tids {
@@ -277,8 +271,6 @@ func (t *TokenTM) enemiesOf(tids []mem.TID, self mem.TID) []*htm.Xact {
 }
 
 // enemiesOf1 is enemiesOf for a single candidate TID.
-//
-//tokentm:allocfree
 func (t *TokenTM) enemiesOf1(id, self mem.TID) []*htm.Xact {
 	t.tidScratch = append(t.tidScratch[:0], id)
 	return t.enemiesOf(t.tidScratch, self)
@@ -299,8 +291,6 @@ func containsTID(tids []mem.TID, id mem.TID) bool {
 // list it builds) is identical across identical runs. The returned latency
 // is proportional to the log records scanned; the slice reuses the enemy
 // scratch buffer.
-//
-//tokentm:allocfree
 func (t *TokenTM) hardCaseLookup(b mem.BlockAddr, self mem.TID) ([]*htm.Xact, mem.Cycle) {
 	t.Metrics.HardCaseLookups++
 	enemies := t.enemyScratch[:0]
@@ -503,8 +493,6 @@ func minNonWriter(p probeResult) uint32 {
 // the log pointer, in constant time. Otherwise the software handler walks
 // the log, releasing tokens block by block with real (simulated) memory
 // accesses.
-//
-//tokentm:allocfree
 func (t *TokenTM) Commit(th *htm.Thread) (mem.Cycle, bool) {
 	x := th.Xact
 	if t.fastRelease && x.FastOK {
@@ -523,8 +511,6 @@ func (t *TokenTM) Commit(th *htm.Thread) (mem.Cycle, bool) {
 
 // softwareRelease walks the log, charging the trap handler per record plus
 // the memory accesses to read the log and touch each block's metastate.
-//
-//tokentm:allocfree
 func (t *TokenTM) softwareRelease(th *htm.Thread) mem.Cycle {
 	x := th.Xact
 	core := th.Core
@@ -551,8 +537,6 @@ func (t *TokenTM) softwareRelease(th *htm.Thread) mem.Cycle {
 // thread's own L1 line first (L1Meta.Release), then home (Release) for the
 // rest. A writer checks home even when the line held its (T,me), because
 // fission may have left a duplicate there.
-//
-//tokentm:allocfree
 func (t *TokenTM) releaseBlock(th *htm.Thread, b mem.BlockAddr, total uint32) {
 	me := th.TID
 	var taken uint32
@@ -575,8 +559,6 @@ func (t *TokenTM) releaseBlock(th *htm.Thread, b mem.BlockAddr, total uint32) {
 
 // Abort unrolls the transaction: the log is walked in reverse restoring
 // pre-transaction data, then all tokens are released.
-//
-//tokentm:allocfree
 func (t *TokenTM) Abort(th *htm.Thread) mem.Cycle {
 	x := th.Xact
 	lat := t.Unroll(th)

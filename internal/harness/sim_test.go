@@ -4,8 +4,9 @@ package harness_test
 // package). They pin the two contracts the whole subsystem rests on:
 //
 //   - determinism: one (workload, variant, seed) cell always produces the
-//     same metrics, which is what makes content-keyed caching sound — this
-//     pins the min-time-ordering contract of internal/sim's scheduler;
+//     same metrics, which is what makes a result reproducible from its
+//     cell alone — this pins the min-time-ordering contract of
+//     internal/sim's scheduler;
 //   - isolation: simulated machines share no mutable state, which is what
 //     makes the grid embarrassingly parallel — run with -race to let the
 //     detector prove it over a parallel sweep.

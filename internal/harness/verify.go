@@ -27,8 +27,8 @@ import (
 //   - all runs must succeed (the RunFunc is expected to fold deeper
 //     invariants, like TokenTM's token-bookkeeping balance, into its error).
 //
-// Verify bypasses the cache deliberately: a verification that reads stale
-// results verifies nothing.
+// Every run is executed afresh, the repeated seed included: identity is
+// what is being checked.
 func (r *Runner) Verify(j Job, seedA, seedB int64) error {
 	if seedA == seedB {
 		return fmt.Errorf("harness: verify needs two distinct seeds, got %d twice", seedA)

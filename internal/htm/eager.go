@@ -105,8 +105,6 @@ func (e *Eager) logWrite(th *Thread, addr mem.Addr, size int) mem.Cycle {
 // Unroll walks th's log newest-first, reading each record and writing every
 // data record's old contents back, then empties the log. Releasing
 // conflict-detection state is the caller's part of the abort.
-//
-//tokentm:allocfree
 func (e *Eager) Unroll(th *Thread) mem.Cycle {
 	core := th.Core
 	var lat mem.Cycle

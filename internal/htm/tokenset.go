@@ -19,8 +19,6 @@ type TokenSet struct {
 }
 
 // Get returns the tokens held on block b (0 when untouched).
-//
-//tokentm:allocfree
 func (s *TokenSet) Get(b mem.BlockAddr) uint32 { return s.counts[b] }
 
 // Len returns the number of blocks with tokens.
@@ -30,15 +28,14 @@ func (s *TokenSet) Len() int { return len(s.blocks) }
 // list on first touch. Adding 0 to an untouched block is a no-op (the block
 // does not join the release walk). The insertion search is hand-rolled: a
 // sort.Search closure is an allocating construct on this per-token path.
-//
-//tokentm:allocfree
 func (s *TokenSet) Add(b mem.BlockAddr, n uint32) {
 	if _, ok := s.counts[b]; !ok {
 		if n == 0 {
 			return
 		}
 		if s.counts == nil {
-			//lint:ignore allocfree first touch lazily creates the count map; Reset retains it for every later attempt
+			// First touch creates the count map; Reset retains it for every
+			// later attempt.
 			s.counts = make(map[mem.BlockAddr]uint32)
 		}
 		lo, hi := 0, len(s.blocks)
@@ -70,8 +67,6 @@ func (s *TokenSet) Visit(fn func(b mem.BlockAddr, tokens uint32)) {
 }
 
 // Reset empties the set, retaining storage for the next attempt.
-//
-//tokentm:allocfree
 func (s *TokenSet) Reset() {
 	clear(s.counts)
 	s.blocks = s.blocks[:0]

@@ -137,3 +137,7 @@ func failsLoudly(cc *ast.CaseClause) bool {
 	}
 	return false
 }
+
+func describeType(t types.Type) string {
+	return types.TypeString(t, func(p *types.Package) string { return p.Name() })
+}

@@ -8,10 +8,7 @@
 //	// want `regexp` `regexp` ...
 //
 // matching diagnostics on its own line, rendered as "analyzer: message".
-// The variant `// want-1 ...` (or want+2, ...) matches diagnostics N lines
-// away — needed when a diagnostic lands on a comment-only line, such as the
-// directive-hygiene findings for a malformed //lint:ignore. Every
-// diagnostic must match an expectation and every expectation must be
+// Every diagnostic must match an expectation and every expectation must be
 // matched exactly once.
 package linttest
 
@@ -19,7 +16,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"regexp"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -42,7 +38,7 @@ func loader() *lint.Loader {
 	return sharedLoader
 }
 
-var wantRe = regexp.MustCompile(`^//\s*want([+-]\d+)?\s+(.+)$`)
+var wantRe = regexp.MustCompile(`^//\s*want\s+(.+)$`)
 var patRe = regexp.MustCompile("`([^`]*)`")
 
 type expectation struct {
@@ -53,9 +49,9 @@ type expectation struct {
 }
 
 // Run loads the testdata package rooted at dir — the import path is the
-// path below "testdata/src/" — runs the analyzers (with //lint:ignore
-// filtering, as the real driver does), and reports every mismatch between
-// diagnostics and want-expectations as a test error.
+// path below "testdata/src/" — runs the analyzers as the real driver does,
+// and reports every mismatch between diagnostics and want-expectations as a
+// test error.
 func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	t.Helper()
 	importPath := importPathFor(t, dir)
@@ -101,11 +97,7 @@ func collectExpectations(t *testing.T, pkg *lint.Package) []*expectation {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Slash)
-				offset := 0
-				if m[1] != "" {
-					offset, _ = strconv.Atoi(m[1])
-				}
-				pats := patRe.FindAllStringSubmatch(m[2], -1)
+				pats := patRe.FindAllStringSubmatch(m[1], -1)
 				if len(pats) == 0 {
 					t.Fatalf("%s:%d: want comment without a `regexp` pattern", pos.Filename, pos.Line)
 				}
@@ -116,7 +108,7 @@ func collectExpectations(t *testing.T, pkg *lint.Package) []*expectation {
 					}
 					out = append(out, &expectation{
 						file:    pos.Filename,
-						line:    pos.Line + offset,
+						line:    pos.Line,
 						pattern: re,
 					})
 				}

@@ -18,11 +18,8 @@ type Package struct {
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	// Src holds each file's source bytes, used by the directive scanner to
-	// decide whether a //lint:ignore comment stands on its own line.
-	Src  map[string][]byte
-	Pkg  *types.Package
-	Info *types.Info
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
 // Loader parses and type-checks packages from source. Imports — both
@@ -54,22 +51,12 @@ func (l *Loader) LoadDir(importPath, dir string) (*Package, error) {
 
 // Load parses the named files from dir and type-checks them as one package.
 func (l *Loader) Load(importPath, dir string, fileNames []string) (*Package, error) {
-	p := &Package{
-		Path: importPath,
-		Fset: l.fset,
-		Src:  make(map[string][]byte),
-	}
+	p := &Package{Path: importPath, Fset: l.fset}
 	for _, name := range fileNames {
-		full := filepath.Join(dir, name)
-		src, err := os.ReadFile(full)
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		f, err := parser.ParseFile(l.fset, full, src, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		p.Src[full] = src
 		p.Files = append(p.Files, f)
 	}
 	if len(p.Files) == 0 {

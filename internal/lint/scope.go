@@ -35,10 +35,9 @@ var determinismPackages = []string{
 // exemptPackages are bound by no scoped contract: the host-concurrent stm
 // subsystem and commands, which read time.Now for throughput and latency by
 // charter, the module root (public facade), the examples, host-side
-// analysis helpers, and the lint tooling itself. allocfree still checks
-// every //tokentm:allocfree function here. Every module package must appear
-// in exactly one list, so "unclassified" is always a mistake, never a
-// default; TestScopeCoversModule pins that against `go list ./...`.
+// analysis helpers, and the lint tooling itself. Every module package must
+// appear in exactly one list, so "unclassified" is always a mistake, never
+// a default; TestScopeCoversModule pins that against `go list ./...`.
 var exemptPackages = []string{
 	".",
 	"cmd",
@@ -50,6 +49,10 @@ var exemptPackages = []string{
 	"internal/workload",
 	"stm",
 }
+
+// modulePath is the import-path root of the module. Fixture packages under
+// testdata/src/tokentm mimic the same prefix on purpose.
+const modulePath = "tokentm"
 
 // relKey reduces an import path to the module-relative form every scope list
 // is written in: "tokentm" -> ".", "tokentm/examples/bank" -> "examples/bank".

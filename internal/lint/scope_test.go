@@ -7,7 +7,9 @@ package lint
 // leave a stale entry behind.
 
 import (
+	"os"
 	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -132,6 +134,32 @@ func TestDeterminismPackagesImportNoTime(t *testing.T) {
 		for _, imp := range strings.Fields(imports) {
 			if imp == "time" {
 				t.Errorf("determinism package %s imports time", pkg)
+			}
+		}
+	}
+}
+
+// TestNoTokentmAnnotations keeps //tokentm: annotations out of the module:
+// no analyzer reads them any more, so one would claim a property nothing
+// checks. Allocation-free hot paths are guarded by each package's
+// TestAllocFreeAnnotations table instead. Every non-test Go file `go list
+// ./...` reports is scanned, files excluded by build tags included.
+func TestNoTokentmAnnotations(t *testing.T) {
+	const format = "{{.Dir}}{{range .GoFiles}}\t{{.}}{{end}}{{range .IgnoredGoFiles}}\t{{.}}{{end}}"
+	for _, line := range goList(t, format) {
+		dir, files, _ := strings.Cut(line, "\t")
+		for _, name := range strings.Split(files, "\t") {
+			if name == "" {
+				continue
+			}
+			src, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range strings.Split(string(src), "\n") {
+				if strings.Contains(l, "//tokentm:") {
+					t.Errorf("%s:%d: //tokentm: annotation, which nothing reads; guard the path with a TestAllocFreeAnnotations row instead", filepath.Join(dir, name), i+1)
+				}
 			}
 		}
 	}

@@ -46,8 +46,6 @@ func (tc *Ctx) Core() int { return tc.th.core.id }
 // buckets go to the pending attempt frame (when one is active), everything
 // else straight to the core's breakdown. Every yield must charge exactly its
 // latency — the conservation invariant audits this.
-//
-//tokentm:allocfree
 func (tc *Ctx) charge(k attr.Bucket, n mem.Cycle) {
 	if tc.pend != nil && k.InAttempt() {
 		tc.pend.Charge(k, n)

@@ -182,8 +182,6 @@ const notReady = ^uint64(0)
 // lock handoff moves a thread onto c's run queue, and on Preempt. The time
 // is cached packed as ready<<readyShift | id so the (ready, id) tie-break is
 // a single integer compare.
-//
-//tokentm:allocfree
 func (m *Machine) refreshReady(c *coreState) {
 	k := notReady
 	if t, ok := m.coreReadyTime(c); ok {
@@ -211,8 +209,6 @@ func (m *Machine) setReadyKey(id int, k uint64) {
 
 // pickReadyCore is the scheduling policy: the core with the smallest cached
 // ready time, ties broken by the lower core id, or nil when no core can run.
-//
-//tokentm:allocfree
 func (m *Machine) pickReadyCore() *coreState {
 	best := m.readyTree[1]
 	if best == notReady {

@@ -209,8 +209,6 @@ func New(cfg Config) *Machine {
 }
 
 // charge attributes n cycles of core's clock advance to bucket k.
-//
-//tokentm:allocfree
 func (m *Machine) charge(core int, k attr.Bucket, n mem.Cycle) {
 	m.breakdowns[core].Charge(k, n)
 }

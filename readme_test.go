@@ -1,8 +1,10 @@
 package tokentm
 
 import (
+	"io/fs"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -72,7 +74,9 @@ func TestReadmePackagesReachable(t *testing.T) {
 // cannot keep sending readers to a command or package that was deleted.
 // A trailing Go identifier is trimmed: `internal/plot.Stacked` resolves as
 // internal/plot. Likewise every `make <target>` run there (at the start of
-// a span or line, or after && or ;) names a Makefile target.
+// a span or line, or after && or ;) names a Makefile target, and every span
+// that is a bare Test, Fuzz or Benchmark identifier names a function
+// declared in a _test.go file.
 func TestDocPathsExist(t *testing.T) {
 	fence := regexp.MustCompile("(?ms)^```[^\n]*\n(.*?)^```")
 	span := regexp.MustCompile("`([^`]+)`")
@@ -86,6 +90,8 @@ func TestDocPathsExist(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^([A-Za-z0-9_-]+):`).FindAllStringSubmatch(string(makefile), -1) {
 		targets[m[1]] = true
 	}
+	testName := regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*$`)
+	declared := testFuncs(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -99,6 +105,9 @@ func TestDocPathsExist(t *testing.T) {
 		text = fence.ReplaceAllString(text, "")
 		for _, m := range span.FindAllStringSubmatch(text, -1) {
 			code = append(code, m[1])
+			if testName.MatchString(m[1]) && !declared[m[1]] {
+				t.Errorf("%s names %s, which no _test.go file declares", doc, m[1])
+			}
 		}
 		n := 0
 		for _, c := range code {
@@ -118,6 +127,37 @@ func TestDocPathsExist(t *testing.T) {
 			t.Errorf("%s: found no repository paths; has the markup changed?", doc)
 		}
 	}
+}
+
+// testFuncs returns the names of the Test, Fuzz and Benchmark functions
+// declared in the module's _test.go files.
+func testFuncs(t *testing.T) map[string]bool {
+	t.Helper()
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*)\(`)
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
+			names[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
 }
 
 // resolveDocPath cleans a path as written in the docs ("stm/...",

@@ -160,11 +160,10 @@ func (s *readSet) has(b uint32) bool {
 }
 
 // add inserts b, which must not be in the set.
-//
-//tokentm:allocfree
 func (s *readSet) add(b uint32) {
 	if 2*(s.n+1) > uint32(len(s.slots)) {
-		//lint:ignore allocfree the table doubles past half full and is kept across attempts, so a warm thread stops growing it (TestAllocFreeAnnotations/readSet.add)
+		// The table doubles past half full and is kept across attempts, so a
+		// warm thread stops growing it (TestAllocFreeAnnotations/readSet.add).
 		s.grow()
 	}
 	s.insert(uint64(s.gen)<<32 | uint64(b))

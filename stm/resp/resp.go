@@ -17,9 +17,8 @@
 //
 // The Reader's command path and the Writer's reply primitives are the
 // server's per-operation fast paths: both work in receiver-held buffers,
-// so after warm-up a GET/SET round trip allocates nothing
-// (//tokentm:allocfree, pinned by the AllocsPerRun table in
-// allocfree_test.go).
+// so after warm-up a GET/SET round trip allocates nothing (pinned by the
+// AllocsPerRun table in allocfree_test.go).
 package resp
 
 import (
@@ -110,8 +109,6 @@ func (r *Reader) Buffered() int { return r.w - r.r }
 // next ReadCommand. Separators between frames are skipped. On a malformed
 // frame it returns a protocol error (see IsProtocol); a stream that ends
 // mid-frame returns io.ErrUnexpectedEOF.
-//
-//tokentm:allocfree
 func (r *Reader) ReadCommand() ([][]byte, error) {
 	for {
 		for r.r < r.w && isSep(r.buf[r.r]) {
@@ -134,7 +131,9 @@ func (r *Reader) ReadCommand() ([][]byte, error) {
 				return args, nil
 			}
 		}
-		//lint:ignore allocfree fill grows the buffer only for a frame larger than any before it on this connection, so steady-state commands reuse it (TestAllocFreeAnnotations/Reader.ReadCommand)
+		// fill grows the buffer only for a frame larger than any before it
+		// on this connection, so steady-state commands reuse it
+		// (TestAllocFreeAnnotations/Reader.ReadCommand/large).
 		if err := r.fill(need, false); err != nil {
 			return nil, err
 		}
@@ -479,8 +478,6 @@ func (w *Writer) end() error {
 }
 
 // WriteSimple emits +s.
-//
-//tokentm:allocfree
 func (w *Writer) WriteSimple(s string) error {
 	w.buf = append(w.buf, '+')
 	w.buf = append(w.buf, s...)
@@ -489,8 +486,6 @@ func (w *Writer) WriteSimple(s string) error {
 }
 
 // WriteErrorString emits -s. s must not contain CR or LF.
-//
-//tokentm:allocfree
 func (w *Writer) WriteErrorString(s string) error {
 	w.buf = append(w.buf, '-')
 	w.buf = append(w.buf, s...)
@@ -499,8 +494,6 @@ func (w *Writer) WriteErrorString(s string) error {
 }
 
 // WriteUint emits :v.
-//
-//tokentm:allocfree
 func (w *Writer) WriteUint(v uint64) error {
 	w.buf = append(w.buf, ':')
 	w.buf = strconv.AppendUint(w.buf, v, 10)
@@ -516,8 +509,6 @@ func (w *Writer) bulkHeader(n int) {
 }
 
 // WriteBulk emits $len\r\nb.
-//
-//tokentm:allocfree
 func (w *Writer) WriteBulk(b []byte) error {
 	w.bulkHeader(len(b))
 	w.buf = append(w.buf, b...)
@@ -526,8 +517,6 @@ func (w *Writer) WriteBulk(b []byte) error {
 }
 
 // WriteBulkString is WriteBulk for string payloads (INFO text).
-//
-//tokentm:allocfree
 func (w *Writer) WriteBulkString(s string) error {
 	w.bulkHeader(len(s))
 	w.buf = append(w.buf, s...)
@@ -537,8 +526,6 @@ func (w *Writer) WriteBulkString(s string) error {
 
 // WriteBulkUint emits the decimal rendering of v as a bulk string — the
 // value format of the KV protocol.
-//
-//tokentm:allocfree
 func (w *Writer) WriteBulkUint(v uint64) error {
 	var d [20]byte
 	digits := strconv.AppendUint(d[:0], v, 10)
@@ -549,16 +536,12 @@ func (w *Writer) WriteBulkUint(v uint64) error {
 }
 
 // WriteNull emits the null bulk $-1 (absent value).
-//
-//tokentm:allocfree
 func (w *Writer) WriteNull() error {
 	w.buf = append(w.buf, "$-1\r\n"...)
 	return w.end()
 }
 
 // WriteArrayHeader emits *n; the caller writes the n elements after it.
-//
-//tokentm:allocfree
 func (w *Writer) WriteArrayHeader(n int) error {
 	w.buf = append(w.buf, '*')
 	w.buf = strconv.AppendInt(w.buf, int64(n), 10)
@@ -596,8 +579,6 @@ func (w *Writer) WriteCommand(args ...string) error {
 // ParseUint parses a decimal token (a key, value, or count argument).
 // Rejects empty tokens, non-digits, leading-zero padding beyond "0", and
 // overflow — a strict inverse of WriteBulkUint so values round-trip exactly.
-//
-//tokentm:allocfree
 func ParseUint(b []byte) (uint64, bool) {
 	if len(b) == 0 || len(b) > 20 {
 		return 0, false

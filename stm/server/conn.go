@@ -244,8 +244,6 @@ func (c *conn) data(op byte, name string, args [][]byte) error {
 // parse appends the keys of a GET or MGET, or the key/value pairs of a SET
 // or MSET, to the flat queue and returns the qcmd naming them. A refused
 // command leaves the queue as it found it.
-//
-//tokentm:allocfree
 func (c *conn) parse(op byte, args [][]byte) (qcmd, fault) {
 	n := len(args) - 1
 	pairs := op == 's' || op == 'M'
@@ -368,8 +366,6 @@ func (c *conn) txnErr(err error) error {
 
 // parseKey parses a key: a uint64 >= 1 (zero marks empty slots in the
 // store, so it is not addressable).
-//
-//tokentm:allocfree
 func parseKey(b []byte) (uint64, bool) {
 	k, ok := resp.ParseUint(b)
 	if !ok || k == 0 {
@@ -380,8 +376,6 @@ func parseKey(b []byte) (uint64, bool) {
 
 // cmdIs reports whether command word b equals name, ASCII-case-insensitively.
 // name must be upper-case.
-//
-//tokentm:allocfree
 func cmdIs(b []byte, name string) bool {
 	if len(b) != len(name) {
 		return false
@@ -400,8 +394,6 @@ func cmdIs(b []byte, name string) bool {
 
 // replyGet writes GET's reply: value (or null), owning shard, and the commit
 // serial at the read's serialization point.
-//
-//tokentm:allocfree
 func (c *conn) replyGet(v uint64, found bool, shard int, serial uint64) {
 	c.w.WriteArrayHeader(3)
 	if found {
@@ -414,8 +406,6 @@ func (c *conn) replyGet(v uint64, found bool, shard int, serial uint64) {
 }
 
 // replySet writes SET's reply: owning shard and the commit serial.
-//
-//tokentm:allocfree
 func (c *conn) replySet(shard int, serial uint64) {
 	c.w.WriteArrayHeader(2)
 	c.w.WriteUint(uint64(shard))
@@ -425,8 +415,6 @@ func (c *conn) replySet(shard int, serial uint64) {
 // writeSerials writes the per-shard serial array every transactional reply
 // carries: NumShards integers, the commit serial for each touched shard and
 // 0 for the others.
-//
-//tokentm:allocfree
 func (c *conn) writeSerials(serials []uint64) {
 	c.w.WriteArrayHeader(len(serials))
 	for _, s := range serials {

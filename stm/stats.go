@@ -53,8 +53,6 @@ type counters struct {
 
 // bump increments a single-writer counter. Only the counter's owning
 // goroutine may call it.
-//
-//tokentm:allocfree
 func bump(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 // statFields is the one table of statistics fields, in Stats declaration

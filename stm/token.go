@@ -53,8 +53,6 @@ type Tx struct {
 // Load returns the word at a. A visible attempt acquires a read token for
 // the block on first touch; an invisible one validates the block's stamp
 // against rv and logs it. A lost conflict unwinds the attempt (retrySignal).
-//
-//tokentm:allocfree
 func (tx *Tx) Load(a Addr) uint64 {
 	v, _ := tx.read2(a, a, 0, bindAlways)
 	return v
@@ -63,8 +61,6 @@ func (tx *Tx) Load(a Addr) uint64 {
 // Load2 returns the words at a1 and a2, which must lie in the same block —
 // the common "adjacent fields of one record" shape. It costs one token
 // acquisition (or one stamp validation) instead of two Loads.
-//
-//tokentm:allocfree
 func (tx *Tx) Load2(a1, a2 Addr) (uint64, uint64) {
 	if uint32(a1)>>tx.th.tm.shift != uint32(a2)>>tx.th.tm.shift {
 		spanPanic(a1, a2)
@@ -83,8 +79,6 @@ func (tx *Tx) Load2(a1, a2 Addr) (uint64, uint64) {
 // empty guard are order-sensitive observations and are bound like any Load2.
 // On a visible attempt the pair returned is the one re-read under the token,
 // so g can be a foreign key that won the slot in between: probe on.
-//
-//tokentm:allocfree
 func (tx *Tx) Lookup2(a1, a2 Addr, guard uint64) (g, v uint64) {
 	if uint32(a1)>>tx.th.tm.shift != uint32(a2)>>tx.th.tm.shift {
 		spanPanic(a1, a2)
@@ -228,8 +222,6 @@ func spanPanic(a1, a2 Addr) {
 // value, then store. TestWritePathsClaimBeforeStoring pins the claim before
 // the store; the rollback tests (TestErrorRollsBack,
 // TestMaxAttemptsSurfacesErrAborted) pin the log before it.
-//
-//tokentm:allocfree
 func (tx *Tx) Store(a Addr, v uint64) {
 	th := tx.th
 	if tx.ro {
@@ -243,8 +235,6 @@ func (tx *Tx) Store(a Addr, v uint64) {
 // LoadW returns the word at a after acquiring the block's write tokens — the
 // "read a word I am about to overwrite" shape. Unlike Load+Store it never
 // takes the read-token detour, so a blind update costs one acquisition.
-//
-//tokentm:allocfree
 func (tx *Tx) LoadW(a Addr) uint64 {
 	th := tx.th
 	if tx.ro {
@@ -283,8 +273,6 @@ func (tx *Tx) writeAcquire(b uint32) {
 // Like Store it claims, logs, then stores. TestWritePathsClaimBeforeStoring
 // pins the claim before the stores; TestTxUpsert2ClaimAndSkip and
 // TestTxUpsert2UpgradeOnRetry pin the logs before them.
-//
-//tokentm:allocfree
 func (tx *Tx) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool) {
 	th := tx.th
 	if tx.ro {
@@ -324,8 +312,6 @@ func (tx *Tx) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool) {
 // The body is split so the common case is a loop-free first try (four plain
 // atomic loads), not so that it inlines: it does not (cost 251, budget 80).
 // One loop was measured and cost inproc-point's p50 3-8 % (EXPERIMENTS.md).
-//
-//tokentm:allocfree
 func (th *Thread) Snapshot2(a1, a2 Addr) (v1, v2, serial uint64) {
 	tm := th.tm
 	if uint32(a1^a2)>>tm.shift != 0 {
@@ -368,8 +354,6 @@ func (th *Thread) snapshot2Slow(a1, a2 Addr) (v1, v2, serial uint64) {
 // NoteCommit records one committed non-transactional operation — a
 // point-read composed of Snapshot2 calls — in the thread's statistics, so
 // stores built on the fast path keep Commits comparable with Txn counts.
-//
-//tokentm:allocfree
 func (th *Thread) NoteCommit() {
 	bump(&th.stats.Commits)
 	bump(&th.stats.SnapshotCommits)
@@ -396,8 +380,6 @@ func (th *Thread) NoteCommit() {
 // store (not writeAcquire), and no undo entries are appended because the
 // path either commits in place or backs out having written nothing. The
 // comments at the two stores below record that argument.
-//
-//tokentm:allocfree
 func (th *Thread) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool, serial uint64) {
 	tm := th.tm
 	b := uint32(a1) >> tm.shift
@@ -596,8 +578,6 @@ func (tx *Tx) retry(counter *atomic.Uint64) {
 //
 // A read-only attempt draws and releases nothing: rv is its serialization
 // point (ReplayJournals sorts writers before readers at equal serial).
-//
-//tokentm:allocfree
 func (tx *Tx) commitAttempt() uint64 {
 	th := tx.th
 	if !th.status.CompareAndSwap(
@@ -626,8 +606,6 @@ func (tx *Tx) commitAttempt() uint64 {
 // still get a fresh stamp — the restored bytes equal the pre-transaction
 // state, but a tokenless reader may have seen the block mid-write, and only
 // a stamp change tells it to re-read.
-//
-//tokentm:allocfree
 func (tx *Tx) abortAttempt() {
 	th := tx.th
 	for i := tx.logs.nUndo - 1; i >= 0; i-- {
@@ -715,8 +693,6 @@ func (th *Thread) releaseRead(b uint32) {
 // spinWait delays one acquisition round: exponential in the round number,
 // capped at spinShiftCap, with jitter, implemented as scheduler yields so
 // the holder runs even at GOMAXPROCS=1.
-//
-//tokentm:allocfree
 func spinWait(spin int, rng *uint64) {
 	if spin > spinShiftCap {
 		spin = spinShiftCap

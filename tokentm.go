@@ -13,8 +13,8 @@
 //   - Table 5-calibrated synthetic STAMP/SPLASH workloads and the lock-based
 //     server models of Table 1;
 //   - an experiment harness that regenerates every table and figure in the
-//     paper's evaluation (see the Figure1, Figure5, Table1, Table5 and
-//     Table6 functions, and cmd/experiments).
+//     paper's evaluation (see the Figure1With, Figure5With, Table1, Table5
+//     and Table6 functions, and cmd/experiments).
 //
 // Quick start:
 //

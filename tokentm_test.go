@@ -116,7 +116,10 @@ func TestTable6Harness(t *testing.T) {
 }
 
 func TestFigure1Harness(t *testing.T) {
-	rows := Figure1(0.002, []int64{1})
+	rows, err := Figure1With(NewRunner(SweepOptions{}), 0.002, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("Figure 1 covers the 4 STAMP workloads, got %d", len(rows))
 	}
@@ -187,7 +190,10 @@ func TestFigure5SmokeTest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	rows := Figure5(0.01, []int64{1})
+	rows, err := Figure5With(NewRunner(SweepOptions{}), 0.01, []int64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 8 {
 		t.Fatalf("rows: %d", len(rows))
 	}
