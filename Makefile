@@ -30,14 +30,13 @@ simverify:
 		if [ $$? -ne 1 ]; then echo "FAIL: seeded mutation skip-log-credit not detected"; exit 1; fi
 	@echo "PASS: mutation smoke (seeded protocol bug detected by explorer)"
 
-# Static gates: go vet, gofmt, and the tokentm analyzer suite (exhaustive
-# — see internal/lint). Allocation-free hot paths (each package's
-# TestAllocFreeAnnotations) and the determinism contract are checked by
-# go test.
+# Static gates: go vet and gofmt. The enum-switch check
+# (TestExhaustiveSwitches in internal/lint), the allocation-free hot paths
+# (each package's TestAllocFreeAnnotations) and the determinism contract
+# are checked by go test.
 lint:
 	$(GO) vet ./...
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt needed:"; echo "$$fmt"; exit 1; fi
-	$(GO) run ./cmd/tokentm-lint ./...
 
 # Race-enabled proof that parallel sweeps share no mutable state between
 # simulated machines (harness worker pool + scheduler contract), plus the

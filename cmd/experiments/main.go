@@ -10,7 +10,8 @@
 //	experiments -run verify         # seed-invariance correctness gate
 //
 // Scale shrinks the Table 5 transaction counts proportionally; the paper's
-// full counts correspond to -scale 1.
+// full counts correspond to -scale 1. An unknown -run name, -seeds below 1
+// or -scale outside (0, 1] exits 2 before any work starts.
 //
 // The figure sweeps run on the internal/harness job system: -parallel sets
 // the worker-pool size (default GOMAXPROCS), -json writes the per-job
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -32,7 +34,7 @@ import (
 )
 
 func main() {
-	run := flag.String("run", "all", "comma-separated: table1,table2,table3,table4,table5,table6,fig1,fig5,breakdown,verify,all")
+	run := flag.String("run", "all", "comma-separated: "+strings.Join(sections, ","))
 	scale := flag.Float64("scale", 0.05, "fraction of the paper's per-workload transaction counts")
 	seeds := flag.Int("seeds", 3, "number of perturbed runs (error bars) for fig1/fig5")
 	chart := flag.Bool("chart", false, "render fig1/fig5 as ASCII bar charts in addition to tables")
@@ -42,9 +44,11 @@ func main() {
 	progress := flag.Bool("progress", true, "report per-job sweep progress on stderr")
 	flag.Parse()
 
-	want := map[string]bool{}
-	for _, s := range strings.Split(*run, ",") {
-		want[strings.TrimSpace(s)] = true
+	want, err := checkFlags(*run, *seeds, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		flag.Usage()
+		os.Exit(2)
 	}
 	all := want["all"]
 	out := os.Stdout
@@ -174,4 +178,29 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// sections are the names -run accepts.
+var sections = []string{"table1", "table2", "table3", "table4", "table5", "table6", "fig1", "fig5", "breakdown", "verify", "all"}
+
+// checkFlags validates the flags before any work starts and returns the set
+// of -run names. An unknown name would run nothing, -seeds below 1 leaves
+// the speedup tables without a baseline sample, and workload.Spec.Build
+// runs any scale outside (0, 1] at full scale.
+func checkFlags(run string, seeds int, scale float64) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, s := range strings.Split(run, ",") {
+		s = strings.TrimSpace(s)
+		if !slices.Contains(sections, s) {
+			return nil, fmt.Errorf("-run: unknown name %q", s)
+		}
+		want[s] = true
+	}
+	if seeds < 1 {
+		return nil, fmt.Errorf("-seeds %d: need at least 1", seeds)
+	}
+	if !(scale > 0 && scale <= 1) {
+		return nil, fmt.Errorf("-scale %g: need 0 < scale <= 1", scale)
+	}
+	return want, nil
 }

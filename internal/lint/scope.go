@@ -9,9 +9,9 @@ import "strings"
 // (the stm subsystem, the harness, the experiment drivers) measure
 // wall-clock time and aggregate freely.
 
-// determinismPackages are bound by the determinism contract: the exhaustive
-// analyzer checks their enum switches, and TestDeterminismPackagesImportNoTime
-// keeps the wall clock out of them.
+// determinismPackages are bound by the determinism contract:
+// TestExhaustiveSwitches checks their enum switches, and
+// TestDeterminismPackagesImportNoTime keeps the wall clock out of them.
 var determinismPackages = []string{
 	"internal/attr",
 	"internal/cache",
@@ -35,7 +35,7 @@ var determinismPackages = []string{
 // exemptPackages are bound by no scoped contract: the host-concurrent stm
 // subsystem and commands, which read time.Now for throughput and latency by
 // charter, the module root (public facade), the examples, host-side
-// analysis helpers, and the lint tooling itself. Every module package must
+// analysis helpers, and the lint package itself. Every module package must
 // appear in exactly one list, so "unclassified" is always a mistake, never
 // a default; TestScopeCoversModule pins that against `go list ./...`.
 var exemptPackages = []string{

@@ -14,11 +14,12 @@ import (
 	"testing"
 )
 
-// goList runs `go list -f format ./...` from the module root and returns one
-// line per package.
-func goList(t *testing.T, format string) []string {
+// goList runs `go list [flags] -f format ./...` from the module root and
+// returns one line per package.
+func goList(t *testing.T, format string, flags ...string) []string {
 	t.Helper()
-	cmd := exec.Command("go", "list", "-f", format, "./...")
+	args := append(append([]string{"list"}, flags...), "-f", format, "./...")
+	cmd := exec.Command("go", args...)
 	cmd.Dir = "../.." // module root
 	out, err := cmd.Output()
 	if err != nil {

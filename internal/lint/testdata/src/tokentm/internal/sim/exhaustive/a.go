@@ -1,4 +1,4 @@
-// Package exhaustive is a lint fixture for the exhaustive analyzer: enum
+// Package exhaustive is a lint fixture for the exhaustive check: enum
 // switches must cover every constant or fail loudly in default.
 package exhaustive
 

@@ -1,4 +1,4 @@
-// Package exhaustive is a lint fixture for the exhaustive analyzer in an
+// Package exhaustive is a lint fixture for the exhaustive check in an
 // ordered-output package: the trace decorator's switches over the protocol
 // enums must cover every constant, as they must in the simulator.
 package exhaustive

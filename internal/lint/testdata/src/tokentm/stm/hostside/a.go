@@ -1,6 +1,6 @@
 // Package hostside is a lint fixture pinning the exempt scope: host-side
 // packages (the stm subsystem, the harness, the commands) may leave an enum
-// switch partial, so the suite does not flag this package, though the
+// switch partial, so the check does not flag this package, though the
 // sibling fixture under internal/sim flags the same construct.
 package hostside
 

@@ -22,7 +22,7 @@ import (
 type Packed uint16
 
 // PackedState is the 2-bit state field of the packed representation — a
-// named enum type so switches over it fall under the exhaustive analyzer:
+// named enum type so switches over it fall under TestExhaustiveSwitches:
 // every summary state must have a defined transition (Tables 3a/3b, 4a).
 type PackedState uint16
 
