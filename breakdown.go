@@ -13,7 +13,6 @@ import (
 
 	"tokentm/internal/attr"
 	"tokentm/internal/harness"
-	"tokentm/internal/plot"
 	"tokentm/internal/stats"
 	"tokentm/internal/workload"
 )
@@ -37,68 +36,28 @@ func (r BreakdownRow) Total() float64 {
 	return t
 }
 
-// RunWorkloadBreakdown is RunWorkload plus the cycle-conservation audit:
-// it fails if any core's attribution buckets do not sum exactly to its
-// clock.
-func RunWorkloadBreakdown(spec workload.Spec, v Variant, scale float64, seed int64) (RunDetail, error) {
-	d, sys := runWorkload(spec, v, scale, seed)
-	if err := sys.M.CheckConservation(); err != nil {
-		return d, fmt.Errorf("%s/%s: %w", spec.Name, v, err)
-	}
-	return d, nil
-}
-
-// WorkloadBreakdown runs one workload on every variant at a single seed,
-// enforcing conservation, and returns one row per variant (cmd/tokentm-sim's
-// -breakdown report).
-func WorkloadBreakdown(spec workload.Spec, scale float64, seed int64) ([]BreakdownRow, error) {
-	rows := make([]BreakdownRow, 0, len(Variants()))
-	for _, v := range Variants() {
-		d, err := RunWorkloadBreakdown(spec, v, scale, seed)
-		if err != nil {
-			return nil, err
-		}
-		row := BreakdownRow{Workload: spec.Name, Variant: v, Cycles: make([]float64, attr.NumBuckets)}
-		for bi, b := range attr.Buckets() {
-			row.Cycles[bi] = float64(d.Breakdown.Get(b))
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// BreakdownGrid sweeps every workload × variant over the perturbation seeds
-// through the harness and aggregates the per-job breakdowns into mean
-// cycles per bucket. Results are walked in job order (seed innermost), so
-// the rows are identical at any parallelism.
-func BreakdownGrid(r *harness.Runner, scale float64, seeds []int64) ([]BreakdownRow, error) {
-	specs := workload.Specs()
+// BreakdownGrid sweeps the given workloads on every variant over the
+// perturbation seeds through the harness and aggregates the per-job
+// breakdowns into mean cycles per bucket. Every job runs ExperimentRun, so
+// cycle conservation is enforced per run. Results are walked in job order
+// (seed innermost), so the rows are identical at any parallelism.
+func BreakdownGrid(r *harness.Runner, specs []workload.Spec, scale float64, seeds []int64) ([]BreakdownRow, error) {
 	variants := Variants()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
+	cells, err := sweep(r, specs, variants, scale, seeds)
+	if err != nil {
+		return nil, err
 	}
-	vnames := make([]string, len(variants))
-	for i, v := range variants {
-		vnames[i] = string(v)
-	}
-	results := r.Sweep(harness.Grid(names, vnames, scale, seeds))
 
-	rows := make([]BreakdownRow, 0, len(specs)*len(variants))
-	i := 0
+	rows := make([]BreakdownRow, 0, len(cells))
 	for _, spec := range specs {
 		for _, v := range variants {
 			samples := make([]stats.Sample, attr.NumBuckets)
-			for range seeds {
-				res := results[i]
-				i++
-				if !res.OK() {
-					return nil, fmt.Errorf("job %s failed: %s", res.Job, res.Err)
-				}
+			for _, res := range cells[0] {
 				for bi, b := range attr.Buckets() {
 					samples[bi].Add(float64(res.Outcome.Breakdown[b.String()]))
 				}
 			}
+			cells = cells[1:]
 			row := BreakdownRow{Workload: spec.Name, Variant: v, Cycles: make([]float64, attr.NumBuckets)}
 			for bi := range samples {
 				row.Cycles[bi] = samples[bi].Mean()
@@ -143,50 +102,4 @@ func WriteBreakdownTable(w io.Writer, rows []BreakdownRow) {
 	}
 	tw.Flush()
 	fmt.Fprintln(w, "(percent of the workload's LogTM-SE_Perf cycles; rows sum to their total)")
-}
-
-// WriteBreakdownCharts renders one stacked bar chart per workload, each
-// normalized to that workload's LogTM-SE_Perf total (= 100).
-func WriteBreakdownCharts(w io.Writer, title string, rows []BreakdownRow) {
-	var workloads []string
-	seen := map[string]bool{}
-	for _, r := range rows {
-		if !seen[r.Workload] {
-			seen[r.Workload] = true
-			workloads = append(workloads, r.Workload)
-		}
-	}
-	if title != "" {
-		fmt.Fprintln(w, title)
-		for range title {
-			fmt.Fprint(w, "=")
-		}
-		fmt.Fprintln(w)
-	}
-	for _, wl := range workloads {
-		base := baselineTotal(rows, wl)
-		c := plot.Stacked{
-			Title:  wl,
-			XLabel: "% of LogTM-SE_Perf cycles",
-			Series: attr.BucketNames(),
-			Width:  60,
-		}
-		for _, r := range rows {
-			if r.Workload != wl {
-				continue
-			}
-			b := base
-			if b <= 0 {
-				b = r.Total()
-			}
-			vals := make([]float64, len(r.Cycles))
-			for i, v := range r.Cycles {
-				vals[i] = 100 * v / b
-			}
-			c.Groups = append(c.Groups, string(r.Variant))
-			c.Values = append(c.Values, vals)
-		}
-		c.Render(w)
-		fmt.Fprintln(w)
-	}
 }

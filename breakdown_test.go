@@ -1,6 +1,7 @@
 package tokentm
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -54,10 +55,7 @@ func TestRunWorkloadBreakdownMatchesAborts(t *testing.T) {
 	if !ok {
 		t.Fatal("Delaunay workload missing")
 	}
-	d, err := RunWorkloadBreakdown(spec, VariantLogTMSE2xH3, 0.01, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := RunWorkload(spec, VariantLogTMSE2xH3, 0.01, 1)
 	if len(d.AbortRecs) != int(d.Metrics.Aborts) {
 		t.Fatalf("%d abort records for %d aborts", len(d.AbortRecs), d.Metrics.Aborts)
 	}
@@ -70,15 +68,15 @@ func TestRunWorkloadBreakdownMatchesAborts(t *testing.T) {
 	}
 }
 
-// TestWorkloadBreakdownReport smoke-tests the Figure 7-style renderers on
-// real rows: one row per variant, table normalized so the LogTM-SE_Perf
-// row totals 100, chart legend naming every bucket.
+// TestWorkloadBreakdownReport smoke-tests the Figure 7-style table on real
+// rows from a one-workload, one-seed grid (cmd/tokentm-sim's -breakdown):
+// one row per variant, normalized so the LogTM-SE_Perf row totals 100.
 func TestWorkloadBreakdownReport(t *testing.T) {
 	spec, ok := workload.ByName("Genome")
 	if !ok {
 		t.Fatal("Genome workload missing")
 	}
-	rows, err := WorkloadBreakdown(spec, 0.005, 1)
+	rows, err := BreakdownGrid(NewRunner(SweepOptions{}), []workload.Spec{spec}, 0.005, []int64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,13 +95,42 @@ func TestWorkloadBreakdownReport(t *testing.T) {
 	if !strings.Contains(out, "100.0") {
 		t.Errorf("baseline row does not total 100:\n%s", out)
 	}
+}
 
-	var chart strings.Builder
-	WriteBreakdownCharts(&chart, "Breakdown", rows)
-	cout := chart.String()
-	for _, name := range attr.BucketNames() {
-		if !strings.Contains(cout, name) {
-			t.Errorf("chart legend missing bucket %q:\n%s", name, cout)
+// TestGridsRejectEmptySeeds: every grid sweep refuses an empty seed list
+// instead of aggregating cells with no sample.
+func TestGridsRejectEmptySeeds(t *testing.T) {
+	r := NewRunner(SweepOptions{})
+	if _, err := Figure1With(r, 0.002, nil); err == nil {
+		t.Error("Figure1With with no seeds: no error")
+	}
+	if _, err := Figure5With(r, 0.002, []int64{}); err == nil {
+		t.Error("Figure5With with no seeds: no error")
+	}
+	if _, err := BreakdownGrid(r, workload.Specs(), 0.002, nil); err == nil {
+		t.Error("BreakdownGrid with no seeds: no error")
+	}
+}
+
+// TestBadScaleRejected: a scale outside (0, 1] panics in RunWorkload (and
+// so in Table5 and Table6) and is an error from ExperimentRun (and so from
+// every sweep), never a quiet full-scale run.
+func TestBadScaleRejected(t *testing.T) {
+	spec, _ := workload.ByName("Genome")
+	for _, scale := range []float64{0, -0.5, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RunWorkload at scale %g did not panic", scale)
+				}
+			}()
+			RunWorkload(spec, VariantTokenTM, scale, 1)
+		}()
+		if _, err := ExperimentRun(harness.Job{Workload: "Genome", Variant: string(VariantTokenTM), Scale: scale, Seed: 1}); err == nil {
+			t.Errorf("ExperimentRun at scale %g: no error", scale)
 		}
+	}
+	if _, err := Figure1With(NewRunner(SweepOptions{}), 0, []int64{1}); err == nil {
+		t.Error("Figure1With at scale 0: no error")
 	}
 }

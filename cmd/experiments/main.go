@@ -31,13 +31,13 @@ import (
 
 	"tokentm"
 	"tokentm/internal/harness"
+	"tokentm/internal/workload"
 )
 
 func main() {
 	run := flag.String("run", "all", "comma-separated: "+strings.Join(sections, ","))
 	scale := flag.Float64("scale", 0.05, "fraction of the paper's per-workload transaction counts")
 	seeds := flag.Int("seeds", 3, "number of perturbed runs (error bars) for fig1/fig5")
-	chart := flag.Bool("chart", false, "render fig1/fig5 as ASCII bar charts in addition to tables")
 	seed := flag.Int64("seed", 1, "base seed")
 	parallel := flag.Int("parallel", 0, "harness worker-pool size (0 = GOMAXPROCS)")
 	jsonOut := flag.String("json", "", "write per-job sweep results as JSON to this path (\"-\" = stdout)")
@@ -126,10 +126,6 @@ func main() {
 		}
 		vs := []tokentm.Variant{tokentm.VariantLogTMSEPerf, tokentm.VariantLogTMSE2xH3, tokentm.VariantLogTMSE4xH3}
 		tokentm.WriteSpeedups(out, rows, vs)
-		if *chart {
-			fmt.Fprintln(out)
-			tokentm.WriteSpeedupChart(out, "Figure 1. Effect of False Positives", rows, vs)
-		}
 		done()
 	}
 	if all || want["fig5"] {
@@ -139,23 +135,15 @@ func main() {
 			fail(err)
 		}
 		tokentm.WriteSpeedups(out, rows, tokentm.Variants())
-		if *chart {
-			fmt.Fprintln(out)
-			tokentm.WriteSpeedupChart(out, "Figure 5. TokenTM Performance", rows, tokentm.Variants())
-		}
 		done()
 	}
 	if all || want["breakdown"] {
 		done := section(fmt.Sprintf("Figures 7-9: Execution-Time Breakdown (%% of LogTM-SE_Perf cycles, scale=%.3g, %d seeds)", *scale, *seeds))
-		rows, err := tokentm.BreakdownGrid(runner, *scale, seedList)
+		rows, err := tokentm.BreakdownGrid(runner, workload.Specs(), *scale, seedList)
 		if err != nil {
 			fail(err)
 		}
 		tokentm.WriteBreakdownTable(out, rows)
-		if *chart {
-			fmt.Fprintln(out)
-			tokentm.WriteBreakdownCharts(out, "Figures 7-9. Execution-Time Breakdown", rows)
-		}
 		done()
 	}
 	if all || want["table6"] {
@@ -185,8 +173,8 @@ var sections = []string{"table1", "table2", "table3", "table4", "table5", "table
 
 // checkFlags validates the flags before any work starts and returns the set
 // of -run names. An unknown name would run nothing, -seeds below 1 leaves
-// the speedup tables without a baseline sample, and workload.Spec.Build
-// runs any scale outside (0, 1] at full scale.
+// the speedup tables without a baseline sample, and a scale that
+// workload.CheckScale rejects would fail every run.
 func checkFlags(run string, seeds int, scale float64) (map[string]bool, error) {
 	want := map[string]bool{}
 	for _, s := range strings.Split(run, ",") {
@@ -199,8 +187,8 @@ func checkFlags(run string, seeds int, scale float64) (map[string]bool, error) {
 	if seeds < 1 {
 		return nil, fmt.Errorf("-seeds %d: need at least 1", seeds)
 	}
-	if !(scale > 0 && scale <= 1) {
-		return nil, fmt.Errorf("-scale %g: need 0 < scale <= 1", scale)
+	if err := workload.CheckScale(scale); err != nil {
+		return nil, fmt.Errorf("-scale: %w", err)
 	}
 	return want, nil
 }

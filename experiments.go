@@ -1,6 +1,7 @@
 package tokentm
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -10,7 +11,6 @@ import (
 	"tokentm/internal/harness"
 	"tokentm/internal/htm"
 	"tokentm/internal/lcs"
-	"tokentm/internal/plot"
 	"tokentm/internal/stats"
 	"tokentm/internal/workload"
 )
@@ -52,11 +52,12 @@ func runWorkload(spec workload.Spec, v Variant, scale float64, seed int64) (RunD
 	sys := New(Config{Variant: v, Cores: evalCores, Seed: seed})
 	spec.Build(sys.M, evalCores, scale, seed)
 	sys.Run()
-	return sys.detail(spec.Name, v), sys
+	return sys.Detail(spec.Name, v), sys
 }
 
-// detail collects a finished run's observables.
-func (s *System) detail(workload string, v Variant) RunDetail {
+// Detail collects a finished run's observables, labelled with the workload
+// name and variant it ran.
+func (s *System) Detail(workload string, v Variant) RunDetail {
 	d := RunDetail{
 		Workload:  workload,
 		Variant:   v,
@@ -93,6 +94,9 @@ func ExperimentRun(j harness.Job) (harness.Outcome, error) {
 	}
 	if !known {
 		return harness.Outcome{}, fmt.Errorf("unknown variant %q", j.Variant)
+	}
+	if err := workload.CheckScale(j.Scale); err != nil {
+		return harness.Outcome{}, err
 	}
 	d, sys := runWorkload(spec, v, j.Scale, j.Seed)
 	var coreSum uint64
@@ -156,6 +160,31 @@ type SpeedupRow struct {
 	CI       map[Variant]float64
 }
 
+// sweep runs every spec × variant × seed job on r, seed innermost, and
+// returns the results grouped into one slice per spec × variant cell, in
+// the same order. It fails on an empty seed list (no cell would have a
+// sample) and on the first failed job.
+func sweep(r *harness.Runner, specs []workload.Spec, variants []Variant, scale float64, seeds []int64) ([][]harness.Result, error) {
+	if len(seeds) == 0 {
+		return nil, errors.New("sweep: empty seed list")
+	}
+	names := make([]string, len(specs))
+	for i, s := range specs {
+		names[i] = s.Name
+	}
+	vnames := make([]string, len(variants))
+	for i, v := range variants {
+		vnames[i] = string(v)
+	}
+	results := r.Sweep(harness.Grid(names, vnames, scale, seeds))
+	for _, res := range results {
+		if !res.OK() {
+			return nil, fmt.Errorf("job %s failed: %s", res.Job, res.Err)
+		}
+	}
+	return slices.Collect(slices.Chunk(results, len(seeds))), nil
+}
+
 // speedups runs the given workloads on the given variants over several
 // perturbation seeds through the harness and normalizes to LogTM-SE_Perf.
 // The grid is swept in parallel (runner's worker count); aggregation walks
@@ -167,44 +196,28 @@ func speedups(r *harness.Runner, specs []workload.Spec, variants []Variant, scal
 			all = append(all, v)
 		}
 	}
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	vnames := make([]string, len(all))
-	for i, v := range all {
-		vnames[i] = string(v)
-	}
-	results := r.Sweep(harness.Grid(names, vnames, scale, seeds))
-
-	samples := make(map[string]map[Variant]*stats.Sample, len(specs))
-	for _, res := range results {
-		if !res.OK() {
-			return nil, fmt.Errorf("job %s failed: %s", res.Job, res.Err)
-		}
-		byV := samples[res.Job.Workload]
-		if byV == nil {
-			byV = make(map[Variant]*stats.Sample, len(all))
-			samples[res.Job.Workload] = byV
-		}
-		s := byV[Variant(res.Job.Variant)]
-		if s == nil {
-			s = &stats.Sample{}
-			byV[Variant(res.Job.Variant)] = s
-		}
-		s.Add(float64(res.Outcome.Cycles))
+	cells, err := sweep(r, specs, all, scale, seeds)
+	if err != nil {
+		return nil, err
 	}
 
-	var rows []SpeedupRow
+	rows := make([]SpeedupRow, 0, len(specs))
 	for _, spec := range specs {
-		byV := samples[spec.Name]
-		perf := byV[VariantLogTMSEPerf].Mean()
+		cycles := make([]stats.Sample, len(all))
+		for vi := range all {
+			for _, res := range cells[0] {
+				cycles[vi].Add(float64(res.Outcome.Cycles))
+			}
+			cells = cells[1:]
+		}
+		perf := cycles[0].Mean() // all[0] is LogTM-SE_Perf
 		row := SpeedupRow{
 			Workload: spec.Name,
 			Speedup:  make(map[Variant]float64),
 			CI:       make(map[Variant]float64),
 		}
-		for v, s := range byV {
+		for vi, v := range all {
+			s := &cycles[vi]
 			row.Speedup[v] = perf / s.Mean()
 			// First-order error propagation for the ratio.
 			if s.Mean() > 0 {
@@ -398,29 +411,6 @@ func WriteSpeedups(w io.Writer, rows []SpeedupRow, variants []Variant) {
 		fmt.Fprintln(tw)
 	}
 	tw.Flush()
-}
-
-// WriteSpeedupChart renders a Figure 1/5-style grouped bar chart with 95%
-// confidence whiskers and a guide at the LogTM-SE_Perf baseline.
-func WriteSpeedupChart(w io.Writer, title string, rows []SpeedupRow, variants []Variant) {
-	c := plot.BarChart{
-		Title:     title,
-		YLabel:    "speedup normalized to LogTM-SE_Perf",
-		Width:     44,
-		Reference: 1.0,
-	}
-	for _, v := range variants {
-		c.Series = append(c.Series, plot.Series{Name: string(v)})
-	}
-	for _, r := range rows {
-		c.Groups = append(c.Groups, r.Workload)
-		var bars []plot.Bar
-		for _, v := range variants {
-			bars = append(bars, plot.Bar{Value: r.Speedup[v], CI: r.CI[v]})
-		}
-		c.Bars = append(c.Bars, bars)
-	}
-	c.Render(w)
 }
 
 // WriteTable5 renders the measured workload parameters.

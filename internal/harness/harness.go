@@ -24,15 +24,15 @@ import (
 	"time"
 )
 
-// Job identifies one cell of the experiment grid. The zero scale means 1
-// (full Table 5 transaction counts). Two jobs with equal fields are the same
-// experiment.
+// Job identifies one cell of the experiment grid. Two jobs with equal
+// fields are the same experiment.
 type Job struct {
 	// Workload names a workload.Spec (e.g. "Delaunay").
 	Workload string `json:"workload"`
 	// Variant names an HTM variant (e.g. "TokenTM").
 	Variant string `json:"variant"`
-	// Scale shrinks transaction counts for quick runs (0 or 1 = full).
+	// Scale shrinks transaction counts for quick runs: in (0, 1], with 1
+	// the full Table 5 counts (workload.CheckScale).
 	Scale float64 `json:"scale"`
 	// Seed perturbs backoffs and generators.
 	Seed int64 `json:"seed"`

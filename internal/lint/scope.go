@@ -5,7 +5,7 @@ import "strings"
 // The determinism contract (DESIGN.md §"Determinism contract") binds the
 // packages that execute *simulated* work — everything a simulated cycle
 // count, cache state or commit stream can observe — and the packages whose
-// output must be byte-stable (trace dumps, plot text). Host-side packages
+// output must be byte-stable (trace dumps). Host-side packages
 // (the stm subsystem, the harness, the experiment drivers) measure
 // wall-clock time and aggregate freely.
 
@@ -24,7 +24,6 @@ var determinismPackages = []string{
 	"internal/logtmse",
 	"internal/mem",
 	"internal/metastate",
-	"internal/plot",
 	"internal/sig",
 	"internal/sim",
 	"internal/statehash",

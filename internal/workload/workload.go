@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -230,11 +231,22 @@ func (s setSizer) draw(rng *rand.Rand) (int, bool) {
 	return n, false
 }
 
-// Build spawns the workload's threads on machine m. scale in (0,1] shrinks
-// the transaction count for fast runs; seed perturbs the generators.
+// CheckScale is the one rule for a run's scale, the fraction of the
+// paper's transaction counts it executes: scale must lie in (0, 1]. Zero,
+// negatives, values above 1 and NaN are errors.
+func CheckScale(scale float64) error {
+	if !(scale > 0 && scale <= 1) {
+		return fmt.Errorf("scale %g: need 0 < scale <= 1", scale)
+	}
+	return nil
+}
+
+// Build spawns the workload's threads on machine m. scale shrinks the
+// transaction count for fast runs and panics unless CheckScale accepts it;
+// seed perturbs the generators.
 func (s Spec) Build(m *sim.Machine, threads int, scale float64, seed int64) {
-	if scale <= 0 || scale > 1 {
-		scale = 1
+	if err := CheckScale(scale); err != nil {
+		panic(fmt.Errorf("workload %s: %w", s.Name, err))
 	}
 	total := int(float64(s.NumXacts) * scale)
 	if total < threads {

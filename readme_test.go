@@ -69,8 +69,8 @@ func TestReadmePackagesReachable(t *testing.T) {
 // backticks (or in a fenced code block) in README.md, DESIGN.md and
 // EXPERIMENTS.md names a file or directory in the tree, so the prose
 // cannot keep sending readers to a command or package that was deleted.
-// A trailing Go identifier is trimmed: `internal/plot.Stacked` resolves as
-// internal/plot. Likewise every `make <target>` run there (at the start of
+// A trailing Go identifier is trimmed: `internal/attr.Bucket` resolves as
+// internal/attr. Likewise every `make <target>` run there (at the start of
 // a span or line, or after && or ;) names a Makefile target, and every span
 // that is a bare Test, Fuzz or Benchmark identifier names a function
 // declared in a _test.go file.
@@ -158,7 +158,7 @@ func testFuncs(t *testing.T) map[string]bool {
 }
 
 // resolveDocPath cleans a path as written in the docs ("stm/...",
-// "internal/sim/", "internal/plot.Stacked") and reports whether it names a
+// "internal/sim/", "internal/attr.Bucket") and reports whether it names a
 // file or directory.
 func resolveDocPath(p string) (string, bool) {
 	p = strings.TrimRight(p, "/.")

@@ -142,7 +142,7 @@ func TestSchedulerGoldens(t *testing.T) {
 						sys := New(Config{Variant: v, Cores: preemptCores, Quantum: q, Seed: seed})
 						spec.Build(sys.M, 2*preemptCores, equivScale, seed)
 						sys.Run()
-						return sys.detail(spec.Name, v), sys
+						return sys.Detail(spec.Name, v), sys
 					})
 				}
 			}
@@ -153,7 +153,7 @@ func TestSchedulerGoldens(t *testing.T) {
 			golden(fmt.Sprintf("lcs/%s/%d", model.Name, seed), func() (RunDetail, *System) {
 				_, m := lcs.Simulate(model, seed)
 				sys := &System{M: m, HTM: m.HTM}
-				return sys.detail(model.Name, VariantTokenTM), sys
+				return sys.Detail(model.Name, VariantTokenTM), sys
 			})
 		}
 	}
@@ -188,7 +188,7 @@ func runPerTurn(spec workload.Spec, v Variant, seed int64) (RunDetail, *System, 
 		}
 		return def, true
 	})
-	return sys.detail(spec.Name, v), sys, stale
+	return sys.Detail(spec.Name, v), sys, stale
 }
 
 // TestPerTurnLoopMatchesEventEngine checks Run against the per-turn
