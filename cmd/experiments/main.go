@@ -7,7 +7,6 @@
 //	experiments -run fig5 -scale 0.05 -seeds 3
 //	experiments -run table1,table6
 //	experiments -run fig5 -parallel 8 -json sweep.json
-//	experiments -run verify         # seed-invariance correctness gate
 //
 // Scale shrinks the Table 5 transaction counts proportionally; the paper's
 // full counts correspond to -scale 1. An unknown -run name, -seeds below 1
@@ -78,21 +77,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	if want["verify"] {
-		done := section(fmt.Sprintf("Verify: cross-run identity + seed-invariance gate (scale=%.3g, seeds %d/%d)", *scale, *seed, *seed+1))
-		errs := tokentm.VerifyGrid(runner, *scale, *seed, *seed+1)
-		if len(errs) == 0 {
-			fmt.Fprintln(out, "PASS: all workload x variant cells run-identical and seed-invariant")
-		} else {
-			for _, err := range errs {
-				fmt.Fprintln(out, "FAIL:", err)
-			}
-		}
-		done()
-		if len(errs) > 0 {
-			os.Exit(1)
-		}
-	}
 	if all || want["table1"] {
 		done := section("Table 1: Long-running Critical Sections (LCS)")
 		tokentm.WriteTable1(out, tokentm.Table1(*seed))
@@ -169,7 +153,7 @@ func main() {
 }
 
 // sections are the names -run accepts.
-var sections = []string{"table1", "table2", "table3", "table4", "table5", "table6", "fig1", "fig5", "breakdown", "verify", "all"}
+var sections = []string{"table1", "table2", "table3", "table4", "table5", "table6", "fig1", "fig5", "breakdown", "all"}
 
 // checkFlags validates the flags before any work starts and returns the set
 // of -run names. An unknown name would run nothing, -seeds below 1 leaves

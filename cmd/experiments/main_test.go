@@ -20,12 +20,13 @@ func TestCheckFlags(t *testing.T) {
 		{"fig6", 3, 0.05, false},
 		{"fig1,", 3, 0.05, false},
 		{"", 3, 0.05, false},
-		{"verify", 0, 0.05, false},
-		{"verify", -1, 0.05, false},
-		{"verify", 2, 0, false},
-		{"verify", 2, -0.5, false},
-		{"verify", 2, 1.5, false},
-		{"verify", 2, math.NaN(), false},
+		{"verify", 2, 0.05, false}, // removed: the scheduler goldens are the determinism gate
+		{"table5", 0, 0.05, false},
+		{"table5", -1, 0.05, false},
+		{"table5", 2, 0, false},
+		{"table5", 2, -0.5, false},
+		{"table5", 2, 1.5, false},
+		{"table5", 2, math.NaN(), false},
 	} {
 		want, err := checkFlags(c.run, c.seeds, c.scale)
 		if (err == nil) != c.ok {

@@ -10,13 +10,16 @@
 //	tokentm-explore -replay R0.R1.P0.B.R0 ... re-run one schedule (with -trace)
 //
 // Exit status: 0 clean, 1 violations found (or a mutation missed), 2 usage
-// error.
+// error: an unknown name, -max-schedules or -max-steps below 1, or a
+// negative -branch-depth, -preempts or -bounces.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"tokentm/internal/core"
@@ -25,59 +28,80 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, does the requested work and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tokentm-explore", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		program   = flag.String("program", "incr-cross", "standard program to explore (see -list)")
-		variant   = flag.String("variant", "TokenTM", "HTM variant: "+strings.Join(explore.Variants, ", "))
-		mutation  = flag.String("mutation", "none", "seeded protocol bug: none, no-fission-writer, skip-log-credit")
-		schedules = flag.Int("max-schedules", explore.DefaultBudget().MaxSchedules, "schedule budget")
-		steps     = flag.Int("max-steps", explore.DefaultBudget().MaxSteps, "per-schedule step bound (livelock limit)")
-		depth     = flag.Int("branch-depth", explore.DefaultBudget().BranchDepth, "branch only in the first N decisions (0 = unbounded)")
-		preempts  = flag.Int("preempts", explore.DefaultBudget().Preempts, "adversary context-switch budget per schedule")
-		bounces   = flag.Int("bounces", explore.DefaultBudget().Bounces, "adversary page-out/page-in budget per schedule")
-		seed      = flag.Int64("seed", explore.DefaultBudget().Seed, "machine RNG seed")
-		sweep     = flag.Bool("sweep", false, "run the full standard sweep (all programs x variants + mutation smoke)")
-		jsonOut   = flag.String("json", "", "write the sweep as JSON to this file (- for stdout; implies -sweep)")
-		replay    = flag.String("replay", "", "replay one schedule (counterexample) instead of exploring")
-		withTrace = flag.Bool("trace", false, "with -replay: dump the protocol event trace")
-		list      = flag.Bool("list", false, "list standard programs and exit")
+		program   = fs.String("program", "incr-cross", "standard program to explore (see -list)")
+		variant   = fs.String("variant", "TokenTM", "HTM variant: "+strings.Join(explore.Variants, ", "))
+		mutation  = fs.String("mutation", "none", "seeded protocol bug: none, no-fission-writer, skip-log-credit")
+		schedules = fs.Int("max-schedules", explore.DefaultBudget().MaxSchedules, "schedule budget")
+		steps     = fs.Int("max-steps", explore.DefaultBudget().MaxSteps, "per-schedule step bound (livelock limit)")
+		depth     = fs.Int("branch-depth", explore.DefaultBudget().BranchDepth, "branch only in the first N decisions (0 = unbounded)")
+		preempts  = fs.Int("preempts", explore.DefaultBudget().Preempts, "adversary context-switch budget per schedule")
+		bounces   = fs.Int("bounces", explore.DefaultBudget().Bounces, "adversary page-out/page-in budget per schedule")
+		seed      = fs.Int64("seed", explore.DefaultBudget().Seed, "machine RNG seed")
+		sweep     = fs.Bool("sweep", false, "run the full standard sweep (all programs x variants + mutation smoke)")
+		jsonOut   = fs.String("json", "", "write the sweep as JSON to this file (- for stdout; implies -sweep)")
+		replay    = fs.String("replay", "", "replay one schedule (counterexample) instead of exploring")
+		withTrace = fs.Bool("trace", false, "with -replay: dump the protocol event trace")
+		list      = fs.Bool("list", false, "list standard programs and exit")
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "tokentm-explore: unexpected arguments %q\n", flag.Args())
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "tokentm-explore: "+format+"\n", a...)
+		return 2
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected arguments %q", fs.Args())
+	}
+	switch {
+	case !slices.Contains(explore.Variants, *variant):
+		return usage("unknown variant %q (one of %s)", *variant, strings.Join(explore.Variants, ", "))
+	case *schedules < 1:
+		return usage("-max-schedules %d: need at least 1", *schedules)
+	case *steps < 1:
+		return usage("-max-steps %d: need at least 1", *steps)
+	case *depth < 0 || *preempts < 0 || *bounces < 0:
+		return usage("-branch-depth, -preempts and -bounces must not be negative")
 	}
 
 	if *list {
 		for _, p := range explore.StandardPrograms() {
-			fmt.Printf("%-16s %d cores, %d threads, %d blocks, %d txns\n",
+			fmt.Fprintf(stdout, "%-16s %d cores, %d threads, %d blocks, %d txns\n",
 				p.Name, p.Cores, len(p.Threads), p.Blocks, p.Txns())
 		}
-		return
+		return 0
 	}
 
 	mut, ok := core.MutationByName(*mutation)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tokentm-explore: unknown mutation %q\n", *mutation)
-		os.Exit(2)
+		return usage("unknown mutation %q", *mutation)
 	}
 
 	if *jsonOut != "" {
 		*sweep = true
 	}
 	if *sweep {
-		runSweep(*jsonOut)
-		return
+		return runSweep(*jsonOut, stdout, stderr)
 	}
 
 	prog := explore.ProgramByName(*program)
 	if prog == nil {
-		fmt.Fprintf(os.Stderr, "tokentm-explore: unknown program %q (try -list)\n", *program)
-		os.Exit(2)
+		return usage("unknown program %q (try -list)", *program)
 	}
 
 	if *replay != "" {
-		runReplay(prog, *variant, mut, *replay, *seed, *steps, *withTrace)
-		return
+		return runReplay(prog, *variant, mut, *replay, *seed, *steps, *withTrace, stdout, stderr)
 	}
 
 	opts := explore.DefaultOptions(*variant, explore.Budget{
@@ -90,34 +114,37 @@ func main() {
 	})
 	opts.Mutation = mut
 	r := explore.Explore(prog, opts)
-	fmt.Printf("%s/%s: %d schedules, %d steps, %d distinct states, pruned %d seen + %d sleep, max depth %d, complete=%v\n",
+	fmt.Fprintf(stdout, "%s/%s: %d schedules, %d steps, %d distinct states, pruned %d seen + %d sleep, max depth %d, complete=%v\n",
 		r.Program, r.Variant, r.Schedules, r.Steps, r.DistinctStates,
 		r.PrunedVisited, r.PrunedSleep, r.MaxDepth, r.Complete)
-	fmt.Printf("  %d commits, %d aborts, %d violating schedules\n", r.Commits, r.Aborts, r.TotalViolations)
+	fmt.Fprintf(stdout, "  %d commits, %d aborts, %d violating schedules\n", r.Commits, r.Aborts, r.TotalViolations)
 	for _, v := range r.Violations {
-		fmt.Printf("VIOLATION %s at step %d: %s\n  replay: tokentm-explore -program %s -variant %s -mutation %s -replay %s\n",
+		fmt.Fprintf(stdout, "VIOLATION %s at step %d: %s\n  replay: tokentm-explore -program %s -variant %s -mutation %s -replay %s\n",
 			v.Kind, v.Step, v.Message, r.Program, r.Variant, mut, v.Schedule)
 	}
 	if r.TotalViolations > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func runSweep(jsonOut string) {
+func runSweep(jsonOut string, stdout, stderr io.Writer) int {
 	sw := explore.StandardSweep(explore.DefaultBudget())
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "tokentm-explore:", err)
+		return 2
+	}
 	switch jsonOut {
 	case "":
-		explore.WriteTable(os.Stdout, sw)
+		explore.WriteTable(stdout, sw)
 	case "-":
-		if err := explore.WriteJSON(os.Stdout, sw); err != nil {
-			fmt.Fprintln(os.Stderr, "tokentm-explore:", err)
-			os.Exit(2)
+		if err := explore.WriteJSON(stdout, sw); err != nil {
+			return fail(err)
 		}
 	default:
 		f, err := os.Create(jsonOut)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tokentm-explore:", err)
-			os.Exit(2)
+			return fail(err)
 		}
 		if err := explore.WriteJSON(f, sw); err == nil {
 			err = f.Close()
@@ -125,36 +152,37 @@ func runSweep(jsonOut string) {
 			f.Close()
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tokentm-explore:", err)
-			os.Exit(2)
+			return fail(err)
 		}
-		explore.WriteTable(os.Stdout, sw)
+		explore.WriteTable(stdout, sw)
 	}
 	if fails := sw.Failures(); len(fails) > 0 {
 		for _, f := range fails {
-			fmt.Fprintln(os.Stderr, "FAIL:", f)
+			fmt.Fprintln(stderr, "FAIL:", f)
 		}
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func runReplay(prog *explore.Program, variant string, mut core.Mutation, schedule string, seed int64, maxSteps int, withTrace bool) {
+func runReplay(prog *explore.Program, variant string, mut core.Mutation, schedule string, seed int64, maxSteps int, withTrace bool, stdout, stderr io.Writer) int {
 	var tr *trace.Tracer
 	if withTrace {
 		tr = trace.NewTracer(1 << 16)
 	}
 	rr, err := explore.Replay(prog, variant, mut, schedule, seed, maxSteps, tr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "tokentm-explore:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "tokentm-explore:", err)
+		return 2
 	}
-	fmt.Printf("replayed %s/%s mutation=%s: %d steps, schedule %s\n", prog.Name, variant, mut, rr.Steps, rr.Schedule)
+	fmt.Fprintf(stdout, "replayed %s/%s mutation=%s: %d steps, schedule %s\n", prog.Name, variant, mut, rr.Steps, rr.Schedule)
 	if tr != nil {
-		tr.Dump(os.Stdout)
+		tr.Dump(stdout)
 	}
 	if rr.Violation != nil {
-		fmt.Printf("VIOLATION %s at step %d: %s\n", rr.Violation.Kind, rr.Violation.Step, rr.Violation.Message)
-		os.Exit(1)
+		fmt.Fprintf(stdout, "VIOLATION %s at step %d: %s\n", rr.Violation.Kind, rr.Violation.Step, rr.Violation.Message)
+		return 1
 	}
-	fmt.Printf("clean: %d commits, %d aborts, fingerprint %#x\n", len(rr.Commits), rr.Aborts, rr.Fingerprint)
+	fmt.Fprintf(stdout, "clean: %d commits, %d aborts, fingerprint %#x\n", len(rr.Commits), rr.Aborts, rr.Fingerprint)
+	return 0
 }

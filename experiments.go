@@ -119,7 +119,7 @@ func ExperimentRun(j harness.Job) (harness.Outcome, error) {
 		},
 	}
 	// Cycle conservation is checked per core here, so any unattributed
-	// advance fails the job (and with it harness.Verify and the sweeps).
+	// advance fails the job (and with it the sweeps).
 	if err := sys.M.CheckConservation(); err != nil {
 		return out, fmt.Errorf("cycle attribution after run: %w", err)
 	}
@@ -253,22 +253,6 @@ func Figure1With(r *harness.Runner, scale float64, seeds []int64) ([]SpeedupRow,
 // LogTM-SE_Perf.
 func Figure5With(r *harness.Runner, scale float64, seeds []int64) ([]SpeedupRow, error) {
 	return speedups(r, workload.Specs(), Variants(), scale, seeds)
-}
-
-// VerifyGrid runs harness.Verify over one job per workload × variant cell
-// (each at seeds seedA/seedB) and returns one error per failing cell. It
-// is the cheap pre-sweep correctness gate behind `experiments -run verify`.
-func VerifyGrid(r *harness.Runner, scale float64, seedA, seedB int64) []error {
-	var errs []error
-	for _, spec := range workload.Specs() {
-		for _, v := range Variants() {
-			j := harness.Job{Workload: spec.Name, Variant: string(v), Scale: scale}
-			if err := r.Verify(j, seedA, seedB); err != nil {
-				errs = append(errs, err)
-			}
-		}
-	}
-	return errs
 }
 
 // Table5Row is one row of the regenerated Table 5 (measured workload

@@ -61,7 +61,8 @@ type Outcome struct {
 	Extra map[string]float64 `json:"extra,omitempty"`
 	// Breakdown is the machine-wide cycle attribution, bucket name → cycles
 	// (attr.Bucket names; every bucket present, zero or not). Its values
-	// must sum to CoreCycleSum — Verify enforces this conservation.
+	// sum to CoreCycleSum: the simulator's RunFunc fails a job whose
+	// per-core attribution does not conserve cycles.
 	Breakdown map[string]uint64 `json:"breakdown,omitempty"`
 	// CoreCycleSum is the sum of all per-core clocks after the run (the
 	// denominator of the breakdown's percentages).

@@ -128,76 +128,6 @@ func (s *syncWriter) Write(p []byte) (int, error) {
 	return s.w.Write(p)
 }
 
-func TestVerifyCatchesSeedDependence(t *testing.T) {
-	// Healthy run: commits independent of seed, fast+slow == commits.
-	healthy := func(j harness.Job) (harness.Outcome, error) {
-		return harness.Outcome{Cycles: uint64(j.Seed) * 100, Commits: 50, FastCommits: 30, SlowCommits: 20}, nil
-	}
-	r := &harness.Runner{Run: healthy, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err != nil {
-		t.Fatalf("healthy verify failed: %v", err)
-	}
-
-	// Commit count leaking seed dependence.
-	leaky := func(j harness.Job) (harness.Outcome, error) {
-		return harness.Outcome{Commits: uint64(50 + j.Seed)}, nil
-	}
-	r = &harness.Runner{Run: leaky, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err == nil {
-		t.Fatal("seed-dependent commits not caught")
-	}
-
-	// Fast/slow split that does not account for every commit.
-	unbalanced := func(j harness.Job) (harness.Outcome, error) {
-		return harness.Outcome{Commits: 50, FastCommits: 30, SlowCommits: 10}, nil
-	}
-	r = &harness.Runner{Run: unbalanced, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err == nil {
-		t.Fatal("unbalanced fast/slow split not caught")
-	}
-
-	// Same seed twice is a verification bug, not a pass.
-	r = &harness.Runner{Run: healthy, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 3, 3); err == nil {
-		t.Fatal("identical seeds accepted")
-	}
-
-	// A panicking run fails verification instead of crashing it.
-	r = &harness.Runner{Run: func(harness.Job) (harness.Outcome, error) { panic("bad") }, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err == nil {
-		t.Fatal("panicking run passed verification")
-	}
-}
-
-func TestVerifyCatchesCrossRunNondeterminism(t *testing.T) {
-	// A RunFunc whose cycles drift between calls at the same seed models a
-	// simulator leaking unordered state (e.g. map-iteration access order)
-	// into its timing. Commits stay seed-invariant, so only the identity
-	// gate can catch this.
-	calls := 0
-	flaky := func(j harness.Job) (harness.Outcome, error) {
-		calls++
-		return harness.Outcome{Cycles: 1000 + uint64(calls), Commits: 50, FastCommits: 30, SlowCommits: 20}, nil
-	}
-	r := &harness.Runner{Run: flaky, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err == nil {
-		t.Fatal("cross-run nondeterminism not caught")
-	}
-
-	// Extra-map differences must also fail identity: canonical JSON sorts
-	// keys, so equal maps pass and differing values fail.
-	calls = 0
-	extraFlaky := func(j harness.Job) (harness.Outcome, error) {
-		calls++
-		return harness.Outcome{Cycles: 1000, Commits: 50,
-			Extra: map[string]float64{"hard_case_lookups": float64(calls)}}, nil
-	}
-	r = &harness.Runner{Run: extraFlaky, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err == nil {
-		t.Fatal("extra-map nondeterminism not caught")
-	}
-}
-
 func TestHistoryAccumulatesAcrossSweeps(t *testing.T) {
 	r := &harness.Runner{Run: fakeRun, Parallel: 2, KeepHistory: true}
 	r.Sweep(grid(4))
@@ -221,42 +151,5 @@ func TestGridRowMajorOrder(t *testing.T) {
 	want := harness.Job{Workload: "A", Variant: "y", Scale: 1, Seed: 2}
 	if jobs[3] != want {
 		t.Fatalf("jobs[3] = %+v, want %+v", jobs[3], want)
-	}
-}
-
-func TestVerifyCatchesBrokenConservation(t *testing.T) {
-	// A breakdown whose buckets sum to the core clocks passes.
-	conserving := func(j harness.Job) (harness.Outcome, error) {
-		return harness.Outcome{
-			Cycles: 1000, Commits: 50, FastCommits: 30, SlowCommits: 20,
-			Breakdown:    map[string]uint64{"useful": 700, "read_stall": 250, "commit": 50},
-			CoreCycleSum: 1000,
-		}, nil
-	}
-	r := &harness.Runner{Run: conserving, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err != nil {
-		t.Fatalf("conserving breakdown failed verify: %v", err)
-	}
-
-	// One unattributed cycle must fail loudly.
-	leaking := func(j harness.Job) (harness.Outcome, error) {
-		return harness.Outcome{
-			Cycles: 1000, Commits: 50, FastCommits: 30, SlowCommits: 20,
-			Breakdown:    map[string]uint64{"useful": 700, "read_stall": 250, "commit": 49},
-			CoreCycleSum: 1000,
-		}, nil
-	}
-	r = &harness.Runner{Run: leaking, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err == nil {
-		t.Fatal("unattributed cycle not caught")
-	}
-
-	// Runs that report no breakdown (older producers) are not penalized.
-	bare := func(j harness.Job) (harness.Outcome, error) {
-		return harness.Outcome{Cycles: 1000, Commits: 50, FastCommits: 30, SlowCommits: 20}, nil
-	}
-	r = &harness.Runner{Run: bare, Parallel: 1}
-	if err := r.Verify(harness.Job{Workload: "w", Variant: "V"}, 1, 2); err != nil {
-		t.Fatalf("breakdown-less outcome failed verify: %v", err)
 	}
 }

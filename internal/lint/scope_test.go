@@ -42,7 +42,7 @@ func TestScopeCoversModule(t *testing.T) {
 
 	for _, pkg := range pkgs {
 		if ScopeOf(pkg) == ScopeUnknown {
-			t.Errorf("package %s is not classified; add it to a scope list in internal/lint/scope.go", pkg)
+			t.Errorf("package %s is not classified; add it to a scope list in internal/lint/scope_lists_test.go", pkg)
 		}
 	}
 

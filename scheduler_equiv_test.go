@@ -11,7 +11,11 @@ package tokentm
 //     covers makespan, commit journal, abort stream, cycle attribution and
 //     per-core clocks, one FNV-1a line per run. Regenerate with
 //     TOKENTM_UPDATE_GOLDEN=1 after a deliberate schedule change and review
-//     the diff.
+//     the diff; regeneration runs every cell twice and writes nothing
+//     unless the two runs agree. Each cell's commit count must also be
+//     equal across seeds, and on TokenTM every commit takes one of the two
+//     release paths. This is the simulator's determinism gate: one
+//     (workload, variant, scale, seed) tuple names exactly one execution.
 //  2. A per-turn spot check: Run must equal RunChoosing with a chooser that
 //     returns the default pick, on a sampled grid. A chooser is asked before
 //     every turn and turns Work deferral off, so this checks that deferral
@@ -60,10 +64,6 @@ func fingerprintDetail(d RunDetail) uint64 {
 	return h.Sum64()
 }
 
-func goldenKey(spec workload.Spec, v Variant, seed int64) string {
-	return fmt.Sprintf("%s/%s/%d", spec.Name, v, seed)
-}
-
 func readGolden(t *testing.T) map[string]uint64 {
 	t.Helper()
 	data, err := os.ReadFile(goldenPath)
@@ -98,38 +98,56 @@ func TestSchedulerGoldens(t *testing.T) {
 	}
 
 	var lines []string
-	golden := func(key string, run func() (RunDetail, *System)) {
-		t.Run(key, func(t *testing.T) {
-			d, sys := run()
-			if err := sys.M.CheckConservation(); err != nil {
-				t.Errorf("conservation: %v", err)
-			}
-			if tok := sys.TokenTM(); tok != nil {
-				if err := tok.CheckBookkeeping(); err != nil {
-					t.Errorf("bookkeeping: %v", err)
+	// golden runs one cell at every seed and checks each run against its
+	// golden line, or with update runs it twice and writes the line only if
+	// the two runs agree. A seed perturbs timing, not the work done, so the
+	// cell's commit count must not depend on the seed.
+	golden := func(cell string, run func(seed int64) (RunDetail, *System)) {
+		var commits []int
+		for _, seed := range seeds {
+			key := fmt.Sprintf("%s/%d", cell, seed)
+			t.Run(key, func(t *testing.T) {
+				d, sys := run(seed)
+				commits = append(commits, len(d.Commits))
+				if err := sys.M.CheckConservation(); err != nil {
+					t.Errorf("conservation: %v", err)
 				}
+				if tok := sys.TokenTM(); tok != nil {
+					if err := tok.CheckBookkeeping(); err != nil {
+						t.Errorf("bookkeeping: %v", err)
+					}
+				}
+				if split := d.FastCommits + d.SlowCommits; split != 0 && split != uint64(len(d.Commits)) {
+					t.Errorf("fast %d + slow %d release commits, want all %d commits", d.FastCommits, d.SlowCommits, len(d.Commits))
+				}
+				fp := fingerprintDetail(d)
+				if update {
+					if again, _ := run(seed); fingerprintDetail(again) != fp {
+						t.Fatalf("two runs of one cell differ (%016x, %016x): not writing a nondeterministic golden", fp, fingerprintDetail(again))
+					}
+					lines = append(lines, fmt.Sprintf("%s %016x", key, fp))
+					return
+				}
+				wantFP, ok := want[key]
+				if !ok {
+					t.Fatalf("no golden for %s; regenerate with TOKENTM_UPDATE_GOLDEN=1", key)
+				}
+				if fp != wantFP {
+					t.Errorf("schedule fingerprint %016x, golden %016x; if the schedule change is deliberate, regenerate with TOKENTM_UPDATE_GOLDEN=1 and review the diff", fp, wantFP)
+				}
+			})
+		}
+		for i, n := range commits {
+			if n != commits[0] {
+				t.Errorf("%s: commit count depends on seed: %d at seed %d, %d at seed %d", cell, commits[0], seeds[0], n, seeds[i])
 			}
-			fp := fingerprintDetail(d)
-			if update {
-				lines = append(lines, fmt.Sprintf("%s %016x", key, fp))
-				return
-			}
-			wantFP, ok := want[key]
-			if !ok {
-				t.Fatalf("no golden for %s; regenerate with TOKENTM_UPDATE_GOLDEN=1", key)
-			}
-			if fp != wantFP {
-				t.Errorf("schedule fingerprint %016x, golden %016x; if the schedule change is deliberate, regenerate with TOKENTM_UPDATE_GOLDEN=1 and review the diff", fp, wantFP)
-			}
-		})
+		}
 	}
 	for _, spec := range workload.Specs() {
 		for _, v := range Variants() {
-			for _, seed := range seeds {
-				golden(goldenKey(spec, v, seed), func() (RunDetail, *System) {
-					return runWorkload(spec, v, equivScale, seed)
-				})
-			}
+			golden(fmt.Sprintf("%s/%s", spec.Name, v), func(seed int64) (RunDetail, *System) {
+				return runWorkload(spec, v, equivScale, seed)
+			})
 		}
 	}
 	// Preemptive machines: two threads per core, so quantum expiries switch
@@ -137,28 +155,27 @@ func TestSchedulerGoldens(t *testing.T) {
 	for _, spec := range workload.Specs() {
 		for _, v := range Variants() {
 			for _, q := range preemptQuanta {
-				for _, seed := range seeds {
-					golden(fmt.Sprintf("%s/%s/q%d/%d", spec.Name, v, q, seed), func() (RunDetail, *System) {
-						sys := New(Config{Variant: v, Cores: preemptCores, Quantum: q, Seed: seed})
-						spec.Build(sys.M, 2*preemptCores, equivScale, seed)
-						sys.Run()
-						return sys.Detail(spec.Name, v), sys
-					})
-				}
+				golden(fmt.Sprintf("%s/%s/q%d", spec.Name, v, q), func(seed int64) (RunDetail, *System) {
+					sys := New(Config{Variant: v, Cores: preemptCores, Quantum: q, Seed: seed})
+					spec.Build(sys.M, 2*preemptCores, equivScale, seed)
+					sys.Run()
+					return sys.Detail(spec.Name, v), sys
+				})
 			}
 		}
 	}
 	for _, model := range lcs.Models() {
-		for _, seed := range seeds {
-			golden(fmt.Sprintf("lcs/%s/%d", model.Name, seed), func() (RunDetail, *System) {
-				_, m := lcs.Simulate(model, seed)
-				sys := &System{M: m, HTM: m.HTM}
-				return sys.Detail(model.Name, VariantTokenTM), sys
-			})
-		}
+		golden("lcs/"+model.Name, func(seed int64) (RunDetail, *System) {
+			_, m := lcs.Simulate(model, seed)
+			sys := &System{M: m, HTM: m.HTM}
+			return sys.Detail(model.Name, VariantTokenTM), sys
+		})
 	}
 
 	if update {
+		if t.Failed() {
+			t.Fatalf("not writing %s: the runs above failed", goldenPath)
+		}
 		out := "# workload/variant/seed fnv1a64(observables) — regenerate with TOKENTM_UPDATE_GOLDEN=1 go test -run TestSchedulerGoldens\n" +
 			strings.Join(lines, "\n") + "\n"
 		if err := os.WriteFile(goldenPath, []byte(out), 0o644); err != nil {
