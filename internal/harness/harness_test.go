@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"tokentm/internal/harness"
 )
@@ -16,6 +17,16 @@ import (
 func fakeRun(j harness.Job) (harness.Outcome, error) {
 	c := uint64(len(j.Workload))*1000 + uint64(j.Seed)
 	return harness.Outcome{Cycles: c, Commits: c / 10, Aborts: c % 7}, nil
+}
+
+// reversedRun is fakeRun delayed so that each wave of 8 jobs (the pool of
+// the order tests) finishes in reverse submission order: job i returns after
+// 8 - i%8 ms. A Sweep that placed results in completion order, not job order,
+// fails every order check run against it. Sleeps never wait on another job,
+// so no pool size can deadlock.
+func reversedRun(j harness.Job) (harness.Outcome, error) {
+	time.Sleep(time.Duration(8-j.Seed%8) * time.Millisecond)
+	return fakeRun(j)
 }
 
 func grid(n int) []harness.Job {
@@ -28,7 +39,7 @@ func grid(n int) []harness.Job {
 
 func TestSweepReturnsResultsInJobOrder(t *testing.T) {
 	jobs := grid(32)
-	r := &harness.Runner{Run: fakeRun, Parallel: 8}
+	r := &harness.Runner{Run: reversedRun, Parallel: 8}
 	results := r.Sweep(jobs)
 	if len(results) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(results), len(jobs))
@@ -92,8 +103,8 @@ func TestJSONByteStableAcrossParallelism(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	serial := emit(&harness.Runner{Run: fakeRun, Parallel: 1})
-	parallel := emit(&harness.Runner{Run: fakeRun, Parallel: 8})
+	serial := emit(&harness.Runner{Run: reversedRun, Parallel: 1})
+	parallel := emit(&harness.Runner{Run: reversedRun, Parallel: 8})
 	if !bytes.Equal(serial, parallel) {
 		t.Fatal("JSON differs between parallel=1 and parallel=8")
 	}

@@ -31,7 +31,7 @@ func TestAllocFreeAnnotations(t *testing.T) {
 
 	// One-time growth: the first transactions warm every stats field. Each
 	// entry also runs three warm-up rounds before measuring, which grow the
-	// read set and the spill logs to their steady size.
+	// read set and the logs to their steady size.
 	for i := 0; i < 3; i++ {
 		if _, err := th.Atomically(func(tx *Tx) error {
 			tx.Store(a, tx.Load(a)+1)
@@ -72,7 +72,8 @@ func TestAllocFreeAnnotations(t *testing.T) {
 
 	// The guarded pair: n records from block 16 on, key b in word 0 of block
 	// b — a match binds the read, any other guard passes over the record.
-	// n = 32 spills the read log, and with it the write and undo logs.
+	// n = 32 takes the read log past the fast-release size, and with it the
+	// write and undo logs (the "spilled" rows).
 	for b := Addr(16); b < 48; b++ {
 		tm.StoreWord(b*words, uint64(b))
 	}
@@ -83,8 +84,8 @@ func TestAllocFreeAnnotations(t *testing.T) {
 				tx.Lookup2(b*words, b*words+1, uint64(b))
 				tx.Lookup2(b*words, b*words+1, 1)
 			}
-			if tx.logs.nRead != int(n) {
-				t.Fatalf("read log holds %d entries, want %d", tx.logs.nRead, n)
+			if len(tx.logs.read) != int(n) {
+				t.Fatalf("read log holds %d entries, want %d", len(tx.logs.read), n)
 			}
 			tx.commitAttempt()
 		}
@@ -97,21 +98,22 @@ func TestAllocFreeAnnotations(t *testing.T) {
 					t.Fatalf("Upsert2 on block %d claimed the wrong key", b)
 				}
 			}
-			if tx.logs.nWrite != int(n) {
-				t.Fatalf("write log holds %d entries, want %d", tx.logs.nWrite, n)
+			if len(tx.logs.write) != int(n) {
+				t.Fatalf("write log holds %d entries, want %d", len(tx.logs.write), n)
 			}
 			tx.commitAttempt()
 		}
 	}
 
-	// read32 reads 32 blocks, enough to spill the read log past its inline
-	// array. It has fn's signature so the ReadOnly row can pass it as is.
+	// read32 reads 32 blocks, enough to take the read log past the
+	// fast-release size. It has fn's signature so the ReadOnly row can pass
+	// it as is.
 	read32 := func(tx *Tx) error {
 		for b := Addr(16); b < 48; b++ {
 			tx.Load(b * words)
 		}
-		if tx.logs.nRead != 32 || tx.logs.inline() {
-			t.Fatalf("read log holds %d entries inline=%v, want 32 spilled", tx.logs.nRead, tx.logs.inline())
+		if len(tx.logs.read) != 32 || tx.logs.inline() {
+			t.Fatalf("read log holds %d entries inline=%v, want 32 past the fast-release size", len(tx.logs.read), tx.logs.inline())
 		}
 		return nil
 	}
@@ -302,15 +304,15 @@ func TestAllocFreeAnnotations(t *testing.T) {
 		}},
 		{"Tx.commitAttempt/spilled-read-log", func() {
 			// 32 invisible reads and one upgrade: the commit validates a
-			// read log that has spilled past the inline array.
+			// read log past the fast-release size.
 			th.beginAttempt(tx, false)
 			read32(tx)
 			tx.Store(16*words, 1)
 			tx.commitAttempt()
 		}},
 		{"Tx.commitAttempt/read-only", func() {
-			// The same 32 reads through the ReadOnly driver: the log spills,
-			// the commit returns rv. The rows around this one open attempts
+			// The same 32 reads through the ReadOnly driver: a slow release,
+			// and the commit returns rv. The rows around this one open attempts
 			// by hand, and only a driver sets Tx.ro.
 			if _, err := th.ReadOnly(read32); err != nil {
 				t.Fatal(err)
@@ -329,7 +331,8 @@ func TestAllocFreeAnnotations(t *testing.T) {
 			tx.abortAttempt()
 		}},
 		{"Tx.abortAttempt/spilled-undo-log", func() {
-			// 32 stores: the undo log spills, and the replay reads it back.
+			// 32 stores: the undo log passes the fast-release size, and the
+			// replay reads it back.
 			th.beginAttempt(tx, true)
 			for b := Addr(16); b < 48; b++ {
 				tx.Store(b*words+1, 3)

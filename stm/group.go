@@ -144,7 +144,7 @@ func (g *Group) commitAll() bool {
 		}
 	}
 	for i, th := range g.members {
-		if th.tx.logs.nRead > 0 || th.tx.logs.nWrite > 0 {
+		if len(th.tx.logs.read) > 0 || len(th.tx.logs.write) > 0 {
 			g.serials[i] = th.tm.nextSerial()
 		} else {
 			g.serials[i] = 0

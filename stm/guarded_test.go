@@ -86,8 +86,8 @@ func TestLookup2CrossedSlotLeavesNoFootprint(t *testing.T) {
 					t.Fatalf("crossed guard = %d, want 5", g)
 				}
 				wantMeta(t, tm, 0, metastate.StateAnon, nil)
-				if tx.logs.nRead != 0 || th.reads.has(0) || tx.rv != rv {
-					t.Fatalf("crossing left a footprint: nRead %d, in read set %v, rv %d -> %d", tx.logs.nRead, th.reads.has(0), rv, tx.rv)
+				if len(tx.logs.read) != 0 || th.reads.has(0) || tx.rv != rv {
+					t.Fatalf("crossing left a footprint: %d logged reads, in read set %v, rv %d -> %d", len(tx.logs.read), th.reads.has(0), rv, tx.rv)
 				}
 				if pass == 0 {
 					if claimed, _ := other.Upsert2(0, 1, 5, 51); !claimed {
@@ -95,8 +95,8 @@ func TestLookup2CrossedSlotLeavesNoFootprint(t *testing.T) {
 					}
 				}
 			}
-			if g, v := tx.Lookup2(2, 3, 7); g != 7 || v != 70 || tx.logs.nRead != 1 {
-				t.Fatalf("match = (%d,%d) with %d logged reads, want (7,70) and 1", g, v, tx.logs.nRead)
+			if g, v := tx.Lookup2(2, 3, 7); g != 7 || v != 70 || len(tx.logs.read) != 1 {
+				t.Fatalf("match = (%d,%d) with %d logged reads, want (7,70) and 1", g, v, len(tx.logs.read))
 			}
 			return nil
 		}); err != nil {
@@ -131,8 +131,8 @@ func TestLookup2BindsOnce(t *testing.T) {
 			if tx.visible {
 				want = 2
 			}
-			if tx.logs.nRead != want {
-				t.Fatalf("%d logged reads, want %d", tx.logs.nRead, want)
+			if len(tx.logs.read) != want {
+				t.Fatalf("%d logged reads, want %d", len(tx.logs.read), want)
 			}
 			for b := uint32(1); b <= 2; b++ {
 				if tx.visible {
@@ -212,8 +212,8 @@ func TestTxUpsert2ClaimAndSkip(t *testing.T) {
 			if !tx.Upsert2(2, 3, 7, 71) || tx.Upsert2(2, 3, 9, 90) {
 				t.Fatal("a held record takes its own key and no other")
 			}
-			if l := &tx.logs; l.nRead != 0 || l.nWrite != 1 || l.nUndo != 3 {
-				t.Fatalf("logs hold %d reads, %d writes, %d undos; want 0, 1, 3", l.nRead, l.nWrite, l.nUndo)
+			if l := &tx.logs; len(l.read) != 0 || len(l.write) != 1 || len(l.undo) != 3 {
+				t.Fatalf("logs hold %d reads, %d writes, %d undos; want 0, 1, 3", len(l.read), len(l.write), len(l.undo))
 			}
 			return nil
 		}); err != nil {
@@ -261,8 +261,8 @@ func TestTxUpsert2UpgradeOnRetry(t *testing.T) {
 		if g, v2 := tx.Lookup2(2, 3, 7); g != 7 || v2 != v+1 {
 			t.Fatalf("own write reads back (%d,%d), want (7,%d)", g, v2, v+1)
 		}
-		if tx.logs.nRead != 1 || tx.logs.nWrite != 1 {
-			t.Fatalf("logs hold %d reads and %d writes, want 1 and 1", tx.logs.nRead, tx.logs.nWrite)
+		if len(tx.logs.read) != 1 || len(tx.logs.write) != 1 {
+			t.Fatalf("logs hold %d reads and %d writes, want 1 and 1", len(tx.logs.read), len(tx.logs.write))
 		}
 		if attempts == 1 {
 			tx.retry(&th.stats.ConflictAborts) // lose this attempt: the next reads by token
@@ -304,7 +304,7 @@ func TestTxUpsert2LosesSlotUnderClaim(t *testing.T) {
 				done <- atomically(func(tx *Tx) error {
 					attempts++
 					claimed = tx.Upsert2(k, v, 7, 70)
-					held = tx.logs.nWrite
+					held = len(tx.logs.write)
 					return nil
 				})
 			}()

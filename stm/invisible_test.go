@@ -30,8 +30,8 @@ func TestThreadLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(Thread{}); sz%line != 0 {
 		t.Errorf("Sizeof(Thread{}) = %d, not a multiple of %d: adjacent TM.threads slots share a cache line", sz, line)
 	}
-	if sz := unsafe.Sizeof(Tx{}); sz != 696 {
-		t.Errorf("Sizeof(Tx{}) = %d, want 696", sz)
+	if sz := unsafe.Sizeof(Tx{}); sz != 96 {
+		t.Errorf("Sizeof(Tx{}) = %d, want 96", sz)
 	}
 	var tm TM
 	header := unsafe.Offsetof(tm.threads) + unsafe.Sizeof(tm.threads)

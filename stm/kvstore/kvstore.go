@@ -133,3 +133,16 @@ func hashKey(k uint64) uint64 {
 	k ^= k >> 33
 	return k
 }
+
+// tableFull is the panic of a probe chain that has visited every slot
+// without finding its key or an empty slot. It formats only when printed,
+// so the probe functions that raise it stay within the inlining budget; the
+// server's recovered -ERR names it through Error.
+type tableFull struct {
+	backend string
+	key     uint64
+}
+
+func (e tableFull) Error() string {
+	return fmt.Sprintf("kvstore: %s table full probing key %d", e.backend, e.key)
+}

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 )
 
 // splitmix64 for seeded deterministic test workloads.
@@ -321,5 +323,95 @@ func TestNewRejectsAbsurdCapacity(t *testing.T) {
 		if _, err := New(name, maxCapacity+1, 1); err == nil {
 			t.Errorf("New(%q, maxCapacity+1, 1) accepted an unbuildable capacity", name)
 		}
+	}
+}
+
+// TestProbeContract pins what every entry point does at the two ends of a
+// probe chain: key 0 is refused on every backend, and on a linear-probing
+// backend whose table is full a missing key panics naming the full table
+// instead of probing forever.
+func TestProbeContract(t *testing.T) {
+	entries := []struct {
+		name string
+		op   func(h Handle, key uint64)
+	}{
+		{"Handle.Get", func(h Handle, key uint64) { h.Get(key) }},
+		{"Handle.Put", func(h Handle, key uint64) { h.Put(key, 1) }},
+		{"Txn.Get", func(h Handle, key uint64) {
+			h.Txn(false, func(tx Tx) error { tx.Get(key); return nil })
+		}},
+		{"Txn.Put", func(h Handle, key uint64) {
+			h.Txn(false, func(tx Tx) error { tx.Put(key, 1); return nil })
+		}},
+	}
+	wantPanic := func(t *testing.T, fragment string, op func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), fragment) {
+				t.Errorf("panic = %v, want one naming %q", r, fragment)
+			}
+		}()
+		op()
+	}
+	for _, name := range Backends {
+		for _, e := range entries {
+			t.Run(name+"/zero-key/"+e.name, func(t *testing.T) {
+				s, err := New(name, 4, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := s.Handle(0)
+				wantPanic(t, "zero key is reserved", func() { e.op(h, 0) })
+			})
+		}
+	}
+	for _, name := range []string{"stm", "tl2-occ"} {
+		for _, e := range entries {
+			t.Run(name+"/table-full/"+e.name, func(t *testing.T) {
+				s, err := New(name, 4, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := s.Handle(0)
+				for k := uint64(1); k <= 4; k++ {
+					h.Put(k, 10*k)
+				}
+				wantPanic(t, "table full", func() { e.op(h, 5) })
+				if got := snapshot(s); len(got) != 4 {
+					t.Fatalf("full table holds %v after the panic, want keys 1-4", got)
+				}
+			})
+		}
+	}
+}
+
+// TestTL2FullTableBehindBufferedInsert: a tl2-occ transaction whose second
+// insert finds the table's one empty slot already claimed by its first must
+// panic naming the full table. The claimed slot is the last one key 203's
+// chain visits, which is where a chain that skipped it used to wrap and
+// probe forever.
+func TestTL2FullTableBehindBufferedInsert(t *testing.T) {
+	s := NewTL2(4)
+	h := s.Handle(0)
+	for k := uint64(100); k < 103; k++ {
+		h.Put(k, 1)
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		h.Txn(false, func(tx Tx) error {
+			tx.Put(200, 1)
+			tx.Put(203, 1)
+			return nil
+		})
+	}()
+	select {
+	case r := <-done:
+		if r == nil || !strings.Contains(fmt.Sprint(r), "table full") {
+			t.Fatalf("panic = %v, want one naming the full table", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second insert is still probing after 10 s")
 	}
 }

@@ -1,10 +1,6 @@
 package kvstore
 
-import (
-	"fmt"
-
-	"tokentm/stm"
-)
+import "tokentm/stm"
 
 // stmStore maps the KV table onto a stm.TM: one linear-probing slot per
 // conflict-detection block, key in word 0 and value in word 1. Independent
@@ -48,6 +44,19 @@ func NewSTMWithOptions(capacity, workers int, opt stm.Options) Store {
 }
 
 func (s *stmStore) Name() string { return "stm" }
+
+// probe returns the i-th slot of key's linear-probing chain. It is the one
+// place this backend refuses the zero key and a chain that has visited
+// every slot.
+func (s *stmStore) probe(key, i uint64) uint64 {
+	if key == 0 {
+		panic("kvstore: zero key is reserved")
+	}
+	if i > s.mask {
+		panic(tableFull{"stm", key})
+	}
+	return (hashKey(key) + i) & s.mask
+}
 
 func (s *stmStore) Handle(worker int) Handle {
 	h := &stmHandle{st: s, th: s.tm.Thread(worker)}
@@ -102,13 +111,8 @@ func (h *stmHandle) Txn(readOnly bool, fn func(tx Tx) error) (uint64, error) {
 // writer-release stamp is the serial a one-block read-only transaction
 // committing there would return.
 func (h *stmHandle) Get(key uint64) (val uint64, ok bool, serial uint64) {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
-	st := h.st
-	hh := hashKey(key) & st.mask
 	for i := uint64(0); ; i++ {
-		slot := (hh + i) & st.mask
+		slot := h.st.probe(key, i)
 		k, v, s := h.th.Snapshot2(stm.Addr(2*slot), stm.Addr(2*slot+1))
 		if k == key {
 			h.th.NoteCommit()
@@ -117,9 +121,6 @@ func (h *stmHandle) Get(key uint64) (val uint64, ok bool, serial uint64) {
 		if k == 0 {
 			h.th.NoteCommit()
 			return 0, false, s
-		}
-		if i == st.mask {
-			panic(fmt.Sprintf("kvstore: stm table full probing key %d", key))
 		}
 	}
 }
@@ -130,28 +131,17 @@ func (h *stmHandle) Get(key uint64) (val uint64, ok bool, serial uint64) {
 // guard read replaces a separate peek; a skipped claim (a different key
 // committed there) just probes on.
 func (h *stmHandle) Put(key, val uint64) uint64 {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
-	st := h.st
-	hh := hashKey(key) & st.mask
 	for i := uint64(0); ; i++ {
-		slot := (hh + i) & st.mask
+		slot := h.st.probe(key, i)
 		if i > 0 {
 			// Deeper in the chain a peek is cheaper than a claim: skip
 			// committed foreign keys without touching the metadata word.
 			if k, _, _ := h.th.Snapshot2(stm.Addr(2*slot), stm.Addr(2*slot+1)); k != key && k != 0 {
-				if i == st.mask {
-					panic(fmt.Sprintf("kvstore: stm table full inserting key %d", key))
-				}
 				continue
 			}
 		}
 		if done, serial := h.th.Upsert2(stm.Addr(2*slot), stm.Addr(2*slot+1), key, val); done {
 			return serial
-		}
-		if i == st.mask {
-			panic(fmt.Sprintf("kvstore: stm table full inserting key %d", key))
 		}
 	}
 }
@@ -164,39 +154,25 @@ type stmTx struct {
 }
 
 func (t *stmTx) Get(key uint64) (uint64, bool) {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
-	h := hashKey(key) & t.st.mask
 	for i := uint64(0); ; i++ {
-		slot := (h + i) & t.st.mask
+		slot := t.st.probe(key, i)
 		switch k, v := t.itx.Lookup2(stm.Addr(2*slot), stm.Addr(2*slot+1), key); k {
 		case key:
 			return v, true
 		case 0:
 			return 0, false
 		}
-		if i == t.st.mask {
-			panic(fmt.Sprintf("kvstore: stm table full probing key %d", key))
-		}
 	}
 }
 
 func (t *stmTx) Put(key, val uint64) {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
 	if t.readOnly {
 		panic("kvstore: Put inside readOnly transaction")
 	}
-	h := hashKey(key) & t.st.mask
 	for i := uint64(0); ; i++ {
-		slot := (h + i) & t.st.mask
+		slot := t.st.probe(key, i)
 		if t.itx.Upsert2(stm.Addr(2*slot), stm.Addr(2*slot+1), key, val) {
 			return
-		}
-		if i == t.st.mask {
-			panic(fmt.Sprintf("kvstore: stm table full inserting key %d", key))
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package kvstore
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync/atomic"
@@ -41,6 +40,19 @@ func NewTL2(capacity int) Store {
 }
 
 func (s *tl2Store) Name() string { return "tl2-occ" }
+
+// probe returns the i-th slot of key's linear-probing chain. It is the one
+// place this backend refuses the zero key and a chain that has visited
+// every slot.
+func (s *tl2Store) probe(key, i uint64) uint64 {
+	if key == 0 {
+		panic("kvstore: zero key is reserved")
+	}
+	if i > s.mask {
+		panic(tableFull{"tl2", key})
+	}
+	return (hashKey(key) + i) & s.mask
+}
 
 func (s *tl2Store) Handle(worker int) Handle {
 	h := &tl2Handle{}
@@ -86,15 +98,11 @@ func (h *tl2Handle) Txn(readOnly bool, fn func(tx Tx) error) (uint64, error) {
 // commit-time validation for a read-only footprint, nothing needs appending.
 // A validation failure just refreshes rv and reprobes.
 func (h *tl2Handle) Get(key uint64) (val uint64, ok bool, serial uint64) {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
 	st := h.tx.st
 retry:
 	rv := st.clock.Load()
-	hh := hashKey(key) & st.mask
 	for i := uint64(0); ; i++ {
-		slot := (hh + i) & st.mask
+		slot := st.probe(key, i)
 		w1 := st.locks[slot].Load()
 		if w1&1 == 1 {
 			// A commit holds the slot and its owner may be switched out:
@@ -118,9 +126,6 @@ retry:
 			st.commits.Add(1)
 			return 0, false, rv
 		}
-		if i == st.mask {
-			panic(fmt.Sprintf("kvstore: tl2 table full probing key %d", key))
-		}
 	}
 }
 
@@ -128,14 +133,10 @@ retry:
 // snapshot), locks the terminal slot, writes through and releases with a
 // fresh write version.
 func (h *tl2Handle) Put(key, val uint64) uint64 {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
 	st := h.tx.st
 retry:
-	hh := hashKey(key) & st.mask
 	for i := uint64(0); ; i++ {
-		slot := (hh + i) & st.mask
+		slot := st.probe(key, i)
 		w1 := st.locks[slot].Load()
 		if w1&1 == 1 {
 			runtime.Gosched() // a commit is in flight on this slot (see Get)
@@ -159,9 +160,6 @@ retry:
 			st.locks[slot].Store(wv << 1)
 			st.commits.Add(1)
 			return wv
-		}
-		if i == st.mask {
-			panic(fmt.Sprintf("kvstore: tl2 table full inserting key %d", key))
 		}
 	}
 }
@@ -228,34 +226,23 @@ func (t *tl2Tx) readSlot(slot uint64) (key, val uint64) {
 }
 
 func (t *tl2Tx) Get(key uint64) (uint64, bool) {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		if t.writes[i].key == key {
 			return t.writes[i].val, true
 		}
 	}
-	h := hashKey(key) & t.st.mask
 	for i := uint64(0); ; i++ {
-		slot := (h + i) & t.st.mask
-		k, v := t.readSlot(slot)
+		k, v := t.readSlot(t.st.probe(key, i))
 		if k == 0 {
 			return 0, false
 		}
 		if k == key {
 			return v, true
 		}
-		if i == t.st.mask {
-			panic(fmt.Sprintf("kvstore: tl2 table full probing key %d", key))
-		}
 	}
 }
 
 func (t *tl2Tx) Put(key, val uint64) {
-	if key == 0 {
-		panic("kvstore: zero key is reserved")
-	}
 	if t.readOnly {
 		panic("kvstore: Put inside readOnly transaction")
 	}
@@ -265,9 +252,8 @@ func (t *tl2Tx) Put(key, val uint64) {
 			return
 		}
 	}
-	h := hashKey(key) & t.st.mask
 	for i := uint64(0); ; i++ {
-		slot := (h + i) & t.st.mask
+		slot := t.st.probe(key, i)
 		k, _ := t.readSlot(slot) // probe reads join the read set: the slot
 		// binding is revalidated at commit
 		if k == key {
@@ -280,9 +266,6 @@ func (t *tl2Tx) Put(key, val uint64) {
 			}
 			t.writes = append(t.writes, tl2Write{slot: slot, key: key, val: val})
 			return
-		}
-		if i == t.st.mask {
-			panic(fmt.Sprintf("kvstore: tl2 table full inserting key %d", key))
 		}
 	}
 }

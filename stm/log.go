@@ -2,14 +2,12 @@ package stm
 
 import "fmt"
 
-// Per-transaction logs, and (below) a visible attempt's read set. Small
-// transactions — the common case the paper optimizes for — stay entirely
-// within fixed inline arrays: no heap traffic, no pointer chasing, and the
-// release walk touches one cache-resident struct. Footprints beyond
-// inlineLog entries spill to heap slices whose storage is retained across
-// attempts and transactions, so even the slow path stops allocating once
-// warm. stats.FastReleases/SlowReleases count which path each transaction
-// took.
+// Per-transaction logs, and (below) a visible attempt's read set. Each log
+// is one slice whose storage is retained across attempts and transactions,
+// so a warm thread appends without allocating. The paper's fast release is
+// a size criterion, not a second structure: an attempt whose every log
+// stayed within inlineLog entries counts in stats.FastReleases, any larger
+// one in stats.SlowReleases.
 const inlineLog = 24
 
 // undoEnt records one overwritten word for abort rollback.
@@ -24,82 +22,26 @@ type undoEnt struct {
 // appended per store without deduplication; reverse replay restores the
 // oldest value last, which makes duplicates harmless. An invisible attempt
 // logs every bound read, so its read log may name a block twice, as TL2's
-// read set does; re-validating a duplicate is harmless too.
+// read set does; re-validating a duplicate is harmless too. An undo entry is
+// the log step of a write path's claim, log, store order, which the rollback
+// tests (TestErrorRollsBack, TestMaxAttemptsSurfacesErrAborted) pin.
 type txLogs struct {
-	nRead, nWrite, nUndo int
-
-	readInl  [inlineLog]uint32
-	writeInl [inlineLog]uint32
-	undoInl  [inlineLog]undoEnt
-
-	readSpill  []uint32
-	writeSpill []uint32
-	undoSpill  []undoEnt
+	read  []uint32
+	write []uint32
+	undo  []undoEnt
 }
 
-// reset empties the logs, retaining spill storage.
+// reset empties the logs, retaining their storage.
 func (l *txLogs) reset() {
-	l.nRead, l.nWrite, l.nUndo = 0, 0, 0
-	l.readSpill = l.readSpill[:0]
-	l.writeSpill = l.writeSpill[:0]
-	l.undoSpill = l.undoSpill[:0]
+	l.read = l.read[:0]
+	l.write = l.write[:0]
+	l.undo = l.undo[:0]
 }
 
-// inline reports whether the whole footprint stayed within the inline
-// arrays — the fast-release criterion.
+// inline reports whether every log stayed within inlineLog entries — the
+// fast-release criterion.
 func (l *txLogs) inline() bool {
-	return l.nRead <= inlineLog && l.nWrite <= inlineLog && l.nUndo <= inlineLog
-}
-
-func (l *txLogs) appendRead(b uint32) {
-	if l.nRead < inlineLog {
-		l.readInl[l.nRead] = b
-	} else {
-		l.readSpill = append(l.readSpill, b)
-	}
-	l.nRead++
-}
-
-func (l *txLogs) readAt(i int) uint32 {
-	if i < inlineLog {
-		return l.readInl[i]
-	}
-	return l.readSpill[i-inlineLog]
-}
-
-func (l *txLogs) appendWrite(b uint32) {
-	if l.nWrite < inlineLog {
-		l.writeInl[l.nWrite] = b
-	} else {
-		l.writeSpill = append(l.writeSpill, b)
-	}
-	l.nWrite++
-}
-
-func (l *txLogs) writeAt(i int) uint32 {
-	if i < inlineLog {
-		return l.writeInl[i]
-	}
-	return l.writeSpill[i-inlineLog]
-}
-
-// appendUndo records the pre-image of data word a for abort replay: the log
-// step of a write path's claim, log, store order, which the rollback tests
-// (TestErrorRollsBack, TestMaxAttemptsSurfacesErrAborted) pin.
-func (l *txLogs) appendUndo(a Addr, old uint64) {
-	if l.nUndo < inlineLog {
-		l.undoInl[l.nUndo] = undoEnt{addr: a, old: old}
-	} else {
-		l.undoSpill = append(l.undoSpill, undoEnt{addr: a, old: old})
-	}
-	l.nUndo++
-}
-
-func (l *txLogs) undoAt(i int) undoEnt {
-	if i < inlineLog {
-		return l.undoInl[i]
-	}
-	return l.undoSpill[i-inlineLog]
+	return len(l.read) <= inlineLog && len(l.write) <= inlineLog && len(l.undo) <= inlineLog
 }
 
 // readSet is the exact set of blocks a visible attempt holds a read token on:

@@ -40,8 +40,8 @@ func TestReadSetGrowsPastInit(t *testing.T) {
 					wantMeta(t, tm, b, metastate.StateRead1, th)
 				}
 			}
-			if l := &tx.logs; l.nRead != n || l.nWrite != n/2 {
-				t.Fatalf("logs hold %d reads and %d writes, want %d and %d", l.nRead, l.nWrite, n, n/2)
+			if l := &tx.logs; len(l.read) != n || len(l.write) != n/2 {
+				t.Fatalf("logs hold %d reads and %d writes, want %d and %d", len(l.read), len(l.write), n, n/2)
 			}
 			return nil
 		}); err != nil {
@@ -111,8 +111,8 @@ func TestOwnWriteThroughTokenWord(t *testing.T) {
 				if g, v := tx.Load2(4, 5); g != 9 || v != 90 {
 					t.Fatalf("Load2 of own insert = (%d,%d), want (9,90)", g, v)
 				}
-				if tx.logs.nRead != 0 || th.reads.has(1) || th.reads.has(2) {
-					t.Fatalf("own writes left read footprint: %d logged reads", tx.logs.nRead)
+				if len(tx.logs.read) != 0 || th.reads.has(1) || th.reads.has(2) {
+					t.Fatalf("own writes left read footprint: %d logged reads", len(tx.logs.read))
 				}
 				tx.retry(&th.stats.ConflictAborts)
 			}
@@ -122,8 +122,8 @@ func TestOwnWriteThroughTokenWord(t *testing.T) {
 			if g, _ := tx.Lookup2(4, 5, 9); g != 0 {
 				t.Fatalf("after the abort: guard %d, want the insert undone", g)
 			}
-			if tx.logs.nRead != 2 || !th.reads.has(1) || !th.reads.has(2) {
-				t.Fatalf("after the abort: %d logged reads, want 2 token reads", tx.logs.nRead)
+			if len(tx.logs.read) != 2 || !th.reads.has(1) || !th.reads.has(2) {
+				t.Fatalf("after the abort: %d logged reads, want 2 token reads", len(tx.logs.read))
 			}
 			wantMeta(t, tm, 1, metastate.StateRead1, th)
 			wantMeta(t, tm, 2, metastate.StateRead1, th)

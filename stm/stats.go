@@ -10,8 +10,8 @@ type Stats struct {
 	Aborts  uint64 // aborted attempts (each retried attempt counts once)
 
 	Upgrades     uint64 // read-to-write upgrades that folded a held read token into the claim (visible attempts only)
-	FastReleases uint64 // attempts whose footprint stayed in the inline logs
-	SlowReleases uint64 // attempts that spilled to heap logs
+	FastReleases uint64 // attempts whose read, write and undo logs each held at most 24 entries
+	SlowReleases uint64 // attempts with a longer log
 
 	ConflictWriter uint64 // acquisition rounds lost to a writer's (T,X)
 	ConflictReader uint64 // write acquisitions lost to outstanding readers

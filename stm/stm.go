@@ -252,7 +252,7 @@ type Thread struct {
 	// a whole number of cache lines, so one slot's last counters — stored on
 	// every commit and every point Get — stay off the line holding the next
 	// slot's tm/tid/status, which that slot's owner reads on every access.
-	_ [16]byte
+	_ [40]byte
 }
 
 // retrySignal unwinds the user function on conflict abort; Atomically

@@ -231,10 +231,43 @@ func TestConcurrentTransfers(t *testing.T) {
 	quiesced(t, tm)
 }
 
-// TestLargeFootprintSpillsAndReleases drives one transaction past the
-// inline log capacity: the spill path must log, release and roll back
-// exactly like the fast path.
+// TestLargeFootprintSpillsAndReleases drives transactions to and past the
+// fast-release size, inlineLog entries in each log. Each log on its own
+// decides the count: a footprint of exactly inlineLog entries is one fast
+// release and one more entry is one slow release. A footprint of three
+// times the size must then log, release and roll back like a small one.
 func TestLargeFootprintSpillsAndReleases(t *testing.T) {
+	boundary := []struct {
+		log  string
+		step func(tx *Tx, i int)
+	}{
+		{"read", func(tx *Tx, i int) { tx.Load(Addr(i * 2)) }},   // a first attempt's reads are logged
+		{"write", func(tx *Tx, i int) { tx.LoadW(Addr(i * 2)) }}, // a claim with no undo entry
+		{"undo", func(tx *Tx, i int) { tx.Store(0, uint64(i)) }}, // one claim, an undo entry per store
+	}
+	for _, c := range boundary {
+		for _, n := range []int{inlineLog, inlineLog + 1} {
+			tm := New(2*inlineLog, 2, 1)
+			if _, err := tm.Thread(0).Atomically(func(tx *Tx) error {
+				for i := 0; i < n; i++ {
+					c.step(tx, i)
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			quiesced(t, tm)
+			fast := uint64(0)
+			if n <= inlineLog {
+				fast = 1
+			}
+			if s := tm.Stats(); s.FastReleases != fast || s.SlowReleases != 1-fast {
+				t.Errorf("%s log of %d entries: releases fast=%d slow=%d, want %d/%d",
+					c.log, n, s.FastReleases, s.SlowReleases, fast, 1-fast)
+			}
+		}
+	}
+
 	const blocks = 3 * inlineLog
 	tm := New(blocks, 2, 1)
 	th := tm.Thread(0)
@@ -257,7 +290,7 @@ func TestLargeFootprintSpillsAndReleases(t *testing.T) {
 		t.Fatalf("releases fast=%d slow=%d, want 0/1", s.FastReleases, s.SlowReleases)
 	}
 
-	// And the abort of a spilled transaction must undo every write.
+	// And the abort of a large transaction must undo every write.
 	boom := errors.New("boom")
 	if _, err := th.Atomically(func(tx *Tx) error {
 		for b := 0; b < blocks; b++ {

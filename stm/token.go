@@ -149,7 +149,7 @@ func (tx *Tx) read2(a1, a2 Addr, guard uint64, bind int) (uint64, uint64) {
 			tx.extend()
 			continue
 		}
-		tx.logs.appendRead(b)
+		tx.logs.read = append(tx.logs.read, b)
 		return v1, v2
 	}
 }
@@ -162,7 +162,7 @@ func (tx *Tx) readByToken(b uint32, a1, a2 Addr) (uint64, uint64) {
 	th := tx.th
 	if tx.acquireRead(b) {
 		th.reads.add(b)
-		tx.logs.appendRead(b)
+		tx.logs.read = append(tx.logs.read, b)
 	}
 	return th.tm.dataw(a1).Load(), th.tm.dataw(a2).Load()
 }
@@ -197,8 +197,8 @@ func (tx *Tx) extend() {
 // test: the claim keeps the stamp it found, which acquireWrite checked.
 func (tx *Tx) readsValid() bool {
 	th := tx.th
-	for i := 0; i < tx.logs.nRead; i++ {
-		w := metastate.PackedWord(th.tm.metaw(tx.logs.readAt(i)).Load())
+	for _, b := range tx.logs.read {
+		w := metastate.PackedWord(th.tm.metaw(b).Load())
 		if w.Stamp() > tx.rv {
 			return false
 		}
@@ -228,7 +228,7 @@ func (tx *Tx) Store(a Addr, v uint64) {
 		panic("stm: Store inside a read-only transaction")
 	}
 	tx.writeAcquire(uint32(a) >> th.tm.shift)
-	tx.logs.appendUndo(a, th.tm.dataw(a).Load())
+	tx.logs.undo = append(tx.logs.undo, undoEnt{addr: a, old: th.tm.dataw(a).Load()})
 	th.tm.dataw(a).Store(v)
 }
 
@@ -254,7 +254,7 @@ func (tx *Tx) writeAcquire(b uint32) {
 	if !tx.acquireWrite(b, haveRead) {
 		return // already the writer
 	}
-	tx.logs.appendWrite(b)
+	tx.logs.write = append(tx.logs.write, b)
 	if haveRead {
 		bump(&th.stats.Upgrades)
 	}
@@ -288,13 +288,13 @@ func (tx *Tx) Upsert2(a1, a2 Addr, k1, v2 uint64) (claimed bool) {
 	tx.writeAcquire(b)
 	switch g := th.tm.dataw(a1).Load(); g {
 	case 0:
-		tx.logs.appendUndo(a1, 0)
+		tx.logs.undo = append(tx.logs.undo, undoEnt{addr: a1, old: 0})
 		th.tm.dataw(a1).Store(k1)
 	case k1:
 	default:
 		return false
 	}
-	tx.logs.appendUndo(a2, th.tm.dataw(a2).Load())
+	tx.logs.undo = append(tx.logs.undo, undoEnt{addr: a2, old: th.tm.dataw(a2).Load()})
 	th.tm.dataw(a2).Store(v2)
 	return true
 }
@@ -608,12 +608,12 @@ func (tx *Tx) commitAttempt() uint64 {
 // a stamp change tells it to re-read.
 func (tx *Tx) abortAttempt() {
 	th := tx.th
-	for i := tx.logs.nUndo - 1; i >= 0; i-- {
-		e := tx.logs.undoAt(i)
+	for i := len(tx.logs.undo) - 1; i >= 0; i-- {
+		e := tx.logs.undo[i]
 		th.tm.dataw(e.addr).Store(e.old)
 	}
 	var stamp uint64
-	if tx.logs.nWrite > 0 {
+	if len(tx.logs.write) > 0 {
 		stamp = th.tm.nextSerial()
 	}
 	tx.releaseAll(stamp)
@@ -628,19 +628,19 @@ func (tx *Tx) abortAttempt() {
 // and releases through its write entry only — the read token was folded into
 // the write claim, so decrementing it again would be the double-entry
 // violation the model checker hunts. Write blocks then release all T tokens
-// in one transition ((T,self) -> (0,-)). Transactions whose whole footprint
-// stayed within the inline log arrays take the fast path (no heap log to
-// walk), the host analog of the paper's small-transaction flash-clear
-// release.
+// in one transition ((T,self) -> (0,-)). Every attempt walks its logs the
+// same way; one whose logs each stayed within inlineLog entries counts as a
+// fast release, the host analog of the paper's small-transaction
+// flash-clear release, and a larger one as a slow release.
 func (tx *Tx) releaseAll(stamp uint64) {
 	th := tx.th
 	if tx.visible {
-		for i := 0; i < tx.logs.nRead; i++ {
-			th.releaseRead(tx.logs.readAt(i))
+		for _, b := range tx.logs.read {
+			th.releaseRead(b)
 		}
 	}
-	for i := 0; i < tx.logs.nWrite; i++ {
-		th.releaseWrite(tx.logs.writeAt(i), stamp)
+	for _, b := range tx.logs.write {
+		th.releaseWrite(b, stamp)
 	}
 	if tx.logs.inline() {
 		bump(&th.stats.FastReleases)
