@@ -184,12 +184,12 @@ func BenchmarkAblationRetryLimit(b *testing.B) {
 	for _, limit := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("limit=%d", limit), func(b *testing.B) {
 			var cycles Cycle
-			var aborts uint64
+			var aborts int
 			for i := 0; i < b.N; i++ {
 				sys := New(Config{Variant: VariantTokenTM, Cores: 32, Seed: int64(i + 1), RetryLimit: limit})
 				spec.Build(sys.M, 32, benchScale, int64(i+1))
 				cycles = sys.Run()
-				aborts = sys.HTM.Stats().Aborts
+				aborts = len(sys.M.AbortRecs)
 			}
 			b.ReportMetric(float64(cycles), "sim-cycles")
 			b.ReportMetric(float64(aborts), "aborts")

@@ -121,7 +121,7 @@ func run(args []string, w io.Writer) error {
 	fmt.Fprintf(w, "conflicts=%d (read-vs-writer %d, write-vs-readers %d, write-vs-writer %d, non-transactional %d)\n",
 		m.Conflicts, m.ReadVsWriter, m.WriteVsReaders, m.WriteVsWriter, m.NonXactConf)
 	fmt.Fprintf(w, "stalls=%d aborts=%d false-positive conflicts=%d hard-case log walks=%d\n",
-		m.Stalls, m.Aborts, m.FalseConflicts, m.HardCaseLookups)
+		m.Stalls, len(d.AbortRecs), m.FalseConflicts, m.HardCaseLookups)
 
 	if d.FastCommits+d.SlowCommits > 0 {
 		fmt.Fprintf(w, "\nTokenTM: fast token release commits=%d software release commits=%d (%.1f%% fast)\n",

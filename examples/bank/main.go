@@ -31,7 +31,6 @@ func run(v tokentm.Variant) {
 		sys.StoreWord(acct(i), initial)
 	}
 
-	aborts := 0
 	for t := 0; t < threads; t++ {
 		seed := int64(t + 1)
 		sys.Spawn(func(tc *tokentm.Ctx) {
@@ -59,16 +58,13 @@ func run(v tokentm.Variant) {
 	for i := 0; i < accounts; i++ {
 		total += sys.Load(acct(i))
 	}
-	st := sys.HTM.Stats()
-	for _, th := range sys.M.Threads() {
-		aborts += th.AbortCount
-	}
+	d := sys.Detail("bank", v)
 	status := "OK"
 	if total != accounts*initial {
 		status = "MONEY LOST!"
 	}
 	fmt.Printf("%-16s total=%d (%s)  cycles=%-9d conflicts=%-5d aborts=%-4d false=%d\n",
-		v, total, status, cycles, st.Conflicts, aborts, st.FalseConflicts)
+		v, total, status, cycles, d.Metrics.Conflicts, len(d.AbortRecs), d.Metrics.FalseConflicts)
 }
 
 func main() {

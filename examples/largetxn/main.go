@@ -75,16 +75,17 @@ func main() {
 	})
 
 	cycles := sys.Run()
+	d := sys.Detail("largetxn", tokentm.VariantTokenTM)
 
 	fmt.Printf("simulated %d cycles\n", cycles)
 	fmt.Printf("elephant wrote %d blocks (L1 holds %d): all intact = %v\n",
 		elephantBlocks, 32*1024/tokentm.BlockBytes, verify(sys, elephant, elephantBlocks))
 	fmt.Printf("mice committed %d small transactions: counter=%d\n", mice, sys.Load(counter))
-	fmt.Printf("fast commits=%d software commits=%d (the elephant and the\n", tok.FastCommits, tok.SlowCommits)
+	fmt.Printf("fast commits=%d software commits=%d (the elephant and the\n", d.FastCommits, d.SlowCommits)
 	fmt.Println("  context-switched helper transactions release in software; mice stay fast)")
 
 	var miceFast int
-	for _, r := range sys.M.Commits {
+	for _, r := range d.Commits {
 		if r.Thread == 1 && r.Fast {
 			miceFast++
 		}

@@ -46,10 +46,10 @@ func main() {
 		fmt.Printf("  thread %d private counter = %d\n", i, sys.Load(private(i)))
 	}
 
-	st := sys.HTM.Stats()
-	fmt.Printf("conflicts=%d stalls=%d aborts=%d\n", st.Conflicts, st.Stalls, st.Aborts)
+	d := sys.Detail("quickstart", tokentm.VariantTokenTM)
+	fmt.Printf("conflicts=%d stalls=%d aborts=%d\n", d.Metrics.Conflicts, d.Metrics.Stalls, len(d.AbortRecs))
 	if tok := sys.TokenTM(); tok != nil {
-		fmt.Printf("fast commits=%d software commits=%d\n", tok.FastCommits, tok.SlowCommits)
+		fmt.Printf("fast commits=%d software commits=%d\n", d.FastCommits, d.SlowCommits)
 		if err := tok.CheckBookkeeping(); err != nil {
 			fmt.Println("bookkeeping violation:", err)
 			return

@@ -133,17 +133,15 @@ func main() {
 		fmt.Printf("CONSISTENCY VIOLATION in %d records\n", oversold)
 	}
 
-	st := sys.HTM.Stats()
+	d := sys.Detail("vacation", tokentm.VariantTokenTM)
 	var rs, ws float64
-	for _, r := range st.Commits {
+	for _, r := range d.Commits {
 		rs += float64(r.ReadBlocks)
 		ws += float64(r.WriteBlocks)
 	}
-	n := float64(len(st.Commits))
+	n := float64(len(d.Commits))
 	fmt.Printf("transactions: %d committed, avg read set %.1f blocks, avg write set %.1f blocks\n",
-		len(st.Commits), rs/n, ws/n)
-	fmt.Printf("conflicts=%d aborts=%d\n", st.Conflicts, st.Aborts)
-	if tok := sys.TokenTM(); tok != nil {
-		fmt.Printf("fast token release: %d/%d commits\n", tok.FastCommits, tok.FastCommits+tok.SlowCommits)
-	}
+		len(d.Commits), rs/n, ws/n)
+	fmt.Printf("conflicts=%d aborts=%d\n", d.Metrics.Conflicts, len(d.AbortRecs))
+	fmt.Printf("fast token release: %d/%d commits\n", d.FastCommits, d.FastCommits+d.SlowCommits)
 }

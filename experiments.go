@@ -25,7 +25,8 @@ type RunDetail struct {
 	Cycles   Cycle
 	Commits  []htm.CommitRecord
 	Metrics  htm.Metrics
-	// FastCommits/SlowCommits are TokenTM-specific (0 for LogTM-SE).
+	// FastCommits/SlowCommits split Commits by release path on TokenTM
+	// variants (0 for LogTM-SE).
 	FastCommits, SlowCommits uint64
 	// Breakdown is the machine-wide cycle attribution (Figures 7–9): every
 	// core-clock cycle charged to one attr.Bucket.
@@ -68,9 +69,14 @@ func (s *System) Detail(workload string, v Variant) RunDetail {
 		CoreTimes: s.M.CoreTimes(),
 		AbortRecs: s.M.AbortRecs,
 	}
-	if tok := s.TokenTM(); tok != nil {
-		d.FastCommits = tok.FastCommits
-		d.SlowCommits = tok.SlowCommits
+	if s.TokenTM() != nil {
+		for _, c := range d.Commits {
+			if c.Fast {
+				d.FastCommits++
+			} else {
+				d.SlowCommits++
+			}
+		}
 	}
 	return d
 }
@@ -106,7 +112,7 @@ func ExperimentRun(j harness.Job) (harness.Outcome, error) {
 	out := harness.Outcome{
 		Cycles:       uint64(d.Cycles),
 		Commits:      uint64(len(d.Commits)),
-		Aborts:       d.Metrics.Aborts,
+		Aborts:       uint64(len(d.AbortRecs)),
 		FastCommits:  d.FastCommits,
 		SlowCommits:  d.SlowCommits,
 		Breakdown:    d.Breakdown.Map(),

@@ -52,9 +52,6 @@ type TokenTM struct {
 	readerScratch []mem.TID
 	enemyScratch  []*htm.Xact
 	tidScratch    []mem.TID
-
-	// FastCommits and SlowCommits count commit kinds (Table 6).
-	FastCommits, SlowCommits uint64
 }
 
 var (
@@ -500,12 +497,10 @@ func (t *TokenTM) Commit(th *htm.Thread) (mem.Cycle, bool) {
 		th.Log.Reset()
 		x.Tokens.Reset()
 		x.Active = false
-		t.FastCommits++
 		return htm.FastCommitCycles, true
 	}
 	lat := t.softwareRelease(th)
 	x.Active = false
-	t.SlowCommits++
 	return lat, false
 }
 
@@ -569,7 +564,6 @@ func (t *TokenTM) Abort(th *htm.Thread) mem.Cycle {
 	}
 	x.Tokens.Reset()
 	x.Active = false
-	t.Metrics.Aborts++
 	return lat
 }
 

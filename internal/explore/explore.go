@@ -131,11 +131,10 @@ func exploreDFS(prog *Program, opts Options, res *Result) {
 		dec := 0
 		forced := len(stack)
 		rr := runSchedule(prog, opts.Variant, opts.Mutation, runOpts{
-			seed:      opts.Seed,
-			maxSteps:  opts.MaxSteps,
-			preempts:  opts.Preempts,
-			bounces:   opts.Bounces,
-			checkStep: true,
+			seed:     opts.Seed,
+			maxSteps: opts.MaxSteps,
+			preempts: opts.Preempts,
+			bounces:  opts.Bounces,
 		}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) (Decision, bool) {
 			i := dec
 			dec++

@@ -45,10 +45,9 @@ func Replay(prog *Program, variant string, mut core.Mutation, schedule string, s
 		maxSteps: maxSteps,
 		// The recorded prefix already respected the original budgets;
 		// forced replay only needs budgets large enough to honor it.
-		preempts:  len(ds),
-		bounces:   len(ds),
-		checkStep: true,
-		tracer:    tr,
+		preempts: len(ds),
+		bounces:  len(ds),
+		tracer:   tr,
 	}, func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, def int, st *runState) (Decision, bool) {
 		if i == len(ds) {
 			return Decision{Kind: DecRun, Core: def}, true

@@ -48,12 +48,11 @@ type chooser func(m *sim.Machine, tok *core.TokenTM, choices []sim.CoreChoice, d
 
 // runOpts parameterizes one schedule execution.
 type runOpts struct {
-	seed      int64
-	maxSteps  int
-	preempts  int
-	bounces   int
-	checkStep bool // per-step CheckBookkeeping (TokenTM variants only)
-	tracer    *trace.Tracer
+	seed     int64
+	maxSteps int
+	preempts int
+	bounces  int
+	tracer   *trace.Tracer
 }
 
 // runResult is one schedule's outcome.
@@ -105,10 +104,10 @@ func runSchedule(prog *Program, variant string, mut core.Mutation, o runOpts, ch
 	vio := func(kind, msg string) *Violation {
 		return &Violation{Kind: kind, Message: msg, Step: len(res.schedule), Schedule: FormatSchedule(res.schedule)}
 	}
-	// balanced audits the books after a decision, recording a violation
-	// when they do not balance.
+	// balanced audits the books after a decision (TokenTM variants only),
+	// recording a violation when they do not balance.
 	balanced := func() bool {
-		if o.checkStep && tok != nil {
+		if tok != nil {
 			if err := tok.CheckBookkeeping(); err != nil {
 				res.violation = vio("bookkeeping", err.Error())
 				return false
@@ -161,9 +160,7 @@ func runSchedule(prog *Program, variant string, mut core.Mutation, o runOpts, ch
 	res.fingerprint = m.Fingerprint()
 	res.commits = append([]htm.CommitRecord(nil), m.Commits...)
 	res.coreTimes = m.CoreTimes()
-	for _, th := range m.Threads() {
-		res.aborts += th.AbortCount
-	}
+	res.aborts = len(m.AbortRecs)
 	res.evictions = m.Mem.Stats.Evictions
 	res.violation = endChecks(m, tok, prog, journals, vio)
 	return res
@@ -259,10 +256,14 @@ func recordRead(e *journalEntry, a mem.Addr, v uint64) {
 // committed history is serializable in commit order, final memory matches
 // the serial replay, and the token books balance.
 func endChecks(m *sim.Machine, tok *core.TokenTM, prog *Program, journals [][]journalEntry, vio func(kind, msg string) *Violation) *Violation {
-	for i, th := range m.Threads() {
-		if want := len(prog.Threads[i].Txns); len(th.Commits) != want {
+	committed := make([]int, len(prog.Threads))
+	for _, rec := range m.Commits {
+		committed[rec.Thread]++
+	}
+	for i, n := range committed {
+		if want := len(prog.Threads[i].Txns); n != want {
 			return vio("commits", fmt.Sprintf(
-				"thread %d committed %d of %d transactions", i, len(th.Commits), want))
+				"thread %d committed %d of %d transactions", i, n, want))
 		}
 	}
 	// Merge the per-thread journals along the true commit order and replay

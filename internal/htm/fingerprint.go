@@ -18,9 +18,8 @@ type Fingerprinter interface {
 
 // FingerprintTo mixes the transaction state that can influence future
 // behavior: identity, priority, conflict flags, the token index, and the
-// exact read/write sets. Metrics-only accumulators (StallCycles,
-// BackoffCycles, WastedCycles, LogStall) and per-attempt abort attribution
-// are deliberately excluded — they never feed back into protocol decisions,
+// exact read/write sets. The metrics-only LogStall accumulator and
+// per-attempt abort attribution are deliberately excluded — they never feed back into protocol decisions,
 // and excluding them lets schedules that merely accounted differently merge.
 func (x *Xact) FingerprintTo(h *statehash.Hash) {
 	h.Mark('X')

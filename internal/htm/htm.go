@@ -141,18 +141,6 @@ type Xact struct {
 	// LogStall accumulates cycles stalled writing log records.
 	LogStall mem.Cycle
 
-	// Cycle-attribution accumulators (Figures 7–9). StallCycles,
-	// BackoffCycles and WastedCycles span the transaction's whole lifetime —
-	// they survive Reset so the committing attempt's record carries the full
-	// cost of getting there.
-	//
-	// StallCycles is time trapped in the contention manager.
-	StallCycles mem.Cycle
-	// BackoffCycles is randomized stall backoff between conflict retries.
-	BackoffCycles mem.Cycle
-	// WastedCycles is work performed by attempts that aborted.
-	WastedCycles mem.Cycle
-
 	// Abort attribution for the *current* attempt (cleared by Reset): set by
 	// the contention manager when this transaction is told to abort, consumed
 	// by the simulator's abort-lifecycle record.
@@ -321,18 +309,10 @@ type CommitRecord struct {
 	ReleaseCycles mem.Cycle
 	// LogStall is the time stalled on log writes.
 	LogStall mem.Cycle
-	// Attempts is the number of tries (1 = committed first time).
-	Attempts int
-	// StallCycles/BackoffCycles/WastedCycles carry the transaction's
-	// lifetime conflict costs (accumulated across all attempts, aborted ones
-	// included) into the commit stream for per-transaction attribution.
-	StallCycles   mem.Cycle
-	BackoffCycles mem.Cycle
-	WastedCycles  mem.Cycle
 }
 
 // AbortRecord captures one aborted transaction attempt for the lifecycle
-// stream: who lost, who won, where, and what the attempt cost.
+// stream: who lost, who won, and where.
 type AbortRecord struct {
 	// Thread is the simulator thread id; TID the transactional identity.
 	Thread int
@@ -346,16 +326,12 @@ type AbortRecord struct {
 	Block mem.BlockAddr
 	// Kind classifies the losing conflict.
 	Kind ConflictKind
-	// Wasted is the attempt's reclassified work (begin + useful + memory).
-	Wasted mem.Cycle
-	// Unroll is the abort handler's log-walk time.
-	Unroll mem.Cycle
 }
 
-// Metrics aggregates HTM events over a run.
+// Metrics aggregates HTM events over a run. Commits and aborts are not
+// counted here: the simulator's commit and abort record streams are the one
+// record of them.
 type Metrics struct {
-	Commits        []CommitRecord
-	Aborts         uint64
 	Conflicts      uint64
 	FalseConflicts uint64
 	Stalls         uint64
@@ -368,9 +344,6 @@ type Metrics struct {
 	WriteVsWriter  uint64
 	NonXactConf    uint64
 }
-
-// RecordCommit appends a commit record.
-func (m *Metrics) RecordCommit(r CommitRecord) { m.Commits = append(m.Commits, r) }
 
 // CountConflict bumps the per-kind conflict counter for k.
 func (m *Metrics) CountConflict(k ConflictKind) {

@@ -138,15 +138,6 @@ func TestThreadInXact(t *testing.T) {
 	}
 }
 
-func TestMetricsRecordCommit(t *testing.T) {
-	var m Metrics
-	m.RecordCommit(CommitRecord{Thread: 1, ReadBlocks: 2})
-	m.RecordCommit(CommitRecord{Thread: 2, ReadBlocks: 3})
-	if len(m.Commits) != 2 || m.Commits[1].ReadBlocks != 3 {
-		t.Fatal("commit records")
-	}
-}
-
 func TestCommitRecordBytesAccounting(t *testing.T) {
 	// Spot-check the cost constants stay sane (used across variants).
 	if BeginCycles == 0 || FastCommitCycles == 0 || conflictTrapCycles == 0 {

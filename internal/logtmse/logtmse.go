@@ -282,7 +282,6 @@ func (s *LogTMSE) Abort(th *htm.Thread) mem.Cycle {
 	lat := s.Unroll(th)
 	s.clearSets(s.state[th.TID])
 	th.Xact.Active = false
-	s.Metrics.Aborts++
 	return lat
 }
 

@@ -68,12 +68,10 @@ func (tc *Ctx) commitAttempt() {
 }
 
 // abortAttempt reclassifies the pending frame's cycles as wasted work and
-// deactivates it, returning the wasted total.
-func (tc *Ctx) abortAttempt() mem.Cycle {
-	wasted := tc.pend.Total()
-	tc.th.m.charge(tc.th.core.id, attr.Wasted, wasted)
+// deactivates it.
+func (tc *Ctx) abortAttempt() {
+	tc.th.m.charge(tc.th.core.id, attr.Wasted, tc.pend.Total())
 	tc.pend = nil
-	return wasted
 }
 
 // workFlushThreshold bounds how much local work Ctx.Work defers before
@@ -138,10 +136,6 @@ func (tc *Ctx) Load(addr mem.Addr) uint64 {
 func (tc *Ctx) stall(trap, backoff mem.Cycle) {
 	tc.charge(attr.ConflictStall, trap)
 	tc.charge(attr.StallBackoff, backoff)
-	if x := tc.th.H.Xact; x != nil {
-		x.StallCycles += trap
-		x.BackoffCycles += backoff
-	}
 	tc.th.yield(opResult{lat: trap + backoff})
 }
 
@@ -215,9 +209,6 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 	x.TID = th.H.TID
 	x.Core = th.core.id
 	x.Timestamp = tc.Now()
-	x.StallCycles = 0
-	x.BackoffCycles = 0
-	x.WastedCycles = 0
 	for attempt := 1; ; attempt++ {
 		x.Reset()
 		x.Attempts = attempt
@@ -239,23 +230,17 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 			// just been applied, so m.Commits is in true serialization
 			// (commit) order across threads.
 			rec := htm.CommitRecord{
-				Thread:        th.H.ID,
-				ReadBlocks:    len(x.ReadSet),
-				WriteBlocks:   len(x.WriteSet),
-				Duration:      tc.Now() + lat - x.BeginTime,
-				Fast:          fast,
-				LogStall:      x.LogStall,
-				Attempts:      x.Attempts,
-				StallCycles:   x.StallCycles,
-				BackoffCycles: x.BackoffCycles,
-				WastedCycles:  x.WastedCycles,
+				Thread:      th.H.ID,
+				ReadBlocks:  len(x.ReadSet),
+				WriteBlocks: len(x.WriteSet),
+				Duration:    tc.Now() + lat - x.BeginTime,
+				Fast:        fast,
+				LogStall:    x.LogStall,
 			}
 			if !fast {
 				rec.ReleaseCycles = lat
 			}
-			th.Commits = append(th.Commits, rec)
 			th.m.Commits = append(th.m.Commits, rec)
-			th.m.HTM.Stats().RecordCommit(rec)
 			th.H.Xact = nil
 			tc.commitAttempt()
 			tc.charge(attr.Commit, lat)
@@ -265,10 +250,8 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 
 		// Abort: unroll, back off, retry with the original timestamp.
 		lat := th.m.HTM.Abort(th.H)
-		th.AbortCount++
-		wasted := tc.abortAttempt()
-		x.WastedCycles += wasted
-		tc.recordAbort(x, attempt, wasted, lat)
+		tc.abortAttempt()
+		tc.recordAbort(x, attempt)
 		th.H.Xact = nil
 		bo := th.m.abortBackoff(attempt)
 		tc.charge(attr.LogUnroll, lat)
@@ -279,20 +262,16 @@ func (tc *Ctx) Atomic(fn func(*Tx)) {
 
 // recordAbort appends the abort-lifecycle record for one aborted attempt of
 // x, consuming the attribution the contention manager left on it.
-func (tc *Ctx) recordAbort(x *htm.Xact, attempt int, wasted, unroll mem.Cycle) {
+func (tc *Ctx) recordAbort(x *htm.Xact, attempt int) {
 	th := tc.th
-	rec := htm.AbortRecord{
+	th.m.AbortRecs = append(th.m.AbortRecs, htm.AbortRecord{
 		Thread:  th.H.ID,
 		TID:     x.TID,
 		Attempt: attempt,
 		Enemy:   x.AbortedBy,
 		Block:   x.AbortBlock,
 		Kind:    x.AbortKind,
-		Wasted:  wasted,
-		Unroll:  unroll,
-	}
-	th.AbortRecs = append(th.AbortRecs, rec)
-	th.m.AbortRecs = append(th.m.AbortRecs, rec)
+	})
 }
 
 // runBody executes the transaction body, converting an abort unwind into a

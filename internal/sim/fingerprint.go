@@ -26,15 +26,23 @@ import (
 // exclusions are what let schedules that merely *accounted* differently, or
 // interleaved independent operations differently, converge to one state.
 func (m *Machine) Fingerprint() uint64 {
+	// Per-thread commit and abort counts, from one pass over each stream.
+	counts := make([][2]int, len(m.threads))
+	for _, r := range m.Commits {
+		counts[r.Thread][0]++
+	}
+	for _, r := range m.AbortRecs {
+		counts[r.Thread][1]++
+	}
 	h := statehash.New()
 	h.Int(len(m.threads))
-	for _, th := range m.threads {
+	for i, th := range m.threads {
 		h.Mark('T')
 		h.Int(int(th.state))
 		h.U64(uint64(th.wakeAt))
 		h.U64(uint64(th.readyAt))
-		h.Int(len(th.Commits))
-		h.Int(th.AbortCount)
+		h.Int(counts[i][0])
+		h.Int(counts[i][1])
 		if x := th.H.Xact; x != nil {
 			x.FingerprintTo(h)
 		} else {

@@ -116,14 +116,6 @@ type Thread struct {
 	// xactScratch is the thread's reusable top-level transaction record;
 	// see Ctx.Atomic.
 	xactScratch *htm.Xact
-
-	// Commits collects this thread's committed transactions.
-	Commits []htm.CommitRecord
-	// AbortCount counts aborted attempts.
-	AbortCount int
-	// AbortRecs collects this thread's abort-lifecycle records, one per
-	// aborted attempt (len(AbortRecs) == AbortCount).
-	AbortRecs []htm.AbortRecord
 }
 
 type coreState struct {
@@ -172,9 +164,11 @@ type Machine struct {
 	// choiceScratch backs RunnableCores so a chooser's turns stay
 	// allocation-free after the first.
 	choiceScratch []CoreChoice
-	// Commits aggregates all threads' commit records in commit order.
-	Commits []htm.CommitRecord
-	// AbortRecs aggregates all threads' abort records in abort order.
+	// Commits and AbortRecs are the run's outcome record: one entry per
+	// committed transaction in commit order, and one per aborted attempt
+	// in abort order. Per-thread counts and release-path splits are derived
+	// from them; where the cycles went is the breakdowns' job.
+	Commits   []htm.CommitRecord
 	AbortRecs []htm.AbortRecord
 	// breakdowns attributes every core-clock advance to an attr.Bucket,
 	// indexed by core id. The conservation invariant — per-core bucket sums

@@ -214,8 +214,8 @@ func TestFastVsSoftwareRelease(t *testing.T) {
 		})
 	})
 	m.Run()
-	if tok.FastCommits != 1 || tok.SlowCommits != 1 {
-		t.Fatalf("fast=%d slow=%d, want 1 and 1", tok.FastCommits, tok.SlowCommits)
+	if fast, slow := releasePaths(m); fast != 1 || slow != 1 {
+		t.Fatalf("fast=%d slow=%d, want 1 and 1", fast, slow)
 	}
 	if err := tok.CheckBookkeeping(); err != nil {
 		t.Fatalf("bookkeeping: %v", err)
@@ -239,19 +239,30 @@ func TestFastVsSoftwareRelease(t *testing.T) {
 	}
 }
 
+// releasePaths counts m's commit records by release path.
+func releasePaths(m *Machine) (fast, slow int) {
+	for _, r := range m.Commits {
+		if r.Fast {
+			fast++
+		} else {
+			slow++
+		}
+	}
+	return fast, slow
+}
+
 // TestNoFastVariantAlwaysWalksLog checks TokenTM_NoFast releases in software
 // even for tiny transactions.
 func TestNoFastVariantAlwaysWalksLog(t *testing.T) {
 	m := newMachine(t, 1, "TokenTM_NoFast")
-	tok := m.HTM.(*core.TokenTM)
 	m.Spawn(func(tc *Ctx) {
 		tc.Atomic(func(tx *Tx) {
 			tx.Store(0x5000, 7)
 		})
 	})
 	m.Run()
-	if tok.FastCommits != 0 || tok.SlowCommits != 1 {
-		t.Fatalf("fast=%d slow=%d", tok.FastCommits, tok.SlowCommits)
+	if fast, slow := releasePaths(m); fast != 0 || slow != 1 {
+		t.Fatalf("fast=%d slow=%d", fast, slow)
 	}
 }
 
@@ -281,7 +292,7 @@ func TestContextSwitchDuringTransaction(t *testing.T) {
 	if err := tok.CheckBookkeeping(); err != nil {
 		t.Fatalf("bookkeeping: %v", err)
 	}
-	if tok.SlowCommits == 0 {
+	if _, slow := releasePaths(m); slow == 0 {
 		t.Fatal("context-switched transactions must use software release")
 	}
 }
@@ -394,7 +405,7 @@ func TestAbortsHappenUnderContention(t *testing.T) {
 	if got := m.Store.Load(a); got != 160 {
 		t.Fatalf("counter = %d", got)
 	}
-	if m.HTM.Stats().Aborts == 0 && m.HTM.Stats().Stalls == 0 {
+	if len(m.AbortRecs) == 0 && m.HTM.Stats().Stalls == 0 {
 		t.Fatal("expected contention to cause stalls or aborts")
 	}
 }

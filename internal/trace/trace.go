@@ -112,11 +112,14 @@ func (e Event) String() string {
 // the contract by panicking when a Tracer is attached to a second system;
 // build one Tracer per machine instead.
 type Tracer struct {
-	events []Event
-	next   int
-	seq    uint64
-	full   bool
-	bound  htm.System
+	// events grows with recorded events up to capacity, so a large
+	// capacity costs nothing until a run records that many; once full, it
+	// wraps at next, the oldest retained event.
+	events   []Event
+	capacity int
+	next     int
+	seq      uint64
+	bound    htm.System
 }
 
 // NewTracer returns a tracer keeping the most recent capacity events.
@@ -124,28 +127,26 @@ func NewTracer(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Tracer{events: make([]Event, capacity)}
+	return &Tracer{capacity: capacity}
 }
 
 // Record appends an event.
 func (t *Tracer) Record(e Event) {
 	e.Seq = t.seq
 	t.seq++
+	if len(t.events) < t.capacity {
+		t.events = append(t.events, e)
+		return
+	}
 	t.events[t.next] = e
 	t.next++
 	if t.next == len(t.events) {
 		t.next = 0
-		t.full = true
 	}
 }
 
 // Len returns the number of retained events.
-func (t *Tracer) Len() int {
-	if t.full {
-		return len(t.events)
-	}
-	return t.next
-}
+func (t *Tracer) Len() int { return len(t.events) }
 
 // Total returns the number of events ever recorded.
 func (t *Tracer) Total() uint64 { return t.seq }
@@ -155,21 +156,17 @@ func (t *Tracer) Total() uint64 { return t.seq }
 // sequence numbers and the machine binding are cleared; capacity is kept.
 func (t *Tracer) Reset() {
 	clear(t.events)
+	t.events = t.events[:0]
 	t.next = 0
 	t.seq = 0
-	t.full = false
 	t.bound = nil
 }
 
 // Events returns the retained events oldest-first.
 func (t *Tracer) Events() []Event {
-	if !t.full {
-		return append([]Event(nil), t.events[:t.next]...)
-	}
 	out := make([]Event, 0, len(t.events))
 	out = append(out, t.events[t.next:]...)
-	out = append(out, t.events[:t.next]...)
-	return out
+	return append(out, t.events[:t.next]...)
 }
 
 // Dump writes the retained events as text.

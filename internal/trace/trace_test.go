@@ -41,6 +41,15 @@ func TestRingBuffer(t *testing.T) {
 	if NewTracer(0).Len() != 0 {
 		t.Fatal("default tracer")
 	}
+	// The ring grows with recorded events, so a capacity no host could
+	// allocate up front (-trace N takes it straight from the flag) holds.
+	huge := NewTracer(1 << 42)
+	for i := 0; i < 3; i++ {
+		huge.Record(Event{Kind: EvLoad})
+	}
+	if evs := huge.Events(); huge.Len() != 3 || len(evs) != 3 || evs[0].Seq != 0 || evs[2].Seq != 2 {
+		t.Fatalf("huge tracer: len=%d events=%+v", huge.Len(), evs)
+	}
 }
 
 func TestKindStrings(t *testing.T) {

@@ -1,6 +1,9 @@
 package tokentm
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -73,7 +76,14 @@ func TestReadmePackagesReachable(t *testing.T) {
 // internal/attr. Likewise every `make <target>` run there (at the start of
 // a span or line, or after && or ;) names a Makefile target, and every span
 // that is a bare Test, Fuzz or Benchmark identifier names a function
-// declared in a _test.go file.
+// declared in a _test.go file. A span naming Go identifiers must name ones
+// the module declares: a bare CamelCase span (`CommitRecord`), and each
+// name after the qualifier of a `Qualifier.Name` chain whose qualifier is
+// one of the module's packages or types (`htm.Metrics.Conflicts`,
+// `Xact.LogStall`, `(*stmStore).probe`). Snake_case names, file names
+// (`sim.pprof`: a package qualifier checks only exported names) and chains
+// qualified by a standard-library package (`sync.RWMutex`) are not
+// checked, so a deleted identifier cannot linger in the prose.
 func TestDocPathsExist(t *testing.T) {
 	fence := regexp.MustCompile("(?ms)^```[^\n]*\n(.*?)^```")
 	span := regexp.MustCompile("`([^`]+)`")
@@ -89,6 +99,7 @@ func TestDocPathsExist(t *testing.T) {
 	}
 	testName := regexp.MustCompile(`^(?:Test|Fuzz|Benchmark)[A-Za-z0-9_]*$`)
 	declared := testFuncs(t)
+	idents := moduleIdents(t)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		raw, err := os.ReadFile(doc)
 		if err != nil {
@@ -104,6 +115,8 @@ func TestDocPathsExist(t *testing.T) {
 			code = append(code, m[1])
 			if testName.MatchString(m[1]) && !declared[m[1]] {
 				t.Errorf("%s names %s, which no _test.go file declares", doc, m[1])
+			} else if !idents.resolves(m[1]) {
+				t.Errorf("%s names %s, which the module does not declare", doc, m[1])
 			}
 		}
 		n := 0
@@ -175,4 +188,97 @@ func resolveDocPath(p string) (string, bool) {
 		}
 	}
 	return p, false
+}
+
+// declSet indexes the names the module's Go files declare.
+type declSet struct {
+	// names holds every declared name: package-level, method, field,
+	// parameter or local. pkgs and types hold package and type names.
+	names, pkgs, types map[string]bool
+}
+
+// moduleIdents parses every Go file of the module into a declSet.
+func moduleIdents(t *testing.T) *declSet {
+	t.Helper()
+	d := &declSet{names: map[string]bool{}, pkgs: map[string]bool{}, types: map[string]bool{}}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && p != "." && (e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if e.IsDir() || !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		d.pkgs[f.Name.Name] = true
+		ast.Inspect(f, func(n ast.Node) bool {
+			var ids []*ast.Ident
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				ids = []*ast.Ident{n.Name}
+			case *ast.TypeSpec:
+				ids = []*ast.Ident{n.Name}
+				d.types[n.Name.Name] = true
+			case *ast.ValueSpec:
+				ids = n.Names
+			case *ast.Field:
+				ids = n.Names
+			case *ast.AssignStmt:
+				if n.Tok == token.DEFINE {
+					for _, e := range n.Lhs {
+						if id, ok := e.(*ast.Ident); ok {
+							ids = append(ids, id)
+						}
+					}
+				}
+			}
+			for _, id := range ids {
+				d.names[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+var (
+	// identChain is a dotted Go selector chain, optionally a call or a
+	// method expression: `a.B.C`, `F(x)`, `(*T).m`.
+	identChain = regexp.MustCompile(`^\(?\*?([A-Za-z_][A-Za-z0-9_]*)\)?((?:\.[A-Za-z_][A-Za-z0-9_]*)*)(?:\(.*\))?$`)
+	// camelCase is one exported identifier with a capital after a
+	// lowercase letter and no underscore: `AbortRecs`, not `HTM`,
+	// `TokenTM_NoFast` or `p99_us`.
+	camelCase = regexp.MustCompile(`^[A-Z][A-Za-z0-9]*[a-z][A-Z][A-Za-z0-9]*$`)
+)
+
+// resolves reports whether a backticked span names only declared
+// identifiers, or is not a span this check reads (see TestDocPathsExist).
+func (d *declSet) resolves(span string) bool {
+	m := identChain.FindStringSubmatch(span)
+	if m == nil {
+		return true
+	}
+	if m[2] == "" {
+		return !camelCase.MatchString(m[1]) || d.names[m[1]]
+	}
+	rest := strings.Split(m[2][1:], ".")
+	if !d.types[m[1]] && !(d.pkgs[m[1]] && ast.IsExported(rest[0])) {
+		return true
+	}
+	for _, name := range rest {
+		if !d.names[name] {
+			return false
+		}
+	}
+	return true
 }

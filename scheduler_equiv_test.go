@@ -13,8 +13,7 @@ package tokentm
 //     TOKENTM_UPDATE_GOLDEN=1 after a deliberate schedule change and review
 //     the diff; regeneration runs every cell twice and writes nothing
 //     unless the two runs agree. Each cell's commit count must also be
-//     equal across seeds, and on TokenTM every commit takes one of the two
-//     release paths. This is the simulator's determinism gate: one
+//     equal across seeds. This is the simulator's determinism gate: one
 //     (workload, variant, scale, seed) tuple names exactly one execution.
 //  2. A per-turn spot check: Run must equal RunChoosing with a chooser that
 //     returns the default pick, on a sampled grid. A chooser is asked before
@@ -116,9 +115,6 @@ func TestSchedulerGoldens(t *testing.T) {
 					if err := tok.CheckBookkeeping(); err != nil {
 						t.Errorf("bookkeeping: %v", err)
 					}
-				}
-				if split := d.FastCommits + d.SlowCommits; split != 0 && split != uint64(len(d.Commits)) {
-					t.Errorf("fast %d + slow %d release commits, want all %d commits", d.FastCommits, d.SlowCommits, len(d.Commits))
 				}
 				fp := fingerprintDetail(d)
 				if update {
